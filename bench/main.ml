@@ -1098,9 +1098,16 @@ let perf () =
   let hnm = Hnm.create root in
   let dspf = Dspf.create root in
   let flow = Flow_sim.create g Metric.Hn_spf tm in
-  let incremental =
-    Routing_spf.Incremental.create g ~root:root.Link.src ~initial_cost:(fun _ -> 30)
+  (* One node's own weight table and tree, as a hop-by-hop DES node keeps
+     them: each run flips the root link between costs 30 and 60 and
+     repairs the tree in place. *)
+  let view_weights =
+    Routing_spf.Dijkstra.compute_weights g ~cost:(Metric.cost_fn metric)
   in
+  let view_tree =
+    Routing_spf.Dijkstra.compute_flat g ~weights:view_weights root.Link.src
+  in
+  let repair_scratch = Routing_spf.Spf_repair.scratch () in
   let flip = ref false in
   let flooders =
     Array.init (Graph.node_count g) (fun i ->
@@ -1113,20 +1120,28 @@ let perf () =
                ignore
                  (Routing_spf.Dijkstra.compute g ~cost:(Metric.cost_fn metric)
                     root.Link.src)));
-        Test.make ~name:"incremental spf (one change)"
-          (Staged.stage (fun () ->
-               flip := not !flip;
-               Routing_spf.Incremental.set_cost incremental root.Link.id
-                 (if !flip then 60 else 30)));
-        Test.make ~name:"incremental table refresh"
-          (Staged.stage (fun () ->
-               ignore (Routing_spf.Incremental.next_hop_array incremental)));
         Test.make ~name:"full tree + table (one node)"
           (Staged.stage (fun () ->
                ignore
                  (Routing_spf.Routing_table.of_tree
                     (Routing_spf.Dijkstra.compute g
                        ~cost:(Metric.cost_fn metric) root.Link.src))));
+        Test.make ~name:"view repair + table (one node, one change)"
+          (Staged.stage (fun () ->
+               flip := not !flip;
+               let c = if !flip then 60 else 30 in
+               let k = Link.id_to_int root.Link.id in
+               let old = view_weights.(k) in
+               let w =
+                 Routing_spf.Dijkstra.link_weight ~cost:(fun _ -> c)
+                   root.Link.id
+               in
+               view_weights.(k) <- w;
+               ignore
+                 (Routing_spf.Spf_repair.repair repair_scratch g
+                    ~tree:view_tree ~weights:view_weights
+                    ~changes:[ (root.Link.id, old, w) ]);
+               ignore (Routing_spf.Routing_table.of_tree view_tree)));
         Test.make ~name:"hnm period update"
           (Staged.stage (fun () ->
                ignore (Hnm.period_update hnm ~measured_delay_s:0.05)));

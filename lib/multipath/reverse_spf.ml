@@ -11,14 +11,13 @@ let compute ?(enabled = fun _ -> true) g ~cost dst =
   let n = Graph.node_count g in
   let dist = Array.make n max_int in
   let settled = Array.make n false in
-  let heap = Priority_queue.create ~compare:Int.compare in
+  let queue = Radix_queue.create () in
   dist.(Node.to_int dst) <- 0;
-  Priority_queue.push heap 0 dst;
+  Radix_queue.push queue ~key:0 ~tie:0 (Node.to_int dst);
   let rec run () =
-    match Priority_queue.pop_min heap with
+    match Radix_queue.pop_min queue with
     | None -> ()
-    | Some (d, node) ->
-      let i = Node.to_int node in
+    | Some (d, _, i) ->
       if not settled.(i) then begin
         settled.(i) <- true;
         (* Relax the *incoming* links: a shorter way for their tails. *)
@@ -29,10 +28,10 @@ let compute ?(enabled = fun _ -> true) g ~cost dst =
               let d' = d + cost l.Link.id in
               if d' < dist.(j) then begin
                 dist.(j) <- d';
-                Priority_queue.push heap d' l.Link.src
+                Radix_queue.push queue ~key:d' ~tie:j j
               end
             end)
-          (Graph.in_links g node)
+          (Graph.in_links g (Node.of_int i))
       end;
       run ()
   in

@@ -15,7 +15,8 @@ val compute :
   cost:(Link.id -> int) ->
   Node.t ->
   t
-(** [compute g ~cost dst]: distances of every node {e to} [dst]. *)
+(** [compute g ~cost dst]: distances of every node {e to} [dst].  Costs
+    must be non-negative. *)
 
 val destination : t -> Node.t
 

@@ -10,7 +10,6 @@ type config = {
   instant_flooding : bool;
   line_error_rate : float;
   retransmit_interval_s : float;
-  use_incremental_spf : bool;
   trace_capacity : int;
   domains : int;
   telemetry : Telemetry.t option;
@@ -19,6 +18,8 @@ type config = {
 let log_src = Logs.Src.create "routing_sim.network" ~doc:"packet-level simulator"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
+
+module Spf_repair = Routing_spf.Spf_repair
 
 let default_config metric =
   { metric;
@@ -30,7 +31,6 @@ let default_config metric =
     instant_flooding = true;
     line_error_rate = 0.;
     retransmit_interval_s = 1.0;
-    use_incremental_spf = false;
     trace_capacity = 0;
     domains = Domain_pool.default_size ();
     telemetry = None }
@@ -150,9 +150,13 @@ type t = {
   prev_bits : float array; (* per link, snapshot at last period start *)
   cost_series : Time_series.t array;
   util_series : Time_series.t array;
-  (* Non-instant flooding: each node's believed costs, in-flight updates,
-     and the latency from origination to each fresh acceptance. *)
+  (* Non-instant flooding: each node's believed costs with the weight
+     table and route tree it derives from them, in-flight updates, and
+     the latency from origination to each fresh acceptance. *)
   views : int array array; (* node x link; used when not instant_flooding *)
+  weights : int array array; (* node x link: [compute_weights] of the view *)
+  mutable trees : Spf_tree.t array; (* per node, exact under its weights *)
+  repair : Spf_repair.scratch; (* shared by every node's tree repairs *)
   in_flight : (int, Update.t * float) Hashtbl.t;
   mutable next_update_token : int;
   (* Rosen-style per-line reliability: a control packet sent on a link
@@ -168,9 +172,6 @@ type t = {
   mutable changed_count : int;
   link_rng : Rng.t;
   flood_latency : Welford.t;
-  (* Per-node incremental SPF engines (§2.2's PSN algorithm), used when
-     configured and while the whole topology is up. *)
-  mutable incrementals : Routing_spf.Incremental.t array;
   (* Shared SPF engines (instant flooding): per-source route trees on the
      flooded costs, and min-hop trees on the up topology, both refreshed
      by diffing and fanned over the pool. *)
@@ -217,16 +218,7 @@ let recompute_min_hops t =
     done
   done
 
-let node_cost_fn t i =
-  if t.config.instant_flooding then Metric.cost_fn t.metric
-  else fun lid -> t.views.(i).(Link.id_to_int lid)
-
-let install_table_for t i =
-  let tree =
-    Dijkstra.compute ~enabled:(link_enabled t) t.graph ~cost:(node_cost_fn t i)
-      (Node.of_int i)
-  in
-  Psn.install_table t.psns.(i) (Routing_table.of_tree tree)
+let view_cost t i lid = t.views.(i).(Link.id_to_int lid)
 
 let install_tables t =
   if t.config.instant_flooding then begin
@@ -241,39 +233,48 @@ let install_tables t =
           (Routing_table.of_tree (Spf_engine.tree t.spf (Node.of_int i))))
       t.psns
   end
-  else Array.iteri (fun i _ -> install_table_for t i) t.psns;
+  else begin
+    (* Each node routes on its own view.  Trees are built from scratch
+       only here (creation, link up/down); receipts repair them. *)
+    t.trees <-
+      Array.mapi
+        (fun i weights ->
+          Dijkstra.compute_weights_into ~enabled:(link_enabled t) t.graph
+            ~cost:(view_cost t i) weights;
+          Dijkstra.compute_flat t.graph ~weights (Node.of_int i))
+        t.weights;
+    Array.iteri
+      (fun i tree -> Psn.install_table t.psns.(i) (Routing_table.of_tree tree))
+      t.trees
+  end;
   t.tables_dirty <- false
 
-let all_links_up t = Array.for_all Fun.id t.link_up
-
-let incremental_active t =
-  t.config.use_incremental_spf
-  && t.config.instant_flooding
-  && Array.length t.incrementals > 0
-
-let build_incrementals t =
-  if t.config.use_incremental_spf && t.config.instant_flooding
-     && all_links_up t
-  then
-    t.incrementals <-
-      Array.init (Graph.node_count t.graph) (fun i ->
-          Routing_spf.Incremental.create t.graph ~root:(Node.of_int i)
-            ~initial_cost:(Metric.cost_fn t.metric))
-  else t.incrementals <- [||]
-
-(* Apply one period's flooded cost changes through every node's
-   incremental engine and refresh the forwarding tables from them. *)
-let apply_changes_incrementally t changes =
-  Array.iteri
-    (fun i inc ->
-      List.iter
-        (fun (lid, c) -> Routing_spf.Incremental.set_cost inc lid c)
-        changes;
-      Psn.install_table t.psns.(i)
-        (Routing_table.of_next_hops t.graph ~owner:(Node.of_int i)
-           (Routing_spf.Incremental.next_hop_array inc)))
-    t.incrementals;
-  t.tables_dirty <- false
+(* Node [i] takes an update's costs into its view and repairs its own
+   tree — §2.2's "incremental adjustments", bit-identical to recomputing
+   it from scratch on the new view. *)
+let apply_update t i costs =
+  let weights = t.weights.(i) in
+  List.iter (fun (lid, c) -> t.views.(i).(Link.id_to_int lid) <- c) costs;
+  let changes =
+    List.fold_left
+      (fun changes (lid, _) ->
+        let k = Link.id_to_int lid in
+        let w =
+          if link_enabled t lid then
+            Dijkstra.link_weight ~cost:(view_cost t i) lid
+          else -1
+        in
+        let old = weights.(k) in
+        if w = old then changes
+        else begin
+          weights.(k) <- w;
+          (lid, old, w) :: changes
+        end)
+      [] costs
+  in
+  let tree = t.trees.(i) in
+  ignore (Spf_repair.repair t.repair t.graph ~tree ~weights ~changes);
+  Psn.install_table t.psns.(i) (Routing_table.of_tree tree)
 
 (* Send one in-flight update over a link as a priority control packet and
    keep retransmitting on a timer until the far end acknowledges it. *)
@@ -324,10 +325,7 @@ and deliver_update t node ~via token =
             { at = node;
               origin = u.Update.origin;
               latency_s = Engine.now t.engine -. originated_s });
-      List.iter
-        (fun (lid, c) -> t.views.(i).(Link.id_to_int lid) <- c)
-        u.Update.costs;
-      install_table_for t i;
+      apply_update t i u.Update.costs;
       trace t (fun () -> Trace.Tables_recomputed { at = node });
       List.iter (fun lid -> send_control t lid token) forward)
 
@@ -432,7 +430,6 @@ let routing_period t =
   for k = 0 to t.doomed_acks.len - 1 do
     Hashtbl.remove t.pending_acks t.doomed_acks.buf.(k)
   done;
-  let all_changes = ref [] in
   Array.iter
     (fun psn ->
       List.iter
@@ -449,8 +446,7 @@ let routing_period t =
                 t.changed_count <- t.changed_count + 1
               end;
               t.changed_costs.(origin) <-
-                (link.Link.id, cost) :: t.changed_costs.(origin);
-              all_changes := (link.Link.id, cost) :: !all_changes
+                (link.Link.id, cost) :: t.changed_costs.(origin)
             | None -> ()
           end)
         (Psn.out_measurements psn))
@@ -480,10 +476,7 @@ let routing_period t =
         t.next_update_token <- token + 1;
         Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
         Measure.record_updates t.measure ~count:1 ~bits:0.;
-        List.iter
-          (fun (lid, c) -> t.views.(origin).(Link.id_to_int lid) <- c)
-          costs;
-        install_table_for t origin;
+        apply_update t origin costs;
         List.iter
           (fun (l : Link.t) ->
             if t.link_up.(Link.id_to_int l.Link.id) then
@@ -492,10 +485,7 @@ let routing_period t =
       end
   done);
   t.changed_count <- 0;
-  if t.tables_dirty && t.config.instant_flooding then begin
-    if incremental_active t then apply_changes_incrementally t !all_changes
-    else install_tables t
-  end;
+  if t.tables_dirty then install_tables t;
   (* Per-period series. *)
   if t.config.record_series then
     Array.iteri
@@ -590,6 +580,11 @@ let create ?config graph tm =
         Array.init (if config.instant_flooding then 0 else n) (fun _ ->
             Array.init nl (fun i ->
                 Metric.cost metric (Link.id_of_int i)));
+      weights =
+        Array.init (if config.instant_flooding then 0 else n) (fun _ ->
+            Array.make nl (-1));
+      trees = [||];
+      repair = Spf_repair.scratch ();
       in_flight = Hashtbl.create 64;
       next_update_token = 0;
       pending_acks = Hashtbl.create 64;
@@ -600,7 +595,6 @@ let create ?config graph tm =
       changed_count = 0;
       link_rng = Rng.create (config.seed lxor 0x5F5F5F);
       flood_latency = Welford.create ();
-      incrementals = [||];
       spf = Spf_engine.create ?pool ~tracer graph;
       min_spf = Spf_engine.create ?pool ~tracer graph;
       trace =
@@ -633,7 +627,6 @@ let create ?config graph tm =
       (fun i s ->
         Obs_metrics.adopt_series m ~labels:(link_label i) "link_utilization" s)
       t.util_series);
-  build_incrementals t;
   t.workload <-
     Some
       (Workload.create ~size:config.packet_size rng engine tm
@@ -683,9 +676,6 @@ let set_link_up t lid up =
     Link_queue.set_up t.queues.(i) up;
     if up then Metric.link_up t.metric lid;
     recompute_min_hops t;
-    (* The incremental engines assume a fixed topology: rebuild (all up)
-       or disable (some link down) and recompute from scratch. *)
-    build_incrementals t;
     install_tables t
   end
 

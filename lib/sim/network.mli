@@ -27,22 +27,18 @@ type config = {
           within its period — the paper's synchrony assumption.  [false]:
           updates travel hop-by-hop as priority control packets with
           per-line acknowledgement and retransmission (Rosen's updating
-          protocol); each node recomputes its table on receipt (brief
-          inconsistency windows are possible), and {!flood_latency_stats}
-          measures how long floods actually take — validating that they
-          are far faster than the 10-second period. *)
+          protocol); each node keeps its own route tree on its own view of
+          the costs and repairs it in place on every fresh receipt (§2.2's
+          incremental adjustment, bit-identical to recomputing it; brief
+          inconsistency windows between nodes are possible), and
+          {!flood_latency_stats} measures how long floods actually take —
+          validating that they are far faster than the 10-second
+          period. *)
   line_error_rate : float;
       (** per-packet probability that a line corrupts a transmission
           (default 0).  Data packets are simply lost; control packets are
           retransmitted until acknowledged. *)
   retransmit_interval_s : float;  (** control retransmission timer (1 s) *)
-  use_incremental_spf : bool;
-      (** maintain per-node incremental SPF engines (§2.2: the PSN
-          "attempts to perform only incremental adjustments") instead of
-          recomputing every tree from scratch each period.  Default false;
-          only active with [instant_flooding] and a fully-up topology —
-          otherwise the simulator falls back to full recomputation.
-          Results are identical up to equal-cost tie-breaking. *)
   trace_capacity : int;
       (** keep the most recent N structured {!Trace} events (0, the
           default, disables tracing) *)
@@ -121,9 +117,11 @@ val dropped_packets : t -> int
 val generated_packets : t -> int
 
 val spf_stats : t -> Spf_engine.stats
-(** Live counters of the shared SPF engine — refreshes skipped vs
-    incremental vs full, trees reused vs recomputed (see
-    {!Routing_spf.Spf_engine.stats}). *)
+(** Live counters of the shared instant-flooding SPF engine — refreshes
+    skipped vs incremental vs full, trees reused vs recomputed (see
+    {!Routing_spf.Spf_engine.stats}).  Under hop-by-hop flooding each node
+    repairs its own tree instead, the shared engine never runs, and every
+    counter reads 0. *)
 
 val telemetry : t -> Telemetry.t option
 (** The bundle passed in via {!config.telemetry}, if any. *)

@@ -31,6 +31,8 @@ let edge_weight ~tie_break ~cost lid =
   in
   (((c * cost_scale) + adjust) * hop_scale) + 1
 
+let link_weight ~cost lid = edge_weight ~tie_break:`Neutral ~cost lid
+
 (* Memoized per-link composite weights: one cost_fn call + range check per
    link per refresh, instead of per edge per source.  Disabled links carry
    the sentinel -1 and are never entered. *)

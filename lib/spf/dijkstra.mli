@@ -69,6 +69,13 @@ val compute_weights_into :
     [Graph.link_count] — allocation-free, for tables refreshed every
     routing period. *)
 
+val link_weight : cost:(Link.id -> int) -> Link.id -> int
+(** One enabled link's entry of a [`Neutral] {!compute_weights} table:
+    how a caller keeping its own table patches the links an update
+    touched before handing the changes to {!Spf_repair.repair}.
+    @raise Invalid_argument if the link's cost is outside
+    [\[1, max_link_cost\]]. *)
+
 val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
 (** [compute_flat g ~weights root]: the SPF inner loop proper, over a table
     from {!compute_weights}.  [compute ... root] is exactly

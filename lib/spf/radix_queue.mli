@@ -7,14 +7,14 @@
     so {!push} is O(1) and {!pop_min} is amortized O(log C) where [C] bounds
     the key range — composite SPF weights are bounded by
     [Dijkstra.max_link_cost] per link, which is the whole reason the paper's
-    8-bit metric admits this structure.  There is no decrease-key: like the
-    binary heap it replaces, callers re-push and discard stale entries
-    ("lazy deletion"), which the O(1) push makes free.
+    8-bit metric admits this structure.  There is no decrease-key: callers
+    re-push and discard stale entries ("lazy deletion"), which the O(1)
+    push makes free.
 
     Entries are ordered lexicographically by [(key, tie)]; Dijkstra uses the
-    arriving link id as the tie so pops are fully deterministic, making the
-    queue a drop-in refinement of {!Priority_queue} under its
-    [(weight, link-id)] comparison. *)
+    arriving link id as the tie so pops are fully deterministic.  It is the
+    repo's only priority queue: {!Dijkstra}, {!Spf_repair} and the
+    multipath library's reverse SPF all run on it. *)
 
 type t
 

@@ -12,18 +12,6 @@ let of_tree tree =
       | None -> ());
   { owner = Spf_tree.root tree; graph = g; hops }
 
-let of_next_hops graph ~owner hops =
-  if Array.length hops <> Graph.node_count graph then
-    invalid_arg "Routing_table.of_next_hops: wrong array length";
-  Array.iter
-    (function
-      | None -> ()
-      | Some lid ->
-        if not (Node.equal (Graph.link graph lid).Link.src owner) then
-          invalid_arg "Routing_table.of_next_hops: link does not leave owner")
-    hops;
-  { owner; graph; hops = Array.copy hops }
-
 let owner t = t.owner
 
 let next_hop t dst = Option.map (Graph.link t.graph) t.hops.(Node.to_int dst)

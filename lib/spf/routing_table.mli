@@ -11,14 +11,9 @@ open! Import
 type t
 
 val of_tree : Spf_tree.t -> t
-(** Extract next hops from a shortest-path tree. *)
-
-val of_next_hops : Graph.t -> owner:Node.t -> Link.id option array -> t
-(** Build directly from a per-destination next-hop array (indexed by node
-    id) — the fast path for {!Incremental}, which maintains next hops
-    without materializing a tree.
-    @raise Invalid_argument if the array length differs from the node
-    count or an entry names a link not leaving [owner]. *)
+(** Extract next hops from a shortest-path tree.  The table is a copy:
+    repairing the tree in place afterwards ({!Spf_repair}) leaves it
+    alone. *)
 
 val owner : t -> Node.t
 

@@ -42,7 +42,6 @@ type stats = {
 type t = {
   graph : Graph.t;
   pool : Domain_pool.t option;
-  threshold : float;
   repair : bool;
   repair_grain : int;
   tracer : Tracer.t;
@@ -58,11 +57,14 @@ type t = {
   stats : stats;
 }
 
-let create ?pool ?(tracer = Tracer.null) ?(threshold = 0.25) ?(repair = true)
+(* Changed-links fraction above which a refresh abandons per-source
+   analysis and recomputes everything. *)
+let threshold = 0.25
+
+let create ?pool ?(tracer = Tracer.null) ?(repair = true)
     ?(repair_grain = 256) graph =
   { graph;
     pool;
-    threshold;
     repair;
     repair_grain;
     tracer;
@@ -242,7 +244,7 @@ let refresh ?wanted ?enabled t ~cost =
       let changes = !changes in
       if
         float_of_int !nchanged
-        > t.threshold *. float_of_int (Graph.link_count t.graph)
+        > threshold *. float_of_int (Graph.link_count t.graph)
       then begin
         t.stats.full_sweeps <- t.stats.full_sweeps + 1;
         let todo = ref [] in

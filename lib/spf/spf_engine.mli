@@ -18,7 +18,7 @@ open! Import
       dynamically {e repairs} just the affected sources in place
       ({!Spf_repair}), re-settling only the disturbed region of each
       tree;
-    - if a large fraction changed (more than [threshold] of the links),
+    - if a large fraction changed (more than a quarter of the links),
       recomputes every wanted source outright.
 
     Repair and recomputation fan out over an optional {!Domain_pool.t}.
@@ -40,14 +40,11 @@ type t
 val create :
   ?pool:Domain_pool.t ->
   ?tracer:Tracer.t ->
-  ?threshold:float ->
   ?repair:bool ->
   ?repair_grain:int ->
   Graph.t ->
   t
-(** [threshold] (default 0.25) is the changed-links fraction above which a
-    refresh abandons per-source analysis and recomputes everything.
-    [repair] (default [true]) selects in-place dynamic repair for affected
+(** [repair] (default [true]) selects in-place dynamic repair for affected
     sources; [false] falls back to per-source full recomputation (useful
     for differential testing and benchmarking).  [repair_grain] (default
     256) is the affected-tree count at or above which repairs fan out over
@@ -92,7 +89,7 @@ type stats = {
       (** refreshes where no weight changed and no tree was missing *)
   mutable full_sweeps : int;
       (** refreshes that recomputed every wanted source (first refresh, or
-          changed set above [threshold]) *)
+          more than a quarter of the links changed) *)
   mutable sources_recomputed : int;  (** single-source Dijkstra runs *)
   mutable sources_repaired : int;
       (** source trees patched in place by dynamic repair *)

@@ -427,35 +427,41 @@ let test_network_reliable_flooding_on_lossy_lines () =
     true
     (delivered /. generated > 0.75 && delivered /. generated < 0.95)
 
-let test_network_incremental_spf_agrees () =
+(* Pins the hop-by-hop DES: D-SPF on the ARPANET, where every node routes
+   on its own cost view and repairs its own tree on receipt, with one
+   cross-country trunk down at 40 s and back up at 80 s.  A node
+   installing a different table on some receipt would show up in these
+   counts. *)
+let test_network_hop_by_hop_golden () =
   let g = Arpanet.topology () in
   let tm = Arpanet.peak_traffic (Rng.create 7) g in
-  let run use_incremental_spf =
-    let config =
-      { (Network.default_config Metric.Hn_spf) with
-        Network.seed = 6;
-        record_series = false;
-        use_incremental_spf }
-    in
-    let net = Network.create ~config g tm in
-    Network.run net ~duration_s:120.;
-    Network.indicators net
+  let config =
+    { (Network.default_config Metric.D_spf) with
+      Network.seed = 5;
+      instant_flooding = false;
+      record_series = false }
   in
-  let full = run false and inc = run true in
-  let rel a b = Float.abs (a -. b) /. Float.max a b in
-  (* Equal-cost ties may break differently, so outcomes agree only
-     statistically. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "throughput agrees (%.0f vs %.0f)"
-       full.Measure.internode_traffic_bps inc.Measure.internode_traffic_bps)
-    true
-    (rel full.Measure.internode_traffic_bps inc.Measure.internode_traffic_bps
-    < 0.02);
-  Alcotest.(check bool)
-    (Printf.sprintf "delay agrees (%.0f vs %.0f ms)"
-       full.Measure.round_trip_delay_ms inc.Measure.round_trip_delay_ms)
-    true
-    (rel full.Measure.round_trip_delay_ms inc.Measure.round_trip_delay_ms < 0.10)
+  let net = Network.create ~config g tm in
+  let node name = Option.get (Graph.node_by_name g name) in
+  let trunk =
+    Option.get (Graph.find_link g ~src:(node "CMU") ~dst:(node "UTAH"))
+  in
+  let set_trunk up =
+    Network.set_link_up net trunk.Link.id up;
+    Network.set_link_up net (Graph.reverse g trunk).Link.id up
+  in
+  Network.run net ~duration_s:40.;
+  set_trunk false;
+  Network.run net ~duration_s:40.;
+  set_trunk true;
+  Network.run net ~duration_s:40.;
+  Alcotest.(check (list int))
+    "generated, delivered, dropped, fresh receipts"
+    [ 75610; 47645; 27451; 21168 ]
+    [ Network.generated_packets net;
+      Network.delivered_packets net;
+      Network.dropped_packets net;
+      Routing_stats.Welford.count (Network.flood_latency_stats net) ]
 
 (* --- Trace --- *)
 
@@ -519,13 +525,14 @@ let test_network_incremental_survives_link_flap () =
   let config =
     { (Network.default_config Metric.Hn_spf) with
       Network.seed = 13;
-      use_incremental_spf = true;
+      instant_flooding = false;
       record_series = false }
   in
   let net = Network.create ~config g tm in
   Network.run net ~duration_s:60.;
   let l = (Graph.link g (Link.id_of_int 0)).Link.id in
-  (* Down: incremental engines are discarded, full recompute takes over. *)
+  (* Up/down rebuilds every node's tree from scratch; receipts in between
+     repair them in place. *)
   Network.set_link_up net l false;
   Network.run net ~duration_s:60.;
   Network.set_link_up net l true;
@@ -581,8 +588,8 @@ let () =
             test_network_hop_by_hop_flooding;
           Alcotest.test_case "reliable flooding on lossy lines" `Slow
             test_network_reliable_flooding_on_lossy_lines;
-          Alcotest.test_case "incremental spf agrees" `Slow
-            test_network_incremental_spf_agrees;
+          Alcotest.test_case "hop-by-hop golden" `Quick
+            test_network_hop_by_hop_golden;
           Alcotest.test_case "incremental + link flap" `Quick
             test_network_incremental_survives_link_flap;
           Alcotest.test_case "trace ring" `Quick test_trace_ring_rotation;

@@ -1,46 +1,12 @@
 (* Unit and property tests for the routing_spf library. *)
 
 open Routing_topology
-module Pq = Routing_spf.Priority_queue
 module Rq = Routing_spf.Radix_queue
 module Dijkstra = Routing_spf.Dijkstra
 module Spf_tree = Routing_spf.Spf_tree
-module Incremental = Routing_spf.Incremental
+module Spf_repair = Routing_spf.Spf_repair
 module Routing_table = Routing_spf.Routing_table
 module Rng = Routing_stats.Rng
-
-(* --- Priority queue --- *)
-
-let test_pq_ordering () =
-  let q = Pq.create ~compare:Int.compare in
-  List.iter (fun (p, v) -> Pq.push q p v) [ (5, "e"); (1, "a"); (3, "c"); (2, "b") ];
-  Alcotest.(check int) "length" 4 (Pq.length q);
-  let order = List.init 4 (fun _ -> snd (Option.get (Pq.pop_min q))) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c"; "e" ] order;
-  Alcotest.(check bool) "empty" true (Pq.is_empty q)
-
-let test_pq_peek_and_clear () =
-  let q = Pq.create ~compare:Int.compare in
-  Pq.push q 2 "x";
-  Pq.push q 1 "y";
-  (match Pq.peek_min q with
-  | Some (1, "y") -> ()
-  | _ -> Alcotest.fail "peek should see minimum");
-  Pq.clear q;
-  Alcotest.(check bool) "cleared" true (Pq.is_empty q)
-
-let prop_pq_sorts =
-  QCheck2.Test.make ~name:"pop order is sorted" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 1000))
-    (fun xs ->
-      let q = Pq.create ~compare:Int.compare in
-      List.iter (fun x -> Pq.push q x x) xs;
-      let rec drain acc =
-        match Pq.pop_min q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.sort Int.compare xs)
 
 (* --- radix queue --- *)
 
@@ -81,9 +47,10 @@ let test_radix_clear () =
 
 (* The queue only promises anything for monotone sequences (every push at
    or above the last popped key) — exactly what Dijkstra and the repair
-   loop produce.  Against a model [Priority_queue] ordered by (key, tie),
-   random interleavings of pushes and pops must agree pop for pop.  Ties
-   are made unique so the comparison is exact, not set-valued. *)
+   loop produce.  Against a model priority queue, a list of
+   (key, tie, value) entries kept sorted, random interleavings of pushes
+   and pops must agree pop for pop.  Ties are made unique so the
+   comparison is exact, not set-valued. *)
 let prop_radix_matches_priority_queue =
   QCheck2.Test.make ~name:"radix queue = priority queue (monotone ops)"
     ~count:300
@@ -92,9 +59,13 @@ let prop_radix_matches_priority_queue =
         (pair (option (int_range 0 2000)) (int_range 0 9)))
     (fun ops ->
       let q = Rq.create () in
-      let model =
-        Pq.create ~compare:(fun (k1, t1) (k2, t2) ->
-            if k1 <> k2 then Int.compare k1 k2 else Int.compare t1 t2)
+      let model = ref [] in
+      let pop_model () =
+        match !model with
+        | [] -> None
+        | e :: rest ->
+          model := rest;
+          Some e
       in
       let last = ref 0 in
       let ok = ref true in
@@ -104,20 +75,19 @@ let prop_radix_matches_priority_queue =
           | Some delta ->
             let key = !last + delta and tie = (r * 1_000_000) + i in
             Rq.push q ~key ~tie i;
-            Pq.push model (key, tie) i
+            model := List.merge compare [ (key, tie, i) ] !model
           | None -> (
-            match (Rq.pop_min q, Pq.pop_min model) with
+            match (Rq.pop_min q, pop_model ()) with
             | None, None -> ()
-            | Some (k, t, v), Some ((k', t'), v') ->
+            | Some ((k, _, _) as e), Some e' ->
               last := k;
-              if not (k = k' && t = t' && v = v') then ok := false
+              if e <> e' then ok := false
             | _ -> ok := false))
         ops;
       let rec drain () =
-        match (Rq.pop_min q, Pq.pop_min model) with
+        match (Rq.pop_min q, pop_model ()) with
         | None, None -> ()
-        | Some (k, t, v), Some ((k', t'), v') ->
-          if k = k' && t = t' && v = v' then drain () else ok := false
+        | Some e, Some e' -> if e = e' then drain () else ok := false
         | _ -> ok := false
       in
       drain ();
@@ -331,33 +301,61 @@ let test_tree_paths_and_next_hop () =
   Alcotest.(check bool) "destinations_via includes D" true
     (List.exists (Node.equal d) via)
 
-(* --- Incremental SPF --- *)
+(* --- Incremental SPF (§2.2): in-place tree repair --- *)
+
+(* Move [lid] to cost [c] in [costs], patch the weight table to match and
+   repair [tree] in place, as a hop-by-hop DES node does on receipt.
+   Returns the nodes re-settled. *)
+let set_cost s g ~costs ~weights ~tree lid c =
+  let k = Link.id_to_int lid in
+  costs.(k) <- c;
+  let old = weights.(k) in
+  let w = Dijkstra.link_weight ~cost:(fun l -> costs.(Link.id_to_int l)) lid in
+  weights.(k) <- w;
+  Spf_repair.repair s g ~tree ~weights
+    ~changes:(if w = old then [] else [ (lid, old, w) ])
+
+(* A node's own weight table and tree on [costs]. *)
+let view g costs root =
+  let weights =
+    Dijkstra.compute_weights g ~cost:(fun l -> costs.(Link.id_to_int l))
+  in
+  (weights, Dijkstra.compute_flat g ~weights root)
+
+let fresh g costs root =
+  Dijkstra.compute g ~cost:(fun l -> costs.(Link.id_to_int l)) root
 
 let test_incremental_ignores_irrelevant_increase () =
   let g = diamond () in
   let a = node g "A" and d = node g "D" in
-  let inc = Incremental.create g ~root:a ~initial_cost:(constant_cost 10) in
+  let costs = Array.make (Graph.link_count g) 10 in
+  let weights, tree = view g costs a in
   (* Direct link is in the tree; a non-tree link's increase must be free. *)
   let non_tree =
     Graph.links g
     |> List.find (fun (l : Link.t) ->
            Node.equal l.Link.src d && not (Node.equal l.Link.dst a))
   in
-  Incremental.set_cost inc non_tree.Link.id 200;
-  let stats = Incremental.stats inc in
-  Alcotest.(check int) "no recompute" 0 stats.Incremental.full_recomputes;
-  Alcotest.(check int) "update ignored" 1 stats.Incremental.updates_ignored
+  let resettled =
+    set_cost (Spf_repair.scratch ()) g ~costs ~weights ~tree non_tree.Link.id
+      200
+  in
+  Alcotest.(check int) "nothing re-settled" 0 resettled;
+  Alcotest.(check bool) "tree still exact" true
+    (Spf_tree.equal tree (fresh g costs a))
 
 let test_incremental_tracks_change () =
   let g = diamond () in
   let a = node g "A" and d = node g "D" in
   let direct = Option.get (Graph.find_link g ~src:a ~dst:d) in
-  let inc = Incremental.create g ~root:a ~initial_cost:(constant_cost 10) in
-  Alcotest.(check int) "initial" 10 (Incremental.dist inc d);
-  Incremental.set_cost inc direct.Link.id 50;
-  Alcotest.(check int) "after increase, detour" 20 (Incremental.dist inc d);
-  Incremental.set_cost inc direct.Link.id 5;
-  Alcotest.(check int) "after decrease, direct again" 5 (Incremental.dist inc d)
+  let costs = Array.make (Graph.link_count g) 10 in
+  let weights, tree = view g costs a in
+  let s = Spf_repair.scratch () in
+  Alcotest.(check int) "initial" 10 (Spf_tree.dist tree d);
+  ignore (set_cost s g ~costs ~weights ~tree direct.Link.id 50);
+  Alcotest.(check int) "after increase, detour" 20 (Spf_tree.dist tree d);
+  ignore (set_cost s g ~costs ~weights ~tree direct.Link.id 5);
+  Alcotest.(check int) "after decrease, direct again" 5 (Spf_tree.dist tree d)
 
 let prop_incremental_matches_full =
   QCheck2.Test.make ~name:"incremental = full recompute over update sequences"
@@ -368,53 +366,94 @@ let prop_incremental_matches_full =
       let rng = Rng.create (seed * 31 + 1) in
       let costs = Array.init (Graph.link_count g) (fun _ -> 1 + Rng.int rng 60) in
       let root = Node.of_int (Rng.int rng (Graph.node_count g)) in
-      let inc =
-        Incremental.create g ~root ~initial_cost:(fun l ->
-            costs.(Link.id_to_int l))
-      in
+      let weights, tree = view g costs root in
+      let s = Spf_repair.scratch () in
       let ok = ref true in
       for _ = 1 to 30 do
-        let lid = Rng.int rng (Graph.link_count g) in
-        let c = 1 + Rng.int rng 60 in
-        costs.(lid) <- c;
-        Incremental.set_cost inc (Link.id_of_int lid) c;
-        let fresh =
-          Dijkstra.compute g ~cost:(fun l -> costs.(Link.id_to_int l)) root
-        in
-        Graph.iter_nodes g (fun n ->
-            let a = Incremental.dist inc n in
-            let b =
-              if Spf_tree.reached fresh n then Spf_tree.dist fresh n else max_int
-            in
-            if a <> b then ok := false)
+        let lid = Link.id_of_int (Rng.int rng (Graph.link_count g)) in
+        ignore (set_cost s g ~costs ~weights ~tree lid (1 + Rng.int rng 60));
+        if not (Spf_tree.equal tree (fresh g costs root)) then ok := false
       done;
       !ok)
 
 (* §2.2's motivation quantified: most cost changes on a mesh do not touch
-   a given node's tree, so incremental SPF skips them outright. *)
+   a given node's tree, so repair re-settles nothing for them. *)
 let test_incremental_skip_rate () =
   let g = Routing_topology.Arpanet.topology () in
   let rng = Rng.create 3 in
+  let root = Node.of_int 0 in
   let costs = Array.make (Graph.link_count g) 30 in
-  let inc =
-    Incremental.create g ~root:(Node.of_int 0) ~initial_cost:(fun l ->
-        costs.(Link.id_to_int l))
-  in
+  let weights, tree = view g costs root in
+  let s = Spf_repair.scratch () in
+  let untouched = ref 0 in
   for _ = 1 to 500 do
     let lid = Rng.int rng (Graph.link_count g) in
     (* Increases only: the provable-skip case. *)
     let c = min 254 (costs.(lid) + 1 + Rng.int rng 40) in
-    costs.(lid) <- c;
-    Incremental.set_cost inc (Link.id_of_int lid) c
+    if set_cost s g ~costs ~weights ~tree (Link.id_of_int lid) c = 0 then
+      incr untouched
   done;
-  let stats = Incremental.stats inc in
   Alcotest.(check bool)
-    (Printf.sprintf "majority of increases ignored (%d/500)" stats.Incremental.updates_ignored)
+    (Printf.sprintf "majority of increases re-settle nothing (%d/500)"
+       !untouched)
     true
     (* ~39%% of links are on the probe tree, so ~61%% of random increases
        are provably irrelevant. *)
-    (stats.Incremental.updates_ignored > 250);
-  Alcotest.(check int) "never a full rebuild" 0 stats.Incremental.full_recomputes
+    (!untouched > 250);
+  Alcotest.(check bool) "tree still exact" true
+    (Spf_tree.equal tree (fresh g costs root))
+
+(* --- One repair scratch for every node's tree --- *)
+
+(* The hop-by-hop DES keeps a weight table and tree per node but repairs
+   them all through one scratch, receipt after receipt.  The scratch's
+   epoch stamps must keep one tree's repair from leaking into the next,
+   and it must resize across graphs: here one scratch outlives every
+   generated case.  Each update re-costs all out-links of one node, as a
+   routing update does, and every node's repaired tree must equal a
+   from-scratch Dijkstra afterwards. *)
+let prop_shared_scratch_matches_full =
+  let s = Spf_repair.scratch () in
+  QCheck2.Test.make ~name:"one scratch, every root = full recompute" ~count:40
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Rng.create ((seed * 17) + 5) in
+      let costs = Array.init (Graph.link_count g) (fun _ -> 1 + Rng.int rng 60) in
+      let views =
+        Array.init (Graph.node_count g) (fun r -> view g costs (Node.of_int r))
+      in
+      let ok = ref true in
+      for _ = 1 to 15 do
+        let origin = Node.of_int (Rng.int rng (Graph.node_count g)) in
+        let update =
+          List.map
+            (fun (l : Link.t) -> (l.Link.id, 1 + Rng.int rng 60))
+            (Graph.out_links g origin)
+        in
+        List.iter (fun (lid, c) -> costs.(Link.id_to_int lid) <- c) update;
+        Array.iteri
+          (fun r (weights, tree) ->
+            let changes =
+              List.filter_map
+                (fun (lid, _) ->
+                  let k = Link.id_to_int lid in
+                  let old = weights.(k) in
+                  let w =
+                    Dijkstra.link_weight
+                      ~cost:(fun l -> costs.(Link.id_to_int l))
+                      lid
+                  in
+                  weights.(k) <- w;
+                  if w = old then None else Some (lid, old, w))
+                update
+            in
+            ignore (Spf_repair.repair s g ~tree ~weights ~changes);
+            if not (Spf_tree.equal tree (fresh g costs (Node.of_int r))) then
+              ok := false)
+          views
+      done;
+      !ok)
 
 (* --- Routing tables --- *)
 
@@ -456,11 +495,7 @@ let prop_consistent_tables_are_loop_free =
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_spf"
-    [ ( "priority_queue",
-        [ Alcotest.test_case "ordering" `Quick test_pq_ordering;
-          Alcotest.test_case "peek/clear" `Quick test_pq_peek_and_clear ]
-        @ qsuite [ prop_pq_sorts ] );
-      ( "radix_queue",
+    [ ( "radix_queue",
         [ Alcotest.test_case "ordering" `Quick test_radix_ordering;
           Alcotest.test_case "monotone floor" `Quick
             test_radix_rejects_non_monotone;
@@ -489,6 +524,7 @@ let () =
           Alcotest.test_case "tracks change" `Quick test_incremental_tracks_change;
           Alcotest.test_case "skip rate (§2.2)" `Quick test_incremental_skip_rate ]
         @ qsuite [ prop_incremental_matches_full ] );
+      ("repair_scratch", qsuite [ prop_shared_scratch_matches_full ]);
       ( "routing_table",
         [ Alcotest.test_case "traces" `Quick test_routing_table_traces ]
         @ qsuite [ prop_consistent_tables_are_loop_free ] ) ]
