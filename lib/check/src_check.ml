@@ -242,13 +242,44 @@ let contains line needle =
 let is_toplevel_let line =
   String.length line > 4 && String.sub line 0 4 = "let "
 
+(* A toplevel [let] that binds a function: the bound name is followed by
+   parameters, not by [=] or a type annotation.  Its body runs per call,
+   so a [ref] or [Hashtbl.create] there is fresh state, not a shared
+   cell. *)
+let binds_function line =
+  let n = String.length line in
+  let rec skip_spaces i =
+    if i < n && line.[i] = ' ' then skip_spaces (i + 1) else i
+  in
+  let rec ident_end i =
+    if i < n then
+      match line.[i] with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> ident_end (i + 1)
+      | _ -> i
+    else i
+  in
+  let start = skip_spaces 4 in
+  let start =
+    if start + 4 <= n && String.sub line start 4 = "rec " then
+      skip_spaces (start + 4)
+    else start
+  in
+  let name_end = ident_end start in
+  let next = skip_spaces name_end in
+  name_end > start && next < n
+  && match line.[next] with
+     | 'a' .. 'z' | '_' | '(' | '~' | '?' -> true
+     | _ -> false
+
 let mutable_constructs =
   [ "= ref "; "Hashtbl.create"; "Queue.create"; "Buffer.create";
     "Atomic.make" ]
 
-let span_clock_file path =
+(* The two pluggable-clock modules: the span profile's [wall] clock and
+   the flight recorder's opt-in [Wall] clock. *)
+let clock_file path =
   Filename.basename (Filename.dirname path) = "obs"
-  && Filename.basename path = "span.ml"
+  && List.mem (Filename.basename path) [ "span.ml"; "tracer.ml" ]
 
 let scan_file ~in_spf_closure path =
   match read_file path with
@@ -267,12 +298,14 @@ let scan_file ~in_spf_closure path =
              or parallel runs stop being reproducible";
         if
           (contains line "Unix.gettimeofday" || contains line "Sys.time")
-          && not (span_clock_file path)
+          && not (clock_file path)
         then
           add ~line:lineno ~code:"L002"
-            "wall-clock read outside lib/obs/span.ml: route timing through \
-             the pluggable Span clock so runs stay deterministic";
-        if in_spf_closure && is_toplevel_let line then
+            "wall-clock read outside lib/obs/span.ml and lib/obs/tracer.ml: \
+             route timing through the pluggable Span or Tracer clock so \
+             runs stay deterministic";
+        if in_spf_closure && is_toplevel_let line && not (binds_function line)
+        then
           List.iter
             (fun needle ->
               if contains line needle then

@@ -13,12 +13,15 @@ open! Import
       seeds must be explicit ({!Routing_stats.Rng}) or runs stop being
       reproducible
     - [L002] (error) — [Unix.gettimeofday] or [Sys.time] outside the
-      span clock ([lib/obs/span.ml]): wall-clock reads belong behind
-      the pluggable {!Routing_obs.Span} clock
+      two pluggable-clock modules ([lib/obs/span.ml],
+      [lib/obs/tracer.ml]): wall-clock reads belong behind the
+      {!Routing_obs.Span} clock or the {!Routing_obs.Tracer} [Wall]
+      clock
     - [L003] (error) — top-level mutable state ([ref], [Hashtbl.create],
       [Queue.create], [Buffer.create], [Atomic.make] in a toplevel
-      [let]) in a library reachable from [routing_spf]'s dune
-      dependency closure — shared cells domains could race on
+      [let] that binds a value, not a function with parameters) in a
+      library reachable from [routing_spf]'s dune dependency closure —
+      shared cells domains could race on
 
     The dependency closure is computed from the [dune] files under the
     root, so a new library that links into the SPF path is linted

@@ -1,4 +1,3 @@
-module Histo = Routing_stats.Histogram
 module Time_series = Routing_stats.Time_series
 
 type labels = (string * string) list
@@ -7,14 +6,11 @@ type counter = { mutable count : int }
 
 type gauge = { mutable value : float }
 
-type histogram = Histo.t
-
 type series = Time_series.t
 
 type instrument =
   | Counter of counter
   | Gauge of gauge
-  | Histogram of histogram
   | Series of series
 
 type t = {
@@ -32,7 +28,6 @@ let normalize labels =
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
-  | Histogram _ -> "histogram"
   | Series _ -> "series"
 
 let register t ~labels name fresh =
@@ -67,17 +62,6 @@ let set g value = g.value <- value
 
 let gauge_value g = g.value
 
-let histogram t ?(labels = []) ~lo ~hi ~bins name =
-  match
-    register t ~labels name (fun () -> Histogram (Histo.create ~lo ~hi ~bins))
-  with
-  | Histogram h -> h
-  | other -> mismatch name other
-
-let observe h x = Histo.add h x
-
-let histogram_data h = h
-
 let series t ?(labels = []) name =
   match register t ~labels name (fun () -> Series (Time_series.create name))
   with
@@ -95,8 +79,8 @@ let adopt_series t ?(labels = []) name existing =
 
 (* ---------------------------------------------------------------- *)
 
-(* Instruments of [src] in deterministic (name, labels) order — the same
-   order [to_json] renders, so merge results never depend on hash-table
+(* Instruments in deterministic (name, labels) order: the order [to_json]
+   renders and [merge] folds in, so neither depends on hash-table
    internals. *)
 let sorted_instruments t =
   Hashtbl.fold (fun key i acc -> (key, i) :: acc) t.instruments []
@@ -114,14 +98,6 @@ let merge ~into src =
       | None, Gauge g ->
         Hashtbl.add into.instruments key (Gauge { value = g.value })
       | Some (Gauge g'), Gauge g -> g'.value <- g.value
-      | None, Histogram h ->
-        let bins = Histo.bins h in
-        let lo, _ = Histo.bin_bounds h 0 in
-        let _, hi = Histo.bin_bounds h (bins - 1) in
-        Hashtbl.add into.instruments key
-          (Histogram (Histo.merge (Histo.create ~lo ~hi ~bins) h))
-      | Some (Histogram h'), Histogram h ->
-        Hashtbl.replace into.instruments key (Histogram (Histo.merge h' h))
       | None, Series s ->
         let s' = Time_series.create (Time_series.name s) in
         Time_series.iter s (fun ~time ~value ->
@@ -145,21 +121,6 @@ let instrument_json (name, labels) instrument =
     match instrument with
     | Counter c -> [ ("type", Json.String "counter"); ("value", Json.Int c.count) ]
     | Gauge g -> [ ("type", Json.String "gauge"); ("value", Json.Float g.value) ]
-    | Histogram h ->
-      let bins = Histo.bins h in
-      let lo, _ = if bins > 0 then Histo.bin_bounds h 0 else (0., 0.) in
-      let _, hi =
-        if bins > 0 then Histo.bin_bounds h (bins - 1) else (0., 0.)
-      in
-      [ ("type", Json.String "histogram");
-        ("lo", Json.Float lo);
-        ("hi", Json.Float hi);
-        ("count", Json.Int (Histo.count h));
-        ("underflow", Json.Int (Histo.underflow h));
-        ("overflow", Json.Int (Histo.overflow h));
-        ("buckets",
-         Json.List (List.init bins (fun i -> Json.Int (Histo.bin_count h i))))
-      ]
     | Series s ->
       let points = ref [] in
       Time_series.iter s (fun ~time ~value ->
@@ -174,15 +135,13 @@ let to_json ?(extra = []) t =
     Hashtbl.fold (fun k v acc -> (k, Json.String v) :: acc) t.meta []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let entries =
-    Hashtbl.fold (fun key i acc -> (key, i) :: acc) t.instruments []
-    |> List.sort (fun ((n, l), _) ((n', l'), _) ->
-           match String.compare n n' with 0 -> compare l l' | c -> c)
-  in
   Json.Obj
     (("meta", Json.Obj meta)
      :: ("metrics",
-         Json.List (List.map (fun (key, i) -> instrument_json key i) entries))
+         Json.List
+           (List.map
+              (fun (key, i) -> instrument_json key i)
+              (sorted_instruments t)))
      :: extra)
 
 let write_file ?extra t path =

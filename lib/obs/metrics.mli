@@ -6,10 +6,9 @@
     handles are plain mutable cells, so the hot path (bump a counter per
     dropped packet) is a single store.
 
-    Four instrument kinds cover the paper's figures:
+    Three instrument kinds cover the paper's figures:
     - {e counters}: monotone integer totals (drops by reason, updates);
     - {e gauges}: last-write-wins floats (SPF engine counters at snapshot);
-    - {e histograms}: fixed-bucket distributions (span durations, delays);
     - {e series}: timestamped float samples (per-link utilization and
       reported cost per routing period — Figs 5–8's raw material).
 
@@ -45,18 +44,6 @@ val set : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-type histogram
-
-val histogram :
-  t -> ?labels:labels -> lo:float -> hi:float -> bins:int -> string ->
-  histogram
-(** Fixed-bucket histogram (see {!Routing_stats.Histogram}); re-registering
-    must repeat the same bucket layout. *)
-
-val observe : histogram -> float -> unit
-
-val histogram_data : histogram -> Routing_stats.Histogram.t
-
 type series
 
 val series : t -> ?labels:labels -> string -> series
@@ -73,10 +60,9 @@ val adopt_series : t -> ?labels:labels -> string -> Routing_stats.Time_series.t 
 val merge : into:t -> t -> unit
 (** Fold one registry into another, instrument by instrument in
     deterministic (name, labels) order: counters add, gauges take the
-    source's value, histograms merge bin-wise (layouts must match),
-    series append the source's points, metadata keys overwrite.  Source
-    instruments absent from [into] are deep-copied, so later mutation of
-    either registry never aliases the other.  The sweep engine uses this
+    source's value, series append the source's points, metadata keys
+    overwrite.  Source instruments absent from [into] are deep-copied, so
+    later mutation of either registry never aliases the other.  The sweep engine uses this
     to combine per-domain registries into one report whose bytes are
     independent of the domain count — merge in a fixed order (point
     index), not completion order.

@@ -1,7 +1,4 @@
-type writer =
-  | Null
-  | Buffer of Buffer.t
-  | Channel of { oc : out_channel; owned : bool }
+type writer = Null | Buffer of Buffer.t | File of out_channel
 
 type t = {
   writer : writer;
@@ -15,9 +12,7 @@ let null = make Null
 
 let buffer () = make (Buffer (Buffer.create 4096))
 
-let file path = make (Channel { oc = open_out path; owned = true })
-
-let channel oc = make (Channel { oc; owned = false })
+let file path = make (File (open_out path))
 
 let active t = match t.writer with Null -> false | _ -> true
 
@@ -32,7 +27,7 @@ let emit t make_event =
     | Buffer b ->
       Buffer.add_string b line;
       Buffer.add_char b '\n'
-    | Channel { oc; _ } ->
+    | File oc ->
       output_string oc line;
       output_char oc '\n');
     t.emitted <- t.emitted + 1
@@ -49,5 +44,5 @@ let close t =
     t.closed <- true;
     match t.writer with
     | Null | Buffer _ -> ()
-    | Channel { oc; owned } -> if owned then close_out oc else flush oc
+    | File oc -> close_out oc
   end

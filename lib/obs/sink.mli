@@ -2,8 +2,11 @@
 
     A sink receives a stream of JSON events and serializes each as one
     JSONL line.  Three writers cover every use: a file (the canonical
-    trace of a run), an in-memory buffer (tests, replay tooling), and a
-    null sink that discards everything.
+    trace of a run, [--trace-out]), an in-memory buffer (tests read the
+    stream back), and a null sink that discards everything.  The
+    simulators stream every event here rather than into a bounded ring:
+    a default packet-level run of the peak-hour ARPANET writes close to
+    a million events, far more than any ring keeps.
 
     Event construction is the expensive part, so emission is lazy: callers
     pass a thunk and {!emit} never forces it on an inactive sink — a
@@ -22,10 +25,6 @@ val file : string -> t
 (** Opens (truncating) [path] and writes one line per event.  {!close}
     flushes and closes the channel. *)
 
-val channel : out_channel -> t
-(** Writes to an existing channel; {!close} flushes but does not close it
-    (the caller owns the channel). *)
-
 val active : t -> bool
 
 val emit : t -> (unit -> Json.t) -> unit
@@ -40,5 +39,5 @@ val contents : t -> string
     @raise Invalid_argument on other sinks. *)
 
 val close : t -> unit
-(** Flush (and for {!file} sinks close) the underlying writer.  Emitting
+(** Close a {!file} sink's channel (a no-op for the others).  Emitting
     after [close] raises. *)

@@ -43,13 +43,6 @@ let observe c elapsed =
   Routing_stats.Quantile.add c.q95 elapsed;
   Routing_stats.Quantile.add c.q99 elapsed
 
-let with_ t ~name f =
-  let c = cell t name in
-  let started = t.clock () in
-  Fun.protect
-    ~finally:(fun () -> observe c (t.clock () -. started))
-    f
-
 let clock_now t = t.clock ()
 
 let record t ~name ~started = observe (cell t name) (clock_now t -. started)

@@ -1,5 +1,10 @@
-(** Span-based profiling: name a region, run it, aggregate where the time
-    went.
+(** Span-based profiling: name a region, time it, aggregate where the
+    time went.
+
+    A span is recorded in one idiom: read {!clock_now}, run
+    straight-line code, then {!record} under a static name.  No closure
+    is allocated, so the simulators' routing periods record their phases
+    this way on paths that must not allocate.
 
     A profile owns a clock.  The default clock always reads 0, so spans
     count invocations but report zero duration — that keeps every
@@ -19,19 +24,13 @@ val wall : clock
 
 val create : ?clock:clock -> unit -> t
 
-val with_ : t -> name:string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span.  Nested and recursive spans are fine;
-    each invocation contributes its own elapsed time.  Exceptions
-    propagate after the span is closed. *)
-
 val clock_now : t -> float
-(** Read the profile's clock directly, for the closure-free recording
-    idiom: take a timestamp, run straight-line code, then {!record}. *)
+(** Read the profile's clock: the start of a span. *)
 
 val record : t -> name:string -> started:float -> unit
-(** Close a span opened by hand at [started] (a {!clock_now} reading).
-    Equivalent to {!with_} without allocating a closure — for hot paths
-    that must not box. *)
+(** Close a span opened at [started] (a {!clock_now} reading).  Nested
+    spans are fine; each contributes its own elapsed time.  A span whose
+    code raises before [record] is simply not counted. *)
 
 type row = {
   name : string;

@@ -43,7 +43,8 @@ let init_oscillation t ~links =
 
 let oscillation t = t.osc
 
-let snapshot_json t =
+(* What a snapshot carries beyond the registry itself. *)
+let extra t =
   let osc_json =
     match t.osc with
     | None -> Json.Null
@@ -56,18 +57,12 @@ let snapshot_json t =
              (List.map (fun i -> Json.Int i) (Oscillation.ever_flagged o)));
           ("flag_count", Json.Int (Oscillation.flag_count o)) ]
   in
-  Metrics.to_json t.metrics
-    ~extra:
-      [ ("spans", Span.to_json t.spans);
-        ("oscillation", osc_json);
-        ("events_emitted", Json.Int (Sink.emitted t.sink)) ]
+  [ ("spans", Span.to_json t.spans);
+    ("oscillation", osc_json);
+    ("events_emitted", Json.Int (Sink.emitted t.sink)) ]
 
-let write_metrics t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (snapshot_json t));
-      output_char oc '\n')
+let snapshot_json t = Metrics.to_json ~extra:(extra t) t.metrics
+
+let write_metrics t path = Metrics.write_file ~extra:(extra t) t.metrics path
 
 let close t = Sink.close t.sink

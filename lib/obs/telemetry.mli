@@ -48,6 +48,8 @@ val snapshot_json : t -> Json.t
     appended — what [--metrics-out] writes. *)
 
 val write_metrics : t -> string -> unit
+(** {!snapshot_json} through {!Metrics.write_file}: pretty-printed, with
+    a trailing newline — the [--metrics-out] file. *)
 
 val close : t -> unit
 (** Close the sink (flush the trace file). *)

@@ -91,26 +91,6 @@ let write_chrome t path =
       output_string oc (Json.to_string (chrome_json t));
       output_char oc '\n')
 
-let to_sink t sink =
-  for slot = 0 to Tracer.slots t - 1 do
-    Tracer.iter_slot t slot (fun ~ts ~kind ~name ~a ~b ->
-        Sink.emit sink (fun () ->
-            Json.Obj
-              [ ("ev", Json.String "trace");
-                ("track", Json.Int slot);
-                ("ts", ts_json t ts);
-                ("ph",
-                 Json.String
-                   (match kind with
-                   | Tracer.Begin -> "B"
-                   | Tracer.End -> "E"
-                   | Tracer.Instant -> "i"
-                   | Tracer.Counter -> "C"));
-                ("name", Json.String (Tracer.name t name));
-                ("a", Json.Int a);
-                ("b", Json.Int b) ]))
-  done
-
 type digest = {
   tracks : (int * int) list;
   span_totals : (string * float) list;

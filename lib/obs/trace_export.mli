@@ -7,8 +7,11 @@
     and the output is byte-deterministic; under wall clocks timestamps
     are microseconds.
 
-    {!to_sink} writes the same events as JSONL through an existing
-    {!Sink}, one object per line, for the [replay] tooling.
+    What a trace holds depends on the simulator: a flow-simulator trace
+    carries its routing-period phases, per-period counters and SPF
+    engine spans; a packet-level trace carries only the SPF engines'
+    spans (and the domain pool's chunks), because the packet simulator
+    records its phase spans in the bundle's {!Span} profile alone.
 
     {!digest} summarizes a parsed Chrome trace without a browser: event
     counts per track and total span time per name (begin/end pairs
@@ -21,10 +24,6 @@ val chrome_json : Tracer.t -> Json.t
 
 val write_chrome : Tracer.t -> string -> unit
 (** Serialize {!chrome_json} to a file. *)
-
-val to_sink : Tracer.t -> Sink.t -> unit
-(** Emit every retained event as one JSONL object
-    [{"ev":"trace","track":t,"ts":…,"ph":…,"name":…,…}]. *)
 
 type digest = {
   tracks : (int * int) list;  (** (tid, event count), sorted by tid *)

@@ -15,7 +15,6 @@ type clock = Untimed | Wall | Fn of (unit -> float)
 type kind = Begin | End | Instant | Counter
 
 type ring = {
-  domain : int;
   ts : float array;
   code : int array; (* name id lsl 2 lor kind *)
   arg_a : int array;
@@ -48,9 +47,8 @@ let null =
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
-let make_ring cap domain =
-  { domain;
-    ts = Array.make cap 0.;
+let make_ring cap =
+  { ts = Array.make cap 0.;
     code = Array.make cap 0;
     arg_a = Array.make cap 0;
     arg_b = Array.make cap 0;
@@ -59,7 +57,7 @@ let make_ring cap domain =
 (* Cold: called under [t.lock] or single-threaded at creation. *)
 let register_locked t d =
   let slot = Array.length t.rings in
-  let r = make_ring t.cap d in
+  let r = make_ring t.cap in
   let rings = Array.make (slot + 1) r in
   Array.blit t.rings 0 rings 0 slot;
   t.rings <- rings;
@@ -176,8 +174,6 @@ let pool_probe t =
         span_end t (if label >= 0 then label else fallback)) }
 
 let slots t = Array.length t.rings
-
-let slot_domain t slot = t.rings.(slot).domain
 
 let slot_recorded t slot = t.rings.(slot).written
 

@@ -14,8 +14,14 @@
     registered eagerly so it always owns slot 0.
 
     Export is offline: {!iter_slot} walks one ring oldest-to-newest, and
-    {!Trace_export} turns the whole tracer into Chrome trace-event JSON
-    or JSONL. *)
+    {!Trace_export} turns the whole tracer into Chrome trace-event JSON.
+
+    Both simulators record into the tracer of their telemetry bundle:
+    the flow simulator its routing-period phases and per-period
+    counters, both of them their SPF engines' spans and the domain
+    pool's chunks.  The packet simulator's own events (deliveries,
+    drops, floods) are too many for a ring and stream through the
+    bundle's {!Sink} instead. *)
 
 type t
 
@@ -70,9 +76,6 @@ val pool_probe : t -> Routing_metric.Domain_pool.probe
 
 val slots : t -> int
 (** Number of domains that have recorded so far. *)
-
-val slot_domain : t -> int -> int
-(** The domain id that owns a slot. *)
 
 val slot_recorded : t -> int -> int
 (** Events ever written to a slot (including since-overwritten ones). *)

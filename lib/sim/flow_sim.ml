@@ -26,53 +26,30 @@ type period_stats = {
    simulator keeps no series of its own, so the registry's are the only
    copies. *)
 type obs_state = {
-  tele : Telemetry.t;
+  hooks : Telemetry_hooks.t;
   obs_sink : Obs_sink.t;
   updates_counter : Obs_metrics.counter;
-  osc_flags : Obs_metrics.counter;
   util_series : Obs_metrics.series array;
   cost_series : Obs_metrics.series array;
-  cost_hops_series : Obs_metrics.series array;
-  osc : Obs_oscillation.t;
-  spf_refreshes : Obs_metrics.gauge;
-  spf_skipped : Obs_metrics.gauge;
-  spf_full_sweeps : Obs_metrics.gauge;
-  spf_recomputed : Obs_metrics.gauge;
-  spf_repaired : Obs_metrics.gauge;
-  spf_reused : Obs_metrics.gauge;
-  spf_resettled : Obs_metrics.gauge;
   gc_period : Gc_account.t option; (* when the bundle enables GC accounting *)
   gc_refresh : Gc_account.t option;
 }
 
 let make_obs_state tele ~links =
   let m = Telemetry.metrics tele in
-  let link_label i = [ ("link", Printf.sprintf "l%d" i) ] in
   let per_link name =
-    Array.init links (fun i -> Obs_metrics.series m ~labels:(link_label i) name)
-  in
-  let spf_gauge which =
-    Obs_metrics.gauge m ~labels:[ ("counter", which) ] "spf_engine"
+    Array.init links (fun i ->
+        Obs_metrics.series m ~labels:(Telemetry_hooks.link_label i) name)
   in
   let gc_account scope =
     if Telemetry.gc_enabled tele then Some (Gc_account.create m ~scope)
     else None
   in
-  { tele;
+  { hooks = Telemetry_hooks.attach tele ~links;
     obs_sink = Telemetry.sink tele;
     updates_counter = Obs_metrics.counter m "updates_flooded";
-    osc_flags = Obs_metrics.counter m "oscillation_flags";
     util_series = per_link "link_utilization";
     cost_series = per_link "link_cost";
-    cost_hops_series = per_link "link_cost_hops";
-    osc = Telemetry.init_oscillation tele ~links;
-    spf_refreshes = spf_gauge "refreshes";
-    spf_skipped = spf_gauge "skipped";
-    spf_full_sweeps = spf_gauge "full_sweeps";
-    spf_recomputed = spf_gauge "sources_recomputed";
-    spf_repaired = spf_gauge "sources_repaired";
-    spf_reused = spf_gauge "sources_reused";
-    spf_resettled = spf_gauge "nodes_resettled";
     gc_period = gc_account "routing_period";
     gc_refresh = gc_account "spf_refresh" }
 
@@ -220,6 +197,7 @@ type t = {
   tr_flood : int;
   tr_updates : int;
   tr_routes : int;
+  telemetry : Telemetry.t option;
   obs : obs_state option;
 }
 
@@ -310,6 +288,7 @@ let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
       tr_flood = Tracer.intern tracer "flood";
       tr_updates = Tracer.intern tracer "updates_flooded";
       tr_routes = Tracer.intern tracer "routes_changed";
+      telemetry;
       obs }
   in
   (* The tree a source routes on this period; built once, reads the
@@ -361,20 +340,7 @@ let refresh_trees t =
 
 let spf_stats t = Spf_engine.stats t.engine
 
-let telemetry t = Option.map (fun o -> o.tele) t.obs
-
-(* Closure-free span recording: take a clock reading, run straight-line
-   code, record under a static name.  With no bundle attached each hook is
-   one branch. *)
-let[@inline] span_start t =
-  match t.obs with
-  | None -> 0.
-  | Some o -> Obs_span.clock_now (Telemetry.spans o.tele)
-
-let[@inline] span_stop t name started =
-  match t.obs with
-  | None -> ()
-  | Some o -> Obs_span.record (Telemetry.spans o.tele) ~name ~started
+let telemetry t = t.telemetry
 
 let[@inline] gc_start = function Some a -> Gc_account.start a | None -> ()
 
@@ -395,7 +361,7 @@ let[@inline] step_throttle throttle fi ~loss_fraction =
      else Float.min 1. (current +. 0.05))
 
 let tick t =
-  let tr = t.tracer in
+  let tr = t.tracer and tele = t.telemetry in
   let gc_p, gc_r =
     match t.obs with
     | None -> (None, None)
@@ -403,12 +369,12 @@ let tick t =
   in
   Tracer.span_begin tr t.tr_period;
   gc_start gc_p;
-  let p_started = span_start t in
+  let p_started = Telemetry_hooks.span_start tele in
   Tracer.span_begin tr t.tr_refresh;
   gc_start gc_r;
-  let r_started = span_start t in
+  let r_started = Telemetry_hooks.span_start tele in
   refresh_trees t;
-  span_stop t "spf_refresh" r_started;
+  Telemetry_hooks.span_stop tele "spf_refresh" r_started;
   gc_finish gc_r;
   Tracer.span_end tr t.tr_refresh;
   (* Snapshot this period's flooded costs for next period's laggards. *)
@@ -441,11 +407,11 @@ let tick t =
      the stream-replay reduction keeps results bit-identical. *)
   Array.fill t.offered 0 nl 0.;
   Tracer.span_begin tr t.tr_assign;
-  let a_started = span_start t in
+  let a_started = Telemetry_hooks.span_start tele in
   let pool = if nf >= parallel_flow_threshold then t.pool else None in
   Load_assign.assign ?pool t.assign ~flows:t.flows ~tree_for:t.tree_for_f
     ~sending:t.sending ~offered:t.offered ~first_hop:t.first_hop;
-  span_stop t "flow_assign" a_started;
+  Telemetry_hooks.span_stop tele "flow_assign" a_started;
   Tracer.span_end tr t.tr_assign;
   (* Route-change accounting against the previous periods (§3.3's route
      oscillation, counted Rzepka & Chołda-style): a changed first hop is a
@@ -537,7 +503,7 @@ let tick t =
   done;
   let updates = ref 0 in
   Tracer.span_begin tr t.tr_flood;
-  let f_started = span_start t in
+  let f_started = Telemetry_hooks.span_start tele in
   for k = 0 to t.changed_count - 1 do
     let origin = t.changed_origins.(k) in
     let costs = t.changed_costs.(origin) in
@@ -547,7 +513,7 @@ let tick t =
     incr updates;
     acc.f_bits <- acc.f_bits +. outcome.Broadcast.bits
   done;
-  span_stop t "flood" f_started;
+  Telemetry_hooks.span_stop tele "flood" f_started;
   Tracer.span_end tr t.tr_flood;
   t.changed_count <- 0;
   t.period <- t.period + 1;
@@ -571,49 +537,23 @@ let tick t =
       t.osc_last.(i) <- cost
     end
   done;
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    let on_flag ~link ~time ~flips =
-      Obs_metrics.inc o.osc_flags;
-      Obs_sink.emit o.obs_sink (fun () ->
-          Obs_json.Obj
-            [ ("t", Obs_json.Float time);
-              ("ev", Obs_json.String "oscillation");
-              ("link", Obs_json.Int link);
-              ("flips", Obs_json.Int flips) ])
-    in
-    let kind = Metric.kind t.metric in
-    for i = 0 to nl - 1 do
-      let lid = Link.id_of_int i in
-      let cost = Metric.cost t.metric lid in
-      let idle = Metric.idle_cost kind (Graph.link t.graph lid) in
-      Obs_metrics.sample o.util_series.(i) ~time:now t.utilization.(i);
-      Obs_metrics.sample o.cost_series.(i) ~time:now (float_of_int cost);
-      Obs_metrics.sample o.cost_hops_series.(i) ~time:now
-        (float_of_int cost /. float_of_int (max 1 idle));
-      Obs_oscillation.observe ~on_flag o.osc ~link:i ~time:now ~cost
-    done);
   let link_flips = t.link_flips_total - flips_before in
   Tracer.counter tr t.tr_updates ~value:updates;
   Tracer.counter tr t.tr_routes ~value:!routes_changed;
-  (* Telemetry per-period: update counters, SPF engine gauges, and one
-     JSONL summary event. *)
+  (* Telemetry per-period: utilization and cost series, the shared hooks
+     (cost-in-hops series, oscillation flags, SPF engine gauges), the
+     update counter and one JSONL summary event. *)
   (match t.obs with
   | None -> ()
   | Some o ->
+    for i = 0 to nl - 1 do
+      Obs_metrics.sample o.util_series.(i) ~time:now t.utilization.(i);
+      Obs_metrics.sample o.cost_series.(i) ~time:now
+        (float_of_int (Metric.cost t.metric (Link.id_of_int i)))
+    done;
+    Telemetry_hooks.observe_costs o.hooks t.graph t.metric ~time:now;
     Obs_metrics.inc ~by:updates o.updates_counter;
-    let s = Spf_engine.stats t.engine in
-    Obs_metrics.set o.spf_refreshes (float_of_int s.Spf_engine.refreshes);
-    Obs_metrics.set o.spf_skipped (float_of_int s.Spf_engine.skipped);
-    Obs_metrics.set o.spf_full_sweeps (float_of_int s.Spf_engine.full_sweeps);
-    Obs_metrics.set o.spf_recomputed
-      (float_of_int s.Spf_engine.sources_recomputed);
-    Obs_metrics.set o.spf_repaired
-      (float_of_int s.Spf_engine.sources_repaired);
-    Obs_metrics.set o.spf_reused (float_of_int s.Spf_engine.sources_reused);
-    Obs_metrics.set o.spf_resettled
-      (float_of_int s.Spf_engine.nodes_resettled);
+    Telemetry_hooks.record_spf_stats o.hooks (Spf_engine.stats t.engine);
     let routes_changed = !routes_changed in
     let congested = !congested in
     Obs_sink.emit o.obs_sink (fun () ->
@@ -647,7 +587,7 @@ let tick t =
   h.h_nh_flips.(k) <- !nh_flips;
   h.h_link_flips.(k) <- link_flips;
   h.len <- k + 1;
-  span_stop t "routing_period" p_started;
+  Telemetry_hooks.span_stop tele "routing_period" p_started;
   gc_finish gc_p;
   Tracer.span_end tr t.tr_period
 

@@ -10,7 +10,6 @@ type config = {
   instant_flooding : bool;
   line_error_rate : float;
   retransmit_interval_s : float;
-  trace_capacity : int;
   domains : int;
   telemetry : Telemetry.t option;
 }
@@ -31,33 +30,20 @@ let default_config metric =
     instant_flooding = true;
     line_error_rate = 0.;
     retransmit_interval_s = 1.0;
-    trace_capacity = 0;
     domains = Domain_pool.default_size ();
     telemetry = None }
 
 (* Telemetry handles, resolved once at creation so the hot paths touch
    plain mutable cells.  The [drops] array is indexed by [reason_index]. *)
 type obs_state = {
-  tele : Telemetry.t;
+  hooks : Telemetry_hooks.t;
   obs_sink : Obs_sink.t;
   drops : Obs_metrics.counter array;
   delivered : Obs_metrics.counter;
   floods : Obs_metrics.counter;
   accepts : Obs_metrics.counter;
   recomputes : Obs_metrics.counter;
-  osc_flags : Obs_metrics.counter;
   queue_depth : Obs_metrics.series array;
-  cost_hops : Obs_metrics.series array;
-      (* flooded cost normalized by the link's idle cost: the paper's
-         "reported cost in hops" axis (Figs 5–6) *)
-  osc : Obs_oscillation.t;
-  spf_refreshes : Obs_metrics.gauge;
-  spf_skipped : Obs_metrics.gauge;
-  spf_full_sweeps : Obs_metrics.gauge;
-  spf_recomputed : Obs_metrics.gauge;
-  spf_repaired : Obs_metrics.gauge;
-  spf_reused : Obs_metrics.gauge;
-  spf_resettled : Obs_metrics.gauge;
 }
 
 (* Tiny growable buffer for the per-period expiry sweeps: collect doomed
@@ -87,10 +73,7 @@ let reason_index = function
 
 let make_obs_state tele ~links =
   let m = Telemetry.metrics tele in
-  let spf_gauge which =
-    Obs_metrics.gauge m ~labels:[ ("counter", which) ] "spf_engine"
-  in
-  { tele;
+  { hooks = Telemetry_hooks.attach tele ~links;
     obs_sink = Telemetry.sink tele;
     drops =
       (let arr =
@@ -106,25 +89,10 @@ let make_obs_state tele ~links =
     floods = Obs_metrics.counter m "updates_flooded";
     accepts = Obs_metrics.counter m "updates_accepted";
     recomputes = Obs_metrics.counter m "tables_recomputed";
-    osc_flags = Obs_metrics.counter m "oscillation_flags";
     queue_depth =
       Array.init links (fun i ->
-          Obs_metrics.series m
-            ~labels:[ ("link", Printf.sprintf "l%d" i) ]
-            "queue_depth");
-    cost_hops =
-      Array.init links (fun i ->
-          Obs_metrics.series m
-            ~labels:[ ("link", Printf.sprintf "l%d" i) ]
-            "link_cost_hops");
-    osc = Telemetry.init_oscillation tele ~links;
-    spf_refreshes = spf_gauge "refreshes";
-    spf_skipped = spf_gauge "skipped";
-    spf_full_sweeps = spf_gauge "full_sweeps";
-    spf_recomputed = spf_gauge "sources_recomputed";
-    spf_repaired = spf_gauge "sources_repaired";
-    spf_reused = spf_gauge "sources_reused";
-    spf_resettled = spf_gauge "nodes_resettled" }
+          Obs_metrics.series m ~labels:(Telemetry_hooks.link_label i)
+            "queue_depth") }
 
 let count_event o = function
   | Trace.Packet_delivered _ -> Obs_metrics.inc o.delivered
@@ -177,32 +145,22 @@ type t = {
      by diffing and fanned over the pool. *)
   spf : Spf_engine.t;
   min_spf : Spf_engine.t;
-  trace : Trace.t option;
   obs : obs_state option;
   mutable started : bool;
   mutable tables_dirty : bool;
 }
 
-(* Every structured event flows through here: into the ring buffer (when
-   tracing), the JSONL sink and the labeled counters (when telemetry is
-   attached).  With both off this is one branch and no allocation. *)
+(* Every structured event flows through here, into the labeled counters
+   and the JSONL sink.  Without telemetry this is one branch and no
+   allocation. *)
 let trace t make_event =
-  match (t.trace, t.obs) with
-  | None, None -> ()
-  | trace_opt, obs_opt ->
+  match t.obs with
+  | None -> ()
+  | Some o ->
     let time = Engine.now t.engine in
     let event = make_event () in
-    Option.iter (fun tr -> Trace.record tr ~time event) trace_opt;
-    Option.iter
-      (fun o ->
-        count_event o event;
-        Obs_sink.emit o.obs_sink (fun () -> Trace.to_json ~time event))
-      obs_opt
-
-let span t name f =
-  match t.obs with
-  | None -> f ()
-  | Some o -> Obs_span.with_ (Telemetry.spans o.tele) ~name f
+    count_event o event;
+    Obs_sink.emit o.obs_sink (fun () -> Trace.to_json ~time event)
 
 let link_enabled t lid = t.link_up.(Link.id_to_int lid)
 
@@ -224,9 +182,10 @@ let install_tables t =
   if t.config.instant_flooding then begin
     (* Every node routes on the same flooded costs: one engine refresh
        serves all tables, reusing provably unaffected trees. *)
-    span t "spf_refresh" (fun () ->
-        Spf_engine.refresh t.spf ~enabled:(link_enabled t)
-          ~cost:(Metric.cost_fn t.metric));
+    let started = Telemetry_hooks.span_start t.config.telemetry in
+    Spf_engine.refresh t.spf ~enabled:(link_enabled t)
+      ~cost:(Metric.cost_fn t.metric);
+    Telemetry_hooks.span_stop t.config.telemetry "spf_refresh" started;
     Array.iteri
       (fun i psn ->
         Psn.install_table psn
@@ -408,7 +367,8 @@ and make_queue t (link : Link.t) =
 (* End-of-period processing: read every measurement, run the metric,
    flood significant changes, recompute tables if anything changed. *)
 let routing_period t =
-  span t "routing_period" @@ fun () ->
+  let tele = t.config.telemetry in
+  let p_started = Telemetry_hooks.span_start tele in
   let period = Units.routing_period_s in
   let now = Engine.now t.engine in
   (* Garbage-collect long-finished floods: anything older than 100 s has
@@ -455,35 +415,36 @@ let routing_period t =
   if t.changed_count > 0 then
     Log.debug (fun m ->
         m "t=%.0fs: %d PSNs flooding updates" now t.changed_count);
-  span t "flood" (fun () ->
+  let f_started = Telemetry_hooks.span_start tele in
   for k = 0 to t.changed_count - 1 do
-      let origin = t.changed_origins.(k) in
-      let costs = t.changed_costs.(origin) in
-      t.changed_costs.(origin) <- [];
-      trace t (fun () ->
-          Trace.Update_flooded
-            { origin = Node.of_int origin; links = List.length costs });
-      if t.config.instant_flooding then begin
-        let update = Flooder.originate t.flooders.(origin) ~costs in
-        let outcome = Broadcast.flood t.graph t.flooders update in
-        Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
-        t.tables_dirty <- true
-      end
-      else begin
-        (* Hop-by-hop propagation on the priority lanes. *)
-        let update = Flooder.originate t.flooders.(origin) ~costs in
-        let token = t.next_update_token in
-        t.next_update_token <- token + 1;
-        Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
-        Measure.record_updates t.measure ~count:1 ~bits:0.;
-        apply_update t origin costs;
-        List.iter
-          (fun (l : Link.t) ->
-            if t.link_up.(Link.id_to_int l.Link.id) then
-              send_control t l.Link.id token)
-          (Graph.out_links t.graph (Node.of_int origin))
-      end
-  done);
+    let origin = t.changed_origins.(k) in
+    let costs = t.changed_costs.(origin) in
+    t.changed_costs.(origin) <- [];
+    trace t (fun () ->
+        Trace.Update_flooded
+          { origin = Node.of_int origin; links = List.length costs });
+    if t.config.instant_flooding then begin
+      let update = Flooder.originate t.flooders.(origin) ~costs in
+      let outcome = Broadcast.flood t.graph t.flooders update in
+      Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
+      t.tables_dirty <- true
+    end
+    else begin
+      (* Hop-by-hop propagation on the priority lanes. *)
+      let update = Flooder.originate t.flooders.(origin) ~costs in
+      let token = t.next_update_token in
+      t.next_update_token <- token + 1;
+      Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
+      Measure.record_updates t.measure ~count:1 ~bits:0.;
+      apply_update t origin costs;
+      List.iter
+        (fun (l : Link.t) ->
+          if t.link_up.(Link.id_to_int l.Link.id) then
+            send_control t l.Link.id token)
+        (Graph.out_links t.graph (Node.of_int origin))
+    end
+  done;
+  Telemetry_hooks.span_stop tele "flood" f_started;
   t.changed_count <- 0;
   if t.tables_dirty then install_tables t;
   (* Per-period series. *)
@@ -498,42 +459,20 @@ let routing_period t =
         Time_series.record t.cost_series.(i) ~time:now
           (float_of_int (Metric.cost t.metric (Link.id_of_int i))))
       t.queues;
-  (* Telemetry per-period: queue depths, oscillation detection over the
-     flooded costs, and the SPF engine counters kept current. *)
-  match t.obs with
+  (* Telemetry per-period: queue depths, then the shared hooks —
+     cost-in-hops series, oscillation detection over the flooded costs,
+     and the SPF engine counters kept current. *)
+  (match t.obs with
   | None -> ()
   | Some o ->
-    let on_flag ~link ~time ~flips =
-      Obs_metrics.inc o.osc_flags;
-      Obs_sink.emit o.obs_sink (fun () ->
-          Obs_json.Obj
-            [ ("t", Obs_json.Float time);
-              ("ev", Obs_json.String "oscillation");
-              ("link", Obs_json.Int link);
-              ("flips", Obs_json.Int flips) ])
-    in
     Array.iteri
       (fun i q ->
-        let lid = Link.id_of_int i in
-        let cost = Metric.cost t.metric lid in
-        let idle = Metric.idle_cost t.config.metric (Graph.link t.graph lid) in
         Obs_metrics.sample o.queue_depth.(i) ~time:now
-          (float_of_int (Link_queue.queue_length q));
-        Obs_metrics.sample o.cost_hops.(i) ~time:now
-          (float_of_int cost /. float_of_int (max 1 idle));
-        Obs_oscillation.observe ~on_flag o.osc ~link:i ~time:now ~cost)
+          (float_of_int (Link_queue.queue_length q)))
       t.queues;
-    let s = Spf_engine.stats t.spf in
-    Obs_metrics.set o.spf_refreshes (float_of_int s.Spf_engine.refreshes);
-    Obs_metrics.set o.spf_skipped (float_of_int s.Spf_engine.skipped);
-    Obs_metrics.set o.spf_full_sweeps (float_of_int s.Spf_engine.full_sweeps);
-    Obs_metrics.set o.spf_recomputed
-      (float_of_int s.Spf_engine.sources_recomputed);
-    Obs_metrics.set o.spf_repaired
-      (float_of_int s.Spf_engine.sources_repaired);
-    Obs_metrics.set o.spf_reused (float_of_int s.Spf_engine.sources_reused);
-    Obs_metrics.set o.spf_resettled
-      (float_of_int s.Spf_engine.nodes_resettled)
+    Telemetry_hooks.observe_costs o.hooks t.graph t.metric ~time:now;
+    Telemetry_hooks.record_spf_stats o.hooks (Spf_engine.stats t.spf));
+  Telemetry_hooks.span_stop tele "routing_period" p_started
 
 let rec schedule_periods t =
   Engine.schedule t.engine ~after:Units.routing_period_s (fun () ->
@@ -597,10 +536,6 @@ let create ?config graph tm =
       flood_latency = Welford.create ();
       spf = Spf_engine.create ?pool ~tracer graph;
       min_spf = Spf_engine.create ?pool ~tracer graph;
-      trace =
-        (if config.trace_capacity > 0 then
-           Some (Trace.create ~capacity:config.trace_capacity)
-         else None);
       obs = Option.map (fun tele -> make_obs_state tele ~links:nl)
           config.telemetry;
       cost_series =
@@ -615,18 +550,17 @@ let create ?config graph tm =
   (* Expose the per-link series the simulator already keeps through the
      registry, so a metrics snapshot carries Figs 5–8's raw series without
      recording anything twice. *)
-  (match t.obs with
+  (match config.telemetry with
   | None -> ()
-  | Some o ->
-    let m = Telemetry.metrics o.tele in
-    let link_label i = [ ("link", Printf.sprintf "l%d" i) ] in
-    Array.iteri
-      (fun i s -> Obs_metrics.adopt_series m ~labels:(link_label i) "link_cost" s)
-      t.cost_series;
-    Array.iteri
-      (fun i s ->
-        Obs_metrics.adopt_series m ~labels:(link_label i) "link_utilization" s)
-      t.util_series);
+  | Some tele ->
+    let m = Telemetry.metrics tele in
+    let adopt name =
+      Array.iteri (fun i s ->
+          Obs_metrics.adopt_series m ~labels:(Telemetry_hooks.link_label i)
+            name s)
+    in
+    adopt "link_cost" t.cost_series;
+    adopt "link_utilization" t.util_series);
   t.workload <-
     Some
       (Workload.create ~size:config.packet_size rng engine tm
@@ -692,12 +626,6 @@ let delivered_packets t = Measure.delivered_packets t.measure
 let dropped_packets t = Measure.dropped_packets t.measure
 
 let flood_latency_stats t = t.flood_latency
-
-let trace_events t =
-  match t.trace with None -> [] | Some tr -> Trace.events tr
-
-let dump_trace t =
-  match t.trace with None -> "" | Some tr -> Trace.dump t.graph tr
 
 let generated_packets t =
   match t.workload with

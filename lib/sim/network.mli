@@ -39,9 +39,6 @@ type config = {
           (default 0).  Data packets are simply lost; control packets are
           retransmitted until acknowledged. *)
   retransmit_interval_s : float;  (** control retransmission timer (1 s) *)
-  trace_capacity : int;
-      (** keep the most recent N structured {!Trace} events (0, the
-          default, disables tracing) *)
   domains : int;
       (** domain-pool size for the shared SPF engine (instant flooding
           only).  Defaults to {!Domain_pool.default_size} — the
@@ -49,11 +46,15 @@ type config = {
           results, only wall-clock time. *)
   telemetry : Telemetry.t option;
       (** attach a telemetry bundle (default [None]): every {!Trace} event
-          is serialized as JSONL through the bundle's sink, drop/delivery/
-          update counters and per-link cost/utilization/queue-depth series
-          accumulate in its metrics registry, SPF refreshes and routing
-          periods run inside profiling spans, and the oscillation detector
-          watches every link's flooded cost.  All recorded data is
+          is counted in its metrics registry and streamed as one JSONL
+          line through its sink, per-link utilization/cost/queue-depth
+          series accumulate in the registry, and {!Telemetry_hooks} adds
+          what the flow simulator records the same way — the
+          [routing_period], [spf_refresh] and [flood] spans in the
+          bundle's {!Routing_obs.Span} profile, the cost-in-hops series,
+          the oscillation detector over every link's flooded cost and the
+          SPF engine gauges.  The bundle's tracer flight-records the SPF
+          engines and the domain pool.  All recorded data is
           deterministic for a fixed [seed] (span durations stay 0 unless
           the bundle was created with {!Routing_obs.Span.wall}). *)
 }
@@ -93,12 +94,6 @@ val cost_series : t -> Link.id -> Routing_stats.Time_series.t
 (** Per-period flooded cost of a link (empty unless [record_series]). *)
 
 val utilization_series : t -> Link.id -> Routing_stats.Time_series.t
-
-val trace_events : t -> (float * Trace.event) list
-(** Retained trace events, oldest first (empty when tracing is off). *)
-
-val dump_trace : t -> string
-(** Human-readable rendering of the retained trace. *)
 
 val flood_latency_stats : t -> Routing_stats.Welford.t
 (** Origination-to-acceptance latencies over all (node, update) pairs —

@@ -29,24 +29,6 @@ let reason_of_name = function
 
 let all_reasons = [ Buffer_full; Line_down; Line_error; No_route; Ttl ]
 
-let pp_event g ppf = function
-  | Packet_delivered { src; dst; delay_s; hops } ->
-    Format.fprintf ppf "delivered %s->%s in %.1f ms over %d hops"
-      (Graph.node_name g src) (Graph.node_name g dst) (1000. *. delay_s) hops
-  | Packet_dropped { at; src; dst; reason } ->
-    Format.fprintf ppf "dropped %s->%s at %s (%s)" (Graph.node_name g src)
-      (Graph.node_name g dst) (Graph.node_name g at) (reason_name reason)
-  | Update_flooded { origin; links } ->
-    Format.fprintf ppf "update from %s covering %d links"
-      (Graph.node_name g origin) links
-  | Update_accepted { at; origin; latency_s } ->
-    Format.fprintf ppf "%s accepted update from %s after %.1f ms"
-      (Graph.node_name g at) (Graph.node_name g origin) (1000. *. latency_s)
-  | Tables_recomputed { at } ->
-    Format.fprintf ppf "%s recomputed its routing table" (Graph.node_name g at)
-  | Link_state { link; up } ->
-    Format.fprintf ppf "link %a %s" Link.pp_id link (if up then "up" else "down")
-
 let pp_event_ids ppf = function
   | Packet_delivered { src; dst; delay_s; hops } ->
     Format.fprintf ppf "delivered n%d->n%d in %.1f ms over %d hops"
@@ -146,49 +128,3 @@ let of_json json =
     | other -> Error (Printf.sprintf "unknown event type %S" other)
   in
   Ok (time, event)
-
-type t = {
-  ring : (float * event) option array;
-  mutable next : int;
-  mutable total : int;
-}
-
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity <= 0";
-  { ring = Array.make capacity None; next = 0; total = 0 }
-
-let record t ~time event =
-  t.ring.(t.next) <- Some (time, event);
-  t.next <- (t.next + 1) mod Array.length t.ring;
-  t.total <- t.total + 1
-
-let length t = min t.total (Array.length t.ring)
-
-let total_recorded t = t.total
-
-let iter t ~f =
-  let cap = Array.length t.ring in
-  let n = length t in
-  for i = 0 to n - 1 do
-    match t.ring.((t.next - n + i + (2 * cap)) mod cap) with
-    | Some (time, event) -> f ~time event
-    | None -> assert false
-  done
-
-let events t =
-  let acc = ref [] in
-  iter t ~f:(fun ~time event -> acc := (time, event) :: !acc);
-  List.rev !acc
-
-let filter t ~f = List.filter (fun (_, e) -> f e) (events t)
-
-let dump g t =
-  let buffer = Buffer.create 4096 in
-  let dropped = total_recorded t - length t in
-  if dropped > 0 then
-    Buffer.add_string buffer
-      (Printf.sprintf "(%d earlier events dropped)\n" dropped);
-  iter t ~f:(fun ~time event ->
-      Buffer.add_string buffer
-        (Format.asprintf "%10.3f  %a\n" time (pp_event g) event));
-  Buffer.contents buffer

@@ -1,13 +1,12 @@
 open! Import
 
-(** Structured event tracing for the packet simulator.
+(** Structured events of the packet simulator.
 
-    Typed events with two consumers: the bounded ring buffer below (the
-    debugging view a PSN's console would give an operator, opt-in via
-    {!Network.config.trace_capacity}) and the telemetry event sink, which
-    serializes every event as one JSONL line through {!to_json} — the
-    canonical durable record of a run ([--trace-out]).  When both are off,
-    the hooks cost one branch. *)
+    When a telemetry bundle is attached, {!Network} counts every event in
+    the bundle's registry and streams it through the bundle's sink as one
+    JSONL line ({!to_json}) — the canonical durable record of a run
+    ([--trace-out]), which [replay --events] decodes with {!of_json}.
+    Without a bundle the hook costs one branch. *)
 
 type event =
   | Packet_delivered of { src : Node.t; dst : Node.t; delay_s : float;
@@ -28,11 +27,9 @@ val reason_of_name : string -> drop_reason option
 
 val all_reasons : drop_reason list
 
-val pp_event : Graph.t -> Format.formatter -> event -> unit
-
 val pp_event_ids : Format.formatter -> event -> unit
-(** Like {!pp_event} but prints node ids ([n3]) instead of names — for
-    consumers of a JSONL stream that have no topology at hand. *)
+(** One line per event, naming nodes by id ([n3]) — a JSONL stream
+    carries no topology to look names up in. *)
 
 val to_json : time:float -> event -> Routing_obs.Json.t
 (** One self-describing JSON object (field ["ev"] carries the event type;
@@ -40,31 +37,3 @@ val to_json : time:float -> event -> Routing_obs.Json.t
 
 val of_json : Routing_obs.Json.t -> (float * event, string) result
 (** Exact inverse of {!to_json}. *)
-
-type t
-
-val create : capacity:int -> t
-(** Keeps the most recent [capacity] events.
-    @raise Invalid_argument if [capacity <= 0]. *)
-
-val record : t -> time:float -> event -> unit
-
-val length : t -> int
-(** Events currently retained (≤ capacity). *)
-
-val total_recorded : t -> int
-(** Events ever recorded, including those that have rotated out. *)
-
-val iter : t -> f:(time:float -> event -> unit) -> unit
-(** Visit retained events oldest first without allocating the list
-    {!events} builds. *)
-
-val events : t -> (float * event) list
-(** Retained events, oldest first. *)
-
-val filter : t -> f:(event -> bool) -> (float * event) list
-
-val dump : Graph.t -> t -> string
-(** One line per retained event, for logs or debugging sessions.  When the
-    ring has wrapped, the first line reads ["(N earlier events dropped)"]
-    so truncation is never silent. *)

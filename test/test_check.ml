@@ -175,7 +175,8 @@ let test_ablation_triggers_r001 () =
 let src_fixtures =
   [ ("src/self_seed.ml", "L001", 1);
     ("src/wall_clock.ml", "L002", 2);
-    ("src/global_state.ml", "L003", 2) ]
+    ("src/global_state.ml", "L003", 2);
+    ("src/function_state.ml", "L003", 0) ]
 
 let test_src_fixtures () =
   List.iter

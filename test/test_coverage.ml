@@ -161,17 +161,6 @@ let test_reverse_spf_enabled () =
   Alcotest.(check bool) "A rerouted the long way" true
     (Reverse_spf.dist_to rspf a = 30)
 
-(* --- Network defaults: tracing off, no overhead --- *)
-
-let test_network_trace_off_by_default () =
-  let g = two_nodes () in
-  let tm = Traffic_matrix.uniform ~nodes:2 ~pair_bps:2000. in
-  let net = Network.create g tm in
-  Network.run net ~duration_s:30.;
-  Alcotest.(check (list (pair (float 0.) (of_pp (fun _ _ -> ()))))) "no events"
-    [] (Network.trace_events net);
-  Alcotest.(check string) "empty dump" "" (Network.dump_trace net)
-
 (* --- Flow sim: min-hop floods nothing, series lengths --- *)
 
 let test_flow_sim_minhop_quiet () =
@@ -300,9 +289,7 @@ let () =
         [ Alcotest.test_case "reverse spf enabled" `Quick test_reverse_spf_enabled ]
       );
       ( "sim",
-        [ Alcotest.test_case "trace off by default" `Quick
-            test_network_trace_off_by_default;
-          Alcotest.test_case "static metrics quiet" `Quick
+        [ Alcotest.test_case "static metrics quiet" `Quick
             test_flow_sim_minhop_quiet ] );
       ( "script",
         [ Alcotest.test_case "parses" `Quick test_script_parses;

@@ -466,58 +466,60 @@ let test_network_hop_by_hop_golden () =
 (* --- Trace --- *)
 
 module Trace = Routing_sim.Trace
+module Json = Routing_obs.Json
+module Metrics = Routing_obs.Metrics
+module Sink = Routing_obs.Sink
+module Telemetry = Routing_obs.Telemetry
 
-let test_trace_ring_rotation () =
-  let tr = Trace.create ~capacity:3 in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i)
-      (Trace.Tables_recomputed { at = Node.of_int i })
-  done;
-  Alcotest.(check int) "capacity bound" 3 (Trace.length tr);
-  Alcotest.(check int) "total recorded" 5 (Trace.total_recorded tr);
-  let times = List.map fst (Trace.events tr) in
-  Alcotest.(check (list (float 1e-9))) "most recent, oldest first" [ 3.; 4.; 5. ]
-    times
-
+(* The JSONL stream is the DES's record of events: every line decodes as
+   a [Trace] event, in time order, and its delivery and drop lines
+   account for exactly the packets the simulator counted. *)
 let test_network_trace_captures_events () =
-  let g, net =
-    let b = Builder.create () in
-    let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "A" "B" in
-    let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "B" "C" in
-    let g = Builder.build b in
-    let tm = Traffic_matrix.uniform ~nodes:3 ~pair_bps:4000. in
-    let config =
-      { (Network.default_config Metric.Hn_spf) with
-        Network.seed = 11;
-        trace_capacity = 10_000 }
-    in
-    (g, Network.create ~config g tm)
+  let b = Builder.create () in
+  let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "A" "B" in
+  let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "B" "C" in
+  let g = Builder.build b in
+  let tm = Traffic_matrix.uniform ~nodes:3 ~pair_bps:4000. in
+  let tele = Telemetry.create ~sink:(Sink.buffer ()) () in
+  let config =
+    { (Network.default_config Metric.Hn_spf) with
+      Network.seed = 11;
+      telemetry = Some tele }
   in
+  let net = Network.create ~config g tm in
   Network.run net ~duration_s:60.;
-  let events = Network.trace_events net in
-  Alcotest.(check bool) "events recorded" true (List.length events > 100);
-  let deliveries =
-    List.filter
-      (fun (_, e) -> match e with Trace.Packet_delivered _ -> true | _ -> false)
-      events
+  Network.set_link_up net (Graph.link g (Link.id_of_int 0)).Link.id false;
+  let events =
+    String.split_on_char '\n' (Sink.contents (Telemetry.sink tele))
+    |> List.filter (fun line -> line <> "")
+    |> List.map (fun line ->
+           match Result.bind (Json.of_string line) Trace.of_json with
+           | Ok e -> e
+           | Error m -> Alcotest.failf "undecodable line %S: %s" line m)
   in
-  Alcotest.(check bool) "deliveries traced" true (List.length deliveries > 50);
-  (* Times are nondecreasing. *)
+  Alcotest.(check bool) "events recorded" true (List.length events > 100);
   let rec ordered = function
     | (a, _) :: ((b, _) :: _ as rest) -> a <= b && ordered rest
     | _ -> true
   in
   Alcotest.(check bool) "chronological" true (ordered events);
-  (* Link flap appears in the trace. *)
-  let l = (Graph.link g (Link.id_of_int 0)).Link.id in
-  Network.set_link_up net l false;
   Alcotest.(check bool) "link-down traced" true
     (List.exists
        (fun (_, e) ->
          match e with Trace.Link_state { up = false; _ } -> true | _ -> false)
-       (Network.trace_events net));
-  Alcotest.(check bool) "dump renders" true
-    (String.length (Network.dump_trace net) > 1000)
+       events);
+  let count p = List.length (List.filter (fun (_, e) -> p e) events) in
+  let delivered =
+    count (function Trace.Packet_delivered _ -> true | _ -> false)
+  in
+  Alcotest.(check bool) "deliveries traced" true (delivered > 50);
+  Alcotest.(check int) "every delivery traced"
+    (Network.delivered_packets net) delivered;
+  Alcotest.(check int) "every drop traced" (Network.dropped_packets net)
+    (count (function Trace.Packet_dropped _ -> true | _ -> false));
+  Alcotest.(check int) "registry counts the stream's deliveries" delivered
+    (Metrics.counter_value
+       (Metrics.counter (Telemetry.metrics tele) "packets_delivered"))
 
 let test_network_incremental_survives_link_flap () =
   let g = Generators.ring 6 in
@@ -592,7 +594,6 @@ let () =
             test_network_hop_by_hop_golden;
           Alcotest.test_case "incremental + link flap" `Quick
             test_network_incremental_survives_link_flap;
-          Alcotest.test_case "trace ring" `Quick test_trace_ring_rotation;
           Alcotest.test_case "trace captures events" `Quick
             test_network_trace_captures_events;
           Alcotest.test_case "deterministic" `Quick test_network_deterministic ] )

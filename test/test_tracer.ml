@@ -7,7 +7,6 @@
 module Json = Routing_obs.Json
 module Tracer = Routing_obs.Tracer
 module Trace_export = Routing_obs.Trace_export
-module Sink = Routing_obs.Sink
 module Metrics = Routing_obs.Metrics
 module Gc_account = Routing_obs.Gc_account
 module Telemetry = Routing_obs.Telemetry
@@ -157,12 +156,6 @@ let test_chrome_roundtrip_and_digest () =
       (List.assoc "period" d.Trace_export.span_totals = 15.
       && List.assoc "refresh" d.Trace_export.span_totals = 6.)
 
-let test_to_sink_counts () =
-  let t = record_fixture () in
-  let sink = Sink.buffer () in
-  Trace_export.to_sink t sink;
-  Alcotest.(check int) "one JSONL line per event" 18 (Sink.emitted sink)
-
 (* --- multi-domain recording through the pool probe --- *)
 
 let test_pool_probe_multi_domain () =
@@ -224,8 +217,7 @@ let () =
         [ Alcotest.test_case "byte-deterministic" `Quick
             test_chrome_byte_deterministic;
           Alcotest.test_case "round-trip and digest" `Quick
-            test_chrome_roundtrip_and_digest;
-          Alcotest.test_case "to_sink counts" `Quick test_to_sink_counts ] );
+            test_chrome_roundtrip_and_digest ] );
       ( "domains",
         [ Alcotest.test_case "pool probe" `Quick test_pool_probe_multi_domain ]
       );
