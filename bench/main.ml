@@ -1305,10 +1305,32 @@ module Obs_metrics = Routing_obs.Metrics
 module Obs_json = Routing_obs.Json
 module Obs_tracer = Routing_obs.Tracer
 
-(* Run metadata the harness passes via the environment ([BENCH_GIT_REV],
-   [BENCH_DATE] — an ISO date); "unknown" when run by hand. *)
-let bench_env key =
-  match Sys.getenv_opt key with Some v when v <> "" -> v | _ -> "unknown"
+(* Provenance stamped into every BENCH_*.json: the checkout's short
+   commit hash ("unknown" only when git fails) and today's UTC date as an
+   ISO date.  [BENCH_GIT_REV] / [BENCH_DATE] override either. *)
+let env_override key ~default =
+  match Sys.getenv_opt key with Some v when v <> "" -> v | _ -> default ()
+
+let git_rev () =
+  env_override "BENCH_GIT_REV" ~default:(fun () ->
+      match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+      | exception Unix.Unix_error _ -> "unknown"
+      | ic -> (
+        let line = In_channel.input_line ic in
+        match (Unix.close_process_in ic, line) with
+        | Unix.WEXITED 0, Some rev when String.trim rev <> "" ->
+          String.trim rev
+        | _ -> "unknown"))
+
+let bench_date () =
+  env_override "BENCH_DATE" ~default:(fun () ->
+      let tm = Unix.gmtime (Unix.time ()) in
+      Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
+        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday)
+
+let set_provenance reg =
+  Obs_metrics.set_meta reg "git_rev" (git_rev ());
+  Obs_metrics.set_meta reg "date" (bench_date ())
 
 let write_bench_json path ~domains ~topologies rows =
   let reg = Obs_metrics.create () in
@@ -1316,8 +1338,7 @@ let write_bench_json path ~domains ~topologies rows =
   Obs_metrics.set_meta reg "units"
     "ns / minor words / major words per run (bechamel OLS estimates)";
   Obs_metrics.set_meta reg "domains" (string_of_int domains);
-  Obs_metrics.set_meta reg "git_rev" (bench_env "BENCH_GIT_REV");
-  Obs_metrics.set_meta reg "date" (bench_env "BENCH_DATE");
+  set_provenance reg;
   List.iter
     (fun (name, (ns, minor, major)) ->
       let gauge metric v =
@@ -1708,8 +1729,7 @@ let write_sim_json path ~cores ~sweep_src ~rows ~sweep ~million ~knees =
      rows read honestly: with one core, more domains cannot beat one. *)
   Obs_metrics.set_meta reg "cores" (string_of_int cores);
   Obs_metrics.set_meta reg "sweep_workload" sweep_src;
-  Obs_metrics.set_meta reg "git_rev" (bench_env "BENCH_GIT_REV");
-  Obs_metrics.set_meta reg "date" (bench_env "BENCH_DATE");
+  set_provenance reg;
   List.iter
     (fun (name, (ns, minor, major)) ->
       let gauge metric v =

@@ -2,10 +2,9 @@
 
    The L0xx source lint (Src_check) catches textual hazards in the
    Domain-parallel SPF path; this pass works on what the type checker
-   saw.  It finds every closure handed to [Domain_pool.parallel_for] /
-   [parallel_for_with] / [parallel_for_dynamic] /
-   [parallel_for_dynamic_with] in the build's .cmt files and flags
-   shared mutable state the body captures from its enclosing scope:
+   saw.  It finds every closure handed to [Domain_pool.parallel_for] —
+   the pool's one loop — in the build's .cmt files and flags shared
+   mutable state the body captures from its enclosing scope:
 
    - D001 error   a captured ref is assigned (:=, incr, decr) in the body
    - D002 error   a captured record's mutable field is set in the body
@@ -29,17 +28,12 @@
 
 open Typedtree
 
-let parallel_entrypoints =
-  [ "Domain_pool.parallel_for";
-    "Domain_pool.parallel_for_with";
-    "Domain_pool.parallel_for_dynamic";
-    "Domain_pool.parallel_for_dynamic_with" ]
-
-let path_matches names p =
+(* The pool's one loop, matched by path suffix so a local stub module
+   (the test fixtures) counts too. *)
+let is_parallel_for p =
   let n = Path.name p in
-  List.exists
-    (fun s -> String.equal n s || String.ends_with ~suffix:("." ^ s) n)
-    names
+  String.equal n "Domain_pool.parallel_for"
+  || String.ends_with ~suffix:".Domain_pool.parallel_for" n
 
 let path_equals names p =
   let n = Path.name p in
@@ -186,7 +180,7 @@ let is_function e = match e.exp_desc with Texp_function _ -> true | _ -> false
 
 (* The body argument of a [parallel_for] application: the last positional
    argument, resolved through let-bound function names ([let one s i = …;
-   parallel_for_with … n one]) when needed. *)
+   parallel_for … ~init n one]) when needed. *)
 let body_of_call fn_map args =
   match List.rev (nolabel_args args) with
   | [] -> None
@@ -220,7 +214,7 @@ let check_unit (cmt : Cmt_util.cmt) =
     (match e.exp_desc with
     | Texp_apply (f, args) -> (
       match f.exp_desc with
-      | Texp_ident (p, _, _) when path_matches parallel_entrypoints p -> (
+      | Texp_ident (p, _, _) when is_parallel_for p -> (
         match body_of_call fn_map args with
         | Some body -> bodies := (Path.name p, e.exp_loc, body) :: !bodies
         | None -> ())
@@ -250,7 +244,7 @@ let check_unit (cmt : Cmt_util.cmt) =
             (Diagnostic.error ~file ~line ~code:"D001"
                (Printf.sprintf
                   "parallel body mutates shared ref %s — every worker races \
-                   on it; use per-worker state (parallel_for_with ~init) or \
+                   on it; use per-worker state (parallel_for ~init) or \
                    Atomic"
                   (context name))))
         ~on_setfield:(fun name loc ->

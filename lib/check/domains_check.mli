@@ -1,7 +1,7 @@
 (** D0xx — domain-safety lint over the build's typed ASTs.
 
-    Finds every closure passed to [Domain_pool.parallel_for] /
-    [parallel_for_with] (including ones bound to a name first) and flags
+    Finds every closure passed to [Domain_pool.parallel_for], the pool's
+    one loop (including bodies bound to a name first), and flags
     shared mutable state the body captures from its enclosing scope:
     captured refs assigned ([D001], error), mutable record fields set
     ([D002], error), Bytes writes ([D003], error), array writes whose

@@ -1,20 +1,15 @@
 (* A small reusable pool of worker domains for embarrassingly parallel
-   loops (per-source SPF, sweep grid points).  Hand-rolled on Domain +
-   Mutex/Condition so the library picks up no dependency beyond the
-   OCaml 5 stdlib.
+   loops (per-source SPF recomputes, flow-assignment stripes, sweep grid
+   points).  Hand-rolled on Domain + Mutex/Condition so the library picks
+   up no dependency beyond the OCaml 5 stdlib.
 
-   Two handout disciplines share one pool:
-
-   - [parallel_for] hands out [chunk] consecutive indices at a time
-     through one shared atomic counter — the right shape for fine, even
-     bodies (per-source Dijkstra) where the counter's cache line is the
-     only contention.
-   - [parallel_for_dynamic] gives every participating domain its own
-     atomic index range and lets idle domains steal the top half of the
-     largest remainder — the right shape for coarse, uneven bodies
-     (sweep grid points spanning 5-period toys and 10k-node meshes)
-     where a heavy item must not serialize a whole static share behind
-     it.
+   One handout serves every loop: each participating domain owns an
+   atomic index range, claims [grain] indices at a time from its bottom,
+   and an idle domain steals the top half of another's remainder.  Fine,
+   even bodies (per-source Dijkstra) pass a larger [grain] so claims stay
+   rare; coarse, uneven ones (sweep grid points spanning 5-period toys
+   and 10k-node meshes) keep grain 1, so a heavy item never serializes a
+   whole static share behind it.
 
    Scheduling is racy but the *results* are not: every index is executed
    exactly once and callers write results into per-index slots, making
@@ -36,13 +31,6 @@ type probe = {
    allocation-free. *)
 type steal_slot = { range : int Atomic.t }
 
-(* How a job's indices are handed to domains. *)
-type handout =
-  | Chunked of { chunk : int; next : int Atomic.t }
-      (* shared counter; [chunk] consecutive indices per visit *)
-  | Stealing of { grain : int; ranges : steal_slot array }
-      (* per-participant [lo, hi) ranges, packed; see [pack] below *)
-
 type job = {
   make_f : int -> int -> unit;
       (* each participating domain materializes its own body once (letting
@@ -50,7 +38,9 @@ type job = {
          first argument is the participant's slot in [0, size) — the
          caller is 0 — so bodies can key cached per-slot state *)
   n : int;
-  handout : handout;
+  grain : int; (* indices per claim *)
+  ranges : steal_slot array;
+      (* per-participant [lo, hi) ranges, packed; see [pack] below *)
   label : int; (* passed through to the probe; -1 = unlabeled *)
   completed : int Atomic.t; (* indices finished (ran or skipped on error) *)
   mutable failure : exn option; (* first exception, re-raised by the caller *)
@@ -67,15 +57,13 @@ type t = {
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
   mutable probe : probe option;
-      (* fired by whichever domain drains a chunk, so an observer (the
+      (* fired by whichever domain runs a claimed block, so an observer (the
          flight recorder) sees which indices each domain ran and when *)
 }
 
 let size t = t.size
 
 let set_probe t probe = t.probe <- probe
-
-let default_env_var = "ARPANET_DOMAINS"
 
 let recommended_size () = max 1 (Domain.recommended_domain_count () - 1)
 
@@ -90,7 +78,7 @@ let resolve ?requested () =
     else None
   in
   let from_env () =
-    match Sys.getenv_opt default_env_var with
+    match Sys.getenv_opt "ARPANET_DOMAINS" with
     | None -> 1
     | Some s -> (
       match int_of_string_opt (String.trim s) with
@@ -105,8 +93,6 @@ let resolve ?requested () =
       invalid_arg
         (Printf.sprintf "Domain_pool.resolve: bad domain count %d" n))
   | None -> from_env ()
-
-let default_size () = resolve ()
 
 let record_failure t job e =
   Mutex.lock t.mutex;
@@ -138,19 +124,6 @@ let run_block t job f ~lo ~hi =
   | None -> ());
   finish_block t job (hi - lo)
 
-(* --- shared-counter handout ---------------------------------------- *)
-
-(* Pull chunks of indices until the counter passes [n]. *)
-let chunked_drain t job ~chunk ~next f =
-  let continue_ = ref true in
-  while !continue_ do
-    let base = Atomic.fetch_and_add next chunk in
-    if base >= job.n then continue_ := false
-    else run_block t job f ~lo:base ~hi:(min job.n (base + chunk))
-  done
-
-(* --- work-stealing handout ----------------------------------------- *)
-
 (* A participant's remaining range [lo, hi) packed into one immediate
    int: [lo] in the upper bits, [hi] in the lower 31.  Every transition
    is a single CAS on the packed value, and the packed value alone
@@ -172,8 +145,8 @@ let[@inline] range_hi r = r land range_mask
    range while it lasts, then by stealing from the others — the top half
    of a range still worth splitting, or the whole remainder of a small
    one.  Returns the claimed block as [pack ~lo ~hi], or -1 when every
-   range is drained.  Pure integer CAS traffic: the sweep's
-   point-dispatch loop runs through here and must not allocate. *)
+   range is drained.  Pure integer CAS traffic: every parallel loop's
+   dispatch runs through here and must not allocate. *)
 let rec claim_block ranges me grain =
   let mine = (Array.unsafe_get ranges me).range in
   let r = Atomic.get mine in
@@ -215,16 +188,7 @@ and steal ranges me grain victim =
   end
 [@@hot_path]
 
-let stealing_drain t job ~grain ~ranges ~me f =
-  let continue_ = ref true in
-  while !continue_ do
-    let blk = claim_block ranges me grain in
-    if blk < 0 then continue_ := false
-    else run_block t job f ~lo:(range_lo blk) ~hi:(range_hi blk)
-  done
-
-(* ------------------------------------------------------------------- *)
-
+(* Claim and run blocks until every range is drained. *)
 let drain t job ~me =
   let f =
     try job.make_f me
@@ -232,9 +196,12 @@ let drain t job ~me =
       record_failure t job e;
       fun _ -> ()
   in
-  match job.handout with
-  | Chunked { chunk; next } -> chunked_drain t job ~chunk ~next f
-  | Stealing { grain; ranges } -> stealing_drain t job ~grain ~ranges ~me f
+  let continue_ = ref true in
+  while !continue_ do
+    let blk = claim_block job.ranges me job.grain in
+    if blk < 0 then continue_ := false
+    else run_block t job f ~lo:(range_lo blk) ~hi:(range_hi blk)
+  done
 
 let rec worker_loop t ~me last_generation =
   Mutex.lock t.mutex;
@@ -277,7 +244,7 @@ let create size =
   in
   if size > 1 then begin
     (* The caller is participant 0; workers take 1 .. size-1 — the slot
-       each drains first under the stealing handout. *)
+       whose range each drains first. *)
     t.workers <-
       List.init (size - 1) (fun i ->
           Domain.spawn (fun () -> worker_loop t ~me:(i + 1) 0));
@@ -295,9 +262,24 @@ let create size =
   end;
   t
 
-let run_job t ~label ~handout ~make_f n =
+(* Initial split: equal slices in index order, so participant [k] starts
+   in its own region and stealing only kicks in once someone runs dry. *)
+let initial_ranges ~participants n =
+  Array.init participants (fun k ->
+      { range =
+          Atomic.make
+            (pack ~lo:(k * n / participants) ~hi:((k + 1) * n / participants))
+      })
+
+let run_job t ~label ~grain ~make_f n =
   let job =
-    { make_f; n; handout; label; completed = Atomic.make 0; failure = None }
+    { make_f;
+      n;
+      grain;
+      ranges = initial_ranges ~participants:t.size n;
+      label;
+      completed = Atomic.make 0;
+      failure = None }
   in
   Mutex.lock t.mutex;
   if t.stopping then begin
@@ -324,7 +306,7 @@ let run_job t ~label ~handout ~make_f n =
   match failure with None -> () | Some e -> raise e
 
 (* The inline (pool of one / single index) path still reports to the probe:
-   the caller domain "drained" the whole range as one chunk. *)
+   the caller domain ran the whole range as one block. *)
 let run_inline t ~label n f =
   match t.probe with
   | None ->
@@ -340,62 +322,16 @@ let run_inline t ~label n f =
           f i
         done)
 
-let chunked ~chunk = Chunked { chunk = max 1 chunk; next = Atomic.make 0 }
-
-let parallel_for ?(chunk = 1) ?(label = -1) t n f =
-  if n <= 0 then ()
-  else if t.size <= 1 || n = 1 then run_inline t ~label n f
-  else run_job t ~label ~handout:(chunked ~chunk) ~make_f:(fun _me -> f) n
-
-let parallel_for_with ?(chunk = 1) ?(label = -1) t ~init n f =
-  if n <= 0 then ()
-  else if t.size <= 1 || n = 1 then begin
-    let s = init () in
-    run_inline t ~label n (fun i -> f s i)
-  end
-  else
-    run_job t ~label ~handout:(chunked ~chunk)
-      ~make_f:(fun _me ->
-        let s = init () in
-        fun i -> f s i)
-      n
-
-(* Initial split: equal slices in index order, so participant [k] starts
-   in its own region and stealing only kicks in once someone runs dry. *)
-let initial_ranges ~participants n =
-  Array.init participants (fun k ->
-      { range =
-          Atomic.make
-            (pack ~lo:(k * n / participants) ~hi:((k + 1) * n / participants))
-      })
-
-let parallel_for_dynamic ?(grain = 1) ?(label = -1) t n f =
-  if n <= 0 then ()
-  else if t.size <= 1 || n = 1 then run_inline t ~label n f
-  else if n > range_mask then
-    invalid_arg "Domain_pool.parallel_for_dynamic: more than 2^31 items"
-  else
-    run_job t ~label
-      ~handout:
-        (Stealing
-           { grain = max 1 grain;
-             ranges = initial_ranges ~participants:t.size n })
-      ~make_f:(fun _me -> f) n
-
-let parallel_for_dynamic_with ?(grain = 1) ?(label = -1) t ~init n f =
+let parallel_for ?(grain = 1) ?(label = -1) t ~init n f =
   if n <= 0 then ()
   else if t.size <= 1 || n = 1 then begin
     let s = init 0 in
     run_inline t ~label n (fun i -> f s i)
   end
   else if n > range_mask then
-    invalid_arg "Domain_pool.parallel_for_dynamic_with: more than 2^31 items"
+    invalid_arg "Domain_pool.parallel_for: more than 2^31 items"
   else
-    run_job t ~label
-      ~handout:
-        (Stealing
-           { grain = max 1 grain;
-             ranges = initial_ranges ~participants:t.size n })
+    run_job t ~label ~grain:(max 1 grain)
       ~make_f:(fun me ->
         let s = init me in
         fun i -> f s i)

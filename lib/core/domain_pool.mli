@@ -1,10 +1,11 @@
 (** A small reusable pool of worker domains for embarrassingly parallel
     index loops — built on OCaml 5 [Domain] + [Mutex]/[Condition] only.
 
-    Designed for the all-pairs SPF fan-out: [parallel_for pool n f] runs
-    [f 0 .. f (n-1)] exactly once each, spreading indices over the pool's
-    domains (the calling domain included).  Scheduling is nondeterministic
-    but as long as [f i] writes only to slot [i] of some result array the
+    One loop, {!parallel_for}, with one handout: work stealing.  It runs
+    the simulator's three kinds of parallel work — full per-source SPF
+    recomputes, flow-assignment stripes and sweep grid points.
+    Scheduling is nondeterministic, but as long as [f s i] writes only to
+    slot [i] of some result array (and to its own private state [s]) the
     outcome is bit-identical to the sequential loop; a pool of [size] 1
     spawns no domains and {e is} the sequential loop. *)
 
@@ -21,8 +22,8 @@ type probe = {
   chunk_begin : label:int -> lo:int -> hi:int -> unit;
   chunk_end : label:int -> lo:int -> hi:int -> unit;
 }
-(** Observer hooks fired by whichever domain drains a chunk of loop
-    indices, from that domain, around the chunk's execution.  [label] is
+(** Observer hooks fired by whichever domain runs a claimed block of loop
+    indices, from that domain, around the block's execution.  [label] is
     the loop's [?label] (-1 when unlabeled); [lo]/[hi] bound the index
     range ([hi] exclusive).  Built for the flight recorder
     ({!Routing_obs.Tracer.pool_probe}): each worker domain records which
@@ -33,53 +34,7 @@ val set_probe : t -> probe option -> unit
     flight — set it between loops.  Hooks must be thread-safe and cheap;
     they run on worker domains inside the work loop. *)
 
-val parallel_for : ?chunk:int -> ?label:int -> t -> int -> (int -> unit) -> unit
-(** [parallel_for t n f] runs [f i] for every [i] in [0 .. n-1] and
-    returns when all are done.  If any [f i] raises, the first exception
-    is re-raised in the caller after the loop drains (remaining indices
-    still run).  Loops do not nest: a pool runs one loop at a time, and
-    calling from within [f] is an error.
-
-    [chunk] (default 1) is how many consecutive indices a domain claims
-    per visit to the shared counter.  Larger chunks amortize the atomic
-    handout for cheap bodies; 1 balances best when bodies are expensive
-    or uneven.
-
-    [label] (default -1) tags the loop for the installed {!probe}; the
-    pool itself never interprets it. *)
-
-val parallel_for_with :
-  ?chunk:int ->
-  ?label:int ->
-  t ->
-  init:(unit -> 's) ->
-  int ->
-  ('s -> int -> unit) ->
-  unit
-(** Like {!parallel_for}, but every participating domain (workers and the
-    caller alike) evaluates [init ()] once before claiming indices and
-    threads the resulting private state through its share of the loop —
-    the idiom for reusable per-domain scratch (Dijkstra work arrays).
-    States never cross domains, so [f] may mutate its state freely. *)
-
-val parallel_for_dynamic :
-  ?grain:int -> ?label:int -> t -> int -> (int -> unit) -> unit
-(** Like {!parallel_for}, but with a work-stealing handout: every
-    participating domain starts with an equal slice of [0 .. n-1] and
-    claims [grain] indices at a time from the bottom of its own slice;
-    a domain that runs dry steals the top half of another's remaining
-    range (or the whole remainder when it is no bigger than [grain]).
-    Built for coarse, {e uneven} bodies — sweep grid points mixing toy
-    and 10k-node scenarios — where a heavy item must not serialize the
-    rest of a static share behind it.  Same contract as
-    {!parallel_for} otherwise: every index runs exactly once, first
-    exception re-raised after the loop drains, probe fired per claimed
-    block.  [grain] defaults to 1.
-
-    @raise Invalid_argument if [n >= 2^31] (ranges are packed into one
-    immediate int). *)
-
-val parallel_for_dynamic_with :
+val parallel_for :
   ?grain:int ->
   ?label:int ->
   t ->
@@ -87,40 +42,52 @@ val parallel_for_dynamic_with :
   int ->
   ('s -> int -> unit) ->
   unit
-(** {!parallel_for_dynamic} with per-domain private state, the way
-    {!parallel_for_with} extends {!parallel_for}: every participating
-    domain evaluates [init slot] once before claiming indices, where
-    [slot] is the participant's stable slot in [0, {!size}) — the caller
-    is slot 0.  Because at most one domain holds a given slot per loop,
-    [init] may hand out scratch {e cached by slot} across loops
-    (allocation-free steady state) instead of allocating fresh state per
-    call.  States never cross domains during a loop; [f] may mutate its
-    state freely.
+(** [parallel_for t ~init n f] runs [f s i] for every [i] in
+    [0 .. n-1] and returns when all are done.
 
-    @raise Invalid_argument if [n >= 2^31]. *)
+    Every participating domain (workers and the caller alike) evaluates
+    [init slot] once before claiming indices and threads the resulting
+    private state [s] through its share of the loop, where [slot] is the
+    participant's stable slot in [0, {!size}) — the caller is slot 0.
+    Because at most one domain holds a given slot per loop, [init] may
+    hand out scratch {e cached by slot} across loops (allocation-free
+    steady state) or allocate fresh state; either way states never cross
+    domains during a loop, so [f] may mutate its state freely.  Bodies
+    that need no state pass [~init:ignore].
+
+    The handout is work stealing: every participant starts with an equal
+    slice of [0 .. n-1] and claims [grain] (default 1) indices at a time
+    from the bottom of its own slice; a domain that runs dry steals the
+    top half of another's remaining range (or the whole remainder when
+    it is no bigger than [grain]).  A heavy index therefore never
+    serializes the rest of a static share behind it, and a larger
+    [grain] amortizes the claims for cheap, even bodies.
+
+    If any [f s i] (or [init]) raises, the first exception is re-raised
+    in the caller after the loop drains (remaining indices still run).
+    Loops do not nest: a pool runs one loop at a time, and calling from
+    within [f] is an error.  [label] (default -1) tags the loop for the
+    installed {!probe}, fired once per claimed block; the pool itself
+    never interprets it.
+
+    @raise Invalid_argument if [n >= 2^31] (ranges are packed into one
+    immediate int). *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool cannot be used
     afterwards.  Pools that are simply dropped release their workers via a
     finalizer, so calling this is only required for prompt reclamation. *)
 
-val default_size : unit -> int
-(** [resolve ()] — pool size selected by the [ARPANET_DOMAINS]
-    environment variable alone. *)
-
 val resolve : ?requested:int -> unit -> int
-(** The one domain-count resolution path shared by every CLI.
-    [resolve ~requested ()] maps an explicit request — a [--domains]
-    argument — to a pool size: [n >= 1] is clamped to [1, 128], and [0]
-    means "size to this machine" ({!recommended_size}).  With no
-    [?requested], the [ARPANET_DOMAINS] environment variable is read
-    under the same rules ([0] → {!recommended_size}), and an unset or
+(** The one domain-count resolution path shared by every CLI and library
+    default.  [resolve ~requested ()] maps an explicit request — a
+    [--domains] argument — to a pool size: [n >= 1] is clamped to
+    [1, 128], and [0] means "size to this machine" ({!recommended_size}).
+    With no [?requested], the [ARPANET_DOMAINS] environment variable is
+    read under the same rules ([0] → {!recommended_size}), and an unset or
     unparseable variable yields 1, the sequential path.
 
     @raise Invalid_argument if [requested] is negative. *)
-
-val default_env_var : string
-(** ["ARPANET_DOMAINS"]. *)
 
 val recommended_size : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1 — a sensible

@@ -195,10 +195,6 @@ let period_update_all t ~up ~link_delay_s ~changed_ids ~changed_costs =
   !count
 [@@hot_path]
 
-let period_update_utilization t lid ~utilization =
-  let link = Graph.link t.graph lid in
-  period_update t lid ~measured_delay_s:(Queueing.delay_s link ~utilization)
-
 let link_up t lid =
   let link = Graph.link t.graph lid in
   let i = Link.id_to_int lid in

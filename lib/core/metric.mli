@@ -68,10 +68,6 @@ val period_update_all :
     (caller-provided, length ≥ link count) and the number of floods is
     returned.  Allocation-free; quiet periods touch no heap at all. *)
 
-val period_update_utilization : t -> Link.id -> utilization:float -> int option
-(** Flow-simulator entry point: derive the measured delay from a steady
-    utilization via the M/M/1 model, then proceed as {!period_update}. *)
-
 val link_up : t -> Link.id -> unit
 (** Reset a link's state as freshly up.  Under HN-SPF the link eases in at
     its maximum cost (§5.4); under D-SPF it floods its idle delay. *)

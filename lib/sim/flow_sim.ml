@@ -211,7 +211,7 @@ let[@inline] lags_at ~stagger i =
   stagger > 0.
   && float_of_int ((i * 2654435761) land 0xFFFF) /. 65536. < stagger
 
-let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
+let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
     graph metric tm =
   let nl = Graph.link_count graph in
   let pool = if domains > 1 then Some (Domain_pool.create domains) else None in

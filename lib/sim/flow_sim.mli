@@ -52,11 +52,14 @@ val create :
   ?domains:int -> ?telemetry:Telemetry.t -> ?tracer:Tracer.t -> Graph.t ->
   Metric.kind -> Traffic_matrix.t -> t
 (** The flow simulator is fully deterministic: same inputs, same run.
-    [domains] (default {!Domain_pool.default_size}, i.e. the
-    [ARPANET_DOMAINS] environment variable or 1) sizes the domain pool the
-    SPF engine fans per-source computations over; because every engine
-    configuration serves bit-identical trees, the domain count never
-    changes results — only wall-clock time.
+    [domains] (default {!Domain_pool.resolve}[ ()], i.e. the
+    [ARPANET_DOMAINS] environment variable or 1) sizes the one domain pool
+    two loops fan out over: the SPF engines' full per-source recomputes
+    (batches of at least 16,384 node-or-edge visits) and the per-period
+    load assignment's source stripes (stores of at least 4,096 flows).
+    Repairs and smaller batches stay on the calling domain.  Every
+    configuration serves bit-identical trees and loads, so the domain
+    count never changes results — only wall-clock time.
 
     [telemetry] (default none) attaches a telemetry bundle: per-link
     utilization/cost series and update counters accumulate in its metrics
@@ -70,7 +73,7 @@ val create :
     flight-records the run: every routing period, SPF refresh, flow
     assignment and flood becomes a span on the calling domain's track, the
     SPF engines record their recompute/repair batches, and worker domains
-    record the source chunks they drain. *)
+    record the blocks of indices they claim. *)
 
 val create_with :
   ?domains:int -> ?telemetry:Telemetry.t -> ?tracer:Tracer.t -> Graph.t ->

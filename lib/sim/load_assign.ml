@@ -42,7 +42,7 @@ let stripe_width = 16
 
 (* Per-participant sweep scratch for the parallel path.  A participant
    slot is held by at most one domain per loop, so slot-indexed scratch
-   is race-free (see [Domain_pool.parallel_for_dynamic_with]). *)
+   is race-free (see [Domain_pool.parallel_for]). *)
 type scratch = {
   p_acc : float array;
   p_order : int array;
@@ -324,7 +324,7 @@ let assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered =
   if Array.length t.streams < nstripes then
     t.streams <- Array.init nstripes (fun _ -> new_stream ());
   let pscratch = t.pscratch and streams = t.streams in
-  Domain_pool.parallel_for_dynamic_with pool
+  Domain_pool.parallel_for pool
     ~init:(fun me -> pscratch.(me))
     nstripes
     (fun scr qi ->
@@ -342,43 +342,11 @@ let assign ?pool t ~flows ~tree_for ~sending ~offered ~first_hop =
     assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered
   | _ -> assign_seq t ~dst ~tree_for ~sending ~offered ~first_hop
 
-let iter_metrics t ~flows ~tree_for ~link_delay ~link_pass ~f =
-  group t flows;
-  let dst = Flow_store.dst_col flows in
-  let off = t.by_src_off in
-  for s = 0 to t.n - 1 do
-    if off.(s) < off.(s + 1) then begin
-      let tree = tree_for (Node.of_int s) in
-      let m = sort_reached t tree in
-      (* Root outward: delay is additive, survival multiplicative. *)
-      for k = 0 to m - 1 do
-        let v = t.order.(k) in
-        let p = Spf_tree.parent_id tree v in
-        if p < 0 then begin
-          t.delay_to.(v) <- 0.;
-          t.share_to.(v) <- 1.
-        end
-        else begin
-          let u = link_src t p in
-          t.delay_to.(v) <- t.delay_to.(u) +. link_delay.(p);
-          t.share_to.(v) <- t.share_to.(u) *. link_pass.(p)
-        end
-      done;
-      for k = off.(s) to off.(s + 1) - 1 do
-        let fi = t.by_src_flow.(k) in
-        let d = dst.(fi) in
-        if Spf_tree.reached_i tree d then
-          f fi ~reached:true ~delay_s:t.delay_to.(d) ~share:t.share_to.(d)
-            ~hops:(Spf_tree.hops_i tree d)
-        else f fi ~reached:false ~delay_s:0. ~share:0. ~hops:0
-      done
-    end
-  done
-
-(* [iter_metrics] without the callback: results land in caller-owned
-   struct-of-arrays slots instead of boxed float arguments, so the
-   simulator's per-period metrics pass allocates nothing.  [hops.(fi) < 0]
-   marks an unreached flow. *)
+(* Per-flow path totals: the same root-outward sweep as [assign], with
+   results landing in caller-owned struct-of-arrays slots (a callback's
+   boxed float arguments would allocate), so the simulator's per-period
+   metrics pass allocates nothing.  [hops.(fi) < 0] marks an unreached
+   flow. *)
 let metrics_into t ~flows ~tree_for ~link_delay ~link_pass ~delay_s ~share
     ~hops =
   group t flows;

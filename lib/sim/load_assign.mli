@@ -12,11 +12,13 @@ open! Import
     survival share so per-flow metrics cost O(1).
 
     Flows live in a {!Flow_store.t} (struct-of-arrays), and {!assign} can
-    spread source stripes over a {!Domain_pool.t}: each stripe records
-    its (link, load) contributions into a private stream in sweep order,
-    replayed in stripe order afterwards — the float additions happen in
-    exactly the sequential source order, so parallel output is
-    bit-identical to sequential at any domain count.
+    spread 16-source stripes over a {!Domain_pool.t} through
+    {!Domain_pool.parallel_for} (grain 1, sweep scratch cached per
+    participant slot): each stripe records its (link, load) contributions
+    into a private stream in sweep order, replayed in stripe order
+    afterwards — the float additions happen in exactly the sequential
+    source order, so parallel output is bit-identical to sequential at
+    any domain count.
 
     A [t] holds reusable scratch for one graph; steady-state sequential
     calls allocate nothing.  Results are deterministic: sweeps visit
@@ -52,20 +54,6 @@ val assign :
     The flow-to-source grouping is cached on the store's identity and
     {!Flow_store.version}; throttle writes don't invalidate it. *)
 
-val iter_metrics :
-  t ->
-  flows:Flow_store.t ->
-  tree_for:(Node.t -> Spf_tree.t) ->
-  link_delay:float array ->
-  link_pass:float array ->
-  f:(int -> reached:bool -> delay_s:float -> share:float -> hops:int -> unit) ->
-  unit
-(** Call [f] once per flow index (sources in node order, a source's flows
-    in store order) with its path totals over the per-link tables:
-    [delay_s] the sum of [link_delay], [share] the product of [link_pass],
-    [hops] the path length.  Unreached flows get
-    [~reached:false ~delay_s:0. ~share:0. ~hops:0]. *)
-
 val metrics_into :
   t ->
   flows:Flow_store.t ->
@@ -76,11 +64,13 @@ val metrics_into :
   share:float array ->
   hops:int array ->
   unit
-(** {!iter_metrics} into caller-owned per-flow arrays (length ≥ flows)
-    instead of a callback — allocation-free, because the callback form
-    boxes its float arguments on every call.  [hops.(fi) = -1] marks an
-    unreached flow (with [delay_s]/[share] zeroed); flows of sources with
-    no flows are untouched. *)
+(** Write every flow's path totals over the per-link tables into
+    caller-owned per-flow arrays (length ≥ flows), visiting sources in
+    node order and a source's flows in store order: [delay_s.(fi)] the
+    sum of [link_delay], [share.(fi)] the product of [link_pass],
+    [hops.(fi)] the path length.  [hops.(fi) = -1] marks an unreached
+    flow (with [delay_s]/[share] zeroed).  Allocation-free: results land
+    in arrays rather than a callback's boxed float arguments. *)
 
 val assign_baseline :
   t ->

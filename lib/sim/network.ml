@@ -2,17 +2,19 @@ open! Import
 
 type config = {
   metric : Metric.kind;
-  buffer_packets : int;
-  packet_size : Workload.size;
   seed : int;
-  ttl_hops : int;
   record_series : bool;
   instant_flooding : bool;
   line_error_rate : float;
-  retransmit_interval_s : float;
   domains : int;
   telemetry : Telemetry.t option;
 }
+
+(* Discard packets that have crossed this many hops (a routing loop). *)
+let ttl_hops = 64
+
+(* Control-packet retransmission timer (Rosen's updating protocol). *)
+let retransmit_interval_s = 1.0
 
 let log_src = Logs.Src.create "routing_sim.network" ~doc:"packet-level simulator"
 
@@ -22,15 +24,11 @@ module Spf_repair = Routing_spf.Spf_repair
 
 let default_config metric =
   { metric;
-    buffer_packets = Link_queue.default_buffer_packets;
-    packet_size = Workload.Exponential 600.;
     seed = 42;
-    ttl_hops = 64;
     record_series = true;
     instant_flooding = true;
     line_error_rate = 0.;
-    retransmit_interval_s = 1.0;
-    domains = Domain_pool.default_size ();
+    domains = Domain_pool.resolve ();
     telemetry = None }
 
 (* Telemetry handles, resolved once at creation so the hot paths touch
@@ -251,7 +249,7 @@ let rec send_control t lid token =
     let key = (Link.id_to_int lid, token) in
     Hashtbl.replace t.pending_acks key ();
     Link_queue.enqueue_priority t.queues.(Link.id_to_int lid) packet;
-    Engine.schedule t.engine ~after:t.config.retransmit_interval_s (fun () ->
+    Engine.schedule t.engine ~after:retransmit_interval_s (fun () ->
         if Hashtbl.mem t.pending_acks key && t.link_up.(Link.id_to_int lid)
         then send_control t lid token)
 
@@ -328,7 +326,7 @@ and handle_arrival t (packet : Packet.t) node =
             { at = node; src = packet.Packet.src; dst = packet.Packet.dst;
               reason = Trace.No_route })
     | `Forward link ->
-      if packet.Packet.hops >= t.config.ttl_hops then begin
+      if packet.Packet.hops >= ttl_hops then begin
         Measure.record_drop t.measure;
         trace t (fun () ->
             Trace.Packet_dropped
@@ -338,8 +336,8 @@ and handle_arrival t (packet : Packet.t) node =
       else Link_queue.enqueue t.queues.(Link.id_to_int link.Link.id) packet)
 
 and make_queue t (link : Link.t) =
-  Link_queue.create ~buffer_packets:t.config.buffer_packets
-    ~error_rate:t.config.line_error_rate ~rng:t.link_rng t.engine link
+  Link_queue.create ~error_rate:t.config.line_error_rate ~rng:t.link_rng
+    t.engine link
     ~on_arrival:(fun packet -> handle_arrival t packet link.Link.dst)
     ~on_measured:(fun ~delay_s ->
       let psn = t.psns.(Node.to_int link.Link.src) in
@@ -563,8 +561,8 @@ let create ?config graph tm =
     adopt "link_utilization" t.util_series);
   t.workload <-
     Some
-      (Workload.create ~size:config.packet_size rng engine tm
-         ~inject:(fun packet -> handle_arrival t packet packet.Packet.src));
+      (Workload.create rng engine tm ~inject:(fun packet ->
+           handle_arrival t packet packet.Packet.src));
   recompute_min_hops t;
   install_tables t;
   t

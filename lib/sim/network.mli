@@ -17,10 +17,7 @@ open! Import
 
 type config = {
   metric : Metric.kind;
-  buffer_packets : int;  (** store-and-forward buffers per line *)
-  packet_size : Workload.size;
   seed : int;
-  ttl_hops : int;  (** discard packets exceeding this hop count *)
   record_series : bool;  (** keep per-period cost/utilization series *)
   instant_flooding : bool;
       (** [true] (default): a flooded update takes effect network-wide
@@ -38,11 +35,11 @@ type config = {
       (** per-packet probability that a line corrupts a transmission
           (default 0).  Data packets are simply lost; control packets are
           retransmitted until acknowledged. *)
-  retransmit_interval_s : float;  (** control retransmission timer (1 s) *)
   domains : int;
       (** domain-pool size for the shared SPF engine (instant flooding
-          only).  Defaults to {!Domain_pool.default_size} — the
-          [ARPANET_DOMAINS] environment variable, or 1.  Never changes
+          only), which fans out only full recomputes of at least 16,384
+          node-or-edge visits.  Defaults to {!Domain_pool.resolve}[ ()] —
+          the [ARPANET_DOMAINS] environment variable, or 1.  Never changes
           results, only wall-clock time. *)
   telemetry : Telemetry.t option;
       (** attach a telemetry bundle (default [None]): every {!Trace} event
@@ -60,8 +57,13 @@ type config = {
 }
 
 val default_config : Metric.kind -> config
-(** 40 buffers, exponential 600-bit packets, seed 42, ttl 64, series on,
-    instant flooding. *)
+(** Seed 42, series on, instant flooding, error-free lines, the
+    [ARPANET_DOMAINS] domain count, no telemetry.  Fixed for every run, so
+    the packet simulator agrees with the flow model: K = 40
+    store-and-forward buffers per line
+    ({!Routing_metric.Queueing.buffer_capacity}), exponential packets
+    with the 600-bit mean of the HNM's M/M/1 model, a 64-hop TTL and a
+    1 s control retransmission timer. *)
 
 type t
 

@@ -168,10 +168,10 @@ let compute_flat g ~weights root = compute_flat_s (scratch ()) g ~weights root
 let compute ?tie_break ?enabled g ~cost root =
   compute_flat g ~weights:(compute_weights ?tie_break ?enabled g ~cost) root
 
-(* Chunk per-source fan-outs so domains claim several sources per visit to
-   the pool's atomic counter: one task per source made small graphs spend
-   comparable time on handout as on Dijkstra itself (the mesh200
-   regression in BENCH_spf.json). *)
+(* Block per-source fan-outs so a domain claims several sources per
+   handout claim: one claim per source made small graphs spend comparable
+   time on handout as on Dijkstra itself (the mesh200 regression in
+   BENCH_spf.json). *)
 let source_chunk ~sources ~domains = max 1 (sources / (domains * 8))
 
 let all_pairs ?tie_break ?enabled ?pool g ~cost =
@@ -186,8 +186,8 @@ let all_pairs ?tie_break ?enabled ?pool g ~cost =
       one s i
     done
   | Some pool ->
-    let chunk = source_chunk ~sources:n ~domains:(Domain_pool.size pool) in
-    Domain_pool.parallel_for_with ~chunk pool ~init:scratch n one);
+    let grain = source_chunk ~sources:n ~domains:(Domain_pool.size pool) in
+    Domain_pool.parallel_for ~grain pool ~init:(fun _ -> scratch ()) n one);
   Array.map Option.get trees
 
 let min_hop_tree ?enabled g root = compute ?enabled g ~cost:(fun _ -> 1) root

@@ -95,9 +95,9 @@ val compute_flat_s :
     [compute_flat_s (scratch ()) g]. *)
 
 val source_chunk : sources:int -> domains:int -> int
-(** Chunk size for fanning [sources] single-source computations over
-    [domains] domains — several sources per visit to the pool's shared
-    counter, small enough to balance uneven work. *)
+(** The [~grain] for fanning [sources] single-source computations over
+    [domains] domains with {!Domain_pool.parallel_for} — several sources
+    per handout claim, small enough to balance uneven work. *)
 
 val composite : dist:int -> hops:int -> int
 (** Re-encode a tree's per-node [dist] (routing units) and [hops] into the

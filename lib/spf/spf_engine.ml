@@ -27,7 +27,8 @@ open! Import
    are brought up to date by {!Spf_repair} — in-place dynamic repair that
    re-settles only the disturbed region and restores the same bit-identity
    — or, when repair is off or the tree is missing, recomputed in full.
-   Both paths fan over the domain pool when the batch is big enough. *)
+   Only full recomputes fan over the domain pool (when the batch is big
+   enough); a repair touches a handful of nodes and stays on the caller. *)
 
 type stats = {
   mutable refreshes : int;
@@ -43,7 +44,6 @@ type t = {
   graph : Graph.t;
   pool : Domain_pool.t option;
   repair : bool;
-  repair_grain : int;
   tracer : Tracer.t;
   tr_recompute : int; (* interned "spf_recompute" *)
   tr_repair : int; (* interned "spf_repair" *)
@@ -61,12 +61,10 @@ type t = {
    analysis and recomputes everything. *)
 let threshold = 0.25
 
-let create ?pool ?(tracer = Tracer.null) ?(repair = true)
-    ?(repair_grain = 256) graph =
+let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
   { graph;
     pool;
     repair;
-    repair_grain;
     tracer;
     tr_recompute = Tracer.intern tracer "spf_recompute";
     tr_repair = Tracer.intern tracer "spf_repair";
@@ -108,11 +106,13 @@ let recompute t sources =
     let work = nt * (Graph.node_count g + Graph.link_count g) in
     (match t.pool with
     | Some pool when Domain_pool.size pool > 1 && work >= parallel_grain ->
-      let chunk =
+      let grain =
         Dijkstra.source_chunk ~sources:nt ~domains:(Domain_pool.size pool)
       in
-      Domain_pool.parallel_for_with ~chunk ~label:t.tr_recompute pool
-        ~init:Dijkstra.scratch nt (fun s k ->
+      Domain_pool.parallel_for ~grain ~label:t.tr_recompute pool
+        ~init:(fun _ -> Dijkstra.scratch ())
+        nt
+        (fun s k ->
           let i = todo.(k) in
           t.trees.(i) <-
             Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i)))
@@ -125,38 +125,24 @@ let recompute t sources =
     Tracer.span_end t.tracer t.tr_recompute
   end
 
-(* Repair affected trees in place.  Per-tree work is proportional to the
-   disturbed region, usually a few nodes, so the fan-out threshold is a
-   tree count ([repair_grain]) rather than a visit estimate. *)
+(* Repair affected trees in place, on the calling domain: per-tree work
+   is proportional to the disturbed region, usually a few nodes, far
+   below what a fan-out costs. *)
 let repair_trees t sources changes =
   match sources with
   | [] -> ()
   | _ ->
-    let todo = Array.of_list sources in
-    let nt = Array.length todo in
+    let nt = List.length sources in
     Tracer.span_begin_range t.tracer t.tr_repair ~lo:0 ~hi:nt;
     t.stats.sources_repaired <- t.stats.sources_repaired + nt;
-    let weights = t.weights in
-    let g = t.graph in
-    (match t.pool with
-    | Some pool when Domain_pool.size pool > 1 && nt >= t.repair_grain ->
-      let resettled = Array.make nt 0 in
-      let chunk =
-        Dijkstra.source_chunk ~sources:nt ~domains:(Domain_pool.size pool)
-      in
-      Domain_pool.parallel_for_with ~chunk ~label:t.tr_repair pool
-        ~init:Spf_repair.scratch nt (fun s k ->
-          let tree = Option.get t.trees.(todo.(k)) in
-          resettled.(k) <- Spf_repair.repair s g ~tree ~weights ~changes);
-      t.stats.nodes_resettled <-
-        t.stats.nodes_resettled + Array.fold_left ( + ) 0 resettled
-    | Some _ | None ->
-      for k = 0 to nt - 1 do
-        let tree = Option.get t.trees.(todo.(k)) in
+    List.iter
+      (fun i ->
+        let tree = Option.get t.trees.(i) in
         t.stats.nodes_resettled <-
           t.stats.nodes_resettled
-          + Spf_repair.repair t.repair_scratch g ~tree ~weights ~changes
-      done);
+          + Spf_repair.repair t.repair_scratch t.graph ~tree ~weights:t.weights
+              ~changes)
+      sources;
     Tracer.span_end t.tracer t.tr_repair
 
 (* Can this set of weight changes alter [tree]?  See the module comment for

@@ -21,9 +21,11 @@ open! Import
     - if a large fraction changed (more than a quarter of the links),
       recomputes every wanted source outright.
 
-    Repair and recomputation fan out over an optional {!Domain_pool.t}.
-    In every configuration — sequential or parallel, repaired, swept or
-    reused — the served trees are {b bit-identical} to [Dijkstra.compute]
+    Full recomputes of big batches fan out over an optional
+    {!Domain_pool.t}; repairs, each re-settling a handful of nodes, always
+    run on the calling domain.  In every configuration — sequential or
+    parallel, repaired, swept or reused — the served trees are
+    {b bit-identical} to [Dijkstra.compute]
     from scratch on the current costs: reuse happens only when a tree
     provably equals its recomputation (same distances, hops and parent
     links), repair restores exactly the from-scratch fixpoint, and
@@ -41,21 +43,22 @@ val create :
   ?pool:Domain_pool.t ->
   ?tracer:Tracer.t ->
   ?repair:bool ->
-  ?repair_grain:int ->
   Graph.t ->
   t
 (** [repair] (default [true]) selects in-place dynamic repair for affected
     sources; [false] falls back to per-source full recomputation (useful
-    for differential testing and benchmarking).  [repair_grain] (default
-    256) is the affected-tree count at or above which repairs fan out over
-    [pool] — repairs are usually so cheap that the fan-out only pays off
-    for large batches.
+    for differential testing and benchmarking).
+
+    [pool] runs a recompute batch through {!Domain_pool.parallel_for}
+    once the batch holds enough work to pay for waking the pool (at
+    least 16,384 node-or-edge visits); smaller batches and every repair
+    stay on the calling domain.
 
     [tracer] (default {!Tracer.null}) flight-records the engine:
     recompute and repair batches become [spf_recompute] / [spf_repair]
     spans on the calling domain's track, and — when the same tracer's
     {!Tracer.pool_probe} is installed on [pool] — each worker domain
-    records the chunks of sources it actually ran. *)
+    records the blocks of sources it actually ran. *)
 
 val graph : t -> Graph.t
 

@@ -445,7 +445,7 @@ let report_of_outcomes (spec : Sweep_spec.t) outcomes =
 
 (* ---------------------------------------------------------------- *)
 
-let run_prepared ?(domains = Domain_pool.default_size ())
+let run_prepared ?(domains = Domain_pool.resolve ())
     ?(tracer = Tracer.null) ?subset ?reuse prep =
   let selected =
     match subset with
@@ -479,7 +479,7 @@ let run_prepared ?(domains = Domain_pool.default_size ())
      domain ran it, index range in the args — Perfetto shows the sweep's
      work distribution directly. *)
   let tr_point = Tracer.intern tracer "sweep_point" in
-  let one k =
+  let one () k =
     let s, i = todo.(k) in
     Tracer.span_begin_range tracer tr_point ~lo:i ~hi:(i + 1);
     let o = run_point ~tracer prep i in
@@ -491,15 +491,16 @@ let run_prepared ?(domains = Domain_pool.default_size ())
      if Tracer.enabled tracer then
        Domain_pool.set_probe pool (Some (Tracer.pool_probe tracer));
      (* Grid points are wildly uneven — a hier10k point can cost 1000×
-        an arpanet toy — so handout is work-stealing, not static
-        chunks: a domain that lands a heavy point keeps it while the
-        others drain and then steal the rest of its share. *)
+        an arpanet toy — so each claim is one point (grain 1): a domain
+        that lands a heavy point keeps it while the others drain and
+        then steal the rest of its share.  [one] is passed by name so
+        the D0xx lint resolves its body. *)
      Fun.protect
        ~finally:(fun () -> Domain_pool.shutdown pool)
-       (fun () -> Domain_pool.parallel_for_dynamic pool n one))
+       (fun () -> Domain_pool.parallel_for pool ~init:ignore n one))
    else
      for k = 0 to n - 1 do
-       one k
+       one () k
      done);
   let outcomes =
     Array.map

@@ -7,11 +7,11 @@ open! Import
     immutable shared spec — topology, parsed script, per-(scenario, seed)
     traffic template — and stamps each point with a stable content hash;
     {!run_prepared} then executes points (each its own flow simulator
-    over [periods] routing periods) over a work-stealing
-    {!Domain_pool.parallel_for_dynamic} handout and folds the results
-    into one report.  {!merge} rebuilds the same report from shard files,
-    and the [?reuse] hook skips points an earlier report already
-    answers — both keyed by the point hash.
+    over [periods] routing periods) through {!Domain_pool.parallel_for},
+    one point per work-stealing claim, and folds the results into one
+    report.  {!merge} rebuilds the same report from shard files, and the
+    [?reuse] hook skips points an earlier report already answers — both
+    keyed by the point hash.
 
     Determinism is load-bearing: points are enumerated in a fixed axis
     order, each runs against a private scaled copy of the shared traffic
@@ -119,7 +119,7 @@ val run_prepared :
   report
 (** Run every prepared point and assemble the report.
 
-    [domains] (default {!Domain_pool.default_size}) sizes the pool
+    [domains] (default {!Domain_pool.resolve}[ ()]) sizes the pool
     points are distributed over — with a work-stealing handout, so
     heavy points don't serialize a static share behind them; each
     point's simulator runs with [~domains:1] so pools never nest.

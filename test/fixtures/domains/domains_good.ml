@@ -2,12 +2,12 @@
    body parameter and the only captured array is written at the
    body-local index, the partitioned-output pattern the lint exempts. *)
 module Domain_pool = struct
-  let parallel_for_with _pool ~scratch n f =
+  let parallel_for _pool ~init n f =
     for i = 0 to n - 1 do
-      f scratch i
+      f (init 0) i
     done
 end
 
 let fill pool out xs =
-  Domain_pool.parallel_for_with pool ~scratch:0 (Array.length xs)
+  Domain_pool.parallel_for pool ~init:(fun _ -> 0) (Array.length xs)
     (fun _scratch i -> out.(i) <- xs.(i) * 2)

@@ -9,6 +9,7 @@ module Spf_engine = Routing_spf.Spf_engine
 module Spf_tree = Routing_spf.Spf_tree
 module Domain_pool = Routing_metric.Domain_pool
 module Flow_sim = Routing_sim.Flow_sim
+module Flow_store = Routing_sim.Flow_store
 module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
 
@@ -26,11 +27,12 @@ let test_pool_covers_all_indices () =
   let hits = Array.make n 0 in
   (* Racy increments would be a test bug; per-index slots are the pool's
      contract, and each index is handed out exactly once. *)
-  Domain_pool.parallel_for pool n (fun i -> hits.(i) <- hits.(i) + 1);
+  let bump () i = hits.(i) <- hits.(i) + 1 in
+  Domain_pool.parallel_for pool ~init:ignore n bump;
   Alcotest.(check bool) "every index ran once" true
     (Array.for_all (fun h -> h = 1) hits);
   (* The pool is reusable. *)
-  Domain_pool.parallel_for pool n (fun i -> hits.(i) <- hits.(i) + 1);
+  Domain_pool.parallel_for pool ~init:ignore n bump;
   Alcotest.(check bool) "second loop too" true
     (Array.for_all (fun h -> h = 2) hits)
 
@@ -39,7 +41,7 @@ let test_pool_propagates_exception () =
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
   let raised =
     try
-      Domain_pool.parallel_for pool 50 (fun i ->
+      Domain_pool.parallel_for pool ~init:ignore 50 (fun () i ->
           if i = 17 then failwith "boom");
       false
     with Failure m -> m = "boom"
@@ -47,13 +49,15 @@ let test_pool_propagates_exception () =
   Alcotest.(check bool) "exception reaches the caller" true raised;
   (* And the pool survives it. *)
   let count = Atomic.make 0 in
-  Domain_pool.parallel_for pool 10 (fun _ -> Atomic.incr count);
+  Domain_pool.parallel_for pool ~init:ignore 10 (fun () _ ->
+      Atomic.incr count);
   Alcotest.(check int) "usable after failure" 10 (Atomic.get count)
 
 let test_pool_size_one_is_sequential () =
   let pool = Domain_pool.create 1 in
   let order = ref [] in
-  Domain_pool.parallel_for pool 5 (fun i -> order := i :: !order);
+  Domain_pool.parallel_for pool ~init:ignore 5 (fun () i ->
+      order := i :: !order);
   Alcotest.(check (list int)) "inline, in order" [ 4; 3; 2; 1; 0 ] !order
 
 (* --- CSR adjacency vs list adjacency --- *)
@@ -202,16 +206,27 @@ let prop_engine_batch_deltas_match_full =
 
 (* --- Determinism: parallel = sequential, bit for bit --- *)
 
+(* The generated 200-node mesh of the benchmarks: one full sweep is
+   200 x (200 + 640) node-or-edge visits, well above the engine's
+   fan-out threshold (the 57-node ARPANET's 11,457 stays below it). *)
+let mesh200 () = Generators.ring_chord (Rng.create 99) ~nodes:200 ~chords:120
+
 let test_parallel_engine_matches_sequential () =
-  let g = Arpanet.topology () in
+  let g = mesh200 () in
   let pool = Domain_pool.create 3 in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
+  let blocks = Atomic.make 0 in
+  Domain_pool.set_probe pool
+    (Some
+       { Domain_pool.chunk_begin =
+           (fun ~label:_ ~lo:_ ~hi:_ -> Atomic.incr blocks);
+         chunk_end = (fun ~label:_ ~lo:_ ~hi:_ -> ()) });
   let par = Spf_engine.create ~pool g in
   let seq = Spf_engine.create g in
   let rng = Rng.create 11 in
   let nl = Graph.link_count g in
   let costs = Array.init nl (fun _ -> 1 + Rng.int rng 40) in
-  for _ = 0 to 8 do
+  for round = 0 to 8 do
     let cost l = costs.(Link.id_to_int l) in
     Spf_engine.refresh par ~cost;
     Spf_engine.refresh seq ~cost;
@@ -220,37 +235,22 @@ let test_parallel_engine_matches_sequential () =
           (Printf.sprintf "trees agree at node %d" (Node.to_int node))
           true
           (Spf_tree.equal (Spf_engine.tree seq node) (Spf_engine.tree par node)));
-    costs.(Rng.int rng nl) <- 1 + Rng.int rng 40
-  done
-
-(* Same agreement when the repairs themselves fan out over the pool:
-   [repair_grain:1] forces the parallel branch for any affected set. *)
-let test_parallel_repair_matches_sequential () =
-  let g = Arpanet.topology () in
-  let pool = Domain_pool.create 3 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  let par = Spf_engine.create ~pool ~repair_grain:1 g in
-  let seq = Spf_engine.create g in
-  let rng = Rng.create 23 in
-  let nl = Graph.link_count g in
-  let costs = Array.init nl (fun _ -> 1 + Rng.int rng 40) in
-  for _ = 0 to 8 do
-    let cost l = costs.(Link.id_to_int l) in
-    Spf_engine.refresh par ~cost;
-    Spf_engine.refresh seq ~cost;
-    Graph.iter_nodes g (fun node ->
-        Alcotest.(check bool)
-          (Printf.sprintf "trees agree at node %d" (Node.to_int node))
-          true
-          (Spf_tree.equal (Spf_engine.tree seq node) (Spf_engine.tree par node)));
-    costs.(Rng.int rng nl) <- 1 + Rng.int rng 40
+    if round mod 3 = 2 then
+      (* Re-cost half the links: more than a quarter changed forces the
+         next refresh into a full (parallel) sweep. *)
+      for i = 0 to (nl / 2) - 1 do
+        costs.(2 * i) <- 1 + Rng.int rng 40
+      done
+    else costs.(Rng.int rng nl) <- 1 + Rng.int rng 40
   done;
-  let s = Spf_engine.stats par in
+  Alcotest.(check int) "full sweeps: the first refresh and two re-costs" 3
+    (Spf_engine.stats par).Spf_engine.full_sweeps;
+  Alcotest.(check bool) "same work as the sequential engine" true
+    (Spf_engine.stats par = Spf_engine.stats seq);
   Alcotest.(check bool)
-    (Printf.sprintf "parallel branch repaired trees (%d repaired)"
-       s.Spf_engine.sources_repaired)
+    (Printf.sprintf "the pool handed out blocks (%d)" (Atomic.get blocks))
     true
-    (s.Spf_engine.sources_repaired > 0)
+    (Atomic.get blocks > 0)
 
 let flap_scenario sim =
   let g = Flow_sim.graph sim in
@@ -265,11 +265,19 @@ let flap_scenario sim =
       [ a; b ])
     [ 1; 2; 3; 4 ]
 
+(* mesh200 with 8,192 heavy-tailed flows: above both fan-out thresholds
+   (the engine's 16,384 visits, [Flow_sim]'s 4,096 flows), so the
+   3-domain run sends full recomputes and every period's load
+   assignment through the pool. *)
 let test_flow_sim_stats_independent_of_domains () =
-  let g = Arpanet.topology () in
-  let tm = Arpanet.peak_traffic (Rng.create 7) g in
+  let g = mesh200 () in
+  let tm = Traffic_matrix.gravity (Rng.create 3) ~nodes:200 ~total_bps:2e6 in
   let run domains =
     let sim = Flow_sim.create ~domains g Metric.Hn_spf tm in
+    Flow_sim.set_flows sim
+      (Flow_store.heavy_tailed (Rng.create 5) ~nodes:200 ~flows:8192
+         ~total_bps:(Traffic_matrix.total_bps tm)
+         ~size:(Flow_store.Pareto { alpha = 1.2 }));
     flap_scenario sim
   in
   let seq = run 1 and par = run 3 in
@@ -321,9 +329,7 @@ let () =
       ("csr", qsuite [ prop_csr_matches_lists ]);
       ( "engine",
         [ Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_engine_matches_sequential;
-          Alcotest.test_case "parallel repair = sequential" `Quick
-            test_parallel_repair_matches_sequential ]
+            test_parallel_engine_matches_sequential ]
         @ qsuite
             [ prop_engine_incremental_matches_full;
               prop_engine_batch_deltas_match_full ] );

@@ -4,9 +4,9 @@
    + Load_assign.assign distributes exactly the same load as the
      historical per-flow tree climb (qcheck, random topologies and
      traffic; first hops exactly equal, offered loads equal to rounding);
-   + Domain_pool.parallel_for_dynamic runs every index exactly once
-     under any (domains, grain) — the steal protocol cannot drop or
-     duplicate work (qcheck, uneven bodies to force stealing);
+   + Domain_pool.parallel_for runs every index exactly once under any
+     (domains, grain) — the steal protocol cannot drop or duplicate work
+     (qcheck, uneven bodies to force stealing);
    + Sweep_engine reports are byte-identical under any domain count,
      shard layout, or resume history (work-stealing handout, hash-keyed
      merge, and registry regeneration are all order-independent).
@@ -268,20 +268,26 @@ let test_assignment_scratch_reuse () =
    that varies wildly with the index so the initial equal slices go out
    of balance and stealing actually happens; each index writes only its
    own slot, so a duplicate run would show up as a count of 2 (and as a
-   data race under the TSan job, which runs this suite). *)
-let dynamic_case =
+   data race under the TSan job, which runs this suite).  Each
+   participant's [init] gets its own slot in [0, domains), at most once
+   per loop. *)
+let loop_case =
   QCheck.make ~print:(fun (n, domains, grain) ->
       Printf.sprintf "n=%d domains=%d grain=%d" n domains grain)
     QCheck.Gen.(triple (int_bound 200) (int_range 1 5) (int_range 1 7))
 
-let run_dynamic_case (n, domains, grain) =
+let run_loop_case (n, domains, grain) =
   let counts = Array.make (max n 1) 0 in
   let spun = Array.make (max n 1) 0 in
+  let inits = Array.init domains (fun _ -> Atomic.make 0) in
   let pool = Domain_pool.create domains in
   Fun.protect
     ~finally:(fun () -> Domain_pool.shutdown pool)
     (fun () ->
-      Domain_pool.parallel_for_dynamic ~grain pool n (fun i ->
+      Domain_pool.parallel_for ~grain pool
+        ~init:(fun slot -> Atomic.incr inits.(slot))
+        n
+        (fun () i ->
           let spin = if i land 7 = 0 then 2000 else 10 in
           let acc = ref 0 in
           for k = 1 to spin do
@@ -294,12 +300,18 @@ let run_dynamic_case (n, domains, grain) =
       if i < n && c <> 1 then
         QCheck.Test.fail_reportf "index %d ran %d times (n=%d)" i c n)
     counts;
+  Array.iteri
+    (fun slot c ->
+      if Atomic.get c > 1 then
+        QCheck.Test.fail_reportf "slot %d initialized %d times" slot
+          (Atomic.get c))
+    inits;
   true
 
-let prop_dynamic_exactly_once =
+let prop_parallel_for_exactly_once =
   QCheck.Test.make ~count:80
-    ~name:"parallel_for_dynamic runs every index exactly once" dynamic_case
-    run_dynamic_case
+    ~name:"parallel_for runs every index exactly once" loop_case
+    run_loop_case
 
 (* --- sweep engine -------------------------------------------------- *)
 
@@ -693,7 +705,7 @@ let () =
           Alcotest.test_case "knees located on a quick ramp" `Quick
             test_critical_load_knees ] );
       ( "fabric",
-        [ QCheck_alcotest.to_alcotest prop_dynamic_exactly_once;
+        [ QCheck_alcotest.to_alcotest prop_parallel_for_exactly_once;
           QCheck_alcotest.to_alcotest prop_stealing_byte_identical;
           Alcotest.test_case "resume byte-identity" `Quick
             test_resume_byte_identity;

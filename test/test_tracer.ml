@@ -164,7 +164,7 @@ let test_pool_probe_multi_domain () =
   Domain_pool.set_probe pool (Some (Tracer.pool_probe t));
   Fun.protect
     ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () -> Domain_pool.parallel_for pool 64 (fun _ -> ()));
+    (fun () -> Domain_pool.parallel_for pool ~init:ignore 64 (fun () _ -> ()));
   Alcotest.(check bool) "some domain recorded" true (Tracer.slots t >= 1);
   (* Every track is independently well-nested (chunk spans never
      interleave within a domain). *)
