@@ -1567,6 +1567,32 @@ let million_flow_rows ~quick () =
       per (s1.Gc.major_words -. s0.Gc.major_words) )
   in
   let seq_s, seq_minor, seq_major = time_reps assign_once in
+  (* The per-flow metrics pass over the same flows gets the same two
+     gates, untimed: zero steady-state words here, bit-identity with the
+     pool below. *)
+  let link_delay =
+    Array.init nl (fun i -> 1e-3 *. float_of_int (1 + (i mod 17)))
+  in
+  let link_pass =
+    Array.init nl (fun i -> 1. -. (1e-3 *. float_of_int (i mod 7)))
+  in
+  let delay_s = Array.make nf 0. and share = Array.make nf 0. in
+  let hops = Array.make nf (-1) in
+  let metrics_once ?pool () =
+    Load_assign.metrics_into ?pool t ~flows ~tree_for ~link_delay ~link_pass
+      ~delay_s ~share ~hops
+  in
+  metrics_once ();
+  let before = Gc.minor_words () in
+  metrics_once ();
+  let dminor = Gc.minor_words () -. before in
+  if dminor <> 0. then
+    failwith
+      (Printf.sprintf
+         "million-flow steady-state metrics pass allocated %.0f minor words"
+         dminor);
+  let delay_seq = Array.copy delay_s and share_seq = Array.copy share in
+  let hops_seq = Array.copy hops in
   (* Parallel pass: first prove it reproduces the sequential bytes (the
      stream replay preserves the float-add order), then time it.  On a
      one-core pool the dispatch falls back to sequential, which is the
@@ -1578,6 +1604,22 @@ let million_flow_rows ~quick () =
     Fun.protect
       ~finally:(fun () -> Domain_pool.shutdown pool)
       (fun () ->
+        Array.fill delay_s 0 nf nan;
+        Array.fill share 0 nf nan;
+        Array.fill hops 0 nf (-7);
+        metrics_once ~pool ();
+        let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+        for fi = 0 to nf - 1 do
+          if
+            not
+              (same delay_s.(fi) delay_seq.(fi)
+              && same share.(fi) share_seq.(fi)
+              && hops.(fi) = hops_seq.(fi))
+          then
+            failwith
+              (Printf.sprintf
+                 "parallel million-flow metrics differ on flow %d" fi)
+        done;
         let assign_par () =
           Array.fill offered 0 nl 0.;
           Load_assign.assign ~pool t ~flows ~tree_for ~sending ~offered
@@ -1604,7 +1646,8 @@ let million_flow_rows ~quick () =
   let fps s = float_of_int nf /. Float.max s 1e-12 in
   note
     "million-flow assignment: %d flows, %.2f Mflows/s sequential (0 minor \
-     words steady state), %.2f Mflows/s parallel@."
+     words steady state), %.2f Mflows/s parallel; metrics pass 0 minor \
+     words, parallel bit-identical@."
     nf
     (fps seq_s /. 1e6)
     (fps par_s /. 1e6);

@@ -1,6 +1,6 @@
 (* A small reusable pool of worker domains for embarrassingly parallel
-   loops (per-source SPF recomputes, flow-assignment stripes, sweep grid
-   points).  Hand-rolled on Domain + Mutex/Condition so the library picks
+   loops (per-source SPF recomputes, flow-assignment and flow-metrics
+   stripes, sweep grid points).  Hand-rolled on Domain + Mutex/Condition so the library picks
    up no dependency beyond the OCaml 5 stdlib.
 
    One handout serves every loop: each participating domain owns an

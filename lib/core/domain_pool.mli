@@ -3,7 +3,8 @@
 
     One loop, {!parallel_for}, with one handout: work stealing.  It runs
     the simulator's three kinds of parallel work — full per-source SPF
-    recomputes, flow-assignment stripes and sweep grid points.
+    recomputes, flow stripes (load assignment and per-flow metrics) and
+    sweep grid points.
     Scheduling is nondeterministic, but as long as [f s i] writes only to
     slot [i] of some result array (and to its own private state [s]) the
     outcome is bit-identical to the sequential loop; a pool of [size] 1

@@ -277,9 +277,12 @@ let member key = function
     | None -> Error (Printf.sprintf "missing field %S" key))
   | _ -> Error (Printf.sprintf "not an object (looking for %S)" key)
 
+(* [int_of_float] is unspecified outside OCaml's int range, so integral
+   floats there are not integers either. *)
 let to_int = function
   | Int i -> Ok i
-  | Float f when Float.is_integer f -> Ok (int_of_float f)
+  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    Ok (int_of_float f)
   | _ -> Error "not an integer"
 
 let to_float = function

@@ -38,7 +38,8 @@ val member : string -> t -> (t, string) result
 (** Field of an {!Obj}; [Error _] when absent or not an object. *)
 
 val to_int : t -> (int, string) result
-(** Accepts {!Int} and integral {!Float}. *)
+(** Accepts {!Int} and integral {!Float} within OCaml's int range
+    [\[min_int, max_int\]]; anything else is ["not an integer"]. *)
 
 val to_float : t -> (float, string) result
 (** Accepts {!Float} and {!Int} (JSON does not distinguish them). *)

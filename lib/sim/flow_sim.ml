@@ -132,8 +132,9 @@ let hist_grow h =
   h.h_nh_flips <- growi h.h_nh_flips;
   h.h_link_flips <- growi h.h_link_flips
 
-(* Below this many flows the parallel assignment path's fork/join and
-   job bookkeeping cost more than the sweep itself; stay sequential. *)
+(* Below this many flows the parallel assignment and metrics paths'
+   fork/join and job bookkeeping cost more than the sweeps themselves;
+   stay sequential. *)
 let parallel_flow_threshold = 4096
 
 type t = {
@@ -168,6 +169,11 @@ type t = {
   mutable flow_delay : float array; (* per flow: path delay this period *)
   mutable flow_share : float array; (* per flow: survival share *)
   mutable flow_hops : int array; (* per flow: path length; -1 = unreached *)
+  (* Per-flow min-hop path lengths (-1 = unreached), valid for the store
+     [mh_store] at version [mh_version] on the current min-hop trees. *)
+  mutable min_hops : int array;
+  mutable mh_store : Flow_store.t;
+  mutable mh_version : int; (* -1: stale *)
   chg_ids : int array; (* links whose update flooded, from the metric *)
   chg_costs : int array;
   changed_costs : (Link.id * int) list array; (* per origin node *)
@@ -194,6 +200,8 @@ type t = {
   tr_period : int; (* interned event names *)
   tr_refresh : int;
   tr_assign : int;
+  tr_metrics : int;
+  tr_account : int;
   tr_flood : int;
   tr_updates : int;
   tr_routes : int;
@@ -229,10 +237,11 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       pool;
   let link_up = Array.make nl true in
   let obs = Option.map (fun tele -> make_obs_state tele ~links:nl) telemetry in
+  let flows = Flow_store.of_matrix tm in
   let t =
     { graph;
       metric;
-      flows = Flow_store.of_matrix tm;
+      flows;
       flooders = make_flooders graph;
       link_up;
       utilization = Array.make nl 0.;
@@ -260,6 +269,9 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       flow_delay = [||];
       flow_share = [||];
       flow_hops = [||];
+      min_hops = [||];
+      mh_store = flows;
+      mh_version = -1;
       chg_ids = Array.make nl 0;
       chg_costs = Array.make nl 0;
       changed_costs = Array.make (Graph.node_count graph) [];
@@ -285,6 +297,8 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       tr_period = Tracer.intern tracer "routing_period";
       tr_refresh = Tracer.intern tracer "spf_refresh";
       tr_assign = Tracer.intern tracer "flow_assign";
+      tr_metrics = Tracer.intern tracer "flow_metrics";
+      tr_account = Tracer.intern tracer "flow_account";
       tr_flood = Tracer.intern tracer "flood";
       tr_updates = Tracer.intern tracer "updates_flooded";
       tr_routes = Tracer.intern tracer "routes_changed";
@@ -319,7 +333,12 @@ let min_hop_cost = fun _ -> 1
    dirty flags to maintain.  Laggard sources under [stagger] route on the
    previous period's costs, served by a second engine fed [prev_costs]. *)
 let refresh_trees t =
+  let min_stats = Spf_engine.stats t.min_engine in
+  let skipped = min_stats.Spf_engine.skipped in
   Spf_engine.refresh ?enabled:t.enabled_opt t.min_engine ~cost:min_hop_cost;
+  (* Only a skipped refresh provably leaves every min-hop tree as it was;
+     one that did work makes the cached min-hop column stale. *)
+  if min_stats.Spf_engine.skipped = skipped then t.mh_version <- -1;
   if t.stagger > 0. then begin
     let lags n = lags_at ~stagger:t.stagger (Node.to_int n) in
     Spf_engine.refresh t.engine
@@ -337,6 +356,27 @@ let refresh_trees t =
       ~cost:(fun lid -> t.prev_costs.(Link.id_to_int lid))
   end
   else Spf_engine.refresh ?enabled:t.enabled_opt t.engine ~cost:t.cost_f
+
+(* Min-hop trees change only when a trunk fails or revives, so the
+   per-flow min-hop lengths are a column, refilled only when stale: the
+   min-hop engine's refresh did work ([refresh_trees] marks that), or
+   the flow store changed by identity or version, the key [Load_assign]
+   groups on. *)
+let fill_min_hops t =
+  let flows = t.flows in
+  if t.mh_store != flows || t.mh_version <> Flow_store.version flows then begin
+    let nf = Flow_store.length flows in
+    if Array.length t.min_hops < nf then t.min_hops <- Array.make nf (-1);
+    let src = Flow_store.src_col flows and dst = Flow_store.dst_col flows in
+    for fi = 0 to nf - 1 do
+      let tree = Spf_engine.tree t.min_engine (Node.of_int src.(fi)) in
+      let d = dst.(fi) in
+      t.min_hops.(fi) <-
+        (if Spf_tree.reached_i tree d then Spf_tree.hops_i tree d else -1)
+    done;
+    t.mh_store <- flows;
+    t.mh_version <- Flow_store.version flows
+  end
 
 let spf_stats t = Spf_engine.stats t.engine
 
@@ -452,12 +492,19 @@ let tick t =
   done;
   (* Pass 2: per-flow delay, hop counts and thinning over hot links — path
      totals served in O(1) per flow from the root-outward sweep, landing in
-     per-flow columns rather than boxed callback arguments. *)
-  Load_assign.metrics_into t.assign ~flows:t.flows ~tree_for:t.tree_for_f
-    ~link_delay:t.link_delay ~link_pass:t.link_pass ~delay_s:t.flow_delay
-    ~share:t.flow_share ~hops:t.flow_hops;
-  let fsrc = Flow_store.src_col t.flows in
-  let fdst = Flow_store.dst_col t.flows in
+     per-flow columns rather than boxed callback arguments.  Source
+     stripes fan out like pass 1's; every write is per-flow, so the
+     result is bit-identical with no replay. *)
+  Tracer.span_begin tr t.tr_metrics;
+  Load_assign.metrics_into ?pool t.assign ~flows:t.flows
+    ~tree_for:t.tree_for_f ~link_delay:t.link_delay ~link_pass:t.link_pass
+    ~delay_s:t.flow_delay ~share:t.flow_share ~hops:t.flow_hops;
+  Tracer.span_end tr t.tr_metrics;
+  (* Accounting, sequential and in flow order so the float totals keep
+     their summation order. *)
+  Tracer.span_begin tr t.tr_account;
+  fill_min_hops t;
+  let min_hops = t.min_hops in
   let adaptive = t.adaptive_sources in
   for fi = 0 to nf - 1 do
     let sending = t.sending.(fi) in
@@ -475,15 +522,12 @@ let tick t =
       acc.f_dropped <- acc.f_dropped +. (sending -. carried);
       acc.f_delay_w <- acc.f_delay_w +. (t.flow_delay.(fi) *. carried);
       acc.f_hops_w <- acc.f_hops_w +. (float_of_int hops *. carried);
-      let min_tree = Spf_engine.tree t.min_engine (Node.of_int fsrc.(fi)) in
-      let d = fdst.(fi) in
-      let mh =
-        if Spf_tree.reached_i min_tree d then Spf_tree.hops_i min_tree d
-        else hops
-      in
+      let mh = min_hops.(fi) in
+      let mh = if mh >= 0 then mh else hops in
       acc.f_min_hops_w <- acc.f_min_hops_w +. (float_of_int mh *. carried)
     end
   done;
+  Tracer.span_end tr t.tr_account;
   (* Metric pass: feed each up link its period delay, in one batch call.
      Changed costs collect into per-origin slots reused across periods;
      quiet periods return 0 without touching the heap. *)

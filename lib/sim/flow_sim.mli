@@ -54,12 +54,14 @@ val create :
 (** The flow simulator is fully deterministic: same inputs, same run.
     [domains] (default {!Domain_pool.resolve}[ ()], i.e. the
     [ARPANET_DOMAINS] environment variable or 1) sizes the one domain pool
-    two loops fan out over: the SPF engines' full per-source recomputes
-    (batches of at least 16,384 node-or-edge visits) and the per-period
-    load assignment's source stripes (stores of at least 4,096 flows).
-    Repairs and smaller batches stay on the calling domain.  Every
-    configuration serves bit-identical trees and loads, so the domain
-    count never changes results — only wall-clock time.
+    three per-period passes fan out over: the SPF engines' full
+    per-source recomputes (batches of at least 16,384 node-or-edge
+    visits), and the source stripes of the load assignment and of the
+    per-flow metrics pass (stores of at least 4,096 flows).  Repairs,
+    smaller batches and the per-flow accounting stay on the calling
+    domain.  Every configuration serves bit-identical trees, loads and
+    per-flow metrics, so the domain count never changes results — only
+    wall-clock time.
 
     [telemetry] (default none) attaches a telemetry bundle: per-link
     utilization/cost series and update counters accumulate in its metrics
@@ -71,7 +73,10 @@ val create :
 
     [tracer] (default: the telemetry bundle's tracer, or {!Tracer.null})
     flight-records the run: every routing period, SPF refresh, flow
-    assignment and flood becomes a span on the calling domain's track, the
+    assignment, per-flow metrics pass ([flow_metrics]), per-flow
+    accounting ([flow_account]) and flood becomes a span on the calling
+    domain's track ([flow_metrics] and [flow_account] in the tracer
+    only, not in the telemetry bundle's profiling spans), the
     SPF engines record their recompute/repair batches, and worker domains
     record the blocks of indices they claim. *)
 
@@ -115,8 +120,9 @@ val set_flows : t -> Flow_store.t -> unit
     from {!Flow_store.heavy_tailed} with many flows per (src, dst) pair.
     AIMD throttles live in the store's throttle column, so the new store
     starts from its own column (fresh stores: all 1).  Above ~4k flows the
-    per-period assignment fans source stripes over the domain pool with
-    bit-identical results ({!Load_assign.assign}).
+    per-period assignment and metrics passes fan source stripes over the
+    domain pool with bit-identical results ({!Load_assign.assign},
+    {!Load_assign.metrics_into}).
     @raise Invalid_argument if the store's node count differs from the
     graph's. *)
 

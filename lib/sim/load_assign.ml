@@ -25,7 +25,9 @@ open! Import
    in sweep order instead of summing into [offered] directly.  Replaying
    the streams in stripe order afterwards performs the float additions in
    exactly the sequential source order, so the parallel path is
-   bit-identical to the sequential one at any domain count.
+   bit-identical to the sequential one at any domain count.  The metrics
+   pass stripes the same way and needs no replay at all: every write is
+   to a slot of a flow of the stripe's own sources.
 
    Everything here writes into caller- or self-owned scratch sized once;
    steady-state periods allocate nothing on the sequential path (stream
@@ -40,15 +42,26 @@ let max_hops = 256
    stealable stripes. *)
 let stripe_width = 16
 
-(* Per-participant sweep scratch for the parallel path.  A participant
-   slot is held by at most one domain per loop, so slot-indexed scratch
-   is race-free (see [Domain_pool.parallel_for]). *)
+(* Per-node sweep scratch.  The sequential path owns one; the parallel
+   paths hold one per participant slot, which at most one domain holds
+   per loop, so slot-indexed scratch is race-free (see
+   [Domain_pool.parallel_for]). *)
 type scratch = {
-  p_acc : float array;
-  p_order : int array;
-  p_bucket : int array;
-  p_first_link : int array;
+  p_acc : float array; (* pending subtree demand; all-zero between sweeps *)
+  p_order : int array; (* reached nodes, ascending hop count *)
+  p_bucket : int array; (* counting-sort buckets; all-zero between sorts *)
+  p_first_link : int array; (* first link on the root's path to the node *)
+  p_delay_to : float array; (* summed link delay from the root *)
+  p_share_to : float array; (* product of link pass-probabilities *)
 }
+
+let new_scratch n =
+  { p_acc = Array.make n 0.;
+    p_order = Array.make n 0;
+    p_bucket = Array.make (max_hops + 2) 0;
+    p_first_link = Array.make n (-1);
+    p_delay_to = Array.make n 0.;
+    p_share_to = Array.make n 0. }
 
 (* Per-stripe contribution stream: (link, load) pushes recorded in sweep
    order, replayed in stripe order for bit-identity with the sequential
@@ -88,14 +101,8 @@ type t = {
   mutable grouped_version : int;
   by_src_off : int array; (* n + 1 *)
   mutable by_src_flow : int array;
-  (* per-source sweep scratch (sequential path) *)
   lsrc : int array; (* per link: its source node, denormalized from the graph *)
-  acc : float array; (* per node: pending subtree demand; zeroed on use *)
-  order : int array; (* reached nodes, ascending hop count *)
-  bucket : int array; (* counting-sort buckets; all-zero between sorts *)
-  first_link : int array; (* per node: first link on the root's path to it *)
-  delay_to : float array; (* per node: summed link delay from the root *)
-  share_to : float array; (* per node: product of link pass-probabilities *)
+  seq : scratch; (* sequential-path sweep scratch *)
   (* parallel-path scratch, sized on first parallel call and reused *)
   mutable pscratch : scratch array; (* one slot per pool participant *)
   mutable streams : stream array; (* one per source stripe *)
@@ -112,12 +119,7 @@ let create graph =
     lsrc =
       Array.init (Graph.link_count graph) (fun i ->
           Node.to_int (Graph.link graph (Link.id_of_int i)).Link.src);
-    acc = Array.make n 0.;
-    order = Array.make n 0;
-    bucket = Array.make (max_hops + 2) 0;
-    first_link = Array.make n (-1);
-    delay_to = Array.make n 0.;
-    share_to = Array.make n 0.;
+    seq = new_scratch n;
     pscratch = [||];
     streams = [||] }
 
@@ -145,17 +147,16 @@ let group t store =
       off.(s) <- off.(s) + off.(s - 1)
     done;
     (* [order] doubles as the per-source cursor during placement. *)
-    Array.blit off 0 t.order 0 t.n;
+    let cursor = t.seq.p_order in
+    Array.blit off 0 cursor 0 t.n;
     for fi = 0 to nf - 1 do
       let s = src.(fi) in
-      t.by_src_flow.(t.order.(s)) <- fi;
-      t.order.(s) <- t.order.(s) + 1
+      t.by_src_flow.(cursor.(s)) <- fi;
+      cursor.(s) <- cursor.(s) + 1
     done;
     t.grouped <- Some store;
     t.grouped_version <- version
   end
-
-let link_src t p = t.lsrc.(p)
 
 (* Fill [order.(0 .. m-1)] with the tree's reached nodes in ascending hop
    count (ties: ascending node id) and return [m].  Counting sort: hop
@@ -190,11 +191,13 @@ let sort_reached_into tree ~n ~bucket ~order =
   m
 [@@hot_path]
 
-let sort_reached t tree =
-  sort_reached_into tree ~n:t.n ~bucket:t.bucket ~order:t.order
-
 let assign_seq t ~dst ~tree_for ~sending ~offered ~first_hop =
   let off = t.by_src_off in
+  let scr = t.seq in
+  let acc = scr.p_acc
+  and order = scr.p_order
+  and bucket = scr.p_bucket
+  and first_link = scr.p_first_link in
   for s = 0 to t.n - 1 do
     if off.(s) < off.(s + 1) then begin
       let tree = tree_for (Node.of_int s) in
@@ -202,32 +205,32 @@ let assign_seq t ~dst ~tree_for ~sending ~offered ~first_hop =
       for k = off.(s) to off.(s + 1) - 1 do
         let fi = t.by_src_flow.(k) in
         let d = dst.(fi) in
-        if Spf_tree.reached_i tree d then t.acc.(d) <- t.acc.(d) +. sending.(fi)
+        if Spf_tree.reached_i tree d then acc.(d) <- acc.(d) +. sending.(fi)
       done;
-      let m = sort_reached t tree in
+      let m = sort_reached_into tree ~n:t.n ~bucket ~order in
       (* Root outward: label nodes with their first-hop link. *)
       for k = 0 to m - 1 do
-        let v = t.order.(k) in
+        let v = order.(k) in
         let p = Spf_tree.parent_id tree v in
-        t.first_link.(v) <-
+        first_link.(v) <-
           (if p < 0 then -1
            else begin
-             let u = link_src t p in
-             if t.first_link.(u) < 0 then p else t.first_link.(u)
+             let u = t.lsrc.(p) in
+             if first_link.(u) < 0 then p else first_link.(u)
            end)
       done;
       (* Leaves inward: push accumulated subtree demand across parent
          links.  Zeroing as we go leaves [acc] clean for the next source. *)
       for k = m - 1 downto 0 do
-        let v = t.order.(k) in
-        let a = t.acc.(v) in
+        let v = order.(k) in
+        let a = acc.(v) in
         if a <> 0. then begin
-          t.acc.(v) <- 0.;
+          acc.(v) <- 0.;
           let p = Spf_tree.parent_id tree v in
           if p >= 0 then begin
             offered.(p) <- offered.(p) +. a;
-            let u = link_src t p in
-            t.acc.(u) <- t.acc.(u) +. a
+            let u = t.lsrc.(p) in
+            acc.(u) <- acc.(u) +. a
           end
         end
       done;
@@ -235,7 +238,7 @@ let assign_seq t ~dst ~tree_for ~sending ~offered ~first_hop =
         let fi = t.by_src_flow.(k) in
         let d = dst.(fi) in
         first_hop.(fi) <-
-          (if Spf_tree.reached_i tree d then t.first_link.(d) else -2)
+          (if Spf_tree.reached_i tree d then first_link.(d) else -2)
       done
     end
   done
@@ -311,19 +314,19 @@ let replay_streams streams ~nstripes ~offered =
   done
 [@@hot_path]
 
-let assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered =
-  let nstripes = (t.n + stripe_width - 1) / stripe_width in
+let nstripes t = (t.n + stripe_width - 1) / stripe_width
+
+let slot_scratch t pool =
   let psize = Domain_pool.size pool in
   if Array.length t.pscratch < psize then
-    t.pscratch <-
-      Array.init psize (fun _ ->
-          { p_acc = Array.make t.n 0.;
-            p_order = Array.make t.n 0;
-            p_bucket = Array.make (max_hops + 2) 0;
-            p_first_link = Array.make t.n (-1) });
+    t.pscratch <- Array.init psize (fun _ -> new_scratch t.n);
+  t.pscratch
+
+let assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered =
+  let nstripes = nstripes t in
   if Array.length t.streams < nstripes then
     t.streams <- Array.init nstripes (fun _ -> new_stream ());
-  let pscratch = t.pscratch and streams = t.streams in
+  let pscratch = slot_scratch t pool and streams = t.streams in
   Domain_pool.parallel_for pool
     ~init:(fun me -> pscratch.(me))
     nstripes
@@ -342,40 +345,45 @@ let assign ?pool t ~flows ~tree_for ~sending ~offered ~first_hop =
     assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered
   | _ -> assign_seq t ~dst ~tree_for ~sending ~offered ~first_hop
 
-(* Per-flow path totals: the same root-outward sweep as [assign], with
-   results landing in caller-owned struct-of-arrays slots (a callback's
+(* Per-flow path totals for the sources in [s_lo, s_hi): the same
+   root-outward sweep as [assign] labels every reached node with its path
+   delay and survival share, and each flow reads its destination's label.
+   Results land in caller-owned struct-of-arrays slots (a callback's
    boxed float arguments would allocate), so the simulator's per-period
    metrics pass allocates nothing.  [hops.(fi) < 0] marks an unreached
-   flow. *)
-let metrics_into t ~flows ~tree_for ~link_delay ~link_pass ~delay_s ~share
-    ~hops =
-  group t flows;
-  let dst = Flow_store.dst_col flows in
+   flow.  One toplevel kernel serves the sequential call (all sources)
+   and every parallel stripe. *)
+let metrics_stripe t ~scr ~dst ~tree_for ~link_delay ~link_pass ~delay_s
+    ~share ~hops ~s_lo ~s_hi =
   let off = t.by_src_off in
-  for s = 0 to t.n - 1 do
+  let order = scr.p_order
+  and bucket = scr.p_bucket
+  and delay_to = scr.p_delay_to
+  and share_to = scr.p_share_to in
+  for s = s_lo to s_hi - 1 do
     if off.(s) < off.(s + 1) then begin
       let tree = tree_for (Node.of_int s) in
-      let m = sort_reached t tree in
+      let m = sort_reached_into tree ~n:t.n ~bucket ~order in
       (* Root outward: delay is additive, survival multiplicative. *)
       for k = 0 to m - 1 do
-        let v = t.order.(k) in
+        let v = order.(k) in
         let p = Spf_tree.parent_id tree v in
         if p < 0 then begin
-          t.delay_to.(v) <- 0.;
-          t.share_to.(v) <- 1.
+          delay_to.(v) <- 0.;
+          share_to.(v) <- 1.
         end
         else begin
-          let u = link_src t p in
-          t.delay_to.(v) <- t.delay_to.(u) +. link_delay.(p);
-          t.share_to.(v) <- t.share_to.(u) *. link_pass.(p)
+          let u = t.lsrc.(p) in
+          delay_to.(v) <- delay_to.(u) +. link_delay.(p);
+          share_to.(v) <- share_to.(u) *. link_pass.(p)
         end
       done;
       for k = off.(s) to off.(s + 1) - 1 do
         let fi = t.by_src_flow.(k) in
         let d = dst.(fi) in
         if Spf_tree.reached_i tree d then begin
-          delay_s.(fi) <- t.delay_to.(d);
-          share.(fi) <- t.share_to.(d);
+          delay_s.(fi) <- delay_to.(d);
+          share.(fi) <- share_to.(d);
           hops.(fi) <- Spf_tree.hops_i tree d
         end
         else begin
@@ -387,6 +395,28 @@ let metrics_into t ~flows ~tree_for ~link_delay ~link_pass ~delay_s ~share
     end
   done
 [@@hot_path]
+
+(* Each flow belongs to one source, so stripes write disjoint per-flow
+   slots and the parallel result needs no replay to equal the sequential
+   one bit for bit. *)
+let metrics_into ?pool t ~flows ~tree_for ~link_delay ~link_pass ~delay_s
+    ~share ~hops =
+  group t flows;
+  let dst = Flow_store.dst_col flows in
+  match pool with
+  | Some pool when Domain_pool.size pool > 1 && t.n > 1 ->
+    let pscratch = slot_scratch t pool in
+    Domain_pool.parallel_for pool
+      ~init:(fun me -> pscratch.(me))
+      (nstripes t)
+      (fun scr qi ->
+        let s_lo = qi * stripe_width in
+        let s_hi = min t.n (s_lo + stripe_width) in
+        metrics_stripe t ~scr ~dst ~tree_for ~link_delay ~link_pass ~delay_s
+          ~share ~hops ~s_lo ~s_hi)
+  | _ ->
+    metrics_stripe t ~scr:t.seq ~dst ~tree_for ~link_delay ~link_pass
+      ~delay_s ~share ~hops ~s_lo:0 ~s_hi:t.n
 
 (* The historical per-flow tree climb, kept as the reference the qcheck
    property and the benchmark compare the aggregated path against.  It

@@ -11,14 +11,16 @@ open! Import
     sweep labels each node with its first-hop link, cumulative delay and
     survival share so per-flow metrics cost O(1).
 
-    Flows live in a {!Flow_store.t} (struct-of-arrays), and {!assign} can
-    spread 16-source stripes over a {!Domain_pool.t} through
-    {!Domain_pool.parallel_for} (grain 1, sweep scratch cached per
-    participant slot): each stripe records its (link, load) contributions
-    into a private stream in sweep order, replayed in stripe order
-    afterwards — the float additions happen in exactly the sequential
-    source order, so parallel output is bit-identical to sequential at
-    any domain count.
+    Flows live in a {!Flow_store.t} (struct-of-arrays), and both
+    {!assign} and {!metrics_into} can spread 16-source stripes over a
+    {!Domain_pool.t} through {!Domain_pool.parallel_for} (grain 1, sweep
+    scratch cached per participant slot).  In {!assign} each stripe
+    records its (link, load) contributions into a private stream in
+    sweep order, replayed in stripe order afterwards — the float
+    additions happen in exactly the sequential source order.  In
+    {!metrics_into} every write lands in a slot of a flow of the
+    stripe's own sources, so there is nothing to replay.  Either way
+    parallel output is bit-identical to sequential at any domain count.
 
     A [t] holds reusable scratch for one graph; steady-state sequential
     calls allocate nothing.  Results are deterministic: sweeps visit
@@ -55,6 +57,7 @@ val assign :
     {!Flow_store.version}; throttle writes don't invalidate it. *)
 
 val metrics_into :
+  ?pool:Domain_pool.t ->
   t ->
   flows:Flow_store.t ->
   tree_for:(Node.t -> Spf_tree.t) ->
@@ -70,7 +73,12 @@ val metrics_into :
     sum of [link_delay], [share.(fi)] the product of [link_pass],
     [hops.(fi)] the path length.  [hops.(fi) = -1] marks an unreached
     flow (with [delay_s]/[share] zeroed).  Allocation-free: results land
-    in arrays rather than a callback's boxed float arguments. *)
+    in arrays rather than a callback's boxed float arguments.
+
+    With [?pool] (of size > 1), source stripes run on pool domains on the
+    same stripes as {!assign}, with bit-identical results; as for
+    {!assign}, [tree_for] must then be safe to call concurrently — a
+    pure lookup of pre-computed trees. *)
 
 val assign_baseline :
   t ->

@@ -46,12 +46,13 @@ let parse_line line =
       | [] -> Ok (Trunk (a, b, lt, None))
       | [ p ] -> (
         match float_of_string_opt p with
-        | Some p when p >= 0. -> Ok (Trunk (a, b, lt, Some p))
+        | Some p when Float.is_finite p && p >= 0. ->
+          Ok (Trunk (a, b, lt, Some p))
         | _ -> Error (Printf.sprintf "bad propagation %S" p))
       | _ -> Error "too many fields on trunk line"))
   | [ "demand"; a; b; bps ] -> (
     match float_of_string_opt bps with
-    | Some bps when bps >= 0. -> Ok (Demand (a, b, bps))
+    | Some bps when Float.is_finite bps && bps >= 0. -> Ok (Demand (a, b, bps))
     | _ -> Error (Printf.sprintf "bad demand %S" bps))
   | keyword :: _ -> Error (Printf.sprintf "unrecognized directive %S" keyword)
 

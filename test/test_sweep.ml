@@ -94,7 +94,8 @@ let prop_assignment_matches_baseline =
 (* Parallel assignment must be *bit*-identical to sequential at every
    domain count: the per-stripe contribution streams are replayed in
    stripe order, reproducing the sequential float-add order exactly.
-   Compared through Int64 bits — no tolerance. *)
+   The striped metrics pass writes only per-flow slots, so it must match
+   too.  Compared through Int64 bits — no tolerance. *)
 let bits = Int64.bits_of_float
 
 let run_parallel_case (seed, nodes, chords, nf) =
@@ -117,6 +118,18 @@ let run_parallel_case (seed, nodes, chords, nf) =
   let fh_seq = Array.make nf (-7) in
   Load_assign.assign t ~flows ~tree_for ~sending ~offered:offered_seq
     ~first_hop:fh_seq;
+  (* The metrics pass stripes the same sources; random per-link tables. *)
+  let link_delay = Array.init nl (fun _ -> Rng.float rng 0.5) in
+  let link_pass = Array.init nl (fun _ -> 1. -. Rng.float rng 0.3) in
+  let metrics ?pool () =
+    let delay_s = Array.make nf nan
+    and share = Array.make nf nan
+    and hops = Array.make nf (-7) in
+    Load_assign.metrics_into ?pool t ~flows ~tree_for ~link_delay ~link_pass
+      ~delay_s ~share ~hops;
+    (delay_s, share, hops)
+  in
+  let delay_seq, share_seq, hops_seq = metrics () in
   List.iter
     (fun domains ->
       let pool = Domain_pool.create domains in
@@ -141,7 +154,21 @@ let run_parallel_case (seed, nodes, chords, nf) =
                   "flow %d: parallel first_hop %d <> sequential %d at %d \
                    domains"
                   fi h fh_seq.(fi) domains)
-            fh))
+            fh;
+          let delay_s, share, hops = metrics ~pool () in
+          for fi = 0 to nf - 1 do
+            if
+              not
+                (Int64.equal (bits delay_s.(fi)) (bits delay_seq.(fi))
+                && Int64.equal (bits share.(fi)) (bits share_seq.(fi))
+                && hops.(fi) = hops_seq.(fi))
+            then
+              QCheck.Test.fail_reportf
+                "flow %d: parallel metrics (%h, %h, %d) <> sequential (%h, \
+                 %h, %d) at %d domains"
+                fi delay_s.(fi) share.(fi) hops.(fi) delay_seq.(fi)
+                share_seq.(fi) hops_seq.(fi) domains
+          done))
     [ 1; 2; 3; 4 ];
   true
 
@@ -681,6 +708,23 @@ let test_seed_range () =
     Alcotest.(check (list int)) "range expands" [ 3; 4; 5; 6 ]
       spec.Sweep_spec.seeds
 
+(* Integral floats beyond OCaml's int range are not integers: they must
+   not wrap into a small or zero budget that lints clean or misreports. *)
+let test_spec_int_range () =
+  List.iter
+    (fun (field, text) ->
+      match Sweep_spec.parse text with
+      | Ok _ -> Alcotest.failf "%s: accepted %s" field text
+      | Error issue ->
+        let expected = Printf.sprintf "%S must be an integer" field in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names the field" field issue.message)
+          true
+          (issue.code = "S100"
+          && Astring.String.is_infix ~affix:expected issue.message))
+    [ ("periods", {|{"scenarios": ["arpanet"], "periods": 1e20}|});
+      ("warmup", {|{"scenarios": ["arpanet"], "warmup": 1e19}|}) ]
+
 let () =
   Alcotest.run "sweep"
     [ ( "assignment",
@@ -727,4 +771,6 @@ let () =
         @ [ Alcotest.test_case "shipped example clean" `Quick
               test_shipped_spec_clean;
             Alcotest.test_case "defaults" `Quick test_spec_defaults;
-            Alcotest.test_case "seed range" `Quick test_seed_range ] ) ]
+            Alcotest.test_case "seed range" `Quick test_seed_range;
+            Alcotest.test_case "integers beyond the int range" `Quick
+              test_spec_int_range ] ) ]

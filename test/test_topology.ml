@@ -509,7 +509,11 @@ let test_serial_parse_errors () =
   check_error "frobnicate X" "unrecognized";
   check_error "demand A B 100" "unknown node";
   check_error "trunk A B 56T -0.5" "bad propagation";
-  check_error "trunk A B 56T\ndemand A B x" "bad demand"
+  check_error "trunk A B 56T\ndemand A B x" "bad demand";
+  (* Non-finite numbers parse as floats but are no demand or delay. *)
+  check_error "trunk A C 56T\ndemand A C 1e400" "line 2: bad demand";
+  check_error "trunk A C 56T\ndemand C A inf" "line 2: bad demand";
+  check_error "trunk C A 56T infinity" "line 1: bad propagation"
 
 let test_serial_comments_and_blanks () =
   let text =
