@@ -1108,6 +1108,7 @@ let perf () =
     Routing_spf.Dijkstra.compute_flat g ~weights:view_weights root.Link.src
   in
   let repair_scratch = Routing_spf.Spf_repair.scratch () in
+  let changes = Routing_spf.Spf_repair.changes () in
   let flip = ref false in
   let flooders =
     Array.init (Graph.node_count g) (fun i ->
@@ -1137,10 +1138,12 @@ let perf () =
                    root.Link.id
                in
                view_weights.(k) <- w;
+               Routing_spf.Spf_repair.clear_changes changes;
+               Routing_spf.Spf_repair.add_change changes root.Link.id
+                 ~old_w:old ~new_w:w;
                ignore
                  (Routing_spf.Spf_repair.repair repair_scratch g
-                    ~tree:view_tree ~weights:view_weights
-                    ~changes:[ (root.Link.id, old, w) ]);
+                    ~tree:view_tree ~weights:view_weights ~changes);
                ignore (Routing_spf.Routing_table.of_tree view_tree)));
         Test.make ~name:"hnm period update"
           (Staged.stage (fun () ->

@@ -32,13 +32,35 @@ let flood g flooders (u : Update.t) =
     duplicates = !duplicates;
     bits = float_of_int !transmissions *. Update.size_bits u }
 
-let flood_all g flooders updates =
-  List.fold_left
-    (fun acc u ->
-      let o = flood g flooders u in
-      { reached = max acc.reached o.reached;
-        transmissions = acc.transmissions + o.transmissions;
-        duplicates = acc.duplicates + o.duplicates;
-        bits = acc.bits +. o.bits })
-    { reached = 0; transmissions = 0; duplicates = 0; bits = 0. }
-    updates
+(* Label each connected component with one DFS over the CSR out-links
+   (every link has a reverse, so following out-links alone finds the whole
+   component), summing its nodes and simplex links on the way. *)
+let instant_transmissions g =
+  let n = Graph.node_count g in
+  let off = Graph.csr_out_off g and dst = Graph.csr_out_dst g in
+  let comp = Array.make n (-1) in
+  let per_comp = Array.make n 0 in
+  let stack = Array.make n 0 in
+  for s = 0 to n - 1 do
+    if comp.(s) < 0 then begin
+      comp.(s) <- s;
+      stack.(0) <- s;
+      let top = ref 1 and nodes = ref 0 and links = ref 0 in
+      while !top > 0 do
+        decr top;
+        let u = stack.(!top) in
+        incr nodes;
+        links := !links + off.(u + 1) - off.(u);
+        for k = off.(u) to off.(u + 1) - 1 do
+          let v = dst.(k) in
+          if comp.(v) < 0 then begin
+            comp.(v) <- s;
+            stack.(!top) <- v;
+            incr top
+          end
+        done
+      done;
+      per_comp.(s) <- !links - !nodes + 1
+    end
+  done;
+  Array.map (fun c -> per_comp.(c)) comp

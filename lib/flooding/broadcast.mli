@@ -7,7 +7,12 @@ open! Import
     high priority process within the PSN" and transit times are tiny
     compared to routing periods (§3.2) — i.e. effectively instantaneous
     relative to the 10-second period.  Returns exact message accounting so
-    experiments can report routing-overhead bandwidth. *)
+    experiments can report routing-overhead bandwidth.
+
+    Under instant flooding that accounting depends on the topology alone,
+    so the simulators charge {!instant_transmissions} per flood instead of
+    walking it; {!flood} remains the protocol's reference walk (tests,
+    examples, micro-benchmarks). *)
 
 type outcome = {
   reached : int;  (** nodes that accepted the update (including origin) *)
@@ -20,7 +25,19 @@ val flood : Graph.t -> Flooder.t array -> Update.t -> outcome
 (** [flood g flooders u] injects [u] at its origin and propagates until
     quiescent.  [flooders] is indexed by node id and is mutated. *)
 
-val flood_all :
-  Graph.t -> Flooder.t array -> Update.t list -> outcome
-(** Run several floods (e.g. all updates of one routing period) and sum the
-    accounting. *)
+val instant_transmissions : Graph.t -> int array
+(** Per origin node, the transmissions {!flood} makes for one update from
+    that origin: [L_c - N_c + 1], with [N_c] the nodes and [L_c] the
+    simplex links of the origin's connected component.  One O(N + L) pass
+    over the CSR adjacency.
+
+    The count is exact for any update that is fresh everywhere — every
+    flood under instant flooding, where each earlier flood has already
+    finished.  The origin sends on all of its out-links; every other node
+    in the component accepts the update exactly once and forwards it on
+    all of its out-links except the reverse of the one it arrived on
+    ({!Graph.make} pairs every link with exactly one reverse).  That is
+    [L_c - (N_c - 1)] sends, whatever order the wave takes.  The walk
+    never looks at link state, so the count does not depend on flooder
+    history or on which trunks are up: simulators multiply it by
+    {!Update.wire_bits} instead of walking each flood. *)

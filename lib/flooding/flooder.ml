@@ -5,17 +5,13 @@ type t = {
   owner : Node.t;
   newest : Sequence.t option array; (* per origin node *)
   mutable own_seq : Sequence.t;
-  mutable accepted : int;
-  mutable duplicates : int;
 }
 
 let create graph ~owner =
   { graph;
     owner;
     newest = Array.make (Graph.node_count graph) None;
-    own_seq = Sequence.zero;
-    accepted = 0;
-    duplicates = 0 }
+    own_seq = Sequence.zero }
 
 let owner t = t.owner
 
@@ -41,7 +37,6 @@ let receive t ~arrived_on (u : Update.t) =
   let fresh = match arrived_on with None -> true | Some _ -> is_fresh t u in
   if fresh then begin
     note_seen t u;
-    t.accepted <- t.accepted + 1;
     let forward =
       Graph.out_links t.graph t.owner
       |> List.filter_map (fun (l : Link.t) ->
@@ -57,13 +52,6 @@ let receive t ~arrived_on (u : Update.t) =
     in
     Fresh forward
   end
-  else begin
-    t.duplicates <- t.duplicates + 1;
-    Duplicate
-  end
-
-let accepted_count t = t.accepted
-
-let duplicate_count t = t.duplicates
+  else Duplicate
 
 let last_seq t origin = t.newest.(Node.to_int origin)

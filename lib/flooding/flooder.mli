@@ -32,9 +32,5 @@ val receive : t -> arrived_on:Link.id option -> Update.t -> verdict
     simulator applies an origination to its own node); a local injection is
     always [Fresh] and forwards on every outgoing link. *)
 
-val accepted_count : t -> int
-
-val duplicate_count : t -> int
-
 val last_seq : t -> Node.t -> Sequence.t option
 (** Newest sequence accepted from an origin, if any. *)

@@ -6,7 +6,9 @@ type t = {
   costs : (Link.id * int) list;
 }
 
-let size_bits t = 128. +. (48. *. float_of_int (List.length t.costs))
+let wire_bits ~links = 128 + (48 * links)
+
+let size_bits t = float_of_int (wire_bits ~links:(List.length t.costs))
 
 let pp ppf t =
   Format.fprintf ppf "update %a%a [%s]" Node.pp t.origin Sequence.pp t.seq

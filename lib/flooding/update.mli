@@ -13,9 +13,14 @@ type t = {
   costs : (Link.id * int) list;  (** the origin's outgoing links *)
 }
 
+val wire_bits : links:int -> int
+(** Wire size of an update reporting [links] links, used for overhead
+    accounting: 128 bits of header plus 48 bits per reported link (16-bit
+    link id, 8-bit cost, 24 bits of protocol framing) — C/30-era message
+    proportions.  An int, so it crosses module boundaries unboxed; every
+    value is exact as a float. *)
+
 val size_bits : t -> float
-(** Wire size used for overhead accounting: 128 bits of header plus 48 bits
-    per reported link (16-bit link id, 8-bit cost, 24 bits of protocol
-    framing) — C/30-era message proportions. *)
+(** [wire_bits] of the update's cost list, as a float. *)
 
 val pp : Format.formatter -> t -> unit

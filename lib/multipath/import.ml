@@ -11,5 +11,5 @@ module Radix_queue = Routing_spf.Radix_queue
 module Metric = Routing_metric.Metric
 module Queueing = Routing_metric.Queueing
 module Units = Routing_metric.Units
-module Flooder = Routing_flooding.Flooder
+module Update = Routing_flooding.Update
 module Broadcast = Routing_flooding.Broadcast

@@ -15,7 +15,9 @@ type t = {
   graph : Graph.t;
   metric : Metric.t;
   tm : Traffic_matrix.t;
-  flooders : Flooder.t array;
+  flood_tx : int array;
+      (* per origin: transmissions of one instant flood
+         ({!Broadcast.instant_transmissions}) *)
   utilization : float array;
   mutable period : int;
   mutable history : period_stats list; (* newest first *)
@@ -25,9 +27,7 @@ let create_with graph metric tm =
   { graph;
     metric;
     tm;
-    flooders =
-      Array.init (Graph.node_count graph) (fun i ->
-          Flooder.create graph ~owner:(Node.of_int i));
+    flood_tx = Broadcast.instant_transmissions graph;
     utilization = Array.make (Graph.link_count graph) 0.;
     period = 0;
     history = [] }
@@ -112,10 +112,11 @@ let step t =
   let update_bits = ref 0. in
   Hashtbl.iter
     (fun origin costs ->
-      let update = Flooder.originate t.flooders.(origin) ~costs in
-      let outcome = Broadcast.flood t.graph t.flooders update in
       incr updates;
-      update_bits := !update_bits +. outcome.Broadcast.bits)
+      update_bits :=
+        !update_bits
+        +. float_of_int t.flood_tx.(origin)
+           *. float_of_int (Update.wire_bits ~links:(List.length costs)))
     changed_by_origin;
   t.period <- t.period + 1;
   let stats =

@@ -141,7 +141,6 @@ type t = {
   graph : Graph.t;
   mutable metric : Metric.t;
   mutable flows : Flow_store.t;
-  mutable flooders : Flooder.t array;
   link_up : bool array;
   utilization : float array; (* most recent period, raw offered/capacity *)
   pool : Domain_pool.t option; (* shared by all three engines *)
@@ -176,7 +175,10 @@ type t = {
   mutable mh_version : int; (* -1: stale *)
   chg_ids : int array; (* links whose update flooded, from the metric *)
   chg_costs : int array;
-  changed_costs : (Link.id * int) list array; (* per origin node *)
+  flood_tx : int array;
+      (* per origin: transmissions of one instant flood
+         ({!Broadcast.instant_transmissions}) *)
+  changed_links : int array; (* per origin: links in this period's update *)
   changed_origins : int array; (* origins touched, first-touch order *)
   mutable changed_count : int;
   acc : facc;
@@ -209,10 +211,6 @@ type t = {
   obs : obs_state option;
 }
 
-let make_flooders graph =
-  Array.init (Graph.node_count graph) (fun i ->
-      Flooder.create graph ~owner:(Node.of_int i))
-
 (* Deterministic membership in the lagging set for a stagger fraction:
    hash the node id into [0, 1). *)
 let[@inline] lags_at ~stagger i =
@@ -242,7 +240,6 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
     { graph;
       metric;
       flows;
-      flooders = make_flooders graph;
       link_up;
       utilization = Array.make nl 0.;
       pool;
@@ -274,7 +271,8 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       mh_version = -1;
       chg_ids = Array.make nl 0;
       chg_costs = Array.make nl 0;
-      changed_costs = Array.make (Graph.node_count graph) [];
+      flood_tx = Broadcast.instant_transmissions graph;
+      changed_links = Array.make (Graph.node_count graph) 0;
       changed_origins = Array.make (Graph.node_count graph) 0;
       changed_count = 0;
       acc =
@@ -529,33 +527,36 @@ let tick t =
   done;
   Tracer.span_end tr t.tr_account;
   (* Metric pass: feed each up link its period delay, in one batch call.
-     Changed costs collect into per-origin slots reused across periods;
+     Changed links count into per-origin slots reused across periods;
      quiet periods return 0 without touching the heap. *)
   let nch =
     Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
       ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
   in
   for k = 0 to nch - 1 do
-    let li = t.chg_ids.(k) in
-    let origin = t.link_src.(li) in
-    if t.changed_costs.(origin) = [] then begin
+    let origin = t.link_src.(t.chg_ids.(k)) in
+    if t.changed_links.(origin) = 0 then begin
       t.changed_origins.(t.changed_count) <- origin;
       t.changed_count <- t.changed_count + 1
     end;
-    t.changed_costs.(origin) <-
-      (Link.id_of_int li, t.chg_costs.(k)) :: t.changed_costs.(origin)
+    t.changed_links.(origin) <- t.changed_links.(origin) + 1
   done;
+  (* One update per touched origin, flooded instantly: every copy is
+     fresh, so its transmissions are the topology's count and only the
+     bits need computing — in first-touch order, as the float total
+     always summed. *)
   let updates = ref 0 in
   Tracer.span_begin tr t.tr_flood;
   let f_started = Telemetry_hooks.span_start tele in
   for k = 0 to t.changed_count - 1 do
     let origin = t.changed_origins.(k) in
-    let costs = t.changed_costs.(origin) in
-    t.changed_costs.(origin) <- [];
-    let update = Flooder.originate t.flooders.(origin) ~costs in
-    let outcome = Broadcast.flood t.graph t.flooders update in
+    let links = t.changed_links.(origin) in
+    t.changed_links.(origin) <- 0;
     incr updates;
-    acc.f_bits <- acc.f_bits +. outcome.Broadcast.bits
+    acc.f_bits <-
+      acc.f_bits
+      +. (float_of_int t.flood_tx.(origin)
+         *. float_of_int (Update.wire_bits ~links))
   done;
   Telemetry_hooks.span_stop tele "flood" f_started;
   Tracer.span_end tr t.tr_flood;
@@ -676,11 +677,10 @@ let flows t = t.flows
 let switch_metric t kind =
   Log.info (fun m ->
       m "t=%.0fs: switching metric to %s" (time_s t) (Metric.kind_name kind));
-  t.metric <- Metric.create kind t.graph;
-  t.cost_f <- Metric.cost_fn t.metric;
   (* A software reload floods fresh costs for every link at once; the
      engines pick the new costs up by diffing on the next refresh. *)
-  t.flooders <- make_flooders t.graph
+  t.metric <- Metric.create kind t.graph;
+  t.cost_f <- Metric.cost_fn t.metric
 
 let set_link_up t lid up =
   let i = Link.id_to_int lid in

@@ -15,8 +15,11 @@ open! Import
       utilization — the same transformation the real PSN's measurement
       would average;
     + the metric turns the period's utilization into (possibly) a flooded
-      update; the flooding protocol runs in full for exact overhead
-      accounting;
+      update per origin, flooded instantly.  Every PSN accepts it exactly
+      once, so its overhead is exact without walking it: L_c - N_c + 1
+      transmissions over the origin's connected component
+      ({!Routing_flooding.Broadcast.instant_transmissions}) times
+      {!Routing_flooding.Update.wire_bits} for the links it reports;
     + next period, everyone routes on the new costs.  "All the nodes in a
       network adjust their routes … simultaneously" (§3.2). *)
 
@@ -98,12 +101,14 @@ val period_index : t -> int
 
 val tick : t -> unit
 (** Run one routing period, retaining its statistics in the simulator's
-    struct-of-arrays history ({!step} without building the record).  In
-    steady state — no flooded update, no topology or traffic change, no
-    telemetry bundle, adaptive sources off — a tick allocates {e zero}
-    minor words, even with a live {!Tracer} under its default untimed
-    clock; the allocation-regression test pins this with
-    [Gc.minor_words]. *)
+    struct-of-arrays history ({!step} without building the record).  Once
+    warmed up — no topology or traffic change, no telemetry bundle,
+    adaptive sources off, history columns not due to double — a tick
+    allocates {e zero} minor words, quiet or flooding, even with a live
+    {!Tracer} under its default untimed clock: floods are counted, not
+    walked, and SPF trees are recomputed and repaired in place.  The
+    allocation-regression tests pin this with [Gc.minor_words] on quiet
+    periods and on Table 1's busy D-SPF and HN-SPF periods. *)
 
 val step : t -> period_stats
 (** Run one routing period and return its statistics (also retained

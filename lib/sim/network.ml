@@ -108,7 +108,10 @@ type t = {
   metric : Metric.t;
   psns : Psn.t array;
   mutable queues : Link_queue.t array;
-  flooders : Flooder.t array;
+  flooders : Flooder.t array; (* hop-by-hop flooding's protocol state *)
+  flood_tx : int array;
+      (* per origin: transmissions of one instant flood
+         ({!Broadcast.instant_transmissions}) *)
   mutable workload : Workload.t option;
   measure : Measure.t;
   min_hops : int array array; (* src * dst, hop count on the up topology *)
@@ -123,6 +126,7 @@ type t = {
   weights : int array array; (* node x link: [compute_weights] of the view *)
   mutable trees : Spf_tree.t array; (* per node, exact under its weights *)
   repair : Spf_repair.scratch; (* shared by every node's tree repairs *)
+  changes : Spf_repair.changes; (* one receipt's weight changes, reused *)
   in_flight : (int, Update.t * float) Hashtbl.t;
   mutable next_update_token : int;
   (* Rosen-style per-line reliability: a control packet sent on a link
@@ -206,31 +210,31 @@ let install_tables t =
   end;
   t.tables_dirty <- false
 
+(* Diff one update's links into a node's weight table (costs read from
+   its view through [cost]), collecting the changes for its repair. *)
+let rec note_changes t ~cost weights = function
+  | [] -> ()
+  | (lid, _) :: rest ->
+    let k = Link.id_to_int lid in
+    let w = if link_enabled t lid then Dijkstra.link_weight ~cost lid else -1 in
+    let old = weights.(k) in
+    if w <> old then begin
+      weights.(k) <- w;
+      Spf_repair.add_change t.changes lid ~old_w:old ~new_w:w
+    end;
+    note_changes t ~cost weights rest
+
 (* Node [i] takes an update's costs into its view and repairs its own
    tree — §2.2's "incremental adjustments", bit-identical to recomputing
    it from scratch on the new view. *)
 let apply_update t i costs =
   let weights = t.weights.(i) in
   List.iter (fun (lid, c) -> t.views.(i).(Link.id_to_int lid) <- c) costs;
-  let changes =
-    List.fold_left
-      (fun changes (lid, _) ->
-        let k = Link.id_to_int lid in
-        let w =
-          if link_enabled t lid then
-            Dijkstra.link_weight ~cost:(view_cost t i) lid
-          else -1
-        in
-        let old = weights.(k) in
-        if w = old then changes
-        else begin
-          weights.(k) <- w;
-          (lid, old, w) :: changes
-        end)
-      [] costs
-  in
+  Spf_repair.clear_changes t.changes;
+  note_changes t ~cost:(view_cost t i) weights costs;
   let tree = t.trees.(i) in
-  ignore (Spf_repair.repair t.repair t.graph ~tree ~weights ~changes);
+  ignore
+    (Spf_repair.repair t.repair t.graph ~tree ~weights ~changes:t.changes);
   Psn.install_table t.psns.(i) (Routing_table.of_tree tree)
 
 (* Send one in-flight update over a link as a priority control packet and
@@ -418,13 +422,17 @@ let routing_period t =
     let origin = t.changed_origins.(k) in
     let costs = t.changed_costs.(origin) in
     t.changed_costs.(origin) <- [];
+    let links = List.length costs in
     trace t (fun () ->
-        Trace.Update_flooded
-          { origin = Node.of_int origin; links = List.length costs });
+        Trace.Update_flooded { origin = Node.of_int origin; links });
     if t.config.instant_flooding then begin
-      let update = Flooder.originate t.flooders.(origin) ~costs in
-      let outcome = Broadcast.flood t.graph t.flooders update in
-      Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
+      (* Every copy is fresh, so the flood's transmissions are the
+         topology's count; no walk needed. *)
+      let bits =
+        float_of_int t.flood_tx.(origin)
+        *. float_of_int (Update.wire_bits ~links)
+      in
+      Measure.record_updates t.measure ~count:1 ~bits;
       t.tables_dirty <- true
     end
     else begin
@@ -508,6 +516,7 @@ let create ?config graph tm =
       psns;
       queues = [||];
       flooders = Array.map Psn.flooder psns;
+      flood_tx = Broadcast.instant_transmissions graph;
       workload = None;
       measure = Measure.create ~nodes:n;
       min_hops = Array.init n (fun _ -> Array.make n max_int);
@@ -522,6 +531,7 @@ let create ?config graph tm =
             Array.make nl (-1));
       trees = [||];
       repair = Spf_repair.scratch ();
+      changes = Spf_repair.changes ();
       in_flight = Hashtbl.create 64;
       next_update_token = 0;
       pending_acks = Hashtbl.create 64;

@@ -73,15 +73,15 @@ let composite_hops comp = if comp = max_int then max_int else comp mod hop_scale
 let decompose comp = (composite_units comp, composite_hops comp)
 
 (* Reusable work arrays for the inner loop.  The settled flags, composite
-   distances and the heap never escape a computation, so one scratch can
-   serve every tree a domain computes — per-period refreshes stop paying
-   three array allocations plus heap growth per source.  (The parent,
-   units and hops arrays *do* escape, into the returned [Spf_tree.t], and
-   are still allocated per tree.)  A scratch belongs to one domain; the
-   pool fan-out gives each participant its own. *)
+   distances, parent link ids and the heap never escape a computation, so
+   one scratch can serve every tree a domain computes.  The tree's own
+   arrays are written in place by [compute_into]; only [compute_flat_s]
+   allocates them, for a tree that does not exist yet.  A scratch belongs
+   to one domain; the pool fan-out gives each participant its own. *)
 type scratch = {
   mutable dist : int array; (* composite distances *)
   mutable settled : bool array;
+  mutable parent : int array; (* arriving link id; -1 = none *)
   heap : Radix_queue.t;
   slot : Radix_queue.slot; (* out-cell for allocation-free pops *)
 }
@@ -89,19 +89,25 @@ type scratch = {
 let scratch () =
   { dist = [||];
     settled = [||];
+    parent = [||];
     heap = Radix_queue.create ();
     slot = Radix_queue.slot () }
 
-let ready scratch n =
-  if Array.length scratch.dist < n then begin
-    scratch.dist <- Array.make n max_int;
-    scratch.settled <- Array.make n false
+(* Kept out of line: the resize path allocates, and inlining it into
+   [compute_into] would put those (cold) sites inside the A0xx-gated
+   body. *)
+let[@inline never] ready s n =
+  if Array.length s.dist < n then begin
+    s.dist <- Array.make n max_int;
+    s.settled <- Array.make n false;
+    s.parent <- Array.make n (-1)
   end
   else begin
-    Array.fill scratch.dist 0 n max_int;
-    Array.fill scratch.settled 0 n false
+    Array.fill s.dist 0 n max_int;
+    Array.fill s.settled 0 n false;
+    Array.fill s.parent 0 n (-1)
   end;
-  Radix_queue.clear scratch.heap
+  Radix_queue.clear s.heap
 
 (* The SPF inner loop over the flat (CSR) adjacency and a memoized weight
    table.  Tie-breaking is identical to the historical list-based version:
@@ -109,18 +115,24 @@ let ready scratch n =
    unique — and on a fully tied relaxation the lower arriving link id wins,
    so the tree is a pure function of the weight table.  Dijkstra never
    pushes a key below the last popped one (edge weights are positive), the
-   exact precondition of the monotone radix queue. *)
-let compute_flat_s s g ~weights root =
+   exact precondition of the monotone radix queue.
+
+   The result overwrites every entry of the tree's arrays, so whatever the
+   tree held before — a stale tree under older weights, or a fresh
+   unreached one — no entry survives: nodes this run does not reach are
+   reset to unreached.  Parent options come from the graph's shared
+   [Some link-id] cells, so the kernel allocates nothing. *)
+let compute_into s g ~weights tree =
   let n = Graph.node_count g in
   let out_off = Graph.csr_out_off g in
   let out_link_ids = Graph.csr_out_link_ids g in
   let out_dst = Graph.csr_out_dst g in
   ready s n;
   let dist = s.dist in
-  let parent = Array.make n (-1) in
+  let parent = s.parent in
   let settled = s.settled in
   let heap = s.heap in
-  let ri = Node.to_int root in
+  let ri = Node.to_int (Spf_tree.root tree) in
   dist.(ri) <- 0;
   Radix_queue.push heap ~key:0 ~tie:(-1) ri;
   let slot = s.slot in
@@ -150,18 +162,34 @@ let compute_flat_s s g ~weights root =
     end
   done;
   (* Decode composite weights back into routing units and hop counts. *)
-  let units = Array.make n max_int in
-  let hops = Array.make n max_int in
+  let units = Spf_tree.unsafe_dist tree in
+  let hops = Spf_tree.unsafe_hops tree in
+  let tree_parent = Spf_tree.unsafe_parent tree in
+  let some_link = Graph.some_link_ids g in
   for i = 0 to n - 1 do
-    if dist.(i) <> max_int then begin
-      units.(i) <- composite_units dist.(i);
-      hops.(i) <- composite_hops dist.(i)
+    let d = dist.(i) in
+    if d = max_int then begin
+      units.(i) <- max_int;
+      hops.(i) <- max_int;
+      tree_parent.(i) <- None
     end
-  done;
-  let parent =
-    Array.map (fun p -> if p < 0 then None else Some (Link.id_of_int p)) parent
+    else begin
+      units.(i) <- composite_units d;
+      hops.(i) <- composite_hops d;
+      let p = parent.(i) in
+      tree_parent.(i) <- (if p < 0 then None else some_link.(p))
+    end
+  done
+[@@hot_path]
+
+let compute_flat_s s g ~weights root =
+  let n = Graph.node_count g in
+  let tree =
+    Spf_tree.make ~graph:g ~root ~parent:(Array.make n None)
+      ~dist:(Array.make n max_int) ~hops:(Array.make n max_int)
   in
-  Spf_tree.make ~graph:g ~root ~parent ~dist:units ~hops
+  compute_into s g ~weights tree;
+  tree
 
 let compute_flat g ~weights root = compute_flat_s (scratch ()) g ~weights root
 

@@ -82,17 +82,26 @@ val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
     [compute_flat g ~weights:(compute_weights ...) root]. *)
 
 type scratch
-(** Reusable work arrays (settled flags, composite distances, the monotone
-    {!Radix_queue}) for the inner loop.  Owned by one domain at a time;
-    resizes itself to whatever graph it is used on. *)
+(** Reusable work arrays (settled flags, composite distances, parent link
+    ids, the monotone {!Radix_queue}) for the inner loop.  Owned by one
+    domain at a time; resizes itself to whatever graph it is used on. *)
 
 val scratch : unit -> scratch
 
+val compute_into : scratch -> Graph.t -> weights:int array -> Spf_tree.t -> unit
+(** [compute_into s g ~weights tree] recomputes [tree] in place, from its
+    own root, over a table from {!compute_weights}: afterwards the tree is
+    bit-identical to [compute_flat g ~weights (Spf_tree.root tree)].
+    Every entry is overwritten, so a stale tree — exact under an older
+    table, or with nodes the new table no longer reaches — comes out
+    exact.  Allocation-free once the scratch is sized; parent options are
+    the graph's shared {!Graph.some_link_ids} cells.  Like a repair, it
+    changes what every holder of the tree sees. *)
+
 val compute_flat_s :
   scratch -> Graph.t -> weights:int array -> Node.t -> Spf_tree.t
-(** {!compute_flat} with caller-owned scratch: bit-identical trees, no
-    per-call work-array allocation.  [compute_flat g] is
-    [compute_flat_s (scratch ()) g]. *)
+(** {!compute_flat} with caller-owned scratch: a fresh tree filled by
+    {!compute_into}.  [compute_flat g] is [compute_flat_s (scratch ()) g]. *)
 
 val source_chunk : sources:int -> domains:int -> int
 (** The [~grain] for fanning [sources] single-source computations over

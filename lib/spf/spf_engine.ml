@@ -8,23 +8,9 @@ open! Import
    shortest composite distance and its parent is the lowest-id link
    achieving it, independent of visit order.  So the engine can diff the
    memoized weight table between refreshes and {e prove} most trees
-   untouched:
-
-   - a weight increase (or a link going down) cannot change a tree unless
-     the link is that tree's parent of its destination: a non-parent link
-     lies on no tree path (distances stay achieved without it) and was not
-     the lowest-id candidate into its destination (candidates only shrink);
-
-   - a weight decrease (or a link coming up) to [w'] on link [u -> v]
-     cannot change a tree unless [u] is reached and
-     [D(u) + w' <= D(v)] in composite distance ([<=], not [<]: equality
-     makes the link a new parent candidate that may win the id tie).
-
-   These tests compose across any set of simultaneous changes (induction on
-   the decreased edges of a hypothetical shorter path, using the strict
-   inequality from the decrease test), so a tree passing every per-link
-   test is bit-identical to a full recompute.  Trees that fail any test
-   are brought up to date by {!Spf_repair} — in-place dynamic repair that
+   untouched ({!Spf_repair.affects} holds the per-link tests and why they
+   compose), keeping them as they are.  Trees that fail the proof are
+   brought up to date by {!Spf_repair} — in-place dynamic repair that
    re-settles only the disturbed region and restores the same bit-identity
    — or, when repair is off or the tree is missing, recomputed in full.
    Only full recomputes fan over the domain pool (when the batch is big
@@ -52,8 +38,15 @@ type t = {
       (* the previous table, recycled: each refresh fills it in place,
          diffs, and swaps — steady periods never allocate a table *)
   trees : Spf_tree.t option array;
-  scratch : Dijkstra.scratch; (* caller-domain work arrays, reused forever *)
+  scratches : Dijkstra.scratch array;
+      (* per pool slot, cached across fan-outs; slot 0 is the calling
+         domain's, also used for sequential recomputes *)
   repair_scratch : Spf_repair.scratch;
+  changes : Spf_repair.changes; (* the refresh's weight diff, reused *)
+  todo : int array; (* sources to recompute, first [ntodo] live *)
+  mutable ntodo : int;
+  to_repair : int array; (* sources to repair, first [nrepair] live *)
+  mutable nrepair : int;
   stats : stats;
 }
 
@@ -62,6 +55,8 @@ type t = {
 let threshold = 0.25
 
 let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
+  let n = Graph.node_count graph in
+  let slots = match pool with Some p -> Domain_pool.size p | None -> 1 in
   { graph;
     pool;
     repair;
@@ -70,9 +65,14 @@ let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
     tr_repair = Tracer.intern tracer "spf_repair";
     weights = [||];
     weights_scratch = [||];
-    trees = Array.make (Graph.node_count graph) None;
-    scratch = Dijkstra.scratch ();
+    trees = Array.make n None;
+    scratches = Array.init slots (fun _ -> Dijkstra.scratch ());
     repair_scratch = Spf_repair.scratch ();
+    changes = Spf_repair.changes ();
+    todo = Array.make n 0;
+    ntodo = 0;
+    to_repair = Array.make n 0;
+    nrepair = 0;
     stats =
       { refreshes = 0;
         skipped = 0;
@@ -95,9 +95,16 @@ let stats t = t.stats
    sources (the common per-period case) stay sequential. *)
 let parallel_grain = 16_384
 
-let recompute t sources =
-  let todo = Array.of_list sources in
-  let nt = Array.length todo in
+let[@inline] push_todo t i =
+  t.todo.(t.ntodo) <- i;
+  t.ntodo <- t.ntodo + 1
+
+(* Recompute the [ntodo] queued sources, each writing only its own slot:
+   an existing tree is recomputed in place, only an empty slot
+   allocates. *)
+let recompute t =
+  let nt = t.ntodo in
+  t.ntodo <- 0;
   if nt > 0 then begin
     Tracer.span_begin_range t.tracer t.tr_recompute ~lo:0 ~hi:nt;
     t.stats.sources_recomputed <- t.stats.sources_recomputed + nt;
@@ -110,61 +117,46 @@ let recompute t sources =
         Dijkstra.source_chunk ~sources:nt ~domains:(Domain_pool.size pool)
       in
       Domain_pool.parallel_for ~grain ~label:t.tr_recompute pool
-        ~init:(fun _ -> Dijkstra.scratch ())
+        ~init:(fun slot -> t.scratches.(slot))
         nt
         (fun s k ->
-          let i = todo.(k) in
-          t.trees.(i) <-
-            Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i)))
+          let i = t.todo.(k) in
+          match t.trees.(i) with
+          | Some tree -> Dijkstra.compute_into s g ~weights tree
+          | None ->
+            t.trees.(i) <-
+              Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i)))
     | Some _ | None ->
+      let s = t.scratches.(0) in
       for k = 0 to nt - 1 do
-        let i = todo.(k) in
-        t.trees.(i) <-
-          Some (Dijkstra.compute_flat_s t.scratch g ~weights (Node.of_int i))
+        let i = t.todo.(k) in
+        match t.trees.(i) with
+        | Some tree -> Dijkstra.compute_into s g ~weights tree
+        | None ->
+          t.trees.(i) <-
+            Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i))
       done);
     Tracer.span_end t.tracer t.tr_recompute
   end
 
-(* Repair affected trees in place, on the calling domain: per-tree work
-   is proportional to the disturbed region, usually a few nodes, far
-   below what a fan-out costs. *)
-let repair_trees t sources changes =
-  match sources with
-  | [] -> ()
-  | _ ->
-    let nt = List.length sources in
+(* Repair the [nrepair] queued trees in place, on the calling domain:
+   per-tree work is proportional to the disturbed region, usually a few
+   nodes, far below what a fan-out costs. *)
+let repair_trees t =
+  let nt = t.nrepair in
+  t.nrepair <- 0;
+  if nt > 0 then begin
     Tracer.span_begin_range t.tracer t.tr_repair ~lo:0 ~hi:nt;
     t.stats.sources_repaired <- t.stats.sources_repaired + nt;
-    List.iter
-      (fun i ->
-        let tree = Option.get t.trees.(i) in
-        t.stats.nodes_resettled <-
-          t.stats.nodes_resettled
-          + Spf_repair.repair t.repair_scratch t.graph ~tree ~weights:t.weights
-              ~changes)
-      sources;
+    for k = 0 to nt - 1 do
+      let tree = Option.get t.trees.(t.to_repair.(k)) in
+      t.stats.nodes_resettled <-
+        t.stats.nodes_resettled
+        + Spf_repair.repair t.repair_scratch t.graph ~tree ~weights:t.weights
+            ~changes:t.changes
+    done;
     Tracer.span_end t.tracer t.tr_repair
-
-(* Can this set of weight changes alter [tree]?  See the module comment for
-   why "no" here is a proof, not a heuristic. *)
-let affected t tree changes =
-  let composite n =
-    Dijkstra.composite ~dist:(Spf_tree.dist tree n) ~hops:(Spf_tree.hops tree n)
-  in
-  List.exists
-    (fun (lid, old_w, new_w) ->
-      let l = Graph.link t.graph lid in
-      let decrease = new_w >= 0 && (old_w < 0 || new_w < old_w) in
-      if decrease then
-        Spf_tree.reached tree l.Link.src
-        && ((not (Spf_tree.reached tree l.Link.dst))
-           || composite l.Link.src + new_w <= composite l.Link.dst)
-      else begin
-        match Spf_tree.parent_link tree l.Link.dst with
-        | Some p -> Link.id_equal p.Link.id lid
-        | None -> false
-      end)
-    changes
+  end
 
 (* [?wanted] stays an option internally so the steady path never builds
    the [Node.of_int] wrapper closure the old code allocated per refresh. *)
@@ -179,11 +171,10 @@ let refresh ?wanted ?enabled t ~cost =
     t.weights <- Dijkstra.compute_weights ?enabled t.graph ~cost;
     t.weights_scratch <- Array.make (Array.length t.weights) (-1);
     t.stats.full_sweeps <- t.stats.full_sweeps + 1;
-    let todo = ref [] in
-    for i = n - 1 downto 0 do
-      if wanted_at wanted i then todo := i :: !todo else t.trees.(i) <- None
+    for i = 0 to n - 1 do
+      if wanted_at wanted i then push_todo t i else t.trees.(i) <- None
     done;
-    recompute t !todo
+    recompute t
   end
   else begin
     let w = t.weights_scratch in
@@ -196,65 +187,57 @@ let refresh ?wanted ?enabled t ~cost =
     done;
     if !nchanged = 0 then begin
       (* Nothing flooded a significant update: every existing tree is
-         still exact; only sources newly wanted need work.  This is the
-         per-period steady path and allocates nothing (unless trees are
-         missing, which only happens right after a wanted-set change). *)
-      let missing = ref 0 in
+         still exact; only sources newly wanted need work. *)
       for i = 0 to n - 1 do
         match t.trees.(i) with
         | Some _ -> t.stats.sources_reused <- t.stats.sources_reused + 1
-        | None -> if wanted_at wanted i then incr missing
+        | None -> if wanted_at wanted i then push_todo t i
       done;
-      if !missing = 0 then t.stats.skipped <- t.stats.skipped + 1
-      else begin
-        let todo = ref [] in
-        for i = n - 1 downto 0 do
-          match t.trees.(i) with
-          | None -> if wanted_at wanted i then todo := i :: !todo
-          | Some _ -> ()
-        done;
-        recompute t !todo
-      end
+      if t.ntodo = 0 then t.stats.skipped <- t.stats.skipped + 1
+      else recompute t
     end
     else begin
-      (* Change path (floods happened): swap the tables and fall back to
-         the proof-driven repair/recompute split.  Allocation is fine
-         here — the network itself is churning. *)
+      (* Change path (floods happened): swap the tables, diff them into
+         the reusable change set, and fall back to the proof-driven
+         repair/recompute split.  Every tree is refreshed in place, so
+         this path allocates nothing either once its arrays are sized. *)
       t.weights <- w;
       t.weights_scratch <- old;
-      let changes = ref [] in
-      for i = nl - 1 downto 0 do
+      let changes = t.changes in
+      Spf_repair.clear_changes changes;
+      for i = 0 to nl - 1 do
         if w.(i) <> old.(i) then
-          changes := (Link.id_of_int i, old.(i), w.(i)) :: !changes
+          Spf_repair.add_change changes (Link.id_of_int i) ~old_w:old.(i)
+            ~new_w:w.(i)
       done;
-      let changes = !changes in
       if
         float_of_int !nchanged
         > threshold *. float_of_int (Graph.link_count t.graph)
       then begin
+        (* Nothing proves an unwanted tree unaffected here: drop it. *)
         t.stats.full_sweeps <- t.stats.full_sweeps + 1;
-        let todo = ref [] in
-        for i = n - 1 downto 0 do
-          if wanted_at wanted i then todo := i :: !todo
+        for i = 0 to n - 1 do
+          if wanted_at wanted i then push_todo t i else t.trees.(i) <- None
         done;
-        recompute t !todo
+        recompute t
       end
       else begin
-        let todo = ref [] in
-        let to_repair = ref [] in
-        for i = n - 1 downto 0 do
+        for i = 0 to n - 1 do
           match t.trees.(i) with
-          | Some tree when not (affected t tree changes) ->
+          | Some tree when not (Spf_repair.affects t.graph tree changes) ->
             (* Provably identical to a recompute — keep it, wanted or not. *)
             t.stats.sources_reused <- t.stats.sources_reused + 1
           | Some _ ->
             if not (wanted_at wanted i) then t.trees.(i) <- None
-            else if t.repair then to_repair := i :: !to_repair
-            else todo := i :: !todo
-          | None -> if wanted_at wanted i then todo := i :: !todo
+            else if t.repair then begin
+              t.to_repair.(t.nrepair) <- i;
+              t.nrepair <- t.nrepair + 1
+            end
+            else push_todo t i
+          | None -> if wanted_at wanted i then push_todo t i
         done;
-        repair_trees t !to_repair changes;
-        recompute t !todo
+        repair_trees t;
+        recompute t
       end
     end
   end
@@ -266,17 +249,9 @@ let tree t node =
   match t.trees.(i) with
   | Some tree -> tree
   | None ->
-    let tree = Dijkstra.compute_flat_s t.scratch t.graph ~weights:t.weights node in
+    let tree =
+      Dijkstra.compute_flat_s t.scratches.(0) t.graph ~weights:t.weights node
+    in
     t.trees.(i) <- Some tree;
     t.stats.sources_recomputed <- t.stats.sources_recomputed + 1;
     tree
-
-let trees t =
-  if Array.length t.weights = 0 then
-    invalid_arg "Spf_engine.trees: refresh the engine first";
-  let todo = ref [] in
-  for i = Graph.node_count t.graph - 1 downto 0 do
-    if t.trees.(i) = None then todo := i :: !todo
-  done;
-  if !todo <> [] then recompute t !todo;
-  Array.map Option.get t.trees

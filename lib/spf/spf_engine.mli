@@ -21,6 +21,16 @@ open! Import
     - if a large fraction changed (more than a quarter of the links),
       recomputes every wanted source outright.
 
+    Every refresh updates the trees {e in place}: a repair patches the
+    disturbed region of a tree ({!Spf_repair.repair}) and a recompute
+    rewrites a source's existing tree ({!Dijkstra.compute_into}).  A new
+    tree is allocated only for an empty slot — the first refresh, or a
+    source that was not wanted before.  The weight diff lives in one
+    reusable {!Spf_repair.changes} set and the worklists in int arrays.
+    Once those are sized, a refresh on the calling domain allocates
+    nothing, quiet or not; a pool fan-out allocates only its own
+    bookkeeping (worker scratch is cached per pool slot).
+
     Full recomputes of big batches fan out over an optional
     {!Domain_pool.t}; repairs, each re-settling a handful of nodes, always
     run on the calling domain.  In every configuration — sequential or
@@ -32,10 +42,10 @@ open! Import
     parallel sources each write only their own slot.  Trees use [`Neutral]
     tie-breaking.
 
-    {b Aliasing.}  Repair patches trees in place: a [Spf_tree.t] obtained
-    from the engine reflects the {e latest} refresh, not the one it was
-    fetched under.  Callers needing a frozen snapshot must copy before
-    the next refresh. *)
+    {b Aliasing.}  Because refreshes work in place, a [Spf_tree.t]
+    obtained from the engine reflects the {e latest} refresh, not the one
+    it was fetched under.  Callers needing a frozen snapshot must copy
+    before the next refresh. *)
 
 type t
 
@@ -79,11 +89,6 @@ val refresh :
 val tree : t -> Node.t -> Spf_tree.t
 (** The current tree rooted at the node, computing it on demand if the
     last refresh didn't want it.
-    @raise Invalid_argument before the first {!refresh}. *)
-
-val trees : t -> Spf_tree.t array
-(** All trees, indexed by node id — [Dijkstra.all_pairs] served from the
-    engine's cache.  Computes any missing sources first.
     @raise Invalid_argument before the first {!refresh}. *)
 
 type stats = {

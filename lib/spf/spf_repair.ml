@@ -27,10 +27,44 @@ open! Import
    Structure note: [repair] runs every routing period on the simulator's
    steady path and is pinned allocation-free by the A0xx gate (DESIGN.md
    §8).  Hence no local closures (their environment blocks allocate): the
-   phases are top-level helpers over explicit arguments, the flood
-   worklist is an int stack in the scratch, queue pops go through a
-   reusable {!Radix_queue.slot}, and parent patches draw on a preallocated
-   [Some link-id] cache instead of boxing a fresh option per patch. *)
+   phases are top-level helpers over explicit arguments, the changes
+   arrive as int columns, the flood worklist is an int stack in the
+   scratch, queue pops go through a reusable {!Radix_queue.slot}, and
+   parent patches draw on the graph's preallocated [Some link-id] cells
+   ({!Graph.some_link_ids}) instead of boxing a fresh option per patch. *)
+
+(* A reusable change set: three int columns and a live count.  Filling it
+   allocates only when a column doubles. *)
+type changes = {
+  mutable links : int array;
+  mutable old_w : int array;
+  mutable new_w : int array;
+  mutable count : int;
+}
+
+let changes () = { links = [||]; old_w = [||]; new_w = [||]; count = 0 }
+
+let clear_changes c = c.count <- 0
+
+let[@inline never] grow_changes c =
+  let cap = max 8 (2 * Array.length c.links) in
+  let grow a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 c.count;
+    b
+  in
+  c.links <- grow c.links;
+  c.old_w <- grow c.old_w;
+  c.new_w <- grow c.new_w
+
+let add_change c lid ~old_w ~new_w =
+  if c.count = Array.length c.links then grow_changes c;
+  let k = c.count in
+  c.links.(k) <- Link.id_to_int lid;
+  c.old_w.(k) <- old_w;
+  c.new_w.(k) <- new_w;
+  c.count <- k + 1
+[@@hot_path]
 
 type scratch = {
   queue : Radix_queue.t;
@@ -44,7 +78,6 @@ type scratch = {
   mutable ntouched : int;
   mutable stack : int array; (* flood worklist, first [nstack] live *)
   mutable nstack : int;
-  mutable some_link : Link.id option array; (* some_link.(i) = Some (id i) *)
   mutable epoch : int;
 }
 
@@ -60,12 +93,11 @@ let scratch () =
     ntouched = 0;
     stack = [||];
     nstack = 0;
-    some_link = [||];
     epoch = 0 }
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [repair] would put those (cold) sites inside the A0xx-gated body. *)
-let[@inline never] ready s n nl =
+let[@inline never] ready s n =
   if Array.length s.stamp < n then begin
     s.stamp <- Array.make n 0;
     s.settled <- Array.make n 0;
@@ -76,8 +108,6 @@ let[@inline never] ready s n nl =
     s.stack <- Array.make n 0;
     s.epoch <- 0
   end;
-  if Array.length s.some_link < nl then
-    s.some_link <- Array.init nl (fun i -> Some (Link.id_of_int i));
   s.epoch <- s.epoch + 1;
   s.ntouched <- 0;
   s.nstack <- 0;
@@ -108,67 +138,98 @@ let invalidate s epoch v =
     s.nstack <- s.nstack + 1
   end
 
+(* The proof that lets a caller skip a tree.  Per changed link [u -> v]:
+
+   - a weight increase (or a link going down) cannot change a tree unless
+     the link is that tree's parent of [v]: a non-parent link lies on no
+     tree path (distances stay achieved without it) and was not the
+     lowest-id candidate into [v] (candidates only shrink);
+
+   - a weight decrease (or a link coming up) to [w'] cannot change a tree
+     unless [u] is reached and [D(u) + w' <= D(v)] in composite distance
+     ([<=], not [<]: equality makes the link a new parent candidate that
+     may win the id tie).
+
+   These tests compose across any set of simultaneous changes (induction
+   on the decreased edges of a hypothetical shorter path, using the strict
+   inequality from the decrease test), so a tree passing every per-link
+   test is bit-identical to a full recompute.  A plain loop over the
+   tree's own arrays: no closures, no options built. *)
+let affects g tree c =
+  let parent = Spf_tree.unsafe_parent tree in
+  let dist = Spf_tree.unsafe_dist tree and hops = Spf_tree.unsafe_hops tree in
+  let hit = ref false and k = ref 0 in
+  while (not !hit) && !k < c.count do
+    let lid = c.links.(!k) and old_w = c.old_w.(!k) and new_w = c.new_w.(!k) in
+    let l = Graph.link g (Link.id_of_int lid) in
+    let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
+    (hit :=
+       if new_w >= 0 && (old_w < 0 || new_w < old_w) then
+         dist.(u) <> max_int
+         && (dist.(v) = max_int
+            || old_comp dist hops u + new_w <= old_comp dist hops v)
+       else parent_id parent v = lid);
+    incr k
+  done;
+  !hit
+[@@hot_path]
+
 (* Phase 1: invalidate the direct children of worsened parent links.  The
    root has no parent and is never invalidated, so distance 0 stays
    anchored. *)
-let rec seed_increases s g parent epoch changes =
-  match changes with
-  | [] -> ()
-  | (lid, old_w, new_w) :: rest ->
-    let increase = old_w >= 0 && (new_w < 0 || new_w > old_w) in
-    (if increase then begin
-       let l = Graph.link g lid in
-       let v = Node.to_int l.Link.dst in
-       if parent_id parent v = Link.id_to_int lid then invalidate s epoch v
-     end);
-    seed_increases s g parent epoch rest
+let seed_increases s g parent epoch c =
+  for k = 0 to c.count - 1 do
+    let old_w = c.old_w.(k) and new_w = c.new_w.(k) in
+    if old_w >= 0 && (new_w < 0 || new_w > old_w) then begin
+      let lid = c.links.(k) in
+      let v = Node.to_int (Graph.link g (Link.id_of_int lid)).Link.dst in
+      if parent_id parent v = lid then invalidate s epoch v
+    end
+  done
 [@@hot_path]
 
 (* Phase 3b: decreased links from intact sources.  Invalidated
    destinations were already offered this link by the in-scan of phase 3a;
    invalidated sources relax it when (if) they re-settle. *)
-let rec seed_decreases s g parent dist_u hops_u epoch changes =
-  match changes with
-  | [] -> ()
-  | (lid_t, old_w, new_w) :: rest ->
-    let decrease = new_w >= 0 && (old_w < 0 || new_w < old_w) in
-    (if decrease then begin
-       let l = Graph.link g lid_t in
-       let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
-       let lid = Link.id_to_int lid_t in
-       if s.invalid.(u) <> epoch && s.invalid.(v) <> epoch then begin
-         let du =
-           if s.stamp.(u) = epoch then s.newdist.(u)
-           else old_comp dist_u hops_u u
-         in
-         if du <> max_int then begin
-           let cand = du + new_w in
-           let cur =
-             if s.stamp.(v) = epoch then s.newdist.(v)
-             else old_comp dist_u hops_u v
-           in
-           if cand < cur then begin
-             touch s epoch v;
-             s.newdist.(v) <- cand;
-             s.newparent.(v) <- lid;
-             Radix_queue.push s.queue ~key:cand ~tie:lid v
-           end
-           else if cand = cur then
-             if s.stamp.(v) = epoch then begin
-               if lid < s.newparent.(v) then s.newparent.(v) <- lid
-             end
-             else if lid < parent_id parent v then
-               parent.(v) <- s.some_link.(lid)
-         end
-       end
-     end);
-    seed_decreases s g parent dist_u hops_u epoch rest
+let seed_decreases s g parent some_link dist_u hops_u epoch c =
+  for k = 0 to c.count - 1 do
+    let old_w = c.old_w.(k) and new_w = c.new_w.(k) in
+    if new_w >= 0 && (old_w < 0 || new_w < old_w) then begin
+      let lid = c.links.(k) in
+      let l = Graph.link g (Link.id_of_int lid) in
+      let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
+      if s.invalid.(u) <> epoch && s.invalid.(v) <> epoch then begin
+        let du =
+          if s.stamp.(u) = epoch then s.newdist.(u)
+          else old_comp dist_u hops_u u
+        in
+        if du <> max_int then begin
+          let cand = du + new_w in
+          let cur =
+            if s.stamp.(v) = epoch then s.newdist.(v)
+            else old_comp dist_u hops_u v
+          in
+          if cand < cur then begin
+            touch s epoch v;
+            s.newdist.(v) <- cand;
+            s.newparent.(v) <- lid;
+            Radix_queue.push s.queue ~key:cand ~tie:lid v
+          end
+          else if cand = cur then
+            if s.stamp.(v) = epoch then begin
+              if lid < s.newparent.(v) then s.newparent.(v) <- lid
+            end
+            else if lid < parent_id parent v then parent.(v) <- some_link.(lid)
+        end
+      end
+    end
+  done
 [@@hot_path]
 
 let repair s g ~tree ~weights ~changes =
-  let n = Graph.node_count g in
-  ready s n (Graph.link_count g);
+  ready s (Graph.node_count g);
   let parent = Spf_tree.unsafe_parent tree in
+  let some_link = Graph.some_link_ids g in
   let dist_u = Spf_tree.unsafe_dist tree in
   let hops_u = Spf_tree.unsafe_hops tree in
   let out_off = Graph.csr_out_off g in
@@ -220,7 +281,7 @@ let repair s g ~tree ~weights ~changes =
       Radix_queue.push s.queue ~key:!best_w ~tie:!best_l v
     end
   done;
-  seed_decreases s g parent dist_u hops_u epoch changes;
+  seed_decreases s g parent some_link dist_u hops_u epoch changes;
   (* Phase 4: monotone re-settle, patching the tree exactly as a fresh
      computation would decode it. *)
   let resettled = ref 0 in
@@ -233,7 +294,7 @@ let repair s g ~tree ~weights ~changes =
       dist_u.(v) <- Dijkstra.composite_units w;
       hops_u.(v) <- Dijkstra.composite_hops w;
       parent.(v) <-
-        (if s.newparent.(v) < 0 then None else s.some_link.(s.newparent.(v)));
+        (if s.newparent.(v) < 0 then None else some_link.(s.newparent.(v)));
       for k = out_off.(v) to out_off.(v + 1) - 1 do
         let lid = out_link_ids.(k) in
         let ew = weights.(lid) in
@@ -255,7 +316,7 @@ let repair s g ~tree ~weights ~changes =
               if lid < s.newparent.(j) then s.newparent.(j) <- lid
             end
             else if lid < parent_id parent j then
-              parent.(j) <- s.some_link.(lid)
+              parent.(j) <- some_link.(lid)
         end
       done
     end

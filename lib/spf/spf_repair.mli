@@ -3,13 +3,13 @@ open! Import
 (** In-place dynamic SPF repair (Ramalingam–Reps style).
 
     Given a tree that was exact under the previous weight table and the
-    list of per-link weight changes, {!repair} patches the tree's
+    set of per-link weight changes ({!changes}), {!repair} patches the tree's
     distances, hop counts and parent links so that it is {b bit-identical}
     to [Dijkstra.compute_flat] from scratch under the new table — in time
     proportional to the part of the tree that actually changes, not the
     graph.
 
-    The repair leans on the same fact as {!Spf_engine}'s reuse proof:
+    The repair leans on the same fact as the reuse proof {!affects}:
     under [`Neutral] tie-breaking the from-scratch tree is a pure function
     of the weight table — every node's distance is the true shortest
     composite distance, and its parent is the lowest-id enabled in-link
@@ -31,8 +31,8 @@ open! Import
       re-settle are exactly the ones the changes disconnected.
 
     A tree untouched by the changes costs nothing here — but callers
-    ({!Spf_engine}) should use their cheap per-tree proof first and hand
-    over only trees that may actually be affected. *)
+    ({!Spf_engine}) should use the cheap per-tree proof {!affects} first
+    and hand over only trees that may actually be affected. *)
 
 type scratch
 (** Epoch-stamped work arrays plus the monotone queue: repairs never pay
@@ -41,17 +41,45 @@ type scratch
 
 val scratch : unit -> scratch
 
+(** {2 Change sets}
+
+    The weight changes one repair applies: per changed link, its old and
+    new composite weight ([-1] for disabled), held as three int columns
+    plus a count.  A caller keeps one set and refills it for every
+    repair, so filling it allocates only when a column doubles. *)
+
+type changes
+
+val changes : unit -> changes
+(** An empty change set. *)
+
+val clear_changes : changes -> unit
+(** Empty the set, keeping its columns. *)
+
+val add_change : changes -> Link.id -> old_w:int -> new_w:int -> unit
+(** Append one link's change. *)
+
+val affects : Graph.t -> Spf_tree.t -> changes -> bool
+(** [affects g tree changes] is [false] only when the changes provably
+    leave [tree] — exact under the old table — bit-identical to its
+    recomputation under the new one: every increased link is not the
+    tree's parent of its destination, and every decreased link [u -> v]
+    has [u] unreached, or [v] reached with [D(u) + w' > D(v)] in
+    composite distance.  A cheap per-tree test
+    (O(changes), allocation-free) that callers such as {!Spf_engine} run
+    before handing a tree to {!repair}. *)
+
 val repair :
   scratch ->
   Graph.t ->
   tree:Spf_tree.t ->
   weights:int array ->
-  changes:(Link.id * int * int) list ->
+  changes:changes ->
   int
 (** [repair s g ~tree ~weights ~changes] patches [tree] in place and
     returns the number of nodes re-settled (0 when the changes turn out
     not to touch this tree).  [weights] is the {e new} composite table
     from [Dijkstra.compute_weights] (under [`Neutral] tie-breaking);
-    [changes] lists [(link, old_weight, new_weight)] for every table
-    entry that differs, with [-1] for disabled.  [tree] must have been
+    [changes] holds [(link, old_weight, new_weight)] for every table
+    entry that differs, each link at most once.  [tree] must have been
     exact under the old table. *)

@@ -33,10 +33,8 @@ let hops_i t i = t.hops.(i)
 let parent_id t i =
   match t.parent.(i) with None -> -1 | Some lid -> Link.id_to_int lid
 
-let unsafe_arrays t = (t.parent, t.dist, t.hops)
-
-(* Individual array accessors: the tuple return of [unsafe_arrays] boxes,
-   which the repair path cannot afford on its steady path. *)
+(* Individual array accessors, not a tuple: the in-place paths fetch
+   them on their steady path, where a tuple would box. *)
 
 let unsafe_parent t = t.parent
 

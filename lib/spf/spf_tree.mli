@@ -48,20 +48,18 @@ val parent_id : t -> int -> int
 (** The link id over which the path enters node [i], or [-1] for the root
     and unreachable nodes. *)
 
-val unsafe_arrays : t -> Link.id option array * int array * int array
-(** [(parent, dist, hops)] — the tree's own arrays, exposed so
-    {!Spf_repair} can patch them in place.  Mutating them silently changes
-    what every holder of the tree sees; only the repair path, which
-    restores the [Dijkstra.compute] invariant before returning, may
-    write. *)
-
 val unsafe_parent : t -> Link.id option array
-(** The parent array alone — same caveats as {!unsafe_arrays}, without the
-    tuple allocation (the repair path fetches each array separately). *)
+(** The tree's own parent array, exposed so {!Spf_repair} can patch it
+    and [Dijkstra.compute_into] can rewrite it in place.  Mutating it
+    silently changes what every holder of the tree sees; only those two
+    paths, which restore the [Dijkstra.compute] invariant before
+    returning, may write. *)
 
 val unsafe_dist : t -> int array
+(** The distance array — same caveats as {!unsafe_parent}. *)
 
 val unsafe_hops : t -> int array
+(** The hop-count array — same caveats as {!unsafe_parent}. *)
 
 val path : t -> Node.t -> Link.t list
 (** Links from the root to the destination, in forwarding order; [[]] for

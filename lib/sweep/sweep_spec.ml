@@ -39,6 +39,12 @@ let scenario_of_string s =
 
 let ( let* ) = Result.bind
 
+(* The largest grid a spec may describe, and so the largest seed range or
+   ramp the parser expands.  The engine labels per-point metrics [%05d]
+   and the registry sorts labels as strings, so a report with more points
+   would list point 100000 between 10000 and 10001. *)
+let max_points = 100_000
+
 let str_list field json =
   match Obs_json.member field json with
   | Error _ -> Ok None
@@ -78,10 +84,13 @@ let int_field ~default field json =
      | Error _ -> Result.Error (Printf.sprintf "%S must be an integer" field))
 
 (* [seeds] is either an explicit list or a [{"from": n, "count": m}]
-   range; ranges keep big sweeps readable. *)
+   range; ranges keep big sweeps readable.  A range is expanded only
+   after the whole spec has parsed ([expand_seeds]). *)
+type seed_axis = Seeds of int list | Seed_range of { from : int; count : int }
+
 let seeds_field json =
   match Obs_json.member "seeds" json with
-  | Error _ -> Ok [ 0 ]
+  | Error _ -> Ok (Seeds [ 0 ])
   | Ok (Obs_json.List items) ->
     let* seeds =
       List.fold_left
@@ -92,7 +101,7 @@ let seeds_field json =
           | Error _ -> Result.Error "\"seeds\" entries must be integers")
         (Ok []) items
     in
-    Ok (List.rev seeds)
+    Ok (Seeds (List.rev seeds))
   | Ok (Obs_json.Obj _ as range) ->
     let* from = int_field ~default:0 "from" range in
     let* count =
@@ -103,19 +112,21 @@ let seeds_field json =
          | Ok n -> Ok n
          | Error _ -> Result.Error "\"count\" must be an integer")
     in
-    (* A degenerate range still parses; lint flags it as S104 so the
-       grid-shape report can point at the axis rather than the parser. *)
-    if count <= 0 then Ok []
-    else Ok (List.init count (fun i -> from + i))
+    Ok (Seed_range { from; count })
   | Ok _ -> Result.Error "\"seeds\" must be a list of integers or {\"from\",\"count\"}"
 
 (* The [critical_load] ramp expands into an evenly spaced scale grid at
    parse time, so the engine sees an ordinary scale axis — point hashes,
    shards and resumes all work unchanged.  Degenerate ramps (flagged by
-   lint as S109) collapse to their starting scale rather than failing
-   the parse, keeping every grid problem in the lint report. *)
+   lint as S109: too few steps, a non-increasing or non-finite interval)
+   collapse to their starting scale rather than failing the parse,
+   keeping every grid problem in the lint report.  Only an oversized
+   ramp is refused, before it is expanded. *)
 let ramp_scales r =
-  if r.ramp_steps >= 2 && r.ramp_to > r.ramp_from then
+  if
+    r.ramp_steps >= 2 && Float.is_finite r.ramp_from
+    && Float.is_finite r.ramp_to && r.ramp_to > r.ramp_from
+  then
     List.init r.ramp_steps (fun i ->
         r.ramp_from
         +. ((r.ramp_to -. r.ramp_from) *. float_of_int i
@@ -144,6 +155,26 @@ let ramp_field json =
     Ok (Some { ramp_from; ramp_to; ramp_steps })
   | Ok _ ->
     Result.Error "\"critical_load\" must be {\"from\",\"to\",\"steps\"}"
+
+(* Expansion, once the spec has parsed: an axis the parser would have to
+   expand past [max_points] is refused (S106) before it is built.  A
+   degenerate seed range still parses; lint flags it as S104 so the
+   grid-shape report can point at the axis rather than the parser. *)
+let expand_seeds = function
+  | Seeds seeds -> Ok seeds
+  | Seed_range { count; _ } when count <= 0 -> Ok []
+  | Seed_range { count; _ } when count > max_points ->
+    Result.Error
+      (error "S106" "seed range count %d exceeds the %d-point grid limit"
+         count max_points)
+  | Seed_range { from; count } -> Ok (List.init count (fun i -> from + i))
+
+let expand_ramp r =
+  if r.ramp_steps > max_points then
+    Result.Error
+      (error "S106" "critical_load steps %d exceed the %d-point grid limit"
+         r.ramp_steps max_points)
+  else Ok (ramp_scales r)
 
 let parse text =
   let shaped =
@@ -187,17 +218,31 @@ let parse text =
            ramp generates the scale axis"
       | _ -> Ok ()
     in
-    let scales =
-      match critical_load with
-      | Some r -> ramp_scales r
-      | None -> Option.value scales ~default:[ 1.0 ]
-    in
-    let* seeds = seeds_field json in
+    let* seed_axis = seeds_field json in
     let* periods = int_field ~default:60 "periods" json in
     let* warmup = int_field ~default:0 "warmup" json in
-    Ok { scenarios; metrics; scales; seeds; periods; warmup; critical_load }
+    (* Seeds, and a ramp's scales, are filled in by [expand_*] below once
+       the whole spec has parsed. *)
+    Ok
+      ( { scenarios;
+          metrics;
+          scales = Option.value scales ~default:[ 1.0 ];
+          seeds = [];
+          periods;
+          warmup;
+          critical_load },
+        seed_axis )
   in
-  Result.map_error (fun msg -> error "S100" "bad sweep spec: %s" msg) shaped
+  match shaped with
+  | Result.Error msg -> Result.Error (error "S100" "bad sweep spec: %s" msg)
+  | Ok (spec, seed_axis) ->
+    let* scales =
+      match spec.critical_load with
+      | Some r -> expand_ramp r
+      | None -> Ok spec.scales
+    in
+    let* seeds = expand_seeds seed_axis in
+    Ok { spec with scales; seeds }
 
 (* ---------------------------------------------------------------- *)
 (* Lint.  Every grid problem in one pass, stable codes, so the CLI can
@@ -249,7 +294,9 @@ let lint t =
     axis_issues "scale" ~to_string:(Printf.sprintf "%g") t.scales
     @ List.concat_map
         (fun s ->
-          if s <= 0. then [ error "S105" "scale %g is not positive" s ]
+          if not (Float.is_finite s) then
+            [ error "S105" "scale %g is not a finite number" s ]
+          else if s <= 0. then [ error "S105" "scale %g is not positive" s ]
           else if s > 10. then
             [ warning "S105" "scale %g is outside the modelled range (0, 10]" s ]
           else [])
@@ -270,7 +317,12 @@ let lint t =
              "critical_load needs at least 3 steps to locate a knee (got %d)"
              r.ramp_steps ]
        else [])
-      @ (if r.ramp_to <= r.ramp_from then
+      @ (if not (Float.is_finite r.ramp_from && Float.is_finite r.ramp_to)
+         then
+           [ error "S109"
+               "critical_load ramp ends must be finite numbers: from %g, to %g"
+               r.ramp_from r.ramp_to ]
+         else if r.ramp_to <= r.ramp_from then
            [ error "S109"
                "critical_load ramp is not increasing: to (%g) <= from (%g)"
                r.ramp_to r.ramp_from ]
@@ -285,7 +337,23 @@ let lint t =
              t.warmup t.periods ]
        else [])
   in
+  let points =
+    List.fold_left
+      (fun acc len -> acc *. float_of_int len)
+      1.
+      [ List.length t.scenarios;
+        List.length t.metrics;
+        List.length t.scales;
+        List.length t.seeds ]
+  in
+  let grid =
+    if points > float_of_int max_points then
+      [ error "S106" "the grid has %.0f points, more than the %d-point limit"
+          points max_points ]
+    else []
+  in
   scenario_axis @ metric_axis @ scale_axis @ ramp_axis @ seed_axis @ budget
+  @ grid
 
 (* [--shard I/N]: this process runs grid points whose index ≡ I (mod N).
    Parsed here so the CLI and routing_check agree on the S107 shape. *)

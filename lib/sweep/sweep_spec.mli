@@ -64,15 +64,20 @@ val scenario_name : scenario -> string
 
 val parse : string -> (t, issue) result
 (** Decode spec text.  Any shape problem — invalid JSON, wrong field
-    type, unknown metric name — is one [S100] error. *)
+    type, unknown metric name — is one [S100] error.  A seed range
+    [count] or a ramp's [steps] above 100,000 is one [S106] error,
+    raised before the axis is expanded. *)
 
 val lint : t -> issue list
 (** Every grid problem, in axis order: [S101] unknown scenario (no such
     builtin, missing or unparseable file), [S102] empty axis, [S103]
     duplicate axis value (warning), [S104] bad seed, [S105] scale out of
-    range, [S106] bad period/warmup budget, [S109] degenerate
-    [critical_load] ramp (fewer than 3 steps, or a non-increasing
-    interval). *)
+    range (an error when not finite or not positive), [S106] bad
+    period/warmup budget or a grid of more than 100,000 points, [S109]
+    degenerate [critical_load] ramp (fewer than 3 steps, a non-finite
+    end, or a non-increasing interval).  The 100,000-point limit is the
+    one the reports assume: the engine labels per-point metrics with a
+    five-digit index. *)
 
 val shard_of_string : string -> (int * int, issue) result
 (** Parse a [--shard] argument ["I/N"] — this process runs grid points

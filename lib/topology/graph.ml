@@ -12,6 +12,7 @@ type t = {
   out_dst : int array; (* parallel to out_link_ids: destination node ints *)
   in_off : int array;
   in_link_ids : int array; (* link ids, grouped by dst *)
+  some_link_ids : Link.id option array; (* [Some id] at index id *)
 }
 
 let node_count t = Array.length t.names
@@ -57,6 +58,8 @@ let csr_out_dst t = t.out_dst
 let csr_in_off t = t.in_off
 
 let csr_in_link_ids t = t.in_link_ids
+
+let some_link_ids t = t.some_link_ids
 
 let find_link t ~src ~dst =
   List.find_opt (fun (l : Link.t) -> Node.equal l.dst dst) (out_links t src)
@@ -136,7 +139,9 @@ let make ~names ~links =
       if
         (not (Node.equal rl.Link.src l.dst))
         || not (Node.equal rl.Link.dst l.src)
-      then invalid_arg "Graph.make: reverse link endpoints inconsistent")
+      then invalid_arg "Graph.make: reverse link endpoints inconsistent";
+      if Link.id_to_int rl.Link.reverse <> i then
+        invalid_arg "Graph.make: reverse pointers must pair links up")
     links;
   let out_by_node = Array.make n [] in
   let in_by_node = Array.make n [] in
@@ -186,4 +191,5 @@ let make ~names ~links =
     out_link_ids;
     out_dst;
     in_off;
-    in_link_ids }
+    in_link_ids;
+    some_link_ids = Array.init nl (fun i -> Some (Link.id_of_int i)) }

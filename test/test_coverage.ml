@@ -1,6 +1,6 @@
 (* Additional coverage for corners the main suites do not reach:
    serialization to disk, metric counters, histogram internals, trace-less
-   defaults, parameter caps, broadcast accounting and generator options. *)
+   defaults, parameter caps and generator options. *)
 
 open Routing_topology
 module Histogram = Routing_stats.Histogram
@@ -9,8 +9,6 @@ module Time_series = Routing_stats.Time_series
 module Hnm_params = Routing_metric.Hnm_params
 module Metric = Routing_metric.Metric
 module Queueing = Routing_metric.Queueing
-module Flooder = Routing_flooding.Flooder
-module Broadcast = Routing_flooding.Broadcast
 module Network = Routing_sim.Network
 module Flow_sim = Routing_sim.Flow_sim
 module Reverse_spf = Routing_multipath.Reverse_spf
@@ -113,21 +111,6 @@ let test_time_series_growth () =
   done;
   Alcotest.(check int) "all retained across growth" 100 (Time_series.length ts);
   Alcotest.(check (float 0.)) "values intact" 73. (snd (Time_series.get ts 73))
-
-(* --- Broadcast flood_all reached semantics --- *)
-
-let test_flood_all_reached_max () =
-  let g = Generators.ring 5 in
-  let flooders =
-    Array.init 5 (fun i -> Flooder.create g ~owner:(Node.of_int i))
-  in
-  let u1 = Flooder.originate flooders.(0) ~costs:[] in
-  let o1 = Broadcast.flood_all g flooders [ u1 ] in
-  Alcotest.(check int) "one flood reaches all" 5 o1.Broadcast.reached;
-  (* Replay: reached reports the max over the batch. *)
-  let u2 = Flooder.originate flooders.(1) ~costs:[] in
-  let o2 = Broadcast.flood_all g flooders [ u1; u2 ] in
-  Alcotest.(check int) "max over batch" 5 o2.Broadcast.reached
 
 (* --- Generator options --- *)
 
@@ -278,9 +261,6 @@ let () =
             test_histogram_add_many_and_mean;
           Alcotest.test_case "table decimals" `Quick test_table_float_decimals;
           Alcotest.test_case "time series growth" `Quick test_time_series_growth ]
-      );
-      ( "flooding",
-        [ Alcotest.test_case "flood_all reached" `Quick test_flood_all_reached_max ]
       );
       ( "topology",
         [ Alcotest.test_case "two_region options" `Quick test_two_region_options ]

@@ -118,12 +118,50 @@ let prop_flood_covers_random_graphs =
       let g = Generators.ring_chord rng ~nodes ~chords:(Rng.int rng nodes) in
       let flooders = make_flooders g in
       let origin = Rng.int rng nodes in
-      let u = Flooder.originate flooders.(origin) ~costs:[] in
-      let o = Broadcast.flood g flooders u in
+      let counted = (Broadcast.instant_transmissions g).(origin) in
+      let flood_once () =
+        Broadcast.flood g flooders (Flooder.originate flooders.(origin) ~costs:[])
+      in
+      let o = flood_once () in
+      (* A second flood runs on flooders that have all seen the first:
+         the count must not depend on that history. *)
+      let o2 = flood_once () in
       o.Broadcast.reached = nodes
       (* Conservation: every transmission is either a fresh acceptance at
          its receiving end or a duplicate discard. *)
-      && o.Broadcast.transmissions = o.Broadcast.reached - 1 + o.Broadcast.duplicates)
+      && o.Broadcast.transmissions = o.Broadcast.reached - 1 + o.Broadcast.duplicates
+      (* The simulators charge the count instead of walking the flood. *)
+      && o.Broadcast.transmissions = counted
+      && o2.Broadcast.transmissions = counted
+      && counted = Graph.link_count g - nodes + 1)
+
+(* Two disjoint rings, of 4 and 5 nodes: a flood stays in its origin's
+   component, so the counts are per component.  The flow simulator runs
+   disconnected topologies too (only [arpanet_check] flags them, T002). *)
+let test_instant_count_per_component () =
+  let b = Builder.create () in
+  let ring prefix size =
+    for i = 0 to size - 1 do
+      ignore
+        (Builder.trunk b Line_type.T56
+           (Printf.sprintf "%s%d" prefix i)
+           (Printf.sprintf "%s%d" prefix ((i + 1) mod size)))
+    done
+  in
+  ring "A" 4;
+  ring "B" 5;
+  let g = Builder.build b in
+  let counts = Broadcast.instant_transmissions g in
+  let flooders = make_flooders g in
+  Graph.iter_nodes g (fun n ->
+      let name = Graph.node_name g n in
+      let size = if name.[0] = 'A' then 4 else 5 in
+      (* A ring of k nodes has 2k simplex links: 2k - k + 1 = k + 1. *)
+      Alcotest.(check int) (name ^ " count") (size + 1) counts.(Node.to_int n);
+      let u = Flooder.originate flooders.(Node.to_int n) ~costs:[] in
+      let o = Broadcast.flood g flooders u in
+      Alcotest.(check int) (name ^ " walk") (size + 1) o.Broadcast.transmissions;
+      Alcotest.(check int) (name ^ " reach") size o.Broadcast.reached)
 
 (* The October 1980 pathology: three sequence numbers forming a cycle
    under the half-space comparison keep every update alive forever. *)
@@ -149,15 +187,6 @@ let test_cyclic_sequences_never_die () =
       [ a; b; c ]
   done
 
-let test_flood_all_accumulates () =
-  let g = ring5 () in
-  let flooders = make_flooders g in
-  let u1 = Flooder.originate flooders.(0) ~costs:[ (Link.id_of_int 0, 42) ] in
-  let u2 = Flooder.originate flooders.(2) ~costs:[ (Link.id_of_int 4, 60) ] in
-  let o = Broadcast.flood_all g flooders [ u1; u2 ] in
-  Alcotest.(check bool) "bits sum across floods" true
-    (o.Broadcast.bits >= 2. *. Update.size_bits u1)
-
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_flooding"
@@ -173,6 +202,7 @@ let () =
           Alcotest.test_case "newer supersedes" `Quick test_flood_newer_supersedes;
           Alcotest.test_case "no reverse forwarding" `Quick
             test_flood_never_reverses_arrival_link;
-          Alcotest.test_case "flood_all" `Quick test_flood_all_accumulates;
+          Alcotest.test_case "instant count per component" `Quick
+            test_instant_count_per_component;
           Alcotest.test_case "crash of 1980" `Quick test_cyclic_sequences_never_die ]
         @ qsuite [ prop_flood_covers_random_graphs ] ) ]

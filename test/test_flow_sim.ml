@@ -312,11 +312,10 @@ let test_static_steady_state_allocates_nothing () =
 
 let test_hnspf_quiet_periods_allocate_nothing () =
   (* Under HN-SPF the 50-second re-flood timer fires every 5 periods even
-     in steady state, and flood periods legitimately allocate (update
-     records, broadcast bookkeeping).  The gate applies to the quiet
-     periods in between — and must hold even with a live flight recorder
-     attached (untimed clock), the tentpole's no-per-event-allocation
-     claim. *)
+     in steady state; the quiet periods in between must allocate nothing
+     even with a live flight recorder attached (untimed clock), the
+     tentpole's no-per-event-allocation claim.  Flood periods are gated
+     by the busy-period case below. *)
   let g, tm, _, _ = two_region_setup () in
   let tracer = Tracer.create () in
   let sim = Flow_sim.create ~domains:1 ~tracer g Metric.Hn_spf tm in
@@ -339,6 +338,37 @@ let test_hnspf_quiet_periods_allocate_nothing () =
     true (!quiet > 0);
   Alcotest.(check bool) "tracer recorded period spans" true
     (Tracer.slots tracer > 0 && Tracer.slot_recorded tracer 0 > 0)
+
+(* Busy periods too: Table 1's pair on the ARPANET peak matrix floods
+   every period, yet counted floods, in-place SPF recompute and repair
+   and the reusable change set keep each period at zero words.  Warm-up
+   covers the amortized doublings (radix-queue buckets, change-set
+   columns); the measured window ends before the history columns' next
+   doubling at 64 periods. *)
+let test_busy_periods_allocate_nothing () =
+  let g = Arpanet.topology () in
+  let tm = Arpanet.peak_traffic (Rng.create 11) g in
+  List.iter
+    (fun (kind, scale) ->
+      let name = Printf.sprintf "%s x%.2f" (Metric.kind_name kind) scale in
+      let tracer = Tracer.create () in
+      let sim =
+        Flow_sim.create ~domains:1 ~tracer g kind (Traffic_matrix.scale tm scale)
+      in
+      let warmup = 30 and measured = 12 in
+      let deltas = measure_tick_words sim ~warmup ~measured in
+      let history = Array.of_list (Flow_sim.history sim) in
+      Array.iteri
+        (fun k d ->
+          let stats = history.(warmup + k) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: period %d floods" name k)
+            true (stats.Flow_sim.updates > 0);
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s: busy period %d allocates nothing" name k)
+            0. d)
+        deltas)
+    [ (Metric.D_spf, 1.0); (Metric.Hn_spf, 1.13) ]
 
 let test_route_change_counters () =
   let g, tm, _, _ = two_region_setup () in
@@ -435,7 +465,9 @@ let () =
         [ Alcotest.test_case "static metric steady state" `Quick
             test_static_steady_state_allocates_nothing;
           Alcotest.test_case "HN-SPF quiet periods (traced)" `Quick
-            test_hnspf_quiet_periods_allocate_nothing ] );
+            test_hnspf_quiet_periods_allocate_nothing;
+          Alcotest.test_case "Table 1 busy periods (traced)" `Quick
+            test_busy_periods_allocate_nothing ] );
       ( "route changes",
         [ Alcotest.test_case "counters" `Quick test_route_change_counters;
           Alcotest.test_case "delay percentiles" `Quick

@@ -312,8 +312,9 @@ let set_cost s g ~costs ~weights ~tree lid c =
   let old = weights.(k) in
   let w = Dijkstra.link_weight ~cost:(fun l -> costs.(Link.id_to_int l)) lid in
   weights.(k) <- w;
-  Spf_repair.repair s g ~tree ~weights
-    ~changes:(if w = old then [] else [ (lid, old, w) ])
+  let changes = Spf_repair.changes () in
+  if w <> old then Spf_repair.add_change changes lid ~old_w:old ~new_w:w;
+  Spf_repair.repair s g ~tree ~weights ~changes
 
 (* A node's own weight table and tree on [costs]. *)
 let view g costs root =
@@ -411,9 +412,11 @@ let test_incremental_skip_rate () =
    and it must resize across graphs: here one scratch outlives every
    generated case.  Each update re-costs all out-links of one node, as a
    routing update does, and every node's repaired tree must equal a
-   from-scratch Dijkstra afterwards. *)
+   from-scratch Dijkstra afterwards.  One change set is refilled for
+   every receipt, as the DES refills its own. *)
 let prop_shared_scratch_matches_full =
   let s = Spf_repair.scratch () in
+  let changes = Spf_repair.changes () in
   QCheck2.Test.make ~name:"one scratch, every root = full recompute" ~count:40
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
@@ -434,20 +437,20 @@ let prop_shared_scratch_matches_full =
         List.iter (fun (lid, c) -> costs.(Link.id_to_int lid) <- c) update;
         Array.iteri
           (fun r (weights, tree) ->
-            let changes =
-              List.filter_map
-                (fun (lid, _) ->
-                  let k = Link.id_to_int lid in
-                  let old = weights.(k) in
-                  let w =
-                    Dijkstra.link_weight
-                      ~cost:(fun l -> costs.(Link.id_to_int l))
-                      lid
-                  in
-                  weights.(k) <- w;
-                  if w = old then None else Some (lid, old, w))
-                update
-            in
+            Spf_repair.clear_changes changes;
+            List.iter
+              (fun (lid, _) ->
+                let k = Link.id_to_int lid in
+                let old = weights.(k) in
+                let w =
+                  Dijkstra.link_weight
+                    ~cost:(fun l -> costs.(Link.id_to_int l))
+                    lid
+                in
+                weights.(k) <- w;
+                if w <> old then
+                  Spf_repair.add_change changes lid ~old_w:old ~new_w:w)
+              update;
             ignore (Spf_repair.repair s g ~tree ~weights ~changes);
             if not (Spf_tree.equal tree (fresh g costs (Node.of_int r))) then
               ok := false)

@@ -202,7 +202,45 @@ let prop_engine_batch_deltas_match_full =
       if after <= before then
         QCheck2.Test.fail_report
           "a tree-parent cost bump must take the repair path";
+      (* An in-place full sweep: every link moves to a different cost and
+         one node is cut off, so every tree is recomputed over its own
+         stale arrays, where the cut node must come out unreached. *)
+      let sweeps = (Spf_engine.stats engine).Spf_engine.full_sweeps in
+      let cut = Rng.int rng (Graph.node_count g) in
+      for i = 0 to nl - 1 do
+        costs.(i) <- 1 + ((costs.(i) + Rng.int rng 59) mod 60);
+        let l = Graph.link g (Link.id_of_int i) in
+        up.(i) <- Node.to_int l.Link.src <> cut && Node.to_int l.Link.dst <> cut
+      done;
+      check_engine_matches_full g engine
+        ~enabled:(fun i -> up.(i))
+        ~cost:(fun i -> costs.(i));
+      if (Spf_engine.stats engine).Spf_engine.full_sweeps <= sweeps then
+        QCheck2.Test.fail_report
+          "re-costing every link must take the full-sweep path";
       true)
+
+(* A full sweep proves nothing about the sources it was not asked for:
+   their trees must be dropped, not kept stale, so that a later refresh
+   wanting them again serves fresh trees. *)
+let test_full_sweep_drops_unwanted () =
+  let g = random_graph 7 in
+  let nl = Graph.link_count g in
+  let costs = Array.make nl 10 in
+  let engine = Spf_engine.create g in
+  check_engine_matches_full g engine ~enabled:(fun _ -> true)
+    ~cost:(fun i -> costs.(i));
+  for i = 0 to nl - 1 do
+    costs.(i) <- 1 + (i * 7 mod 60)
+  done;
+  let sweeps = (Spf_engine.stats engine).Spf_engine.full_sweeps in
+  Spf_engine.refresh engine
+    ~wanted:(fun n -> Node.to_int n mod 2 = 0)
+    ~cost:(fun l -> costs.(Link.id_to_int l));
+  Alcotest.(check int) "the re-costing took a full sweep" (sweeps + 1)
+    (Spf_engine.stats engine).Spf_engine.full_sweeps;
+  check_engine_matches_full g engine ~enabled:(fun _ -> true)
+    ~cost:(fun i -> costs.(i))
 
 (* --- Determinism: parallel = sequential, bit for bit --- *)
 
@@ -346,7 +384,9 @@ let () =
       ("csr", qsuite [ prop_csr_matches_lists ]);
       ( "engine",
         [ Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_engine_matches_sequential ]
+            test_parallel_engine_matches_sequential;
+          Alcotest.test_case "full sweep drops unwanted trees" `Quick
+            test_full_sweep_drops_unwanted ]
         @ qsuite
             [ prop_engine_incremental_matches_full;
               prop_engine_batch_deltas_match_full ] );

@@ -657,23 +657,41 @@ let test_registry_merge () =
 
 let codes diags = List.map (fun d -> d.Diagnostic.code) diags
 
-let check_fixture_code (name, code) () =
+(* Each fixture must raise its code with the expected severity, and
+   answer at once: oversized axes are refused before they are expanded,
+   so even a 10^12-seed range costs nothing (CPU seconds, generous). *)
+let check_fixture_code (name, code, severity) () =
+  let started = Sys.time () in
   let diags, _ = Sweep_check.check_file (fixture name) in
+  let elapsed = Sys.time () -. started in
   Alcotest.(check bool)
-    (Printf.sprintf "%s raises %s (got: %s)" name code
+    (Printf.sprintf "%s raises %s as %s (got: %s)" name code
+       (Diagnostic.severity_name severity)
        (String.concat " " (codes diags)))
     true
-    (List.exists (fun d -> String.equal d.Diagnostic.code code) diags)
+    (List.exists
+       (fun d ->
+         String.equal d.Diagnostic.code code && d.Diagnostic.severity = severity)
+       diags);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s answered in %.3f s" name elapsed)
+    true (elapsed < 1.)
 
 let sweep_fixtures =
-  [ ("sweep_not_json.json", "S100");
-    ("sweep_unknown_scenario.json", "S101");
-    ("sweep_empty_axis.json", "S102");
-    ("sweep_duplicates.json", "S103");
-    ("sweep_bad_seed.json", "S104");
-    ("sweep_bad_scale.json", "S105");
-    ("sweep_bad_budget.json", "S106");
-    ("sweep_bad_ramp.json", "S109") ]
+  Diagnostic.
+    [ ("sweep_not_json.json", "S100", Error);
+      ("sweep_unknown_scenario.json", "S101", Error);
+      ("sweep_empty_axis.json", "S102", Error);
+      ("sweep_duplicates.json", "S103", Warning);
+      ("sweep_bad_seed.json", "S104", Error);
+      ("sweep_bad_scale.json", "S105", Error);
+      ("sweep_inf_scale.json", "S105", Error);
+      ("sweep_bad_budget.json", "S106", Error);
+      ("sweep_huge_seeds.json", "S106", Error);
+      ("sweep_huge_ramp.json", "S106", Error);
+      ("sweep_big_grid.json", "S106", Error);
+      ("sweep_bad_ramp.json", "S109", Error);
+      ("sweep_inf_ramp.json", "S109", Error) ]
 
 let test_shipped_spec_clean () =
   (* The shipped example names scenario files relative to the repo root,
@@ -762,11 +780,10 @@ let () =
         [ Alcotest.test_case "registry merge" `Quick test_registry_merge ] );
       ( "spec",
         List.map
-          (fun (name, code) ->
+          (fun ((name, code, _) as case) ->
             Alcotest.test_case
               (Printf.sprintf "%s -> %s" name code)
-              `Quick
-              (check_fixture_code (name, code)))
+              `Quick (check_fixture_code case))
           sweep_fixtures
         @ [ Alcotest.test_case "shipped example clean" `Quick
               test_shipped_spec_clean;

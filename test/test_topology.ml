@@ -71,7 +71,25 @@ let test_graph_reverse_pairing () =
       Alcotest.(check bool) "reverse of reverse" true
         (Link.id_equal (Graph.reverse g r).Link.id l.Link.id);
       Alcotest.(check bool) "same line type" true
-        (Line_type.equal r.Link.line_type l.Link.line_type))
+        (Line_type.equal r.Link.line_type l.Link.line_type));
+  (* Two parallel trunks whose links all point at the first pair's
+     reverses: endpoints agree, but the links do not pair up, so the
+     flooding count (one reverse per arrival link) would not hold. *)
+  let link id src dst reverse =
+    { Link.id = Link.id_of_int id;
+      src = Node.of_int src;
+      dst = Node.of_int dst;
+      line_type = Line_type.T56;
+      propagation_s = 0.;
+      reverse = Link.id_of_int reverse }
+  in
+  Alcotest.check_raises "reverse pointers must pair up"
+    (Invalid_argument "Graph.make: reverse pointers must pair links up")
+    (fun () ->
+      ignore
+        (Graph.make ~names:[| "A"; "B" |]
+           ~links:
+             [| link 0 0 1 2; link 1 0 1 2; link 2 1 0 0; link 3 1 0 0 |]))
 
 let test_graph_adjacency () =
   let g = small_graph () in
