@@ -55,7 +55,7 @@ type t = {
   mutable generation : int; (* bumped per parallel_for; lets workers
                                distinguish a new job from a drained one *)
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
+  mutable workers : unit Domain.t list; (* spawned by the first fan-out *)
   mutable probe : probe option;
       (* fired by whichever domain runs a claimed block, so an observer (the
          flight recorder) sees which indices each domain ran and when *)
@@ -229,38 +229,44 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join workers
 
+(* Workers are spawned by the first loop that fans out, not at [create]:
+   a simulator whose loops all stay below their fan-out thresholds (the
+   57-node ARPANET) never pays for idle domains, which also skew the
+   runtime's major-heap accounting. *)
 let create size =
   if size < 1 then invalid_arg "Domain_pool.create: size must be >= 1";
-  let t =
-    { size;
-      mutex = Mutex.create ();
-      work_ready = Condition.create ();
-      work_done = Condition.create ();
-      job = None;
-      generation = 0;
-      stopping = false;
-      workers = [];
-      probe = None }
-  in
-  if size > 1 then begin
-    (* The caller is participant 0; workers take 1 .. size-1 — the slot
-       whose range each drains first. *)
-    t.workers <-
-      List.init (size - 1) (fun i ->
-          Domain.spawn (fun () -> worker_loop t ~me:(i + 1) 0));
-    (* If the pool is dropped without an explicit shutdown, release the
-       workers rather than leaving them blocked forever.  Joining from a
-       finalizer is unsafe, so just signal; the domains exit promptly and
-       the runtime reaps them at program exit. *)
-    Gc.finalise
-      (fun t ->
-        Mutex.lock t.mutex;
-        t.stopping <- true;
-        Condition.broadcast t.work_ready;
-        Mutex.unlock t.mutex)
-      t
-  end;
-  t
+  { size;
+    mutex = Mutex.create ();
+    work_ready = Condition.create ();
+    work_done = Condition.create ();
+    job = None;
+    generation = 0;
+    stopping = false;
+    workers = [];
+    probe = None }
+
+(* Called by the loop's caller before it publishes a job; loops do not
+   nest, so no other domain races the spawn. *)
+let spawn_workers t =
+  (* The caller is participant 0; workers take 1 .. size-1 — the slot
+     whose range each drains first.  The generation is read here, not in
+     the new domain: a worker that starts after the caller publishes the
+     job must still see that job as new. *)
+  let generation = t.generation in
+  t.workers <-
+    List.init (t.size - 1) (fun i ->
+        Domain.spawn (fun () -> worker_loop t ~me:(i + 1) generation));
+  (* If the pool is dropped without an explicit shutdown, release the
+     workers rather than leaving them blocked forever.  Joining from a
+     finalizer is unsafe, so just signal; the domains exit promptly and
+     the runtime reaps them at program exit. *)
+  Gc.finalise
+    (fun t ->
+      Mutex.lock t.mutex;
+      t.stopping <- true;
+      Condition.broadcast t.work_ready;
+      Mutex.unlock t.mutex)
+    t
 
 (* Initial split: equal slices in index order, so participant [k] starts
    in its own region and stealing only kicks in once someone runs dry. *)
@@ -281,6 +287,7 @@ let run_job t ~label ~grain ~make_f n =
       completed = Atomic.make 0;
       failure = None }
   in
+  if t.workers = [] && not t.stopping then spawn_workers t;
   Mutex.lock t.mutex;
   if t.stopping then begin
     Mutex.unlock t.mutex;

@@ -13,8 +13,11 @@
 type t
 
 val create : int -> t
-(** [create size] spawns [size - 1] worker domains ([size >= 1]; size 1
-    spawns none).  Workers idle on a condition variable between loops.
+(** [create size] makes a pool of [size] participants ([size >= 1]): the
+    caller plus [size - 1] worker domains, which the first
+    {!parallel_for} that fans out spawns.  A pool whose loops all run
+    inline (size 1, or single-index loops) never spawns any.  Workers
+    idle on a condition variable between loops.
     @raise Invalid_argument if [size < 1]. *)
 
 val size : t -> int

@@ -1,27 +1,28 @@
 open! Import
 
+(* Newest accepted sequence number per origin as a plain int, -1 before
+   the first: accepting an update stores an int, not a fresh [Some]. *)
 type t = {
   graph : Graph.t;
   owner : Node.t;
-  newest : Sequence.t option array; (* per origin node *)
+  newest : int array; (* per origin node *)
   mutable own_seq : Sequence.t;
 }
 
 let create graph ~owner =
   { graph;
     owner;
-    newest = Array.make (Graph.node_count graph) None;
+    newest = Array.make (Graph.node_count graph) (-1);
     own_seq = Sequence.zero }
 
 let owner t = t.owner
 
 let is_fresh t (u : Update.t) =
-  match t.newest.(Node.to_int u.origin) with
-  | None -> true
-  | Some seen -> Sequence.newer u.seq seen
+  let seen = t.newest.(Node.to_int u.origin) in
+  seen < 0 || Sequence.newer u.seq (Sequence.of_int seen)
 
 let note_seen t (u : Update.t) =
-  t.newest.(Node.to_int u.origin) <- Some u.seq
+  t.newest.(Node.to_int u.origin) <- Sequence.to_int u.seq
 
 let originate t ~costs =
   t.own_seq <- Sequence.next t.own_seq;
@@ -29,14 +30,22 @@ let originate t ~costs =
   note_seen t u;
   u
 
+let accept t u =
+  if is_fresh t u then begin
+    note_seen t u;
+    true
+  end
+  else false
+
 type verdict = Fresh of Link.id list | Duplicate
 
 let receive t ~arrived_on (u : Update.t) =
   (* A local injection is always propagated: the originator has necessarily
      already recorded its own sequence number in [originate]. *)
-  let fresh = match arrived_on with None -> true | Some _ -> is_fresh t u in
+  let fresh =
+    match arrived_on with None -> (note_seen t u; true) | Some _ -> accept t u
+  in
   if fresh then begin
-    note_seen t u;
     let forward =
       Graph.out_links t.graph t.owner
       |> List.filter_map (fun (l : Link.t) ->
@@ -54,4 +63,6 @@ let receive t ~arrived_on (u : Update.t) =
   end
   else Duplicate
 
-let last_seq t origin = t.newest.(Node.to_int origin)
+let last_seq t origin =
+  let seen = t.newest.(Node.to_int origin) in
+  if seen < 0 then None else Some (Sequence.of_int seen)

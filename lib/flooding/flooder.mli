@@ -22,6 +22,12 @@ val originate : t -> costs:(Link.id * int) list -> Update.t
 (** Build this PSN's next update (advancing its own sequence number) and
     record it as seen. *)
 
+val accept : t -> Update.t -> bool
+(** The allocation-free core of {!receive} for an update arriving over a
+    line: a first sighting is recorded and answers [true], a duplicate
+    [false].  A fresh update goes out on every outgoing link except the
+    reverse of the one it arrived on; the caller walks those itself. *)
+
 type verdict =
   | Fresh of Link.id list
       (** first sighting: accept the costs, forward on these links *)

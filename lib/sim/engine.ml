@@ -1,44 +1,61 @@
+type clock = Event_queue.clock = { mutable now : float }
+
 type t = {
   queue : Event_queue.t;
-  mutable now : float;
   mutable processed : int;
+  mutable dispatch : int -> int -> int -> unit;
 }
 
-let create () = { queue = Event_queue.create (); now = 0.; processed = 0 }
+let transmission_complete = 0
 
-let now t = t.now
+let arrival = 1
 
-let schedule_at t ~at run =
-  if at < t.now then invalid_arg "Engine.schedule_at: time in the past";
-  Event_queue.add t.queue ~time:at run
+let generate = 2
 
-let schedule t ~after run =
+let retransmit = 3
+
+let routing_period = 4
+
+let create () =
+  { queue = Event_queue.create (); processed = 0; dispatch = (fun _ _ _ -> ()) }
+
+let set_dispatch t f = t.dispatch <- f
+
+let clock t = Event_queue.clock t.queue
+
+let now t = (Event_queue.clock t.queue).now
+
+(* The delay is handed to the queue as the caller boxed it; the queue
+   forms [now +. after] itself.  Where cross-module inlining is on
+   (release builds), [schedule] and [Event_queue.add_after] inline into
+   the caller and the delay is never boxed at all. *)
+let[@inline] schedule t ~after ~kind ~a ~b =
   if after < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~at:(t.now +. after) run
+  Event_queue.add_after t.queue ~after ~kind ~a ~b
 
-(* The drain loops read the head's time as an unboxed float and take the
-   callback with the allocation-free pop, so processing an event allocates
-   nothing here — only whatever the callback itself does. *)
+let schedule_at t ~at ~kind ~a ~b =
+  if at < (Event_queue.clock t.queue).now then
+    invalid_arg "Engine.schedule_at: time in the past";
+  Event_queue.add t.queue ~time:at ~kind ~a ~b
+
+(* [due] compares the head's time with the horizon inside the queue and
+   [pop_min] sets the clock there, so draining an event passes only ints
+   across modules: the loop allocates nothing. *)
 let run_until t horizon =
   let q = t.queue in
-  let continue_ = ref true in
-  while !continue_ do
-    if Event_queue.is_empty q || Event_queue.min_time q > horizon then
-      continue_ := false
-    else begin
-      t.now <- Event_queue.min_time q;
-      t.processed <- t.processed + 1;
-      (Event_queue.pop_min q) ()
-    end
+  while Event_queue.due q horizon do
+    let kind = Event_queue.pop_min q in
+    t.processed <- t.processed + 1;
+    t.dispatch kind (Event_queue.popped_a q) (Event_queue.popped_b q)
   done;
-  if horizon > t.now then t.now <- horizon
+  Event_queue.advance_to q horizon
 
 let run_all t =
   let q = t.queue in
   while not (Event_queue.is_empty q) do
-    t.now <- Event_queue.min_time q;
+    let kind = Event_queue.pop_min q in
     t.processed <- t.processed + 1;
-    (Event_queue.pop_min q) ()
+    t.dispatch kind (Event_queue.popped_a q) (Event_queue.popped_b q)
   done
 
 let events_processed t = t.processed

@@ -1,16 +1,24 @@
 (* Binary min-heap as a structure of arrays: times live in an unboxed
-   float array, sequence numbers and callbacks in parallel arrays.  The
-   hot operations — [min_time] then [pop_min] — read and return unboxed
-   floats and an existing closure, so draining an event costs zero
-   allocations (the historical entry-record heap boxed an option and a
-   tuple per pop). *)
+   float array, sequence numbers, kinds and the two operands in parallel
+   int arrays.  A row is plain data, so pushing or popping an event
+   allocates nothing; the arrays double when full, which a simulation
+   reaches during warm-up.  The clock is an all-float record for the
+   same reason: writing the popped time into it stores an unboxed
+   float. *)
+
+type clock = { mutable now : float }
 
 type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable runs : (unit -> unit) array;
+  mutable kinds : int array;
+  mutable as_ : int array;
+  mutable bs : int array;
   mutable len : int;
   mutable next_seq : int;
+  clock : clock;
+  mutable popped_a : int;
+  mutable popped_b : int;
 }
 
 let initial_capacity = 64
@@ -18,9 +26,16 @@ let initial_capacity = 64
 let create () =
   { times = Array.make initial_capacity 0.;
     seqs = Array.make initial_capacity 0;
-    runs = Array.make initial_capacity ignore;
+    kinds = Array.make initial_capacity 0;
+    as_ = Array.make initial_capacity 0;
+    bs = Array.make initial_capacity 0;
     len = 0;
-    next_seq = 0 }
+    next_seq = 0;
+    clock = { now = 0. };
+    popped_a = 0;
+    popped_b = 0 }
+
+let clock t = t.clock
 
 let is_empty t = t.len = 0
 
@@ -30,16 +45,19 @@ let before t i j =
   t.times.(i) < t.times.(j)
   || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
 
+let swap_int (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
 let swap t i j =
   let time = t.times.(i) in
   t.times.(i) <- t.times.(j);
   t.times.(j) <- time;
-  let seq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- seq;
-  let run = t.runs.(i) in
-  t.runs.(i) <- t.runs.(j);
-  t.runs.(j) <- run
+  swap_int t.seqs i j;
+  swap_int t.kinds i j;
+  swap_int t.as_ i j;
+  swap_int t.bs i j
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -60,57 +78,74 @@ let rec sift_down t i =
     sift_down t !first
   end
 
-let grow t =
+(* Out of line: the doubling allocates, and inlining it would put those
+   (cold) sites inside the A0xx-gated push. *)
+let[@inline never] grow t =
   let capacity = 2 * Array.length t.times in
+  let ints a =
+    let b = Array.make capacity 0 in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
   let times = Array.make capacity 0. in
-  let seqs = Array.make capacity 0 in
-  let runs = Array.make capacity ignore in
   Array.blit t.times 0 times 0 t.len;
-  Array.blit t.seqs 0 seqs 0 t.len;
-  Array.blit t.runs 0 runs 0 t.len;
   t.times <- times;
-  t.seqs <- seqs;
-  t.runs <- runs
+  t.seqs <- ints t.seqs;
+  t.kinds <- ints t.kinds;
+  t.as_ <- ints t.as_;
+  t.bs <- ints t.bs
 
-let add t ~time run =
+(* The new row's time is already in [times.(len)]: fill in the rest and
+   restore the heap.  The two entry points write the time themselves, so
+   a computed time never passes through a call boxed. *)
+let push_row t ~kind ~a ~b =
+  let i = t.len in
+  t.seqs.(i) <- t.next_seq;
+  t.kinds.(i) <- kind;
+  t.as_.(i) <- a;
+  t.bs.(i) <- b;
+  t.next_seq <- t.next_seq + 1;
+  t.len <- i + 1;
+  sift_up t i
+
+let add t ~time ~kind ~a ~b =
   if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
   if t.len = Array.length t.times then grow t;
   t.times.(t.len) <- time;
-  t.seqs.(t.len) <- t.next_seq;
-  t.runs.(t.len) <- run;
-  t.next_seq <- t.next_seq + 1;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  push_row t ~kind ~a ~b
 [@@hot_path]
 
-let min_time t = if t.len = 0 then Float.infinity else t.times.(0)
+let[@inline] add_after t ~after ~kind ~a ~b =
+  let time = t.clock.now +. after in
+  if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
+  if t.len = Array.length t.times then grow t;
+  t.times.(t.len) <- time;
+  push_row t ~kind ~a ~b
+[@@hot_path]
 
-let next_time t = if t.len = 0 then None else Some t.times.(0)
+let due t horizon = t.len > 0 && t.times.(0) <= horizon
 
 let pop_min t =
   if t.len = 0 then invalid_arg "Event_queue.pop_min: empty queue";
-  let run = t.runs.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.times.(0) <- t.times.(t.len);
-    t.seqs.(0) <- t.seqs.(t.len);
-    t.runs.(0) <- t.runs.(t.len);
+  let kind = t.kinds.(0) in
+  t.clock.now <- t.times.(0);
+  t.popped_a <- t.as_.(0);
+  t.popped_b <- t.bs.(0);
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then begin
+    t.times.(0) <- t.times.(last);
+    t.seqs.(0) <- t.seqs.(last);
+    t.kinds.(0) <- t.kinds.(last);
+    t.as_.(0) <- t.as_.(last);
+    t.bs.(0) <- t.bs.(last);
     sift_down t 0
   end;
-  t.runs.(t.len) <- ignore;
-  (* release the closure *)
-  run
+  kind
 [@@hot_path]
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) in
-    let run = pop_min t in
-    Some (time, run)
-  end
+let popped_a t = t.popped_a
 
-let clear t =
-  Array.fill t.runs 0 t.len ignore;
-  t.len <- 0;
-  t.next_seq <- 0
+let popped_b t = t.popped_b
+
+let advance_to t time = if time > t.clock.now then t.clock.now <- time

@@ -1,36 +1,53 @@
 (** Time-ordered event queue for the discrete-event engine.
 
-    Events at equal times fire in insertion order (a strict FIFO tie-break),
-    which keeps simulations deterministic.
+    An event is an int row [(kind, a, b)] due at a float time: [kind]
+    names what happens and [a]/[b] are its two operands (a link, a
+    packet, a flow, an epoch, a token — see {!Engine}).  Events at equal
+    times fire in insertion order (a strict FIFO tie-break), which keeps
+    simulations deterministic.
 
-    Stored as a structure of arrays so the drain loop allocates nothing:
-    peek the head's time with {!min_time} (an unboxed float), then take its
-    callback with {!pop_min}. *)
+    Stored as a structure of arrays — an unboxed float column of times
+    beside int columns of sequence numbers, kinds and operands — so
+    neither scheduling nor draining allocates: {!pop_min} advances the
+    queue's {!clock} to the popped time and leaves the operands in
+    {!popped_a}/{!popped_b}. *)
 
 type t
 
+type clock = { mutable now : float }
+(** An all-float record, so the time is stored (and read from other
+    modules) unboxed. *)
+
 val create : unit -> t
+
+val clock : t -> clock
+(** The time of the last popped event (0 before any pop); {!add_after}
+    schedules relative to it. *)
 
 val is_empty : t -> bool
 
 val length : t -> int
 
-val add : t -> time:float -> (unit -> unit) -> unit
+val add : t -> time:float -> kind:int -> a:int -> b:int -> unit
 (** @raise Invalid_argument on NaN time. *)
 
-val min_time : t -> float
-(** Time of the earliest event; [infinity] when empty.  Never allocates. *)
+val add_after : t -> after:float -> kind:int -> a:int -> b:int -> unit
+(** [add_after t ~after] is [add t ~time:((clock t).now +. after)], with
+    the sum formed here so no float crosses a module boundary. *)
 
-val pop_min : t -> unit -> unit
-(** Remove the earliest event (FIFO among ties) and return its callback
-    without boxing anything.  Read {!min_time} first if the event's time
-    is needed.
+val due : t -> float -> bool
+(** [due t horizon]: the queue is non-empty and its earliest event is at
+    or before [horizon]. *)
+
+val pop_min : t -> int
+(** Remove the earliest event (FIFO among ties), set the clock to its
+    time and return its kind; its operands are then {!popped_a} and
+    {!popped_b}.
     @raise Invalid_argument on an empty queue. *)
 
-val next_time : t -> float option
-(** Allocating convenience wrapper over {!min_time}. *)
+val popped_a : t -> int
 
-val pop : t -> (float * (unit -> unit)) option
-(** Allocating convenience wrapper over {!min_time} + {!pop_min}. *)
+val popped_b : t -> int
 
-val clear : t -> unit
+val advance_to : t -> float -> unit
+(** Move the clock forward to the given time if it is later. *)

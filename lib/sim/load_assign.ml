@@ -29,9 +29,9 @@ open! Import
    pass stripes the same way and needs no replay at all: every write is
    to a slot of a flow of the stripe's own sources.
 
-   Everything here writes into caller- or self-owned scratch sized once;
-   steady-state periods allocate nothing on the sequential path (stream
-   growth on the parallel path is amortized and reaches a fixed point). *)
+   Everything here writes into caller- or self-owned scratch sized once
+   (the parallel path's streams for the most a stripe can push), so
+   steady-state periods allocate nothing on either path. *)
 
 (* Tree depth is bounded by the composite-weight encoding's 8-bit hop
    field, so counting sort over hop counts needs this many buckets. *)
@@ -72,10 +72,14 @@ type stream = {
   mutable q_len : int;
 }
 
-let new_stream () = { q_link = [||]; q_val = [||]; q_len = 0 }
+(* A stripe's sweeps push at most one contribution per reached non-root
+   node per source, so [stripe_width * n] entries always suffice and a
+   stream sized that way never grows. *)
+let new_stream ~capacity =
+  { q_link = Array.make capacity 0; q_val = Array.make capacity 0.; q_len = 0 }
 
-(* Out of line so the push fast path stays allocation-free; growth
-   reaches a fixed point after the first few periods. *)
+(* Out of line so the push fast path stays allocation-free; a stream
+   sized by [new_stream] never gets here. *)
 let[@inline never] grow_stream st =
   let cap = Array.length st.q_link in
   let cap' = if cap = 0 then 256 else 2 * cap in
@@ -325,7 +329,9 @@ let slot_scratch t pool =
 let assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered =
   let nstripes = nstripes t in
   if Array.length t.streams < nstripes then
-    t.streams <- Array.init nstripes (fun _ -> new_stream ());
+    t.streams <-
+      Array.init nstripes (fun _ ->
+          new_stream ~capacity:(stripe_width * t.n));
   let pscratch = slot_scratch t pool and streams = t.streams in
   Domain_pool.parallel_for pool
     ~init:(fun me -> pscratch.(me))

@@ -78,6 +78,10 @@ let comparison_table ?title runs =
 
 module Quantile = Routing_stats.Quantile
 
+(* Float totals in an all-float record, stored flat: adding to them
+   writes unboxed floats (mutable float fields of [t] box per write). *)
+type totals = { mutable delivered_bits : float; mutable update_bits : float }
+
 type t = {
   nodes : int;
   delay : Welford.t;
@@ -86,11 +90,10 @@ type t = {
   mutable delay_p99 : Quantile.t;
   hops : Welford.t;
   min_hops : Welford.t;
-  mutable delivered_bits : float;
+  totals : totals;
   mutable delivered : int;
   mutable dropped : int;
   mutable updates : int;
-  mutable update_bits : float;
 }
 
 let create ~nodes =
@@ -101,27 +104,29 @@ let create ~nodes =
     delay_p99 = Quantile.create 0.99;
     hops = Welford.create ();
     min_hops = Welford.create ();
-    delivered_bits = 0.;
+    totals = { delivered_bits = 0.; update_bits = 0. };
     delivered = 0;
     dropped = 0;
-    updates = 0;
-    update_bits = 0. }
+    updates = 0 }
 
-let record_delivery t ~delay_s ~bits ~hops ~min_hops =
+(* The two recorders are inlined where cross-module inlining is on
+   (release builds), so the packet simulator's delays and sizes reach
+   the accumulators unboxed. *)
+let[@inline] record_delivery t ~delay_s ~bits ~hops ~min_hops =
   Welford.add t.delay delay_s;
   Quantile.add t.delay_p50 delay_s;
   Quantile.add t.delay_p95 delay_s;
   Quantile.add t.delay_p99 delay_s;
   Welford.add t.hops (float_of_int hops);
   Welford.add t.min_hops (float_of_int min_hops);
-  t.delivered_bits <- t.delivered_bits +. bits;
+  t.totals.delivered_bits <- t.totals.delivered_bits +. bits;
   t.delivered <- t.delivered + 1
 
 let record_drop t = t.dropped <- t.dropped + 1
 
-let record_updates t ~count ~bits =
+let[@inline] record_updates t ~count ~bits =
   t.updates <- t.updates + count;
-  t.update_bits <- t.update_bits +. bits
+  t.totals.update_bits <- t.totals.update_bits +. bits
 
 let delivered_packets t = t.delivered
 
@@ -146,7 +151,7 @@ let indicators t ~elapsed_s =
   let actual = Welford.mean t.hops in
   let minimum = Welford.mean t.min_hops in
   { elapsed_s;
-    internode_traffic_bps = t.delivered_bits /. elapsed_s;
+    internode_traffic_bps = t.totals.delivered_bits /. elapsed_s;
     round_trip_delay_ms = 2. *. Welford.mean t.delay *. 1000.;
     updates_per_s = float_of_int t.updates /. elapsed_s;
     update_period_per_node_s =
@@ -156,7 +161,7 @@ let indicators t ~elapsed_s =
     minimum_path_hops = minimum;
     path_ratio = (if minimum > 0. then actual /. minimum else 1.);
     dropped_per_s = float_of_int t.dropped /. elapsed_s;
-    overhead_bps = t.update_bits /. elapsed_s;
+    overhead_bps = t.totals.update_bits /. elapsed_s;
     delay_p50_ms = quantile_ms t.delay_p50;
     delay_p95_ms = quantile_ms t.delay_p95;
     delay_p99_ms = quantile_ms t.delay_p99;
@@ -171,8 +176,8 @@ let reset t =
   t.delay_p99 <- Quantile.create 0.99;
   Welford.reset t.hops;
   Welford.reset t.min_hops;
-  t.delivered_bits <- 0.;
+  t.totals.delivered_bits <- 0.;
   t.delivered <- 0;
   t.dropped <- 0;
   t.updates <- 0;
-  t.update_bits <- 0.
+  t.totals.update_bits <- 0.

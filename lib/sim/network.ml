@@ -16,11 +16,17 @@ let ttl_hops = 64
 (* Control-packet retransmission timer (Rosen's updating protocol). *)
 let retransmit_interval_s = 1.0
 
+(* Floods older than this have either been delivered everywhere or been
+   superseded by newer sequence numbers (the 50-second reliability
+   refloods guarantee the latter), so their tokens are retired. *)
+let flood_lifetime_s = 100.
+
 let log_src = Logs.Src.create "routing_sim.network" ~doc:"packet-level simulator"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Spf_repair = Routing_spf.Spf_repair
+module Sequence = Routing_flooding.Sequence
 
 let default_config metric =
   { metric;
@@ -43,24 +49,6 @@ type obs_state = {
   recomputes : Obs_metrics.counter;
   queue_depth : Obs_metrics.series array;
 }
-
-(* Tiny growable buffer for the per-period expiry sweeps: collect doomed
-   keys in one pass over the table, then remove them — no intermediate
-   list, and the buffer is reused across periods. *)
-type 'a vec = { mutable buf : 'a array; mutable len : int }
-
-let vec_make zero = { buf = Array.make 16 zero; len = 0 }
-
-let vec_push v x =
-  if v.len = Array.length v.buf then begin
-    let buf = Array.make (2 * v.len) v.buf.(0) in
-    Array.blit v.buf 0 buf 0 v.len;
-    v.buf <- buf
-  end;
-  v.buf.(v.len) <- x;
-  v.len <- v.len + 1
-
-let vec_clear v = v.len <- 0
 
 let reason_index = function
   | Trace.Buffer_full -> 0
@@ -101,13 +89,25 @@ let count_event o = function
   | Trace.Tables_recomputed _ -> Obs_metrics.inc o.recomputes
   | Trace.Link_state _ -> ()
 
+(* A line's transmitter, wrapped so arrays of them are manifestly not
+   float arrays: indexing an array of an abstract type compiles to the
+   generic access, which would box if the elements were floats. *)
+type line = { queue : Link_queue.t }
+
 type t = {
   graph : Graph.t;
   config : config;
   engine : Engine.t;
+  clock : Engine.clock;
   metric : Metric.t;
   psns : Psn.t array;
-  mutable queues : Link_queue.t array;
+  next_hops : int array array; (* node x destination: each PSN's column *)
+  pool : Packet.pool;
+  mutable lines : line array; (* per link *)
+  measurements : Measurement.t array; (* per link: its 10-s delay window *)
+  link_src : int array; (* per link: tail node *)
+  link_dst : int array; (* per link: head node *)
+  link_rev : int array; (* per link: the paired reverse link *)
   flooders : Flooder.t array; (* hop-by-hop flooding's protocol state *)
   flood_tx : int array;
       (* per origin: transmissions of one instant flood
@@ -123,20 +123,25 @@ type t = {
      table and route tree it derives from them, in-flight updates, and
      the latency from origination to each fresh acceptance. *)
   views : int array array; (* node x link; used when not instant_flooding *)
+  view_costs : (Link.id -> int) array; (* per node: reads its view *)
   weights : int array array; (* node x link: [compute_weights] of the view *)
   mutable trees : Spf_tree.t array; (* per node, exact under its weights *)
   repair : Spf_repair.scratch; (* shared by every node's tree repairs *)
   changes : Spf_repair.changes; (* one receipt's weight changes, reused *)
-  in_flight : (int, Update.t * float) Hashtbl.t;
+  (* In-flight updates by token.  Tokens are issued in origination order
+     and retire in that order, so the live ones are the range
+     [oldest_token, next_update_token), kept in a ring indexed by
+     [token land (capacity - 1)] that doubles when every slot is live. *)
+  mutable flights : Update.t array;
+  mutable flight_originated : float array;
+  mutable flight_bits : float array; (* each update's wire size *)
+  mutable oldest_token : int;
   mutable next_update_token : int;
   (* Rosen-style per-line reliability: a control packet sent on a link
      stays pending until the far end acknowledges it; a timer retransmits
-     it meanwhile.  (link id, token) -> still unacknowledged. *)
-  pending_acks : (int * int, unit) Hashtbl.t;
-  (* Reused per-period scratch: expiry-sweep buffers and the per-origin
-     changed-cost slots (historically a fresh Hashtbl every period). *)
-  doomed_tokens : int vec;
-  doomed_acks : (int * int) vec;
+     it meanwhile.  Flat (ring slot x link) table of "still
+     unacknowledged". *)
+  mutable pending : bool array;
   changed_costs : (Link.id * int) list array; (* per origin node *)
   changed_origins : int array; (* origins touched, first-touch order *)
   mutable changed_count : int;
@@ -153,8 +158,9 @@ type t = {
 }
 
 (* Every structured event flows through here, into the labeled counters
-   and the JSONL sink.  Without telemetry this is one branch and no
-   allocation. *)
+   and the JSONL sink.  Call sites test [tracing] first: the thunk is
+   built before [trace] runs, so an unguarded call would allocate it
+   even with no telemetry attached. *)
 let trace t make_event =
   match t.obs with
   | None -> ()
@@ -163,6 +169,8 @@ let trace t make_event =
     let event = make_event () in
     count_event o event;
     Obs_sink.emit o.obs_sink (fun () -> Trace.to_json ~time event)
+
+let[@inline] tracing t = Option.is_some t.obs
 
 let link_enabled t lid = t.link_up.(Link.id_to_int lid)
 
@@ -178,8 +186,6 @@ let recompute_min_hops t =
     done
   done
 
-let view_cost t i lid = t.views.(i).(Link.id_to_int lid)
-
 let install_tables t =
   if t.config.instant_flooding then begin
     (* Every node routes on the same flooded costs: one engine refresh
@@ -189,9 +195,7 @@ let install_tables t =
       ~cost:(Metric.cost_fn t.metric);
     Telemetry_hooks.span_stop t.config.telemetry "spf_refresh" started;
     Array.iteri
-      (fun i psn ->
-        Psn.install_table psn
-          (Routing_table.of_tree (Spf_engine.tree t.spf (Node.of_int i))))
+      (fun i psn -> Psn.install_tree psn (Spf_engine.tree t.spf (Node.of_int i)))
       t.psns
   end
   else begin
@@ -201,170 +205,250 @@ let install_tables t =
       Array.mapi
         (fun i weights ->
           Dijkstra.compute_weights_into ~enabled:(link_enabled t) t.graph
-            ~cost:(view_cost t i) weights;
+            ~cost:t.view_costs.(i) weights;
           Dijkstra.compute_flat t.graph ~weights (Node.of_int i))
         t.weights;
-    Array.iteri
-      (fun i tree -> Psn.install_table t.psns.(i) (Routing_table.of_tree tree))
-      t.trees
+    Array.iteri (fun i tree -> Psn.install_tree t.psns.(i) tree) t.trees
   end;
   t.tables_dirty <- false
 
-(* Diff one update's links into a node's weight table (costs read from
-   its view through [cost]), collecting the changes for its repair. *)
-let rec note_changes t ~cost weights = function
+(* Take one update's costs into node [i]'s view and diff them into its
+   weight table ([cost] reads the view), collecting the changes for its
+   repair.  A recursive walk with the node's prebuilt view reader, so a
+   receipt builds no closure. *)
+let rec note_changes t i ~cost weights = function
   | [] -> ()
-  | (lid, _) :: rest ->
+  | (lid, c) :: rest ->
     let k = Link.id_to_int lid in
+    t.views.(i).(k) <- c;
     let w = if link_enabled t lid then Dijkstra.link_weight ~cost lid else -1 in
     let old = weights.(k) in
     if w <> old then begin
       weights.(k) <- w;
       Spf_repair.add_change t.changes lid ~old_w:old ~new_w:w
     end;
-    note_changes t ~cost weights rest
+    note_changes t i ~cost weights rest
 
-(* Node [i] takes an update's costs into its view and repairs its own
-   tree — §2.2's "incremental adjustments", bit-identical to recomputing
-   it from scratch on the new view. *)
+(* Node [i] takes an update's costs into its view, repairs its own tree
+   — §2.2's "incremental adjustments", bit-identical to recomputing it
+   from scratch on the new view — and refreshes its forwarding column
+   from the repaired tree in place. *)
 let apply_update t i costs =
   let weights = t.weights.(i) in
-  List.iter (fun (lid, c) -> t.views.(i).(Link.id_to_int lid) <- c) costs;
   Spf_repair.clear_changes t.changes;
-  note_changes t ~cost:(view_cost t i) weights costs;
+  note_changes t i ~cost:t.view_costs.(i) weights costs;
   let tree = t.trees.(i) in
   ignore
     (Spf_repair.repair t.repair t.graph ~tree ~weights ~changes:t.changes);
-  Psn.install_table t.psns.(i) (Routing_table.of_tree tree)
+  Psn.install_tree t.psns.(i) tree
+
+(* --- In-flight updates and pending acknowledgements --- *)
+
+let flight_slot t token = token land (Array.length t.flights - 1)
+
+let in_flight t token = token >= t.oldest_token && token < t.next_update_token
+
+let pending_index t token lid =
+  (flight_slot t token * Array.length t.link_up) + lid
+
+(* Out of line: only a flood backlog larger than any before reaches
+   here.  Live tokens move to their slots under the doubled mask. *)
+let[@inline never] grow_flights t =
+  let cap = Array.length t.flights in
+  let cap' = 2 * cap in
+  let nl = Array.length t.link_up in
+  let flights = Array.make cap' t.flights.(0) in
+  let originated = Array.make cap' 0. in
+  let bits = Array.make cap' 0. in
+  let pending = Array.make (cap' * nl) false in
+  for token = t.oldest_token to t.next_update_token - 1 do
+    let s = token land (cap - 1) and s' = token land (cap' - 1) in
+    flights.(s') <- t.flights.(s);
+    originated.(s') <- t.flight_originated.(s);
+    bits.(s') <- t.flight_bits.(s);
+    Array.blit t.pending (s * nl) pending (s' * nl) nl
+  done;
+  t.flights <- flights;
+  t.flight_originated <- originated;
+  t.flight_bits <- bits;
+  t.pending <- pending
+
+let open_flight t update =
+  if t.next_update_token - t.oldest_token = Array.length t.flights then
+    grow_flights t;
+  let token = t.next_update_token in
+  t.next_update_token <- token + 1;
+  let s = flight_slot t token in
+  t.flights.(s) <- update;
+  t.flight_originated.(s) <- t.clock.Engine.now;
+  t.flight_bits.(s) <- Update.size_bits update;
+  token
+
+(* Retire floods past their lifetime, with their pending acks.  Tokens
+   are issued at nondecreasing times, so the expired ones are a prefix
+   of the live range. *)
+let expire_flights t ~now =
+  let nl = Array.length t.link_up in
+  let continue_ = ref true in
+  while !continue_ && t.oldest_token < t.next_update_token do
+    let s = flight_slot t t.oldest_token in
+    if now -. t.flight_originated.(s) > flood_lifetime_s then begin
+      Array.fill t.pending (s * nl) nl false;
+      t.oldest_token <- t.oldest_token + 1
+    end
+    else continue_ := false
+  done
+
+(* --- Forwarding --- *)
+
+(* [deliver] and [drop_at] stay out of line: a delivery boxes its delay
+   and size on the way into [Measure], and tracing builds a thunk, which
+   must not land inside [forward], the allocation-free hot path. *)
+let[@inline never] deliver t p =
+  let pool = t.pool in
+  let src = Packet.src pool p and dst = Packet.dst pool p in
+  let hops = Packet.hops pool p in
+  let delay_s = t.clock.Engine.now -. (Packet.created_column pool).(p) in
+  Measure.record_delivery t.measure ~delay_s
+    ~bits:(Packet.bits_column pool).(p)
+    ~hops ~min_hops:t.min_hops.(src).(dst);
+  if tracing t then
+    trace t (fun () ->
+        Trace.Packet_delivered
+          { src = Node.of_int src; dst = Node.of_int dst; delay_s; hops });
+  Packet.free pool p
+
+(* Trace a dropped data packet, before its id is freed: by [drop_at] at
+   a node, by the link queue on a line. *)
+let[@inline never] trace_drop t ~at p reason =
+  let src = Packet.src t.pool p and dst = Packet.dst t.pool p in
+  trace t (fun () ->
+      Trace.Packet_dropped
+        { at = Node.of_int at; src = Node.of_int src; dst = Node.of_int dst;
+          reason })
+
+let[@inline never] drop_at t node p reason =
+  Measure.record_drop t.measure;
+  if tracing t then trace_drop t ~at:node p reason;
+  Packet.free t.pool p
+
+(* A data packet at [node]: deliver it, or hand it to the next hop's
+   transmitter.  One column read picks the link. *)
+let forward t node p =
+  let dst = Packet.dst t.pool p in
+  if dst = node then deliver t p
+  else begin
+    let l = t.next_hops.(node).(dst) in
+    if l < 0 then drop_at t node p Trace.No_route
+    else if Packet.hops t.pool p >= ttl_hops then drop_at t node p Trace.Ttl
+    else Link_queue.enqueue t.lines.(l).queue p
+  end
+[@@hot_path]
+
+(* --- Hop-by-hop flooding --- *)
 
 (* Send one in-flight update over a link as a priority control packet and
    keep retransmitting on a timer until the far end acknowledges it. *)
-let rec send_control t lid token =
-  match Hashtbl.find_opt t.in_flight token with
-  | None -> ()
-  | Some (u, _) ->
-    let link = Graph.link t.graph lid in
+let send_control t lid token =
+  if in_flight t token then begin
+    let bits = t.flight_bits.(flight_slot t token) in
     let packet =
-      Packet.make ~kind:(Packet.Control token) ~src:link.Link.src
-        ~dst:link.Link.dst ~bits:(Update.size_bits u)
-        (Engine.now t.engine)
+      Packet.alloc t.pool ~kind:Packet.control ~src:t.link_src.(lid)
+        ~dst:t.link_dst.(lid) ~token ~bits
     in
-    Measure.record_updates t.measure ~count:0 ~bits:(Update.size_bits u);
-    let key = (Link.id_to_int lid, token) in
-    Hashtbl.replace t.pending_acks key ();
-    Link_queue.enqueue_priority t.queues.(Link.id_to_int lid) packet;
-    Engine.schedule t.engine ~after:retransmit_interval_s (fun () ->
-        if Hashtbl.mem t.pending_acks key && t.link_up.(Link.id_to_int lid)
-        then send_control t lid token)
-
-and send_ack t lid token =
-  (* Acknowledge on the reverse of the line the update arrived over. *)
-  let back = Graph.reverse t.graph (Graph.link t.graph lid) in
-  if t.link_up.(Link.id_to_int back.Link.id) then begin
-    let packet =
-      Packet.make ~kind:(Packet.Control_ack token) ~src:back.Link.src
-        ~dst:back.Link.dst ~bits:48.
-        (Engine.now t.engine)
-    in
-    Measure.record_updates t.measure ~count:0 ~bits:48.;
-    Link_queue.enqueue_priority t.queues.(Link.id_to_int back.Link.id) packet
+    Measure.record_updates t.measure ~count:0 ~bits;
+    t.pending.(pending_index t token lid) <- true;
+    Link_queue.enqueue_priority t.lines.(lid).queue packet;
+    Engine.schedule t.engine ~after:retransmit_interval_s
+      ~kind:Engine.retransmit ~a:lid ~b:token
   end
 
-(* A routing update arrives at a node: accept if fresh, apply the costs to
-   this node's view, recompute its table, and forward. *)
-and deliver_update t node ~via token =
-  match Hashtbl.find_opt t.in_flight token with
-  | None -> ()
-  | Some (u, originated_s) -> (
-    let i = Node.to_int node in
-    match Flooder.receive (Psn.flooder t.psns.(i)) ~arrived_on:(Some via) u with
-    | Flooder.Duplicate -> ()
-    | Flooder.Fresh forward ->
-      Welford.add t.flood_latency (Engine.now t.engine -. originated_s);
-      trace t (fun () ->
-          Trace.Update_accepted
-            { at = node;
-              origin = u.Update.origin;
-              latency_s = Engine.now t.engine -. originated_s });
-      apply_update t i u.Update.costs;
-      trace t (fun () -> Trace.Tables_recomputed { at = node });
-      List.iter (fun lid -> send_control t lid token) forward)
+let retransmit t lid token =
+  if
+    in_flight t token
+    && t.pending.(pending_index t token lid)
+    && t.link_up.(lid)
+  then send_control t lid token
 
-(* Forwarding: deliver locally, or hand to the next hop's transmitter. *)
-and handle_arrival t (packet : Packet.t) node =
-  match packet.Packet.kind with
-  | Packet.Control token -> (
-    (* Control packets are consumed and re-issued hop by hop; [src] names
-       the tail of the link they just crossed.  Receipt is acknowledged at
-       the line level whether or not the update is fresh. *)
-    match Graph.find_link t.graph ~src:packet.Packet.src ~dst:node with
-    | Some l ->
-      send_ack t l.Link.id token;
-      deliver_update t node ~via:l.Link.id token
-    | None -> ())
-  | Packet.Control_ack token -> (
-    (* The ack for our transmission on the reverse of the arrival link. *)
-    match Graph.find_link t.graph ~src:node ~dst:packet.Packet.src with
-    | Some forward ->
-      Hashtbl.remove t.pending_acks (Link.id_to_int forward.Link.id, token)
-    | None -> ())
-  | Packet.Data -> (
-    let psn = t.psns.(Node.to_int node) in
-    match Psn.route psn packet with
-    | `Deliver ->
-      let src = Node.to_int packet.Packet.src
-      and dst = Node.to_int packet.Packet.dst in
-      let delay_s = Packet.age packet ~now:(Engine.now t.engine) in
-      Measure.record_delivery t.measure ~delay_s ~bits:packet.Packet.bits
-        ~hops:packet.Packet.hops ~min_hops:t.min_hops.(src).(dst);
-      trace t (fun () ->
-          Trace.Packet_delivered
-            { src = packet.Packet.src;
-              dst = packet.Packet.dst;
-              delay_s;
-              hops = packet.Packet.hops })
-    | `No_route ->
-      Measure.record_drop t.measure;
-      trace t (fun () ->
-          Trace.Packet_dropped
-            { at = node; src = packet.Packet.src; dst = packet.Packet.dst;
-              reason = Trace.No_route })
-    | `Forward link ->
-      if packet.Packet.hops >= ttl_hops then begin
-        Measure.record_drop t.measure;
+(* Acknowledge on the reverse of the line the update arrived over. *)
+let send_ack t lid token =
+  let back = t.link_rev.(lid) in
+  if t.link_up.(back) then begin
+    let packet =
+      Packet.alloc t.pool ~kind:Packet.ack ~src:t.link_src.(back)
+        ~dst:t.link_dst.(back) ~token ~bits:48.
+    in
+    Measure.record_updates t.measure ~count:0 ~bits:48.;
+    Link_queue.enqueue_priority t.lines.(back).queue packet
+  end
+
+(* A routing update arrives at a node over link [via]: accept if fresh,
+   apply the costs to this node's view, repair its tree, and forward on
+   every other line — all but the reverse of [via]. *)
+let deliver_update t node ~via token =
+  if in_flight t token then begin
+    let s = flight_slot t token in
+    let u = t.flights.(s) in
+    if Flooder.accept t.flooders.(node) u then begin
+      let originated_s = t.flight_originated.(s) in
+      Welford.add t.flood_latency (t.clock.Engine.now -. originated_s);
+      if tracing t then
         trace t (fun () ->
-            Trace.Packet_dropped
-              { at = node; src = packet.Packet.src; dst = packet.Packet.dst;
-                reason = Trace.Ttl })
-      end
-      else Link_queue.enqueue t.queues.(Link.id_to_int link.Link.id) packet)
+            Trace.Update_accepted
+              { at = Node.of_int node;
+                origin = u.Update.origin;
+                latency_s = Engine.now t.engine -. originated_s });
+      apply_update t node u.Update.costs;
+      if tracing t then
+        trace t (fun () -> Trace.Tables_recomputed { at = Node.of_int node });
+      let off = Graph.csr_out_off t.graph in
+      let ids = Graph.csr_out_link_ids t.graph in
+      for k = off.(node) to off.(node + 1) - 1 do
+        let l = ids.(k) in
+        if t.link_rev.(l) <> via then send_control t l token
+      done
+    end
+  end
 
-and make_queue t (link : Link.t) =
+(* A packet comes off link [lid].  Control packets are consumed and
+   re-issued hop by hop, and their receipt is acknowledged at the line
+   level whether or not the update is fresh; an acknowledgement crossed
+   the reverse of the line our transmission went out on.  The link
+   travels with the arrival event, so parallel trunks between the same
+   two nodes stay apart. *)
+let arrive t lid p =
+  let node = t.link_dst.(lid) in
+  let kind = Packet.kind t.pool p in
+  if kind = Packet.data then forward t node p
+  else begin
+    let token = Packet.token t.pool p in
+    Packet.free t.pool p;
+    if kind = Packet.control then begin
+      send_ack t lid token;
+      deliver_update t node ~via:lid token
+    end
+    else if in_flight t token then
+      t.pending.(pending_index t token t.link_rev.(lid)) <- false
+  end
+
+let make_queue t (link : Link.t) =
+  let at = Node.to_int link.Link.src in
   Link_queue.create ~error_rate:t.config.line_error_rate ~rng:t.link_rng
-    t.engine link
-    ~on_arrival:(fun packet -> handle_arrival t packet link.Link.dst)
-    ~on_measured:(fun ~delay_s ->
-      let psn = t.psns.(Node.to_int link.Link.src) in
-      Measurement.record_packet (Psn.measurement psn link.Link.id) ~delay_s)
-    ~on_drop:(fun reason (packet : Packet.t) ->
-      match packet.Packet.kind with
-      | Packet.Data ->
+    t.engine t.pool link
+    t.measurements.(Link.id_to_int link.Link.id)
+    ~on_drop:(fun reason p ->
+      (* Control packets lost to a line error or a downed line are
+         recovered by the per-line retransmission timer, and a
+         retransmitted control packet re-triggers the ack. *)
+      if Packet.kind t.pool p = Packet.data then begin
         Measure.record_drop t.measure;
-        trace t (fun () ->
-            Trace.Packet_dropped
-              { at = link.Link.src;
-                src = packet.Packet.src;
-                dst = packet.Packet.dst;
-                reason =
-                  (match reason with
-                  | Link_queue.Buffer_full -> Trace.Buffer_full
-                  | Link_queue.Line_down -> Trace.Line_down
-                  | Link_queue.Corrupted -> Trace.Line_error) })
-      | Packet.Control _ | Packet.Control_ack _ ->
-        (* Lost to a line error or a downed line; the per-line
-           retransmission timer recovers Control packets, and a
-           retransmitted Control re-triggers the ack. *)
-        ())
+        if tracing t then
+          trace_drop t ~at p
+            (match reason with
+            | Link_queue.Buffer_full -> Trace.Buffer_full
+            | Link_queue.Line_down -> Trace.Line_down
+            | Link_queue.Corrupted -> Trace.Line_error)
+      end)
 
 (* End-of-period processing: read every measurement, run the metric,
    flood significant changes, recompute tables if anything changed. *)
@@ -373,46 +457,27 @@ let routing_period t =
   let p_started = Telemetry_hooks.span_start tele in
   let period = Units.routing_period_s in
   let now = Engine.now t.engine in
-  (* Garbage-collect long-finished floods: anything older than 100 s has
-     either been delivered everywhere or superseded by newer sequence
-     numbers (the 50-second reliability refloods guarantee the latter). *)
-  vec_clear t.doomed_tokens;
-  Hashtbl.iter
-    (fun token (_, originated_s) ->
-      if now -. originated_s > 100. then vec_push t.doomed_tokens token)
-    t.in_flight;
-  for k = 0 to t.doomed_tokens.len - 1 do
-    Hashtbl.remove t.in_flight t.doomed_tokens.buf.(k)
+  expire_flights t ~now;
+  (* Each PSN's outgoing links in link-id order. *)
+  let off = Graph.csr_out_off t.graph in
+  let ids = Graph.csr_out_link_ids t.graph in
+  for i = 0 to Array.length t.psns - 1 do
+    for k = off.(i) to off.(i + 1) - 1 do
+      let l = ids.(k) in
+      if t.link_up.(l) then begin
+        let avg = Measurement.finish_period t.measurements.(l) in
+        let lid = Link.id_of_int l in
+        match Metric.period_update t.metric lid ~measured_delay_s:avg with
+        | Some cost ->
+          if t.changed_costs.(i) = [] then begin
+            t.changed_origins.(t.changed_count) <- i;
+            t.changed_count <- t.changed_count + 1
+          end;
+          t.changed_costs.(i) <- (lid, cost) :: t.changed_costs.(i)
+        | None -> ()
+      end
+    done
   done;
-  vec_clear t.doomed_acks;
-  Hashtbl.iter
-    (fun ((_, token) as key) () ->
-      if not (Hashtbl.mem t.in_flight token) then vec_push t.doomed_acks key)
-    t.pending_acks;
-  for k = 0 to t.doomed_acks.len - 1 do
-    Hashtbl.remove t.pending_acks t.doomed_acks.buf.(k)
-  done;
-  Array.iter
-    (fun psn ->
-      List.iter
-        (fun ((link : Link.t), m) ->
-          if t.link_up.(Link.id_to_int link.Link.id) then begin
-            let avg = Measurement.finish_period m in
-            match
-              Metric.period_update t.metric link.Link.id ~measured_delay_s:avg
-            with
-            | Some cost ->
-              let origin = Node.to_int link.Link.src in
-              if t.changed_costs.(origin) = [] then begin
-                t.changed_origins.(t.changed_count) <- origin;
-                t.changed_count <- t.changed_count + 1
-              end;
-              t.changed_costs.(origin) <-
-                (link.Link.id, cost) :: t.changed_costs.(origin)
-            | None -> ()
-          end)
-        (Psn.out_measurements psn))
-    t.psns;
   (* Flood one update per origin that had significant changes. *)
   if t.changed_count > 0 then
     Log.debug (fun m ->
@@ -423,8 +488,9 @@ let routing_period t =
     let costs = t.changed_costs.(origin) in
     t.changed_costs.(origin) <- [];
     let links = List.length costs in
-    trace t (fun () ->
-        Trace.Update_flooded { origin = Node.of_int origin; links });
+    if tracing t then
+      trace t (fun () ->
+          Trace.Update_flooded { origin = Node.of_int origin; links });
     if t.config.instant_flooding then begin
       (* Every copy is fresh, so the flood's transmissions are the
          topology's count; no walk needed. *)
@@ -437,17 +503,13 @@ let routing_period t =
     end
     else begin
       (* Hop-by-hop propagation on the priority lanes. *)
-      let update = Flooder.originate t.flooders.(origin) ~costs in
-      let token = t.next_update_token in
-      t.next_update_token <- token + 1;
-      Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
+      let token = open_flight t (Flooder.originate t.flooders.(origin) ~costs) in
       Measure.record_updates t.measure ~count:1 ~bits:0.;
       apply_update t origin costs;
-      List.iter
-        (fun (l : Link.t) ->
-          if t.link_up.(Link.id_to_int l.Link.id) then
-            send_control t l.Link.id token)
-        (Graph.out_links t.graph (Node.of_int origin))
+      for j = off.(origin) to off.(origin + 1) - 1 do
+        let l = ids.(j) in
+        if t.link_up.(l) then send_control t l token
+      done
     end
   done;
   Telemetry_hooks.span_stop tele "flood" f_started;
@@ -456,7 +518,7 @@ let routing_period t =
   (* Per-period series. *)
   if t.config.record_series then
     Array.iteri
-      (fun i q ->
+      (fun i { queue = q } ->
         let bits = Link_queue.transmitted_bits q in
         let cap = Link.capacity_bps (Link_queue.link q) in
         Time_series.record t.util_series.(i) ~time:now
@@ -464,7 +526,7 @@ let routing_period t =
         t.prev_bits.(i) <- bits;
         Time_series.record t.cost_series.(i) ~time:now
           (float_of_int (Metric.cost t.metric (Link.id_of_int i))))
-      t.queues;
+      t.lines;
   (* Telemetry per-period: queue depths, then the shared hooks —
      cost-in-hops series, oscillation detection over the flooded costs,
      and the SPF engine counters kept current. *)
@@ -472,18 +534,30 @@ let routing_period t =
   | None -> ()
   | Some o ->
     Array.iteri
-      (fun i q ->
+      (fun i { queue = q } ->
         Obs_metrics.sample o.queue_depth.(i) ~time:now
           (float_of_int (Link_queue.queue_length q)))
-      t.queues;
+      t.lines;
     Telemetry_hooks.observe_costs o.hooks t.graph t.metric ~time:now;
     Telemetry_hooks.record_spf_stats o.hooks (Spf_engine.stats t.spf));
   Telemetry_hooks.span_stop tele "routing_period" p_started
 
-let rec schedule_periods t =
-  Engine.schedule t.engine ~after:Units.routing_period_s (fun () ->
-      routing_period t;
-      schedule_periods t)
+let schedule_period t =
+  Engine.schedule t.engine ~after:Units.routing_period_s
+    ~kind:Engine.routing_period ~a:0 ~b:0
+
+(* The engine's one handler: every event is an int row. *)
+let dispatch t kind a b =
+  if kind = Engine.arrival then arrive t a b
+  else if kind = Engine.transmission_complete then
+    Link_queue.complete t.lines.(a).queue b
+  else if kind = Engine.generate then
+    match t.workload with Some w -> Workload.fire w a | None -> ()
+  else if kind = Engine.retransmit then retransmit t a b
+  else begin
+    routing_period t;
+    schedule_period t
+  end
 
 let create ?config graph tm =
   let config = Option.value config ~default:(default_config Metric.Hn_spf) in
@@ -508,13 +582,27 @@ let create ?config graph tm =
     Option.iter
       (fun p -> Domain_pool.set_probe p (Some (Tracer.pool_probe tracer)))
       pool;
+  let link i = Graph.link graph (Link.id_of_int i) in
+  let no_update = { Update.origin = Node.of_int 0; seq = Sequence.zero; costs = [] } in
+  let flight_capacity = 64 in
+  let views =
+    Array.init (if config.instant_flooding then 0 else n) (fun _ ->
+        Array.init nl (fun i -> Metric.cost metric (Link.id_of_int i)))
+  in
   let t =
     { graph;
       config;
       engine;
+      clock = Engine.clock engine;
       metric;
       psns;
-      queues = [||];
+      next_hops = Array.map Psn.table psns;
+      pool = Packet.create (Engine.clock engine);
+      lines = [||];
+      measurements = Array.init nl (fun i -> Measurement.create (link i));
+      link_src = Array.init nl (fun i -> Node.to_int (link i).Link.src);
+      link_dst = Array.init nl (fun i -> Node.to_int (link i).Link.dst);
+      link_rev = Array.init nl (fun i -> Link.id_to_int (link i).Link.reverse);
       flooders = Array.map Psn.flooder psns;
       flood_tx = Broadcast.instant_transmissions graph;
       workload = None;
@@ -522,21 +610,24 @@ let create ?config graph tm =
       min_hops = Array.init n (fun _ -> Array.make n max_int);
       link_up = Array.make nl true;
       prev_bits = Array.make nl 0.;
-      views =
-        Array.init (if config.instant_flooding then 0 else n) (fun _ ->
-            Array.init nl (fun i ->
-                Metric.cost metric (Link.id_of_int i)));
+      views;
+      view_costs =
+        Array.map (fun view lid -> view.(Link.id_to_int lid)) views;
       weights =
         Array.init (if config.instant_flooding then 0 else n) (fun _ ->
             Array.make nl (-1));
       trees = [||];
       repair = Spf_repair.scratch ();
-      changes = Spf_repair.changes ();
-      in_flight = Hashtbl.create 64;
+      changes =
+        (let c = Spf_repair.changes () in
+         Spf_repair.reserve_changes c nl;
+         c);
+      flights = Array.make flight_capacity no_update;
+      flight_originated = Array.make flight_capacity 0.;
+      flight_bits = Array.make flight_capacity 0.;
+      oldest_token = 0;
       next_update_token = 0;
-      pending_acks = Hashtbl.create 64;
-      doomed_tokens = vec_make 0;
-      doomed_acks = vec_make (0, 0);
+      pending = Array.make (flight_capacity * nl) false;
       changed_costs = Array.make n [];
       changed_origins = Array.make n 0;
       changed_count = 0;
@@ -553,8 +644,8 @@ let create ?config graph tm =
       started = false;
       tables_dirty = true }
   in
-  t.queues <-
-    Array.init nl (fun i -> make_queue t (Graph.link graph (Link.id_of_int i)));
+  t.lines <- Array.init nl (fun i -> { queue = make_queue t (link i) });
+  Engine.set_dispatch engine (fun kind a b -> dispatch t kind a b);
   (* Expose the per-link series the simulator already keeps through the
      registry, so a metrics snapshot carries Figs 5–8's raw series without
      recording anything twice. *)
@@ -571,8 +662,8 @@ let create ?config graph tm =
     adopt "link_utilization" t.util_series);
   t.workload <-
     Some
-      (Workload.create rng engine tm ~inject:(fun packet ->
-           handle_arrival t packet packet.Packet.src));
+      (Workload.create rng engine t.pool tm ~inject:(fun p ->
+           forward t (Packet.src t.pool p) p));
   recompute_min_hops t;
   install_tables t;
   t
@@ -587,7 +678,7 @@ let run t ~duration_s =
   if not t.started then begin
     t.started <- true;
     Option.iter Workload.start t.workload;
-    schedule_periods t
+    schedule_period t
   end;
   Engine.run_until t.engine (Engine.now t.engine +. duration_s)
 
@@ -600,22 +691,17 @@ let set_link_up t lid up =
   let i = Link.id_to_int lid in
   if t.link_up.(i) <> up then begin
     t.link_up.(i) <- up;
-    trace t (fun () -> Trace.Link_state { link = lid; up });
+    if tracing t then trace t (fun () -> Trace.Link_state { link = lid; up });
     Log.info (fun m ->
         m "t=%.0fs: link %a %s" (Engine.now t.engine) Link.pp
           (Graph.link t.graph lid)
           (if up then "up (easing in)" else "down"));
-    if not up then begin
+    if not up then
       (* Updates pending on a dead line will never be acknowledged. *)
-      vec_clear t.doomed_acks;
-      Hashtbl.iter
-        (fun ((l, _) as key) () -> if l = i then vec_push t.doomed_acks key)
-        t.pending_acks;
-      for k = 0 to t.doomed_acks.len - 1 do
-        Hashtbl.remove t.pending_acks t.doomed_acks.buf.(k)
-      done
-    end;
-    Link_queue.set_up t.queues.(i) up;
+      for token = t.oldest_token to t.next_update_token - 1 do
+        t.pending.(pending_index t token i) <- false
+      done;
+    Link_queue.set_up t.lines.(i).queue up;
     if up then Metric.link_up t.metric lid;
     recompute_min_hops t;
     install_tables t

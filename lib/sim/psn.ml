@@ -2,39 +2,19 @@ open! Import
 
 type t = {
   node : Node.t;
-  mutable table : Routing_table.t option;
-  measurements : (int * Measurement.t) list; (* keyed by link id *)
+  next_hops : int array; (* per destination: link id, -1 for none *)
   flooder : Flooder.t;
 }
 
 let create graph node =
   { node;
-    table = None;
-    measurements =
-      List.map
-        (fun (l : Link.t) -> (Link.id_to_int l.Link.id, Measurement.create l))
-        (Graph.out_links graph node);
+    next_hops = Array.make (Graph.node_count graph) (-1);
     flooder = Flooder.create graph ~owner:node }
 
 let node t = t.node
 
-let install_table t table = t.table <- Some table
+let install_tree t tree = Spf_tree.next_hops_into tree t.next_hops
 
-let table t = t.table
-
-let route t (packet : Packet.t) =
-  if Node.equal packet.Packet.dst t.node then `Deliver
-  else
-    match t.table with
-    | None -> `No_route
-    | Some table -> (
-      match Routing_table.next_hop table packet.Packet.dst with
-      | Some link -> `Forward link
-      | None -> `No_route)
-
-let measurement t lid = List.assoc (Link.id_to_int lid) t.measurements
-
-let out_measurements t =
-  List.map (fun (_, m) -> (Measurement.link m, m)) t.measurements
+let table t = t.next_hops
 
 let flooder t = t.flooder

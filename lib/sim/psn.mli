@@ -1,28 +1,28 @@
 open! Import
 
 (** One packet-switching node's routing state in the packet simulator:
-    its forwarding table, the per-outgoing-link 10-second delay
-    measurements, and its flooding engine. *)
+    its forwarding column and its flooding engine.
+
+    The forwarding column holds, per destination node, the id of the
+    outgoing link to forward on, or -1 for no route (and for the node
+    itself).  It is refreshed in place from the route tree the simulator
+    already keeps for the node, so installing new routes allocates
+    nothing; forwarding is one array read. *)
 
 type t
 
 val create : Graph.t -> Node.t -> t
-(** The table starts empty ([route] answers [`No_route]) until the first
-    {!install_table}. *)
+(** Every destination starts unrouted until the first {!install_tree}. *)
 
 val node : t -> Node.t
 
-val install_table : t -> Routing_table.t -> unit
+val install_tree : t -> Spf_tree.t -> unit
+(** Refresh the column from the node's shortest-path tree
+    ({!Routing_spf.Spf_tree.next_hops_into}). *)
 
-val table : t -> Routing_table.t option
-
-val route : t -> Packet.t -> [ `Deliver | `Forward of Link.t | `No_route ]
-(** Forwarding decision for a packet currently at this node. *)
-
-val measurement : t -> Link.id -> Measurement.t
-(** The delay accumulator for one of this node's outgoing links.
-    @raise Not_found for a link this node doesn't own. *)
-
-val out_measurements : t -> (Link.t * Measurement.t) list
+val table : t -> int array
+(** The column itself, indexed by destination node id: the link id to
+    forward on, or -1.  {!install_tree} rewrites it in place, so a
+    caller may keep it; do not mutate it. *)
 
 val flooder : t -> Flooder.t

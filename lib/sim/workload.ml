@@ -2,14 +2,16 @@ open! Import
 
 type size = Fixed of float | Exponential of float
 
-type flow = { src : Node.t; dst : Node.t; rate_pps : float }
-
 type t = {
   rng : Rng.t;
   engine : Engine.t;
+  pool : Packet.pool;
   size : size;
-  flows : flow array;
-  inject : Packet.t -> unit;
+  (* Flows as columns, in traffic-matrix fold order. *)
+  srcs : int array;
+  dsts : int array;
+  rates_pps : float array;
+  inject : int -> unit;
   mutable running : bool;
   mutable scale : float;
   mutable generated : int;
@@ -17,16 +19,19 @@ type t = {
 
 let mean_bits = function Fixed b -> b | Exponential b -> b
 
-let create ?(size = Exponential 600.) rng engine tm ~inject =
+let create ?(size = Exponential 600.) rng engine pool tm ~inject =
   let flows =
     Traffic_matrix.fold tm ~init:[] ~f:(fun acc ~src ~dst bps ->
-        { src; dst; rate_pps = bps /. mean_bits size } :: acc)
+        (Node.to_int src, Node.to_int dst, bps /. mean_bits size) :: acc)
     |> List.rev |> Array.of_list
   in
   { rng;
     engine;
+    pool;
     size;
-    flows;
+    srcs = Array.map (fun (s, _, _) -> s) flows;
+    dsts = Array.map (fun (_, d, _) -> d) flows;
+    rates_pps = Array.map (fun (_, _, r) -> r) flows;
     inject;
     running = false;
     scale = 1.;
@@ -40,26 +45,30 @@ let draw_bits t =
   | Fixed b -> Float.max 64. b
   | Exponential mean -> Float.max 64. (Rng.exponential t.rng ~mean)
 
-let rec schedule_next t flow =
-  let rate = flow.rate_pps *. t.scale in
+let schedule_next t flow =
+  let rate = t.rates_pps.(flow) *. t.scale in
   if rate > 0. then begin
     let gap = Rng.exponential t.rng ~mean:(1. /. rate) in
-    Engine.schedule t.engine ~after:gap (fun () ->
-        if t.running then begin
-          let packet =
-            Packet.make ~src:flow.src ~dst:flow.dst ~bits:(draw_bits t)
-              (Engine.now t.engine)
-          in
-          t.generated <- t.generated + 1;
-          t.inject packet;
-          schedule_next t flow
-        end)
+    Engine.schedule t.engine ~after:gap ~kind:Engine.generate ~a:flow ~b:0
+  end
+
+let fire t flow =
+  if t.running then begin
+    let packet =
+      Packet.alloc t.pool ~kind:Packet.data ~src:t.srcs.(flow)
+        ~dst:t.dsts.(flow) ~token:0 ~bits:(draw_bits t)
+    in
+    t.generated <- t.generated + 1;
+    t.inject packet;
+    schedule_next t flow
   end
 
 let start t =
   if not t.running then begin
     t.running <- true;
-    Array.iter (schedule_next t) t.flows
+    for flow = 0 to Array.length t.srcs - 1 do
+      schedule_next t flow
+    done
   end
 
 let stop t = t.running <- false

@@ -5,7 +5,10 @@ open! Import
     Every nonzero demand becomes an independent Poisson packet process with
     exponentially distributed packet sizes (mean 600 bits — the network-wide
     average the HNM's M/M/1 model assumes).  All draws come from the given
-    {!Rng.t}, so runs are reproducible. *)
+    {!Rng.t}, so runs are reproducible: a flow's gap is drawn when its
+    next {!Engine.generate} event is scheduled, the packet's size when the
+    event fires.  Packets are allocated from the simulator's pool and
+    handed to [inject] by id. *)
 
 type size = Fixed of float | Exponential of float  (** mean bits *)
 
@@ -15,14 +18,19 @@ val create :
   ?size:size ->
   Rng.t ->
   Engine.t ->
+  Packet.pool ->
   Traffic_matrix.t ->
-  inject:(Packet.t -> unit) ->
+  inject:(int -> unit) ->
   t
 (** Default size: [Exponential 600.]. *)
 
 val start : t -> unit
 (** Schedule the first arrival of every flow.  Each arrival reschedules the
     next, so the workload runs until {!stop}. *)
+
+val fire : t -> int -> unit
+(** Run an {!Engine.generate} event for the given flow: inject one packet
+    and schedule the flow's next. *)
 
 val stop : t -> unit
 (** No further packets are injected (already-scheduled events fire but do

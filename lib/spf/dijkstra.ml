@@ -96,7 +96,9 @@ let scratch () =
 (* Kept out of line: the resize path allocates, and inlining it into
    [compute_into] would put those (cold) sites inside the A0xx-gated
    body. *)
-let[@inline never] ready s n =
+let[@inline never] ready s g n =
+  (* One entry per relaxed link plus the root: the run's peak. *)
+  Radix_queue.reserve s.heap (Graph.link_count g + 1);
   if Array.length s.dist < n then begin
     s.dist <- Array.make n max_int;
     s.settled <- Array.make n false;
@@ -127,7 +129,7 @@ let compute_into s g ~weights tree =
   let out_off = Graph.csr_out_off g in
   let out_link_ids = Graph.csr_out_link_ids g in
   let out_dst = Graph.csr_out_dst g in
-  ready s n;
+  ready s g n;
   let dist = s.dist in
   let parent = s.parent in
   let settled = s.settled in

@@ -7,31 +7,61 @@
    [last] advances to that key, and the bucket's entries are redistributed
    — each lands in a strictly lower bucket (they agreed with the old [last]
    above their bucket's bit, and the new [last] is one of them), which is
-   where the amortized O(bits) bound comes from. *)
+   where the amortized O(bits) bound comes from.
 
-type bucket = {
-  mutable keys : int array;
-  mutable ties : int array;
-  mutable vals : int array;
-  mutable len : int;
-}
+   Entries live in one pool of parallel int columns; a bucket is a linked
+   list of pool slots threaded through [next], and popped slots go on a
+   free list threaded the same way.  Redistribution relinks slots without
+   copying them, so a run never holds more slots than it has live
+   entries: a queue reserved for that bound never grows.  Growth, the
+   fallback, doubles the pool out of line. *)
 
 (* 63-bit ints: keys differ from [last] somewhere in bits 0..62, so
    buckets 0..63 cover every case. *)
 let bucket_count = 64
 
 type t = {
-  buckets : bucket array;
+  mutable keys : int array;
+  mutable ties : int array;
+  mutable vals : int array;
+  mutable next : int array; (* bucket or free-list successor; -1 ends *)
+  heads : int array; (* per bucket: first slot, -1 when empty *)
+  mutable free : int; (* first free slot, -1 when the pool is full *)
   mutable last : int;
   mutable length : int;
 }
 
-let make_bucket () = { keys = [||]; ties = [||]; vals = [||]; len = 0 }
-
 let create () =
-  { buckets = Array.init bucket_count (fun _ -> make_bucket ());
+  { keys = [||];
+    ties = [||];
+    vals = [||];
+    next = [||];
+    heads = Array.make bucket_count (-1);
+    free = -1;
     last = 0;
     length = 0 }
+
+let capacity t = Array.length t.keys
+
+(* Widen every column to [cap] slots and put the new ones on the free
+   list.  Out of line: the only allocation, kept off the push path. *)
+let[@inline never] grow_to t cap =
+  let old = Array.length t.keys in
+  let widen a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  t.keys <- widen t.keys;
+  t.ties <- widen t.ties;
+  t.vals <- widen t.vals;
+  t.next <- widen t.next;
+  for i = old to cap - 1 do
+    t.next.(i) <- (if i + 1 < cap then i + 1 else t.free)
+  done;
+  t.free <- old
+
+let reserve t n = if n > Array.length t.keys then grow_to t n
 
 let is_empty t = t.length = 0
 
@@ -55,39 +85,22 @@ let bucket_of t key =
   let d = key lxor t.last in
   if d = 0 then 0 else msb d + 1
 
-let[@inline never] grow_to a cap len =
-  let a' = Array.make cap 0 in
-  Array.blit a 0 a' 0 len;
-  a'
-
-let append b ~key ~tie v =
-  if b.len = Array.length b.keys then begin
-    let cap = if b.len = 0 then 16 else 2 * b.len in
-    b.keys <- grow_to b.keys cap b.len;
-    b.ties <- grow_to b.ties cap b.len;
-    b.vals <- grow_to b.vals cap b.len
-  end;
-  b.keys.(b.len) <- key;
-  b.ties.(b.len) <- tie;
-  b.vals.(b.len) <- v;
-  b.len <- b.len + 1
-
 let push t ~key ~tie v =
   if key < t.last then
     invalid_arg
       (Printf.sprintf "Radix_queue.push: key %d below the monotone floor %d"
          key t.last);
-  append t.buckets.(bucket_of t key) ~key ~tie v;
+  if t.free < 0 then grow_to t (max 16 (2 * Array.length t.keys));
+  let e = t.free in
+  t.free <- t.next.(e);
+  t.keys.(e) <- key;
+  t.ties.(e) <- tie;
+  t.vals.(e) <- v;
+  let b = bucket_of t key in
+  t.next.(e) <- t.heads.(b);
+  t.heads.(b) <- e;
   t.length <- t.length + 1
 [@@hot_path]
-
-(* Swap-remove entry [i]; order within a bucket carries no meaning. *)
-let remove b i =
-  let l = b.len - 1 in
-  b.keys.(i) <- b.keys.(l);
-  b.ties.(i) <- b.ties.(l);
-  b.vals.(i) <- b.vals.(l);
-  b.len <- l
 
 type slot = { mutable key : int; mutable tie : int; mutable value : int }
 
@@ -96,33 +109,48 @@ let slot () = { key = 0; tie = 0; value = 0 }
 let pop_min_into t (out : slot) =
   if t.length = 0 then false
   else begin
-    let b0 = t.buckets.(0) in
-    if b0.len = 0 then begin
-      (* Advance [last] to the smallest key present and pull its cohort
-         down into bucket 0. *)
+    if t.heads.(0) < 0 then begin
+      (* Advance [last] to the smallest key present and relink its
+         bucket's slots into the buckets the new floor assigns them. *)
       let bi = ref 1 in
-      while t.buckets.(!bi).len = 0 do incr bi done;
-      let b = t.buckets.(!bi) in
-      let min_key = ref b.keys.(0) in
-      for i = 1 to b.len - 1 do
-        if b.keys.(i) < !min_key then min_key := b.keys.(i)
+      while t.heads.(!bi) < 0 do incr bi done;
+      let first = t.heads.(!bi) in
+      let min_key = ref t.keys.(first) in
+      let e = ref t.next.(first) in
+      while !e >= 0 do
+        if t.keys.(!e) < !min_key then min_key := t.keys.(!e);
+        e := t.next.(!e)
       done;
       t.last <- !min_key;
-      for i = 0 to b.len - 1 do
-        append t.buckets.(bucket_of t b.keys.(i))
-          ~key:b.keys.(i) ~tie:b.ties.(i) b.vals.(i)
-      done;
-      b.len <- 0
+      t.heads.(!bi) <- -1;
+      e := first;
+      while !e >= 0 do
+        let cur = !e in
+        e := t.next.(cur);
+        let b = bucket_of t t.keys.(cur) in
+        t.next.(cur) <- t.heads.(b);
+        t.heads.(b) <- cur
+      done
     end;
     (* Bucket 0: every key equals [last]; the tie decides. *)
-    let best = ref 0 in
-    for i = 1 to b0.len - 1 do
-      if b0.ties.(i) < b0.ties.(!best) then best := i
+    let best = ref t.heads.(0) and best_prev = ref (-1) in
+    let prev = ref t.heads.(0) and e = ref t.next.(t.heads.(0)) in
+    while !e >= 0 do
+      if t.ties.(!e) < t.ties.(!best) then begin
+        best := !e;
+        best_prev := !prev
+      end;
+      prev := !e;
+      e := t.next.(!e)
     done;
-    out.key <- b0.keys.(!best);
-    out.tie <- b0.ties.(!best);
-    out.value <- b0.vals.(!best);
-    remove b0 !best;
+    let b = !best in
+    out.key <- t.keys.(b);
+    out.tie <- t.ties.(b);
+    out.value <- t.vals.(b);
+    if !best_prev < 0 then t.heads.(0) <- t.next.(b)
+    else t.next.(!best_prev) <- t.next.(b);
+    t.next.(b) <- t.free;
+    t.free <- b;
     t.length <- t.length - 1;
     true
   end
@@ -132,7 +160,17 @@ let pop_min t =
   let s = slot () in
   if pop_min_into t s then Some (s.key, s.tie, s.value) else None
 
+(* Every live slot goes back on the free list; the pool keeps its size. *)
 let clear t =
-  Array.iter (fun b -> b.len <- 0) t.buckets;
+  for b = 0 to bucket_count - 1 do
+    let e = ref t.heads.(b) in
+    while !e >= 0 do
+      let cur = !e in
+      e := t.next.(cur);
+      t.next.(cur) <- t.free;
+      t.free <- cur
+    done;
+    t.heads.(b) <- -1
+  done;
   t.last <- 0;
   t.length <- 0

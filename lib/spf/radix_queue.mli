@@ -22,6 +22,16 @@ val create : unit -> t
 (** An empty queue with last-popped key 0: all pushed keys must be
     non-negative. *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] makes room for [n] live entries.  Entries are kept in
+    one pool whose popped slots are reused, so a queue reserved for the
+    most entries a run can hold at once never grows during it —
+    Dijkstra holds at most L + 1 (one per relaxed link, plus the root),
+    a repair at most N + 2L.  Past the reservation the pool doubles. *)
+
+val capacity : t -> int
+(** Entries the pool holds before it next grows. *)
+
 val is_empty : t -> bool
 
 val length : t -> int
@@ -54,4 +64,5 @@ val pop_min_into : t -> slot -> bool
     every pop. *)
 
 val clear : t -> unit
-(** Empty the queue and reset the monotone floor to 0. *)
+(** Empty the queue and reset the monotone floor to 0; the pool keeps
+    its capacity. *)

@@ -68,7 +68,10 @@ let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
     trees = Array.make n None;
     scratches = Array.init slots (fun _ -> Dijkstra.scratch ());
     repair_scratch = Spf_repair.scratch ();
-    changes = Spf_repair.changes ();
+    changes =
+      (let c = Spf_repair.changes () in
+       Spf_repair.reserve_changes c (Graph.link_count graph);
+       c);
     todo = Array.make n 0;
     ntodo = 0;
     to_repair = Array.make n 0;

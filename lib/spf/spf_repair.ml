@@ -46,8 +46,7 @@ let changes () = { links = [||]; old_w = [||]; new_w = [||]; count = 0 }
 
 let clear_changes c = c.count <- 0
 
-let[@inline never] grow_changes c =
-  let cap = max 8 (2 * Array.length c.links) in
+let[@inline never] grow_changes c cap =
   let grow a =
     let b = Array.make cap 0 in
     Array.blit a 0 b 0 c.count;
@@ -57,8 +56,11 @@ let[@inline never] grow_changes c =
   c.old_w <- grow c.old_w;
   c.new_w <- grow c.new_w
 
+let reserve_changes c n = if n > Array.length c.links then grow_changes c n
+
 let add_change c lid ~old_w ~new_w =
-  if c.count = Array.length c.links then grow_changes c;
+  if c.count = Array.length c.links then
+    grow_changes c (max 8 (2 * Array.length c.links));
   let k = c.count in
   c.links.(k) <- Link.id_to_int lid;
   c.old_w.(k) <- old_w;
@@ -97,7 +99,10 @@ let scratch () =
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [repair] would put those (cold) sites inside the A0xx-gated body. *)
-let[@inline never] ready s n =
+let[@inline never] ready s g =
+  let n = Graph.node_count g in
+  (* A repair's peak queue: a seed per node plus two entries per link. *)
+  Radix_queue.reserve s.queue (n + (2 * Graph.link_count g));
   if Array.length s.stamp < n then begin
     s.stamp <- Array.make n 0;
     s.settled <- Array.make n 0;
@@ -227,7 +232,7 @@ let seed_decreases s g parent some_link dist_u hops_u epoch c =
 [@@hot_path]
 
 let repair s g ~tree ~weights ~changes =
-  ready s (Graph.node_count g);
+  ready s g;
   let parent = Spf_tree.unsafe_parent tree in
   let some_link = Graph.some_link_ids g in
   let dist_u = Spf_tree.unsafe_dist tree in

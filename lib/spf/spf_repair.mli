@@ -56,6 +56,11 @@ val changes : unit -> changes
 val clear_changes : changes -> unit
 (** Empty the set, keeping its columns. *)
 
+val reserve_changes : changes -> int -> unit
+(** Make room for that many changes.  One change per link is the most a
+    weight diff can hold, so a set reserved for the graph's link count
+    never grows. *)
+
 val add_change : changes -> Link.id -> old_w:int -> new_w:int -> unit
 (** Append one link's change. *)
 

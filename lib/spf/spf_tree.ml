@@ -33,6 +33,38 @@ let hops_i t i = t.hops.(i)
 let parent_id t i =
   match t.parent.(i) with None -> -1 | Some lid -> Link.id_to_int lid
 
+(* First hop of node [v], memoized in [col] ([unknown] = not yet
+   resolved).  Recursion depth is bounded by the tree's depth, and
+   nothing here allocates. *)
+let unknown = -2
+
+let rec first_hop t col root v =
+  let h = col.(v) in
+  if h <> unknown then h
+  else begin
+    let h =
+      if t.dist.(v) = max_int then -1
+      else
+        match t.parent.(v) with
+        | None -> -1
+        | Some lid ->
+          let u = Node.to_int (Graph.link t.graph lid).Link.src in
+          if u = root then Link.id_to_int lid else first_hop t col root u
+    in
+    col.(v) <- h;
+    h
+  end
+
+let next_hops_into t col =
+  let n = Array.length t.dist in
+  let root = Node.to_int t.root in
+  Array.fill col 0 n unknown;
+  col.(root) <- -1;
+  for v = 0 to n - 1 do
+    ignore (first_hop t col root v)
+  done
+[@@hot_path]
+
 (* Individual array accessors, not a tuple: the in-place paths fetch
    them on their steady path, where a tuple would box. *)
 

@@ -48,6 +48,13 @@ val parent_id : t -> int -> int
 (** The link id over which the path enters node [i], or [-1] for the root
     and unreachable nodes. *)
 
+val next_hops_into : t -> int array -> unit
+(** [next_hops_into t col] writes every node's next-hop link id into
+    [col] (length at least the node count): [Link.id_to_int] of
+    {!next_hop}'s link, or [-1] for the root and unreachable nodes.  One
+    pass over the tree, in place and allocation-free — how the packet
+    simulator refreshes a PSN's forwarding column. *)
+
 val unsafe_parent : t -> Link.id option array
 (** The tree's own parent array, exposed so {!Spf_repair} can patch it
     and [Dijkstra.compute_into] can rewrite it in place.  Mutating it

@@ -22,8 +22,10 @@ let quantile t = t.p
 
 let count t = t.n
 
-(* Piecewise-parabolic (P2) interpolation of marker i moved by d = +-1. *)
-let parabolic t i d =
+(* Piecewise-parabolic (P2) interpolation of marker i moved by d = +-1.
+   Both interpolants are inlined into [add], so the marker adjustment
+   passes no float through a call and [add] allocates nothing. *)
+let[@inline] parabolic t i d =
   let q = t.heights and pos = t.positions in
   q.(i)
   +. d
@@ -35,7 +37,7 @@ let parabolic t i d =
            *. (q.(i) -. q.(i - 1))
            /. (pos.(i) -. pos.(i - 1))))
 
-let linear t i d =
+let[@inline] linear t i d =
   let q = t.heights and pos = t.positions in
   q.(i) +. (d *. (q.(i + int_of_float d) -. q.(i)) /. (pos.(i + int_of_float d) -. pos.(i)))
 
@@ -62,8 +64,11 @@ let add t x =
         3
       end
       else begin
-        let rec find i = if x < q.(i + 1) then i else find (i + 1) in
-        find 0
+        let i = ref 0 in
+        while not (x < q.(!i + 1)) do
+          incr i
+        done;
+        !i
       end
     in
     for i = k + 1 to 4 do

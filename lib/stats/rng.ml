@@ -1,37 +1,53 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer read and written through
+   the unboxed bytes primitives, and [mix]/[next] are inlined into every
+   draw, so drawing allocates only the float or int64 a draw returns (a
+   [mutable state : int64] field would box on every write). *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let make state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = make (mix (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] next t =
+  let state = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 state;
+  mix state
 
-let copy t = { state = t.state }
+let bits64 t = next t
+
+let split t = make (next t)
+
+let copy t = Bytes.copy t
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: n <= 0";
   (* Rejection-free for our purposes: modulo bias is negligible since
      n is always far below 2^63 in this codebase. *)
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int n))
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int n))
 
-let float t x =
-  let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+let[@inline] float t x =
+  let u = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   u /. 9007199254740992. *. x (* 2^53 *)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";
   let u = ref (float t 1.) in
   if !u = 0. then u := epsilon_float;

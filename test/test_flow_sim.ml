@@ -7,6 +7,8 @@ module Measure = Routing_sim.Measure
 module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
 module Tracer = Routing_obs.Tracer
+module Network = Routing_sim.Network
+module Engine = Routing_sim.Engine
 
 (* The Fig 1 scenario: two regions, two equal bridges, heavy inter-region
    load (~74% of combined bridge capacity). *)
@@ -370,6 +372,38 @@ let test_busy_periods_allocate_nothing () =
         deltas)
     [ (Metric.D_spf, 1.0); (Metric.Hn_spf, 1.13) ]
 
+(* The packet DES: events are int rows, packets live in a pool, link
+   FIFOs are int rings and each PSN forwards from an int column, so the
+   event loop itself allocates nothing.  What is left per event is a
+   few boxed floats crossing module boundaries (a gap or size draw, a
+   transmission time, a measured delay) plus per-period and per-receipt
+   bookkeeping.  D-SPF with hop-by-hop flooding on the ARPANET peak
+   matrix exercises every event kind; warm-up grows the pool, the rings
+   and the flight table to their steady sizes. *)
+let test_packet_des_allocation () =
+  let g = Arpanet.topology () in
+  let tm = Arpanet.peak_traffic (Rng.create 7) g in
+  let config =
+    { (Network.default_config Metric.D_spf) with
+      Network.seed = 5;
+      instant_flooding = false;
+      record_series = false;
+      domains = 1 }
+  in
+  let net = Network.create ~config g tm in
+  Network.run net ~duration_s:30.;
+  let events0 = Engine.events_processed (Network.engine net) in
+  let before = Gc.minor_words () in
+  Network.run net ~duration_s:30.;
+  let words = Gc.minor_words () -. before in
+  let events = Engine.events_processed (Network.engine net) - events0 in
+  let per_event = words /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per event (%d events) under 4" per_event
+       events)
+    true
+    (events > 10_000 && per_event < 4.)
+
 let test_route_change_counters () =
   let g, tm, _, _ = two_region_setup () in
   (* D-SPF's oscillation is route flapping by definition: flows stampede
@@ -467,7 +501,8 @@ let () =
           Alcotest.test_case "HN-SPF quiet periods (traced)" `Quick
             test_hnspf_quiet_periods_allocate_nothing;
           Alcotest.test_case "Table 1 busy periods (traced)" `Quick
-            test_busy_periods_allocate_nothing ] );
+            test_busy_periods_allocate_nothing;
+          Alcotest.test_case "packet DES" `Quick test_packet_des_allocation ] );
       ( "route changes",
         [ Alcotest.test_case "counters" `Quick test_route_change_counters;
           Alcotest.test_case "delay percentiles" `Quick

@@ -10,49 +10,85 @@ module Measure = Routing_sim.Measure
 module Network = Routing_sim.Network
 module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
+module Measurement = Routing_metric.Measurement
 
 (* --- Event queue / engine --- *)
 
+(* Pop every event, collecting each one's [a] operand in pop order. *)
+let drain_operands q =
+  let log = ref [] in
+  while not (Event_queue.is_empty q) do
+    ignore (Event_queue.pop_min q);
+    log := Event_queue.popped_a q :: !log
+  done;
+  List.rev !log
+
 let test_event_queue_time_order () =
   let q = Event_queue.create () in
-  let log = ref [] in
-  Event_queue.add q ~time:3. (fun () -> log := 3 :: !log);
-  Event_queue.add q ~time:1. (fun () -> log := 1 :: !log);
-  Event_queue.add q ~time:2. (fun () -> log := 2 :: !log);
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, run) ->
-      run ();
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log)
+  Event_queue.add q ~time:3. ~kind:0 ~a:3 ~b:0;
+  Event_queue.add q ~time:1. ~kind:0 ~a:1 ~b:0;
+  Event_queue.add q ~time:2. ~kind:0 ~a:2 ~b:0;
+  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (drain_operands q)
 
 let test_event_queue_fifo_ties () =
   let q = Event_queue.create () in
-  let log = ref [] in
   for i = 1 to 5 do
-    Event_queue.add q ~time:7. (fun () -> log := i :: !log)
+    Event_queue.add q ~time:7. ~kind:0 ~a:i ~b:0
   done;
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, run) ->
-      run ();
-      drain ()
-    | None -> ()
-  in
-  drain ();
   Alcotest.(check (list int)) "insertion order among ties" [ 1; 2; 3; 4; 5 ]
-    (List.rev !log)
+    (drain_operands q)
+
+(* Random interleavings of pushes and pops against a model: a list of
+   (time, insertion index, kind, a, b) rows kept sorted.  Times come from
+   a small range so ties are common; every pop must return the model's
+   head — earliest time, then earliest insertion — with its operands,
+   and advance the clock to its time. *)
+let prop_event_queue_matches_sorted_model =
+  QCheck2.Test.make ~name:"event queue = sorted (time, insertion) model"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 0 300) (option (int_range 0 40)))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] in
+      let ok = ref true in
+      let pop () =
+        match !model with
+        | [] -> if not (Event_queue.is_empty q) then ok := false
+        | (time, _, kind, a, b) :: rest ->
+          model := rest;
+          let k = Event_queue.pop_min q in
+          if
+            k <> kind
+            || Event_queue.popped_a q <> a
+            || Event_queue.popped_b q <> b
+            || (Event_queue.clock q).Event_queue.now <> time
+          then ok := false
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some t ->
+            let time = float_of_int t /. 4. in
+            let kind = i mod 5 and a = i * 7 and b = -i in
+            Event_queue.add q ~time ~kind ~a ~b;
+            model := List.merge compare !model [ (time, i, kind, a, b) ]
+          | None -> pop ())
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Event_queue.is_empty q)
 
 let test_engine_clock () =
   let e = Engine.create () in
   let seen = ref [] in
-  Engine.schedule e ~after:5. (fun () -> seen := Engine.now e :: !seen);
-  Engine.schedule e ~after:2. (fun () ->
+  (* Kind 1 records the clock and schedules a kind-0 event a second
+     later; kind 0 only records. *)
+  Engine.set_dispatch e (fun kind _ _ ->
       seen := Engine.now e :: !seen;
-      Engine.schedule e ~after:1. (fun () -> seen := Engine.now e :: !seen));
+      if kind = 1 then Engine.schedule e ~after:1. ~kind:0 ~a:0 ~b:0);
+  Engine.schedule e ~after:5. ~kind:0 ~a:0 ~b:0;
+  Engine.schedule e ~after:2. ~kind:1 ~a:0 ~b:0;
   Engine.run_until e 10.;
   Alcotest.(check (list (float 1e-9))) "clock at each event" [ 2.; 3.; 5. ]
     (List.rev !seen);
@@ -62,7 +98,8 @@ let test_engine_clock () =
 let test_engine_horizon_stops_events () =
   let e = Engine.create () in
   let fired = ref false in
-  Engine.schedule e ~after:5. (fun () -> fired := true);
+  Engine.set_dispatch e (fun _ _ _ -> fired := true);
+  Engine.schedule e ~after:5. ~kind:0 ~a:0 ~b:0;
   Engine.run_until e 4.;
   Alcotest.(check bool) "not yet" false !fired;
   Engine.run_until e 6.;
@@ -72,7 +109,57 @@ let test_engine_rejects_past () =
   let e = Engine.create () in
   Engine.run_until e 5.;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> Engine.schedule_at e ~at:1. ignore)
+    (fun () -> Engine.schedule_at e ~at:1. ~kind:0 ~a:0 ~b:0)
+
+(* --- Packet pool --- *)
+
+(* Random allocations (up to 600, past the initial 256 slots, so the
+   columns double) interleaved with frees of the oldest live packet:
+   no id is handed out while live, every live packet keeps its fields
+   across growth and reuse, the live count matches, and freeing an id
+   twice is refused. *)
+let prop_packet_pool_ids =
+  QCheck2.Test.make ~name:"pool hands out each live id once" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 600) (option (int_range 0 1000)))
+    (fun ops ->
+      let pool = Packet.create (Engine.clock (Engine.create ())) in
+      let live = Queue.create () and ok = ref true in
+      let intact (p, v) =
+        Packet.kind pool p = Packet.data
+        && Packet.src pool p = v
+        && Packet.token pool p = v
+        && Packet.bits pool p = float_of_int v
+      in
+      List.iter
+        (function
+          | Some v ->
+            let p =
+              Packet.alloc pool ~kind:Packet.data ~src:v ~dst:0 ~token:v
+                ~bits:(float_of_int v)
+            in
+            if Queue.fold (fun seen (q, _) -> seen || q = p) false live then
+              ok := false;
+            Queue.add (p, v) live
+          | None -> (
+            match Queue.take_opt live with
+            | Some ((p, _) as e) ->
+              if not (intact e) then ok := false;
+              Packet.free pool p
+            | None -> ()))
+        ops;
+      let all_intact = Queue.fold (fun acc e -> acc && intact e) true live in
+      let double_free_refused =
+        match Queue.take_opt live with
+        | None -> true
+        | Some (p, _) -> (
+          Packet.free pool p;
+          try
+            Packet.free pool p;
+            false
+          with Invalid_argument _ -> true)
+      in
+      !ok && all_intact && double_free_refused
+      && Packet.live pool = Queue.length live)
 
 (* --- Link queue --- *)
 
@@ -82,44 +169,67 @@ let one_link () =
   let g = Builder.build b in
   (g, Graph.link g (Link.id_of_int 0))
 
-let test_link_queue_transmits_in_order () =
+(* One link's transmitter on its own engine and packet pool.  The
+   dispatch runs completions through the queue and hands each arrival's
+   packet to [on_arrival] before freeing it, as a simulator would. *)
+let link_rig ?buffer_packets ~on_arrival ~on_drop () =
   let _, link = one_link () in
   let e = Engine.create () in
+  let pool = Packet.create (Engine.clock e) in
+  let m = Measurement.create link in
+  let q = Link_queue.create ?buffer_packets e pool link m ~on_drop in
+  Engine.set_dispatch e (fun kind _ b ->
+      if kind = Engine.transmission_complete then Link_queue.complete q b
+      else if kind = Engine.arrival then begin
+        on_arrival pool b;
+        Packet.free pool b
+      end);
+  (link, e, pool, m, q)
+
+let data_packet pool (link : Link.t) bits =
+  Packet.alloc pool ~kind:Packet.data ~src:(Node.to_int link.Link.src)
+    ~dst:(Node.to_int link.Link.dst) ~token:0 ~bits
+
+let control_packet pool (link : Link.t) bits =
+  Packet.alloc pool ~kind:Packet.control ~src:(Node.to_int link.Link.src)
+    ~dst:(Node.to_int link.Link.dst) ~token:0 ~bits
+
+let test_link_queue_transmits_in_order () =
   let arrived = ref [] in
-  let measured = ref [] in
-  let q =
-    Link_queue.create e link
-      ~on_arrival:(fun p -> arrived := p.Packet.bits :: !arrived)
-      ~on_measured:(fun ~delay_s -> measured := delay_s :: !measured)
+  let link, e, pool, m, q =
+    link_rig
+      ~on_arrival:(fun pool p -> arrived := Packet.bits pool p :: !arrived)
       ~on_drop:(fun _ _ -> Alcotest.fail "no drop expected")
+      ()
   in
-  let p bits = Packet.make ~src:link.Link.src ~dst:link.Link.dst ~bits 0. in
-  Link_queue.enqueue q (p 560.);
-  Link_queue.enqueue q (p 1120.);
+  Link_queue.enqueue q (data_packet pool link 560.);
+  Link_queue.enqueue q (data_packet pool link 1120.);
+  (* The first completes at 10 ms, the second at 30 ms: read the
+     measurement window after each. *)
+  Engine.run_until e 0.02;
+  let first = Measurement.finish_period m in
   Engine.run_until e 10.;
+  let second = Measurement.finish_period m in
   Alcotest.(check (list (float 1e-9))) "FIFO order" [ 560.; 1120. ]
     (List.rev !arrived);
   (* First packet: 10ms transmission + 10ms propagation; second waits 10ms
      then 20ms transmission + propagation. *)
   Alcotest.(check (list (float 1e-6))) "measured delays" [ 0.02; 0.04 ]
-    (List.rev !measured);
+    [ first; second ];
   Alcotest.(check int) "transmitted" 2 (Link_queue.transmitted_packets q);
   Alcotest.(check (float 1e-9)) "bits" 1680. (Link_queue.transmitted_bits q)
 
 let test_link_queue_drops_when_full () =
-  let _, link = one_link () in
-  let e = Engine.create () in
   let drops = ref 0 in
-  let q =
-    Link_queue.create ~buffer_packets:2 e link
-      ~on_arrival:(fun _ -> ())
-      ~on_measured:(fun ~delay_s:_ -> ())
+  let link, e, pool, _, q =
+    link_rig ~buffer_packets:2
+      ~on_arrival:(fun _ _ -> ())
       ~on_drop:(fun _ _ -> incr drops)
+      ()
   in
-  let p () = Packet.make ~src:link.Link.src ~dst:link.Link.dst ~bits:560. 0. in
   (* One in transmission + 2 waiting fit; the 4th and 5th are dropped. *)
   for _ = 1 to 5 do
-    Link_queue.enqueue q (p ())
+    Link_queue.enqueue q (data_packet pool link 560.)
   done;
   Alcotest.(check int) "two dropped" 2 !drops;
   Alcotest.(check int) "queue holds three" 3 (Link_queue.queue_length q);
@@ -127,16 +237,14 @@ let test_link_queue_drops_when_full () =
   Alcotest.(check int) "rest transmitted" 3 (Link_queue.transmitted_packets q)
 
 let test_link_queue_down_drops_everything () =
-  let _, link = one_link () in
-  let e = Engine.create () in
   let drops = ref 0 and arrived = ref 0 in
-  let q =
-    Link_queue.create e link
-      ~on_arrival:(fun _ -> incr arrived)
-      ~on_measured:(fun ~delay_s:_ -> ())
+  let link, e, pool, _, q =
+    link_rig
+      ~on_arrival:(fun _ _ -> incr arrived)
       ~on_drop:(fun _ _ -> incr drops)
+      ()
   in
-  let p () = Packet.make ~src:link.Link.src ~dst:link.Link.dst ~bits:560. 0. in
+  let p () = data_packet pool link 560. in
   Link_queue.enqueue q (p ());
   Link_queue.enqueue q (p ());
   Link_queue.set_up q false;
@@ -150,71 +258,103 @@ let test_link_queue_down_drops_everything () =
   Engine.run_until e 2.;
   Alcotest.(check int) "works after revival" 1 !arrived
 
-let test_link_queue_priority_lane () =
-  let _, link = one_link () in
-  let e = Engine.create () in
-  let arrived = ref [] in
-  let q =
-    Link_queue.create e link
-      ~on_arrival:(fun p -> arrived := p.Packet.bits :: !arrived)
-      ~on_measured:(fun ~delay_s:_ -> ())
-      ~on_drop:(fun _ _ -> Alcotest.fail "no drop expected")
+(* A line that fails mid-transmission frees the packet on the wire, and
+   the pool hands its slot to the next packet at once.  The completion
+   scheduled before the failure still fires: it carries the old epoch,
+   so it must leave the reused slot alone — the new packet completes on
+   its own schedule and arrives exactly once. *)
+let test_link_queue_stale_completion_after_flap () =
+  let arrivals = ref [] and drops = ref [] and engine = ref None in
+  let link, e, pool, _, q =
+    link_rig
+      ~on_arrival:(fun pool p ->
+        let now = Engine.now (Option.get !engine) in
+        arrivals := (now, Packet.bits pool p) :: !arrivals)
+      ~on_drop:(fun _ p -> drops := p :: !drops)
+      ()
   in
-  let data bits = Packet.make ~src:link.Link.src ~dst:link.Link.dst ~bits 0. in
-  let control bits =
-    Packet.make ~kind:(Packet.Control 0) ~src:link.Link.src ~dst:link.Link.dst
-      ~bits 0.
+  engine := Some e;
+  let first = data_packet pool link 560. in
+  Link_queue.enqueue q first;
+  (* 560 bits on 56 kb/s: a completion is pending for t = 10 ms. *)
+  Link_queue.set_up q false;
+  Link_queue.set_up q true;
+  Alcotest.(check (list int)) "the packet on the wire is lost" [ first ] !drops;
+  let second = data_packet pool link 1120. in
+  Alcotest.(check int) "its slot is reused" first second;
+  Link_queue.enqueue q second;
+  Engine.run_until e 1.;
+  (* 20 ms of transmission + 10 ms of propagation; the stale 10-ms
+     completion would have delivered it at 20 ms. *)
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "one arrival, on the new packet's own schedule" [ (0.03, 1120.) ]
+    !arrivals;
+  Alcotest.(check int) "one transmission counted" 1
+    (Link_queue.transmitted_packets q);
+  Alcotest.(check int) "every slot freed once" 0 (Packet.live pool)
+
+let test_link_queue_priority_lane () =
+  let arrived = ref [] in
+  let link, e, pool, _, q =
+    link_rig
+      ~on_arrival:(fun pool p -> arrived := Packet.bits pool p :: !arrived)
+      ~on_drop:(fun _ _ -> Alcotest.fail "no drop expected")
+      ()
   in
   (* Three data packets queue up; a control packet enqueued afterwards must
      jump everything still waiting (but not the one on the wire). *)
-  Link_queue.enqueue q (data 560.);
-  Link_queue.enqueue q (data 561.);
-  Link_queue.enqueue q (data 562.);
-  Link_queue.enqueue_priority q (control 48.);
+  Link_queue.enqueue q (data_packet pool link 560.);
+  Link_queue.enqueue q (data_packet pool link 561.);
+  Link_queue.enqueue q (data_packet pool link 562.);
+  Link_queue.enqueue_priority q (control_packet pool link 48.);
   Engine.run_until e 10.;
   Alcotest.(check (list (float 1e-9))) "control jumps the waiting data"
     [ 560.; 48.; 561.; 562. ]
     (List.rev !arrived)
 
 let test_link_queue_priority_not_dropped () =
-  let _, link = one_link () in
-  let e = Engine.create () in
   let drops = ref 0 in
-  let q =
-    Link_queue.create ~buffer_packets:1 e link
-      ~on_arrival:(fun _ -> ())
-      ~on_measured:(fun ~delay_s:_ -> ())
+  let link, e, pool, _, q =
+    link_rig ~buffer_packets:1
+      ~on_arrival:(fun _ _ -> ())
       ~on_drop:(fun _ _ -> incr drops)
+      ()
   in
-  let data () = Packet.make ~src:link.Link.src ~dst:link.Link.dst ~bits:560. 0. in
-  let control () =
-    Packet.make ~kind:(Packet.Control 0) ~src:link.Link.src ~dst:link.Link.dst
-      ~bits:48. 0.
-  in
-  Link_queue.enqueue q (data ());
-  Link_queue.enqueue q (data ());
-  Link_queue.enqueue q (data ());
+  Link_queue.enqueue q (data_packet pool link 560.);
+  Link_queue.enqueue q (data_packet pool link 560.);
+  Link_queue.enqueue q (data_packet pool link 560.);
   Alcotest.(check int) "data overflow dropped" 1 !drops;
   for _ = 1 to 5 do
-    Link_queue.enqueue_priority q (control ())
+    Link_queue.enqueue_priority q (control_packet pool link 48.)
   done;
   Alcotest.(check int) "control never dropped for buffers" 1 !drops;
   Engine.run_until e 10.
 
 (* --- Workload --- *)
 
-let test_workload_poisson_rate () =
+(* A 6000 b/s flow of fixed 600-bit packets between two nodes, with the
+   engine dispatching its generation events; [inject] counts and frees. *)
+let workload_rig () =
   let b = Builder.create () in
   let _ = Builder.trunk b Line_type.T56 "A" "B" in
   let g = Builder.build b in
   let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
   Traffic_matrix.set tm ~src:(Node.of_int 0) ~dst:(Node.of_int 1) 6000.;
   let e = Engine.create () in
+  let pool = Packet.create (Engine.clock e) in
   let count = ref 0 in
   let w =
-    Workload.create ~size:(Workload.Fixed 600.) (Rng.create 3) e tm
-      ~inject:(fun _ -> incr count)
+    Workload.create ~size:(Workload.Fixed 600.) (Rng.create 3) e pool tm
+      ~inject:(fun p ->
+        incr count;
+        Packet.free pool p)
   in
+  Engine.set_dispatch e (fun kind a _ ->
+      if kind = Engine.generate then Workload.fire w a);
+  (e, w, count)
+
+let test_workload_poisson_rate () =
+  let e, w, count = workload_rig () in
   Workload.start w;
   Engine.run_until e 100.;
   Workload.stop w;
@@ -225,17 +365,7 @@ let test_workload_poisson_rate () =
     (!count > 850 && !count < 1150)
 
 let test_workload_scale () =
-  let b = Builder.create () in
-  let _ = Builder.trunk b Line_type.T56 "A" "B" in
-  let g = Builder.build b in
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-  Traffic_matrix.set tm ~src:(Node.of_int 0) ~dst:(Node.of_int 1) 6000.;
-  let e = Engine.create () in
-  let count = ref 0 in
-  let w =
-    Workload.create ~size:(Workload.Fixed 600.) (Rng.create 3) e tm
-      ~inject:(fun _ -> incr count)
-  in
+  let e, w, count = workload_rig () in
   Workload.start w;
   Workload.set_scale w 3.;
   Engine.run_until e 100.;
@@ -545,6 +675,39 @@ let test_network_incremental_survives_link_flap () =
     (float_of_int (Network.dropped_packets net)
     < 0.05 *. float_of_int (Network.generated_packets net))
 
+(* Two parallel T56 trunks between A and B, plus B-C and C-A.  An update
+   that crosses the second A-B trunk must be acknowledged over that
+   trunk's own reverse and must not be forwarded back over it; getting
+   either wrong leaves the sender retransmitting every second until the
+   update expires.  Hop-by-hop flooding then costs about what an instant
+   flood charges, not dozens of times more. *)
+let test_network_parallel_trunks () =
+  let b = Builder.create () in
+  let _ = Builder.trunk b Line_type.T56 "A" "B" in
+  let _ = Builder.trunk b Line_type.T56 "A" "B" in
+  let _ = Builder.trunk b Line_type.T56 "B" "C" in
+  let _ = Builder.trunk b Line_type.T56 "C" "A" in
+  let g = Builder.build b in
+  let tm = Traffic_matrix.uniform ~nodes:3 ~pair_bps:8000. in
+  let update_bits instant_flooding =
+    let config =
+      { (Network.default_config Metric.D_spf) with
+        Network.seed = 3;
+        instant_flooding;
+        record_series = false }
+    in
+    let net = Network.create ~config g tm in
+    Network.run net ~duration_s:300.;
+    let i = Network.indicators net in
+    i.Measure.overhead_bps *. i.Measure.elapsed_s
+  in
+  let instant = update_bits true and hop_by_hop = update_bits false in
+  Alcotest.(check bool)
+    (Printf.sprintf "hop-by-hop update bits %.0f within 1.5x of instant %.0f"
+       hop_by_hop instant)
+    true
+    (instant > 0. && hop_by_hop <= 1.5 *. instant)
+
 let test_network_deterministic () =
   let run () =
     let _, net = small_net Metric.D_spf in
@@ -558,16 +721,20 @@ let () =
   Alcotest.run "routing_sim"
     [ ( "event_queue",
         [ Alcotest.test_case "time order" `Quick test_event_queue_time_order;
-          Alcotest.test_case "fifo ties" `Quick test_event_queue_fifo_ties ] );
+          Alcotest.test_case "fifo ties" `Quick test_event_queue_fifo_ties;
+          QCheck_alcotest.to_alcotest prop_event_queue_matches_sorted_model ] );
       ( "engine",
         [ Alcotest.test_case "clock" `Quick test_engine_clock;
           Alcotest.test_case "horizon" `Quick test_engine_horizon_stops_events;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past ] );
+      ("packet", [ QCheck_alcotest.to_alcotest prop_packet_pool_ids ]);
       ( "link_queue",
         [ Alcotest.test_case "fifo transmission" `Quick
             test_link_queue_transmits_in_order;
           Alcotest.test_case "drops when full" `Quick test_link_queue_drops_when_full;
           Alcotest.test_case "line down" `Quick test_link_queue_down_drops_everything;
+          Alcotest.test_case "stale completion after flap" `Quick
+            test_link_queue_stale_completion_after_flap;
           Alcotest.test_case "priority lane" `Quick test_link_queue_priority_lane;
           Alcotest.test_case "priority never dropped" `Quick
             test_link_queue_priority_not_dropped ] );
@@ -596,5 +763,6 @@ let () =
             test_network_incremental_survives_link_flap;
           Alcotest.test_case "trace captures events" `Quick
             test_network_trace_captures_events;
+          Alcotest.test_case "parallel trunks" `Quick test_network_parallel_trunks;
           Alcotest.test_case "deterministic" `Quick test_network_deterministic ] )
     ]

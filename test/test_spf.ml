@@ -50,7 +50,10 @@ let test_radix_clear () =
    loop produce.  Against a model priority queue, a list of
    (key, tie, value) entries kept sorted, random interleavings of pushes
    and pops must agree pop for pop.  Ties are made unique so the
-   comparison is exact, not set-valued. *)
+   comparison is exact, not set-valued.  A second queue, reserved up
+   front for the sequence's peak number of live entries, must pop the
+   same entries without its pool ever growing: popped slots are reused,
+   so the peak is all a run needs. *)
 let prop_radix_matches_priority_queue =
   QCheck2.Test.make ~name:"radix queue = priority queue (monotone ops)"
     ~count:300
@@ -59,6 +62,20 @@ let prop_radix_matches_priority_queue =
         (pair (option (int_range 0 2000)) (int_range 0 9)))
     (fun ops ->
       let q = Rq.create () in
+      let peak =
+        let live = ref 0 and peak = ref 0 in
+        List.iter
+          (fun (op, _) ->
+            (match op with
+            | Some _ -> incr live
+            | None -> if !live > 0 then decr live);
+            peak := max !peak !live)
+          ops;
+        !peak
+      in
+      let reserved = Rq.create () in
+      Rq.reserve reserved peak;
+      let capacity = Rq.capacity reserved in
       let model = ref [] in
       let pop_model () =
         match !model with
@@ -75,23 +92,27 @@ let prop_radix_matches_priority_queue =
           | Some delta ->
             let key = !last + delta and tie = (r * 1_000_000) + i in
             Rq.push q ~key ~tie i;
+            Rq.push reserved ~key ~tie i;
             model := List.merge compare [ (key, tie, i) ] !model
           | None -> (
+            let from_reserved = Rq.pop_min reserved in
             match (Rq.pop_min q, pop_model ()) with
-            | None, None -> ()
+            | None, None -> if from_reserved <> None then ok := false
             | Some ((k, _, _) as e), Some e' ->
               last := k;
-              if e <> e' then ok := false
+              if e <> e' || from_reserved <> Some e then ok := false
             | _ -> ok := false))
         ops;
       let rec drain () =
+        let from_reserved = Rq.pop_min reserved in
         match (Rq.pop_min q, pop_model ()) with
-        | None, None -> ()
-        | Some e, Some e' -> if e = e' then drain () else ok := false
+        | None, None -> if from_reserved <> None then ok := false
+        | Some e, Some e' ->
+          if e = e' && from_reserved = Some e then drain () else ok := false
         | _ -> ok := false
       in
       drain ();
-      !ok)
+      !ok && Rq.capacity reserved = capacity)
 
 (* --- helpers --- *)
 

@@ -60,6 +60,24 @@ let test_pool_size_one_is_sequential () =
       order := i :: !order);
   Alcotest.(check (list int)) "inline, in order" [ 4; 3; 2; 1; 0 ] !order
 
+(* Workers are spawned by the first loop that fans out.  That loop must
+   already run on them: each of its two indices waits (up to 5 s) until
+   both have started, which only happens when a second domain took one. *)
+let test_pool_first_loop_uses_workers () =
+  let pool = Domain_pool.create 2 in
+  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
+  let started = Atomic.make 0 in
+  let waited_out = Array.make 2 false in
+  Domain_pool.parallel_for pool ~init:ignore 2 (fun () i ->
+      Atomic.incr started;
+      let deadline = Unix.gettimeofday () +. 5. in
+      while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done;
+      waited_out.(i) <- Atomic.get started < 2);
+  Alcotest.(check (array bool)) "both indices ran at once" [| false; false |]
+    waited_out
+
 (* --- CSR adjacency vs list adjacency --- *)
 
 let prop_csr_matches_lists =
@@ -380,7 +398,9 @@ let () =
           Alcotest.test_case "propagates exceptions" `Quick
             test_pool_propagates_exception;
           Alcotest.test_case "size 1 is sequential" `Quick
-            test_pool_size_one_is_sequential ] );
+            test_pool_size_one_is_sequential;
+          Alcotest.test_case "first loop uses the workers" `Quick
+            test_pool_first_loop_uses_workers ] );
       ("csr", qsuite [ prop_csr_matches_lists ]);
       ( "engine",
         [ Alcotest.test_case "parallel = sequential" `Quick
