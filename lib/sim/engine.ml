@@ -50,14 +50,6 @@ let run_until t horizon =
   done;
   Event_queue.advance_to q horizon
 
-let run_all t =
-  let q = t.queue in
-  while not (Event_queue.is_empty q) do
-    let kind = Event_queue.pop_min q in
-    t.processed <- t.processed + 1;
-    t.dispatch kind (Event_queue.popped_a q) (Event_queue.popped_b q)
-  done
-
 let events_processed t = t.processed
 
 let pending t = Event_queue.length t.queue

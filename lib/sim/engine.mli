@@ -58,9 +58,6 @@ val run_until : t -> float -> unit
 (** Fire all events with time ≤ the horizon, advancing the clock; the clock
     ends at the horizon even if the queue empties early. *)
 
-val run_all : t -> unit
-(** Drain the queue completely (beware of self-perpetuating workloads). *)
-
 val events_processed : t -> int
 
 val pending : t -> int

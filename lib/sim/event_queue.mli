@@ -6,11 +6,13 @@
     times fire in insertion order (a strict FIFO tie-break), which keeps
     simulations deterministic.
 
-    Stored as a structure of arrays — an unboxed float column of times
-    beside int columns of sequence numbers, kinds and operands — so
-    neither scheduling nor draining allocates: {!pop_min} advances the
-    queue's {!clock} to the popped time and leaves the operands in
-    {!popped_a}/{!popped_b}. *)
+    A 4-ary min-heap stored as a structure of arrays — an unboxed float
+    column of times beside int columns of sequence numbers, kinds and
+    operands — so neither scheduling nor draining allocates: {!pop_min}
+    advances the queue's {!clock} to the popped time and leaves the
+    operands in {!popped_a}/{!popped_b}.  A push or a pop moves at most
+    one row per level over about log₄ n levels; the columns double when
+    full. *)
 
 type t
 

@@ -131,7 +131,9 @@ type t = {
   (* In-flight updates by token.  Tokens are issued in origination order
      and retire in that order, so the live ones are the range
      [oldest_token, next_update_token), kept in a ring indexed by
-     [token land (capacity - 1)] that doubles when every slot is live. *)
+     [token land (capacity - 1)], sized at creation for the most tokens
+     that can be live at once ([flight_capacity]), and doubled should
+     every slot be live all the same. *)
   mutable flights : Update.t array;
   mutable flight_originated : float array;
   mutable flight_bits : float array; (* each update's wire size *)
@@ -139,9 +141,9 @@ type t = {
   mutable next_update_token : int;
   (* Rosen-style per-line reliability: a control packet sent on a link
      stays pending until the far end acknowledges it; a timer retransmits
-     it meanwhile.  Flat (ring slot x link) table of "still
-     unacknowledged". *)
-  mutable pending : bool array;
+     it meanwhile.  Flat (ring slot x link) table, one byte each,
+     nonzero while unacknowledged. *)
+  mutable pending : Bytes.t;
   changed_costs : (Link.id * int) list array; (* per origin node *)
   changed_origins : int array; (* origins touched, first-touch order *)
   mutable changed_count : int;
@@ -251,6 +253,28 @@ let in_flight t token = token >= t.oldest_token && token < t.next_update_token
 let pending_index t token lid =
   (flight_slot t token * Array.length t.link_up) + lid
 
+let is_pending t token lid =
+  Bytes.get t.pending (pending_index t token lid) <> '\000'
+
+let set_pending t token lid flag =
+  Bytes.set t.pending (pending_index t token lid)
+    (if flag then '\001' else '\000')
+
+(* The most tokens live at once.  A node floods at most once per routing
+   period, always at a period start, and [expire_flights] retires a
+   token at the first period start more than [flood_lifetime_s] after
+   its own, so a token is live through at most ⌈lifetime / period⌉ + 1
+   period starts.  Instant flooding opens no flight at all. *)
+let flight_capacity ~instant_flooding ~nodes =
+  if instant_flooding then 1
+  else begin
+    let starts =
+      int_of_float (Float.ceil (flood_lifetime_s /. Units.routing_period_s)) + 1
+    in
+    let rec pow2 k = if k >= nodes * starts then k else pow2 (2 * k) in
+    pow2 1
+  end
+
 (* Out of line: only a flood backlog larger than any before reaches
    here.  Live tokens move to their slots under the doubled mask. *)
 let[@inline never] grow_flights t =
@@ -260,13 +284,13 @@ let[@inline never] grow_flights t =
   let flights = Array.make cap' t.flights.(0) in
   let originated = Array.make cap' 0. in
   let bits = Array.make cap' 0. in
-  let pending = Array.make (cap' * nl) false in
+  let pending = Bytes.make (cap' * nl) '\000' in
   for token = t.oldest_token to t.next_update_token - 1 do
     let s = token land (cap - 1) and s' = token land (cap' - 1) in
     flights.(s') <- t.flights.(s);
     originated.(s') <- t.flight_originated.(s);
     bits.(s') <- t.flight_bits.(s);
-    Array.blit t.pending (s * nl) pending (s' * nl) nl
+    Bytes.blit t.pending (s * nl) pending (s' * nl) nl
   done;
   t.flights <- flights;
   t.flight_originated <- originated;
@@ -293,7 +317,7 @@ let expire_flights t ~now =
   while !continue_ && t.oldest_token < t.next_update_token do
     let s = flight_slot t t.oldest_token in
     if now -. t.flight_originated.(s) > flood_lifetime_s then begin
-      Array.fill t.pending (s * nl) nl false;
+      Bytes.fill t.pending (s * nl) nl '\000';
       t.oldest_token <- t.oldest_token + 1
     end
     else continue_ := false
@@ -357,7 +381,7 @@ let send_control t lid token =
         ~dst:t.link_dst.(lid) ~token ~bits
     in
     Measure.record_updates t.measure ~count:0 ~bits;
-    t.pending.(pending_index t token lid) <- true;
+    set_pending t token lid true;
     Link_queue.enqueue_priority t.lines.(lid).queue packet;
     Engine.schedule t.engine ~after:retransmit_interval_s
       ~kind:Engine.retransmit ~a:lid ~b:token
@@ -366,7 +390,7 @@ let send_control t lid token =
 let retransmit t lid token =
   if
     in_flight t token
-    && t.pending.(pending_index t token lid)
+    && is_pending t token lid
     && t.link_up.(lid)
   then send_control t lid token
 
@@ -428,7 +452,7 @@ let arrive t lid p =
       deliver_update t node ~via:lid token
     end
     else if in_flight t token then
-      t.pending.(pending_index t token t.link_rev.(lid)) <- false
+      set_pending t token t.link_rev.(lid) false
   end
 
 let make_queue t (link : Link.t) =
@@ -584,7 +608,9 @@ let create ?config graph tm =
       pool;
   let link i = Graph.link graph (Link.id_of_int i) in
   let no_update = { Update.origin = Node.of_int 0; seq = Sequence.zero; costs = [] } in
-  let flight_capacity = 64 in
+  let flight_capacity =
+    flight_capacity ~instant_flooding:config.instant_flooding ~nodes:n
+  in
   let views =
     Array.init (if config.instant_flooding then 0 else n) (fun _ ->
         Array.init nl (fun i -> Metric.cost metric (Link.id_of_int i)))
@@ -627,7 +653,7 @@ let create ?config graph tm =
       flight_bits = Array.make flight_capacity 0.;
       oldest_token = 0;
       next_update_token = 0;
-      pending = Array.make (flight_capacity * nl) false;
+      pending = Bytes.make (flight_capacity * nl) '\000';
       changed_costs = Array.make n [];
       changed_origins = Array.make n 0;
       changed_count = 0;
@@ -699,7 +725,7 @@ let set_link_up t lid up =
     if not up then
       (* Updates pending on a dead line will never be acknowledged. *)
       for token = t.oldest_token to t.next_update_token - 1 do
-        t.pending.(pending_index t token i) <- false
+        set_pending t token i false
       done;
     Link_queue.set_up t.lines.(i).queue up;
     if up then Metric.link_up t.metric lid;

@@ -2,11 +2,17 @@ open! Import
 
 type size = Fixed of float | Exponential of float
 
+(* A fixed size, already clamped, in an all-float record (read only
+   for [Fixed]): read unboxed, it joins the exponential draw's unboxed
+   float in [draw_bits], so release builds box neither. *)
+type fixed = { fixed_bits : float }
+
 type t = {
   rng : Rng.t;
   engine : Engine.t;
   pool : Packet.pool;
   size : size;
+  fixed : fixed;
   (* Flows as columns, in traffic-matrix fold order. *)
   srcs : int array;
   dsts : int array;
@@ -17,7 +23,16 @@ type t = {
   mutable generated : int;
 }
 
-let mean_bits = function Fixed b -> b | Exponential b -> b
+(* At least one header's worth of bits so service times never vanish —
+   for fixed sizes too: a [Fixed 0.] flow must not inject zero-bit
+   packets whose service completes instantly.  [Float.max 64.] for every
+   [b], NaN included, without the call. *)
+let[@inline] clamp_bits b = if b < 64. then 64. else b
+
+(* The mean size of the packets a flow injects, which turns its demand
+   into a packet rate: a fixed size as clamped, so a [Fixed 0.] flow
+   still offers its demand (in 64-bit packets) at a finite rate. *)
+let mean_bits = function Fixed b -> clamp_bits b | Exponential b -> b
 
 let create ?(size = Exponential 600.) rng engine pool tm ~inject =
   let flows =
@@ -29,6 +44,7 @@ let create ?(size = Exponential 600.) rng engine pool tm ~inject =
     engine;
     pool;
     size;
+    fixed = { fixed_bits = mean_bits size };
     srcs = Array.map (fun (s, _, _) -> s) flows;
     dsts = Array.map (fun (_, d, _) -> d) flows;
     rates_pps = Array.map (fun (_, _, r) -> r) flows;
@@ -37,13 +53,12 @@ let create ?(size = Exponential 600.) rng engine pool tm ~inject =
     scale = 1.;
     generated = 0 }
 
-(* At least one header's worth of bits so service times never vanish —
-   for fixed sizes too: a [Fixed 0.] flow must not inject zero-bit
-   packets whose service completes instantly. *)
-let draw_bits t =
+(* The exponential mean stays in the variant: it is boxed there already,
+   so the dev build's out-of-line [Rng.exponential] takes it as is. *)
+let[@inline] draw_bits t =
   match t.size with
-  | Fixed b -> Float.max 64. b
-  | Exponential mean -> Float.max 64. (Rng.exponential t.rng ~mean)
+  | Fixed _ -> t.fixed.fixed_bits
+  | Exponential mean -> clamp_bits (Rng.exponential t.rng ~mean)
 
 let schedule_next t flow =
   let rate = t.rates_pps.(flow) *. t.scale in

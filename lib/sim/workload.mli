@@ -10,7 +10,11 @@ open! Import
     event fires.  Packets are allocated from the simulator's pool and
     handed to [inject] by id. *)
 
-type size = Fixed of float | Exponential of float  (** mean bits *)
+type size = Fixed of float | Exponential of float
+(** Packet size in bits, fixed or the mean of an exponential draw.  Every
+    packet carries at least 64 bits (one header).  A flow's packet rate
+    is its demand divided by this mean; a fixed size below 64 bits
+    counts as 64. *)
 
 type t
 

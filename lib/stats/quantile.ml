@@ -41,7 +41,9 @@ let[@inline] linear t i d =
   let q = t.heights and pos = t.positions in
   q.(i) +. (d *. (q.(i + int_of_float d) -. q.(i)) /. (pos.(i + int_of_float d) -. pos.(i)))
 
-let add t x =
+(* Inlined, like [Welford.add], so a caller's float reaches the markers
+   unboxed: [Measure.record_delivery] feeds one delay to three of these. *)
+let[@inline] add t x =
   if t.n < 5 then begin
     t.initial.(t.n) <- x;
     t.n <- t.n + 1;

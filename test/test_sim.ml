@@ -38,24 +38,44 @@ let test_event_queue_fifo_ties () =
   Alcotest.(check (list int)) "insertion order among ties" [ 1; 2; 3; 4; 5 ]
     (drain_operands q)
 
-(* Random interleavings of pushes and pops against a model: a list of
-   (time, insertion index, kind, a, b) rows kept sorted.  Times come from
-   a small range so ties are common; every pop must return the model's
-   head — earliest time, then earliest insertion — with its operands,
-   and advance the clock to its time. *)
+(* Random interleavings of pushes and pops against a model: a set of
+   (time, insertion index, kind, a, b) rows in that order.  Each case
+   draws a time span (from 5 ticks, where most times tie exactly, to a
+   million), a standing population pushed first (up to 1,000 rows) and
+   a push share for the up to 2,000 mixed operations after it (10 % to
+   90 %), so runs reach the heap's deeper levels, end on partial child
+   groups of every size and double the columns several times.  Every pop
+   must return the model's head — earliest time, then earliest
+   insertion — with its operands, and advance the clock to its time;
+   the queue's length must track the model's. *)
+module Rows = Set.Make (struct
+  type t = float * int * int * int * int
+
+  let compare = compare
+end)
+
 let prop_event_queue_matches_sorted_model =
   QCheck2.Test.make ~name:"event queue = sorted (time, insertion) model"
     ~count:300
-    QCheck2.Gen.(list_size (int_range 0 300) (option (int_range 0 40)))
+    QCheck2.Gen.(
+      let* span = oneofl [ 4; 40; 1_000_000 ] in
+      let push = map Option.some (int_range 0 span) in
+      let* pushes = int_range 1 9 in
+      let* standing = list_size (int_range 0 1000) push in
+      let+ mixed =
+        list_size (int_range 0 2000)
+          (frequency [ (pushes, push); (10 - pushes, pure None) ])
+      in
+      standing @ mixed)
     (fun ops ->
       let q = Event_queue.create () in
-      let model = ref [] in
+      let model = ref Rows.empty in
       let ok = ref true in
       let pop () =
-        match !model with
-        | [] -> if not (Event_queue.is_empty q) then ok := false
-        | (time, _, kind, a, b) :: rest ->
-          model := rest;
+        match Rows.min_elt_opt !model with
+        | None -> if not (Event_queue.is_empty q) then ok := false
+        | Some ((time, _, kind, a, b) as row) ->
+          model := Rows.remove row !model;
           let k = Event_queue.pop_min q in
           if
             k <> kind
@@ -66,15 +86,16 @@ let prop_event_queue_matches_sorted_model =
       in
       List.iteri
         (fun i op ->
-          match op with
+          (match op with
           | Some t ->
             let time = float_of_int t /. 4. in
             let kind = i mod 5 and a = i * 7 and b = -i in
             Event_queue.add q ~time ~kind ~a ~b;
-            model := List.merge compare !model [ (time, i, kind, a, b) ]
-          | None -> pop ())
+            model := Rows.add (time, i, kind, a, b) !model
+          | None -> pop ());
+          if Event_queue.length q <> Rows.cardinal !model then ok := false)
         ops;
-      while !model <> [] do
+      while not (Rows.is_empty !model) do
         pop ()
       done;
       !ok && Event_queue.is_empty q)
@@ -332,9 +353,11 @@ let test_link_queue_priority_not_dropped () =
 
 (* --- Workload --- *)
 
-(* A 6000 b/s flow of fixed 600-bit packets between two nodes, with the
-   engine dispatching its generation events; [inject] counts and frees. *)
-let workload_rig () =
+(* A 6000 b/s flow of fixed-size packets (600 bits unless [size] says
+   otherwise) between two nodes, with the engine dispatching its
+   generation events; [inject] counts each packet, hands its size to
+   [seen] and frees it. *)
+let workload_rig ?(size = Workload.Fixed 600.) ?(seen = ignore) () =
   let b = Builder.create () in
   let _ = Builder.trunk b Line_type.T56 "A" "B" in
   let g = Builder.build b in
@@ -344,9 +367,9 @@ let workload_rig () =
   let pool = Packet.create (Engine.clock e) in
   let count = ref 0 in
   let w =
-    Workload.create ~size:(Workload.Fixed 600.) (Rng.create 3) e pool tm
-      ~inject:(fun p ->
+    Workload.create ~size (Rng.create 3) e pool tm ~inject:(fun p ->
         incr count;
+        seen (Packet.bits pool p);
         Packet.free pool p)
   in
   Engine.set_dispatch e (fun kind a _ ->
@@ -373,6 +396,30 @@ let test_workload_scale () =
     (Printf.sprintf "scaled rate ~30pps (got %d in 100s)" !count)
     true
     (!count > 2600 && !count < 3400)
+
+(* A fixed size gets the one-header floor too: a [Fixed 0.] flow injects
+   64-bit packets (at the rate that offers its demand in them), and a
+   size above the floor passes through unchanged. *)
+let test_workload_fixed_size_floor () =
+  List.iter
+    (fun (size, expected) ->
+      let sizes = ref [] in
+      let e, w, count =
+        workload_rig ~size:(Workload.Fixed size)
+          ~seen:(fun bits -> sizes := bits :: !sizes)
+          ()
+      in
+      Workload.start w;
+      Engine.run_until e 10.;
+      Alcotest.(check bool)
+        (Printf.sprintf "Fixed %g generates packets" size)
+        true (!count > 0);
+      List.iter
+        (Alcotest.(check (float 0.))
+           (Printf.sprintf "Fixed %g packet size" size)
+           expected)
+        !sizes)
+    [ (0., 64.); (600., 600.) ]
 
 (* --- Measure --- *)
 
@@ -740,7 +787,9 @@ let () =
             test_link_queue_priority_not_dropped ] );
       ( "workload",
         [ Alcotest.test_case "poisson rate" `Quick test_workload_poisson_rate;
-          Alcotest.test_case "scale" `Quick test_workload_scale ] );
+          Alcotest.test_case "scale" `Quick test_workload_scale;
+          Alcotest.test_case "fixed size floor" `Quick
+            test_workload_fixed_size_floor ] );
       ( "measure",
         [ Alcotest.test_case "indicators" `Quick test_measure_indicators;
           Alcotest.test_case "percentiles" `Quick test_measure_percentiles;
