@@ -103,177 +103,27 @@ let spf_reachable ~root =
   in
   closure [] [ "routing_spf" ] |> List.map snd |> List.sort_uniq String.compare
 
-(* --- The line scans --- *)
+(* --- The parse-tree scans --- *)
 
-(* Blank out comments and string/char literals, preserving the line
-   structure so reported line numbers and the column-0 [let] test still
-   hold.  Without this the lint would flag its own documentation and
-   error messages — the banned names appear there as text, not code.
+let rec ident_name = function
+  | Longident.Lident s -> s
+  | Longident.Ldot (m, s) -> ident_name m ^ "." ^ s
+  | Longident.Lapply (f, x) -> ident_name f ^ "(" ^ ident_name x ^ ")"
 
-   The scan follows the reference lexer's comment rules: comments nest,
-   and a string literal inside a comment is lexed as a string — so
-   `(* "*)" *)` stays one comment — while char literals like '"' and
-   '\'' never open a string, inside a comment or out.  {id|…|id}
-   quoted-string literals are matched by delimiter. *)
-let code_lines text =
-  let n = String.length text in
-  let out = Buffer.create n in
-  let i = ref 0 in
-  (* Consume one char as blanked-out: newlines survive, the rest
-     becomes a space. *)
-  let blank () =
-    Buffer.add_char out (if text.[!i] = '\n' then '\n' else ' ');
-    incr i
-  in
-  (* Double-quoted string, [!i] at the opening quote. *)
-  let scan_string () =
-    blank ();
-    let closed = ref false in
-    while (not !closed) && !i < n do
-      match text.[!i] with
-      | '\\' when !i + 1 < n -> blank (); blank ()
-      | '"' -> blank (); closed := true
-      | _ -> blank ()
-    done
-  in
-  (* {id|…|id} quoted string, [!i] at '{'.  Returns false (consuming
-     nothing) when the brace does not actually open one. *)
-  let scan_quoted () =
-    let j = ref (!i + 1) in
-    while
-      !j < n && (match text.[!j] with 'a' .. 'z' | '_' -> true | _ -> false)
-    do
-      incr j
-    done;
-    if !j >= n || text.[!j] <> '|' then false
-    else begin
-      let close = "|" ^ String.sub text (!i + 1) (!j - !i - 1) ^ "}" in
-      let clen = String.length close in
-      while !i <= !j do blank () done;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if !i + clen <= n && String.sub text !i clen = close then begin
-          for _ = 1 to clen do blank () done;
-          closed := true
-        end
-        else blank ()
-      done;
-      true
-    end
-  in
-  (* Is [!i] (at a single quote) the start of a char literal?  Covers
-     'c', '\n', '\\', '\"', '\123', '\xFF'; a lone prime (type
-     variables, primed identifiers) has no closing quote nearby and is
-     left as code. *)
-  let char_literal_end () =
-    if !i + 2 < n && text.[!i + 1] = '\\' then
-      let rec find j limit =
-        if j >= n || j > limit then None
-        else if text.[j] = '\'' then Some (j + 1)
-        else find (j + 1) limit
-      in
-      find (!i + 3) (!i + 7)
-    else if !i + 2 < n && text.[!i + 1] <> '\'' && text.[!i + 2] = '\'' then
-      Some (!i + 3)
-    else None
-  in
-  let scan_char_literal () =
-    match char_literal_end () with
-    | Some stop ->
-      while !i < stop do blank () done;
-      true
-    | None -> false
-  in
-  (* Comment body, [!i] at the '(' of "(*".  Recurses on nesting. *)
-  let rec scan_comment () =
-    blank ();
-    blank ();
-    let closed = ref false in
-    while (not !closed) && !i < n do
-      let c = text.[!i] in
-      let next = if !i + 1 < n then text.[!i + 1] else '\000' in
-      if c = '(' && next = '*' then scan_comment ()
-      else if c = '*' && next = ')' then begin
-        blank ();
-        blank ();
-        closed := true
-      end
-      else if c = '"' then scan_string ()
-      else if c = '{' then begin if not (scan_quoted ()) then blank () end
-      else if c = '\'' then begin
-        if not (scan_char_literal ()) then blank ()
-      end
-      else blank ()
-    done
-  in
-  while !i < n do
-    let c = text.[!i] in
-    let next = if !i + 1 < n then text.[!i + 1] else '\000' in
-    if c = '(' && next = '*' then scan_comment ()
-    else if c = '"' then scan_string ()
-    else if c = '{' then begin
-      if not (scan_quoted ()) then begin
-        Buffer.add_char out c;
-        incr i
-      end
-    end
-    else if c = '\'' then begin
-      if not (scan_char_literal ()) then begin
-        Buffer.add_char out c;
-        incr i
-      end
-    end
-    else begin
-      Buffer.add_char out c;
-      incr i
-    end
-  done;
-  String.split_on_char '\n' (Buffer.contents out)
+let mutable_constructors =
+  [ "ref"; "Hashtbl.create"; "Queue.create"; "Buffer.create"; "Atomic.make" ]
 
-let contains line needle =
-  let n = String.length needle and len = String.length line in
-  let rec scan i = i + n <= len && (String.sub line i n = needle || scan (i + 1)) in
-  scan 0
-
-(* A toplevel binding: a line starting at column 0 with "let ".  Local
-   [let … in] bindings are indented by every style in this tree, so the
-   column-0 test cleanly separates module-level state from function
-   locals. *)
-let is_toplevel_let line =
-  String.length line > 4 && String.sub line 0 4 = "let "
-
-(* A toplevel [let] that binds a function: the bound name is followed by
-   parameters, not by [=] or a type annotation.  Its body runs per call,
-   so a [ref] or [Hashtbl.create] there is fresh state, not a shared
-   cell. *)
-let binds_function line =
-  let n = String.length line in
-  let rec skip_spaces i =
-    if i < n && line.[i] = ' ' then skip_spaces (i + 1) else i
-  in
-  let rec ident_end i =
-    if i < n then
-      match line.[i] with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> ident_end (i + 1)
-      | _ -> i
-    else i
-  in
-  let start = skip_spaces 4 in
-  let start =
-    if start + 4 <= n && String.sub line start 4 = "rec " then
-      skip_spaces (start + 4)
-    else start
-  in
-  let name_end = ident_end start in
-  let next = skip_spaces name_end in
-  name_end > start && next < n
-  && match line.[next] with
-     | 'a' .. 'z' | '_' | '(' | '~' | '?' -> true
-     | _ -> false
-
-let mutable_constructs =
-  [ "= ref "; "Hashtbl.create"; "Queue.create"; "Buffer.create";
-    "Atomic.make" ]
+(* The constructor, when a toplevel binding's initializer is an
+   application of one of [mutable_constructors].  A binding of a
+   function is a [fun], not an application: its body runs per call, so
+   the state it builds is fresh, not a shared cell. *)
+let rec mutable_init (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> mutable_init e
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
+    let name = ident_name txt in
+    if List.mem name mutable_constructors then Some name else None
+  | _ -> None
 
 (* The two pluggable-clock modules: the span profile's [wall] clock and
    the flight recorder's opt-in [Wall] clock. *)
@@ -281,42 +131,76 @@ let clock_file path =
   Filename.basename (Filename.dirname path) = "obs"
   && List.mem (Filename.basename path) [ "span.ml"; "tracer.ml" ]
 
+let line_of (loc : Location.t) = loc.loc_start.pos_lnum
+
+(* A file the parser rejects: one diagnostic at the parser's location. *)
+let parse_failure path exn =
+  let line, detail =
+    match Location.error_of_exn exn with
+    | Some (`Ok report) ->
+      ( line_of report.Location.main.loc,
+        Format.asprintf "%t" report.Location.main.txt )
+    | Some `Already_displayed | None -> (1, Printexc.to_string exn)
+  in
+  Diagnostic.error ~file:path ~line ~code:"L000"
+    (Printf.sprintf "does not parse (%s), so the L0xx rules cannot check it"
+       detail)
+
+let scan_structure ~in_spf_closure path structure =
+  let diags = ref [] in
+  let add loc code message = diags := (line_of loc, code, message) :: !diags in
+  let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; loc } -> (
+      match ident_name txt with
+      | "Random.self_init" ->
+        add loc "L001"
+          "Random.self_init: seeds must be explicit (Routing_stats.Rng) or \
+           parallel runs stop being reproducible"
+      | ("Unix.gettimeofday" | "Sys.time") when not (clock_file path) ->
+        add loc "L002"
+          "wall-clock read outside lib/obs/span.ml and lib/obs/tracer.ml: \
+           route timing through the pluggable Span or Tracer clock so runs \
+           stay deterministic"
+      | _ -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it structure;
+  if in_spf_closure then
+    List.iter
+      (fun (item : Parsetree.structure_item) ->
+        match item.pstr_desc with
+        | Pstr_value (_, bindings) ->
+          List.iter
+            (fun (vb : Parsetree.value_binding) ->
+              Option.iter
+                (fun name ->
+                  add vb.pvb_loc "L003"
+                    (Printf.sprintf
+                       "top-level mutable state (%s) in a module reachable \
+                        from Spf_engine — domains may race on it"
+                       name))
+                (mutable_init vb.pvb_expr))
+            bindings
+        | _ -> ())
+      structure;
+  List.stable_sort
+    (fun (l1, c1, _) (l2, c2, _) -> compare (l1, c1) (l2, c2))
+    (List.rev !diags)
+  |> List.map (fun (line, code, message) ->
+         Diagnostic.error ~file:path ~line ~code message)
+
 let scan_file ~in_spf_closure path =
   match read_file path with
   | None -> []
-  | Some text ->
-    let diags = ref [] in
-    let add ~line ~code message =
-      diags := Diagnostic.error ~file:path ~line ~code message :: !diags
-    in
-    List.iteri
-      (fun index line ->
-        let lineno = index + 1 in
-        if contains line "Random.self_init" then
-          add ~line:lineno ~code:"L001"
-            "Random.self_init: seeds must be explicit (Routing_stats.Rng) \
-             or parallel runs stop being reproducible";
-        if
-          (contains line "Unix.gettimeofday" || contains line "Sys.time")
-          && not (clock_file path)
-        then
-          add ~line:lineno ~code:"L002"
-            "wall-clock read outside lib/obs/span.ml and lib/obs/tracer.ml: \
-             route timing through the pluggable Span or Tracer clock so \
-             runs stay deterministic";
-        if in_spf_closure && is_toplevel_let line && not (binds_function line)
-        then
-          List.iter
-            (fun needle ->
-              if contains line needle then
-                add ~line:lineno ~code:"L003"
-                  (Printf.sprintf
-                     "top-level mutable state (%s) in a module reachable \
-                      from Spf_engine — domains may race on it"
-                     (String.trim needle)))
-            mutable_constructs)
-      (code_lines text);
-    List.rev !diags
+  | Some text -> (
+    let lexbuf = Lexing.from_string text in
+    Lexing.set_filename lexbuf path;
+    match Parse.implementation lexbuf with
+    | structure -> scan_structure ~in_spf_closure path structure
+    | exception exn -> [ parse_failure path exn ])
 
 let rec ml_files dir =
   match Sys.readdir dir with
@@ -328,10 +212,7 @@ let rec ml_files dir =
            if entry = "_build" || String.length entry > 0 && entry.[0] = '.'
            then []
            else if Sys.is_directory path then ml_files path
-           else if
-             Filename.check_suffix entry ".ml"
-             || Filename.check_suffix entry ".mli"
-           then [ path ]
+           else if Filename.check_suffix entry ".ml" then [ path ]
            else [])
 
 let check_tree ~root =

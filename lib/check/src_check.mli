@@ -6,9 +6,14 @@ open! Import
     domains and promises bit-identical parallel and sequential results
     (DESIGN.md §6).  That proof rests on two properties no type checker
     enforces: the hot path reads only frozen data, and nothing in it
-    consults ambient nondeterminism.  This pass scans the {e source
-    tree} (plain text, no ppx) for the constructs that break them:
+    consults ambient nondeterminism.  This pass parses every [.ml] file
+    of the {e source tree} ([Parse.implementation], no ppx) and walks the
+    parse tree for the constructs that break them; comments and string
+    literals are not code, so naming a banned construct in them never
+    trips the lint:
 
+    - [L000] (error) — the file does not parse: one diagnostic at the
+      parser's location, and no rule reads the rest of the file
     - [L001] (error) — [Random.self_init] anywhere under the root:
       seeds must be explicit ({!Routing_stats.Rng}) or runs stop being
       reproducible
@@ -17,11 +22,12 @@ open! Import
       [lib/obs/tracer.ml]): wall-clock reads belong behind the
       {!Routing_obs.Span} clock or the {!Routing_obs.Tracer} [Wall]
       clock
-    - [L003] (error) — top-level mutable state ([ref], [Hashtbl.create],
-      [Queue.create], [Buffer.create], [Atomic.make] in a toplevel
-      [let] that binds a value, not a function with parameters) in a
-      library reachable from [routing_spf]'s dune dependency closure —
-      shared cells domains could race on
+    - [L003] (error) — top-level mutable state (a toplevel value binding
+      whose initializer is an application of [ref], [Hashtbl.create],
+      [Queue.create], [Buffer.create] or [Atomic.make]; a function's
+      body runs per call and is not state) in a library reachable from
+      [routing_spf]'s dune dependency closure — shared cells domains
+      could race on
 
     The dependency closure is computed from the [dune] files under the
     root, so a new library that links into the SPF path is linted
@@ -35,10 +41,10 @@ val spf_reachable : root:string -> string list
     output. *)
 
 val scan_file : in_spf_closure:bool -> string -> Diagnostic.t list
-(** Lint one file; [in_spf_closure] arms the [L003] scan.  Comments and
-    string literals are blanked first, so naming a banned construct in
-    documentation does not trip the lint. *)
+(** Lint one implementation file; [in_spf_closure] arms the [L003] scan.
+    Diagnostics come in line order. *)
 
 val check_tree : root:string -> Diagnostic.t list
-(** Lint every [.ml]/[.mli] file under [root] (recursively; [_build]
-    skipped).  [L003] only fires inside {!spf_reachable} directories. *)
+(** Lint every [.ml] file under [root] (recursively; [_build] and dot
+    directories skipped).  Interfaces hold no expressions and are not
+    read.  [L003] only fires inside {!spf_reachable} directories. *)

@@ -126,72 +126,51 @@ let flood t lid c =
   t.flooded.(Link.id_to_int lid) <- c;
   t.updates <- t.updates + 1
 
-let period_update t lid ~measured_delay_s =
-  match t.states.(Link.id_to_int lid) with
-  | Static | Static_cost _ -> None
+(* Finish link [i]'s period from its staged input in [scratch_i] (D-SPF
+   delay units, or the HNM raw cost): the bias floor or movement limits,
+   then the significance test.  The cost to flood, or -1 for none. *)
+let finish_link t i =
+  let staged = t.scratch_i.(i) in
+  match t.states.(i) with
+  | Static | Static_cost _ -> -1
   | Delay (d, sig_state) ->
-    let c = Dspf.period_update d ~measured_delay_s in
-    if Significance.consider sig_state ~cost:c then begin
-      flood t lid c;
-      Some c
-    end
-    else None
+    let c = Dspf.apply_units d ~units:staged in
+    if Significance.consider sig_state ~cost:c then c else -1
   | Hop_normalized (h, sig_state) ->
-    let c = Hnm.period_update h ~measured_delay_s in
-    if Significance.consider sig_state ~cost:c then begin
-      flood t lid c;
-      Some c
-    end
-    else None
+    let c = Hnm.apply_raw h ~raw:staged in
+    if Significance.consider sig_state ~cost:c then c else -1
 
-(* Batch form of {!period_update} for the flow simulator's hot loop: one
-   call per period instead of one per link.  The measurement pipeline runs
-   as staged array sweeps — delay→utilization in {!Queueing}, smoothing in
-   {!Filter}, the linear transform in {!Hnm_params} — so every float stays
-   inside the module that computes it; the per-link finish (movement
-   limits, bias floor, significance) crosses module boundaries with
-   integers only.  A quiet period allocates nothing. *)
+(* One call per period.  The measurement pipeline runs as staged array
+   sweeps — delay→utilization in {!Queueing}, smoothing in {!Filter}, the
+   linear transform in {!Hnm_params} — so every float stays inside the
+   module that computes it; the per-link finish crosses module boundaries
+   with integers only, origin by origin in CSR order, so the flooded links
+   come out grouped into their updates.  A quiet period allocates
+   nothing. *)
 let period_update_all t ~up ~link_delay_s ~changed_ids ~changed_costs =
-  let n = Array.length t.states in
-  let count = ref 0 in
   (match t.kind with
   | Min_hop | Static_capacity -> ()
-  | D_spf ->
-    Units.of_delay_into ~up ~delay_s:link_delay_s ~units:t.scratch_i;
-    for i = 0 to n - 1 do
-      if up.(i) then begin
-        match t.states.(i) with
-        | Delay (d, sig_state) ->
-          let c = Dspf.apply_units d ~units:t.scratch_i.(i) in
-          if Significance.consider sig_state ~cost:c then begin
-            flood t (Link.id_of_int i) c;
-            changed_ids.(!count) <- i;
-            changed_costs.(!count) <- c;
-            incr count
-          end
-        | _ -> ()
-      end
-    done
+  | D_spf -> Units.of_delay_into ~up ~delay_s:link_delay_s ~units:t.scratch_i
   | Hn_spf ->
     Queueing.utilization_of_delay_into t.graph ~up ~delay_s:link_delay_s
       ~utilization:t.scratch_f;
     Filter.ewma_update_into t.hn_filters ~mask:up ~values:t.scratch_f;
     Hnm_params.raw_costs_into t.hn_params ~up ~utilization:t.scratch_f
-      ~raw:t.scratch_i;
-    for i = 0 to n - 1 do
-      if up.(i) then begin
-        match t.states.(i) with
-        | Hop_normalized (h, sig_state) ->
-          let c = Hnm.apply_raw h ~raw:t.scratch_i.(i) in
-          if Significance.consider sig_state ~cost:c then begin
-            flood t (Link.id_of_int i) c;
-            changed_ids.(!count) <- i;
-            changed_costs.(!count) <- c;
-            incr count
-          end
-        | _ -> ()
+      ~raw:t.scratch_i);
+  let ids = Graph.csr_out_link_ids t.graph in
+  let count = ref 0 in
+  for k = 0 to Array.length ids - 1 do
+    let i = ids.(k) in
+    if up.(i) then begin
+      let c = finish_link t i in
+      if c >= 0 then begin
+        flood t (Link.id_of_int i) c;
+        changed_ids.(!count) <- i;
+        changed_costs.(!count) <- c;
+        incr count
       end
-    done);
+    end
+  done;
   !count
 [@@hot_path]
 

@@ -48,13 +48,6 @@ val local_cost : t -> Link.id -> int
 val cost_fn : t -> Link.id -> int
 (** [cost] as a function, for {!Routing_spf.Dijkstra.compute}. *)
 
-val period_update : t -> Link.id -> measured_delay_s:float -> int option
-(** Feed one link's measured average delay for the routing period just
-    ended.  Returns [Some cost] when the change is significant (or the
-    50-second timer fired) and an update was "flooded" (i.e. {!cost} now
-    returns the new value); [None] otherwise.  Min-hop always returns
-    [None]. *)
-
 val period_update_all :
   t ->
   up:bool array ->
@@ -62,11 +55,22 @@ val period_update_all :
   changed_ids:int array ->
   changed_costs:int array ->
   int
-(** Batch {!period_update} over every link in one call: link [i] is skipped
-    unless [up.(i)], and otherwise fed [link_delay_s.(i)].  Links whose
-    update was flooded are written into [changed_ids]/[changed_costs]
-    (caller-provided, length ≥ link count) and the number of floods is
-    returned.  Allocation-free; quiet periods touch no heap at all. *)
+(** The routing period's metric pass, one call for every link: each link
+    [i] with [up.(i)] is fed its measured average delay [link_delay_s.(i)]
+    (delay → utilization → EWMA → transform → movement limits for
+    HN-SPF, delay → units → bias floor for D-SPF), and floods when the
+    change is significant or the 50-second timer fires; down links are
+    skipped.
+    Min-hop and static-capacity costs never move.
+
+    Flooded links are written into [changed_ids]/[changed_costs]
+    (caller-provided, length ≥ link count), and their number is
+    returned; {!cost} already reads the new values.  The entries come
+    grouped by the node that reports them: origins ascending, and link
+    ids ascending within an origin — {!Routing_topology.Graph.csr_out}
+    order — so each origin's run is one routing update
+    ({!Routing_flooding.Update.run_end}).  Allocation-free; quiet periods
+    touch no heap at all. *)
 
 val link_up : t -> Link.id -> unit
 (** Reset a link's state as freshly up.  Under HN-SPF the link eases in at

@@ -8,6 +8,15 @@ type t = {
 
 let wire_bits ~links = 128 + (48 * links)
 
+let run_end ~(link_src : int array) ~(changed_ids : int array) ~count k =
+  let origin = link_src.(changed_ids.(k)) in
+  let j = ref (k + 1) in
+  while !j < count && link_src.(changed_ids.(!j)) = origin do
+    incr j
+  done;
+  !j
+[@@hot_path]
+
 let size_bits t = float_of_int (wire_bits ~links:(List.length t.costs))
 
 let pp ppf t =

@@ -20,6 +20,17 @@ val wire_bits : links:int -> int
     proportions.  An int, so it crosses module boundaries unboxed; every
     value is exact as a float. *)
 
+val run_end :
+  link_src:int array -> changed_ids:int array -> count:int -> int -> int
+(** [run_end ~link_src ~changed_ids ~count k] is the end (exclusive) of
+    the run of [changed_ids.(0 .. count - 1)] that starts at index [k]
+    and shares its origin, [link_src] mapping a link id to its source
+    node id.  Over the origin-grouped links a period's metric pass
+    flooded ({!Routing_metric.Metric.period_update_all}), each run
+    [k .. stop - 1] is one update: its origin is
+    [link_src.(changed_ids.(k))] and it reports [stop - k] links.
+    Int-only and allocation-free. *)
+
 val size_bits : t -> float
 (** [wire_bits] of the update's cost list, as a float. *)
 

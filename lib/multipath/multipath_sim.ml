@@ -19,16 +19,29 @@ type t = {
       (* per origin: transmissions of one instant flood
          ({!Broadcast.instant_transmissions}) *)
   utilization : float array;
+  link_up : bool array; (* every link, always: the metric's mask *)
+  link_delay : float array; (* per link: this period's M/M/1/K delay *)
+  link_src : int array; (* per link: source node id *)
+  chg_ids : int array; (* flooded links, grouped by origin, from the metric *)
+  chg_costs : int array;
   mutable period : int;
   mutable history : period_stats list; (* newest first *)
 }
 
 let create_with graph metric tm =
+  let nl = Graph.link_count graph in
   { graph;
     metric;
     tm;
     flood_tx = Broadcast.instant_transmissions graph;
-    utilization = Array.make (Graph.link_count graph) 0.;
+    utilization = Array.make nl 0.;
+    link_up = Array.make nl true;
+    link_delay = Array.make nl 0.;
+    link_src =
+      Array.init nl (fun i ->
+          Node.to_int (Graph.link graph (Link.id_of_int i)).Link.src);
+    chg_ids = Array.make nl 0;
+    chg_costs = Array.make nl 0;
     period = 0;
     history = [] }
 
@@ -93,31 +106,29 @@ let step t =
           end))
     !rspfs;
   offered_total := !offered_total +. !unrouted;
-  (* Metric pass: same loop as the single-path simulator. *)
-  let changed_by_origin = Hashtbl.create 16 in
+  (* Metric pass: the batch call every simulator makes, with every link
+     up; each origin run of the flooded links is one update. *)
   Graph.iter_links t.graph (fun (l : Link.t) ->
-      let measured =
-        Queueing.mm1k_delay_s l
-          ~utilization:t.utilization.(Link.id_to_int l.Link.id)
-      in
-      match Metric.period_update t.metric l.Link.id ~measured_delay_s:measured with
-      | Some c ->
-        let origin = Node.to_int l.Link.src in
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt changed_by_origin origin)
-        in
-        Hashtbl.replace changed_by_origin origin ((l.Link.id, c) :: existing)
-      | None -> ());
+      t.link_delay.(Link.id_to_int l.Link.id) <- link_delay l);
+  let nch =
+    Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
+      ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
+  in
   let updates = ref 0 in
   let update_bits = ref 0. in
-  Hashtbl.iter
-    (fun origin costs ->
-      incr updates;
-      update_bits :=
-        !update_bits
-        +. float_of_int t.flood_tx.(origin)
-           *. float_of_int (Update.wire_bits ~links:(List.length costs)))
-    changed_by_origin;
+  let k = ref 0 in
+  while !k < nch do
+    let stop =
+      Update.run_end ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch !k
+    in
+    let origin = t.link_src.(t.chg_ids.(!k)) in
+    incr updates;
+    update_bits :=
+      !update_bits
+      +. float_of_int t.flood_tx.(origin)
+         *. float_of_int (Update.wire_bits ~links:(stop - !k));
+    k := stop
+  done;
   t.period <- t.period + 1;
   let stats =
     { time_s = float_of_int t.period *. Units.routing_period_s;

@@ -16,8 +16,8 @@ type period_stats = {
   delivered_bps : float;  (** after per-link M/M/1/K loss *)
   dropped_bps : float;
   mean_delay_s : float;  (** delivered-weighted expected one-way delay *)
-  updates : int;
-  update_bits : float;
+  updates : int;  (** one per origin with a flooded change *)
+  update_bits : float;  (** their instant floods' wire bits *)
   max_utilization : float;
 }
 

@@ -173,14 +173,11 @@ type t = {
   mutable min_hops : int array;
   mutable mh_store : Flow_store.t;
   mutable mh_version : int; (* -1: stale *)
-  chg_ids : int array; (* links whose update flooded, from the metric *)
+  chg_ids : int array; (* flooded links, grouped by origin, from the metric *)
   chg_costs : int array;
   flood_tx : int array;
       (* per origin: transmissions of one instant flood
          ({!Broadcast.instant_transmissions}) *)
-  changed_links : int array; (* per origin: links in this period's update *)
-  changed_origins : int array; (* origins touched, first-touch order *)
-  mutable changed_count : int;
   acc : facc;
   (* Always-on flip counter over the flooded costs, mirroring
      {!Routing_obs.Oscillation}'s window-independent flip total but kept
@@ -272,9 +269,6 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       chg_ids = Array.make nl 0;
       chg_costs = Array.make nl 0;
       flood_tx = Broadcast.instant_transmissions graph;
-      changed_links = Array.make (Graph.node_count graph) 0;
-      changed_origins = Array.make (Graph.node_count graph) 0;
-      changed_count = 0;
       acc =
         { f_offered = 0.;
           f_delivered = 0.;
@@ -526,41 +520,33 @@ let tick t =
     end
   done;
   Tracer.span_end tr t.tr_account;
-  (* Metric pass: feed each up link its period delay, in one batch call.
-     Changed links count into per-origin slots reused across periods;
+  (* Metric pass: feed each up link its period delay, in one batch call;
      quiet periods return 0 without touching the heap. *)
   let nch =
     Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
       ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
   in
-  for k = 0 to nch - 1 do
-    let origin = t.link_src.(t.chg_ids.(k)) in
-    if t.changed_links.(origin) = 0 then begin
-      t.changed_origins.(t.changed_count) <- origin;
-      t.changed_count <- t.changed_count + 1
-    end;
-    t.changed_links.(origin) <- t.changed_links.(origin) + 1
-  done;
-  (* One update per touched origin, flooded instantly: every copy is
-     fresh, so its transmissions are the topology's count and only the
-     bits need computing — in first-touch order, as the float total
-     always summed. *)
+  (* One update per origin run of the flooded links, flooded instantly:
+     every copy is fresh, so its transmissions are the topology's count
+     and only the bits need computing. *)
   let updates = ref 0 in
   Tracer.span_begin tr t.tr_flood;
   let f_started = Telemetry_hooks.span_start tele in
-  for k = 0 to t.changed_count - 1 do
-    let origin = t.changed_origins.(k) in
-    let links = t.changed_links.(origin) in
-    t.changed_links.(origin) <- 0;
+  let k = ref 0 in
+  while !k < nch do
+    let stop =
+      Update.run_end ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch !k
+    in
+    let origin = t.link_src.(t.chg_ids.(!k)) in
     incr updates;
     acc.f_bits <-
       acc.f_bits
       +. (float_of_int t.flood_tx.(origin)
-         *. float_of_int (Update.wire_bits ~links))
+         *. float_of_int (Update.wire_bits ~links:(stop - !k)));
+    k := stop
   done;
   Telemetry_hooks.span_stop tele "flood" f_started;
   Tracer.span_end tr t.tr_flood;
-  t.changed_count <- 0;
   t.period <- t.period + 1;
   let now = time_s t in
   let updates = !updates in

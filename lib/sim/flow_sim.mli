@@ -14,10 +14,13 @@ open! Import
     + each link's expected delay comes from the M/M/1 model at its
       utilization — the same transformation the real PSN's measurement
       would average;
-    + the metric turns the period's utilization into (possibly) a flooded
-      update per origin, flooded instantly.  Every PSN accepts it exactly
-      once, so its overhead is exact without walking it: L_c - N_c + 1
-      transmissions over the origin's connected component
+    + one batch metric pass ({!Routing_metric.Metric.period_update_all})
+      turns each up link's delay into its new cost; the links it floods
+      come back grouped by origin, and each origin's run
+      ({!Routing_flooding.Update.run_end}) is one update, flooded
+      instantly.  Every PSN accepts it exactly once, so its overhead is
+      exact without walking it: L_c - N_c + 1 transmissions over the
+      origin's connected component
       ({!Routing_flooding.Broadcast.instant_transmissions}) times
       {!Routing_flooding.Update.wire_bits} for the links it reports;
     + next period, everyone routes on the new costs.  "All the nodes in a

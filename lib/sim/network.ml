@@ -100,11 +100,14 @@ type t = {
   engine : Engine.t;
   clock : Engine.clock;
   metric : Metric.t;
-  psns : Psn.t array;
-  next_hops : int array array; (* node x destination: each PSN's column *)
+  next_hops : int array array;
+      (* node x destination: each PSN's forwarding column, the link id to
+         forward on or -1 for none (and for the node itself), rewritten in
+         place from the node's route tree ({!Spf_tree.next_hops_into}) *)
   pool : Packet.pool;
   mutable lines : line array; (* per link *)
   measurements : Measurement.t array; (* per link: its 10-s delay window *)
+  link_delay : float array; (* per link: the last window's average delay *)
   link_src : int array; (* per link: tail node *)
   link_dst : int array; (* per link: head node *)
   link_rev : int array; (* per link: the paired reverse link *)
@@ -144,9 +147,8 @@ type t = {
      it meanwhile.  Flat (ring slot x link) table, one byte each,
      nonzero while unacknowledged. *)
   mutable pending : Bytes.t;
-  changed_costs : (Link.id * int) list array; (* per origin node *)
-  changed_origins : int array; (* origins touched, first-touch order *)
-  mutable changed_count : int;
+  chg_ids : int array; (* flooded links, grouped by origin, from the metric *)
+  chg_costs : int array;
   link_rng : Rng.t;
   flood_latency : Welford.t;
   (* Shared SPF engines (instant flooding): per-source route trees on the
@@ -196,9 +198,10 @@ let install_tables t =
     Spf_engine.refresh t.spf ~enabled:(link_enabled t)
       ~cost:(Metric.cost_fn t.metric);
     Telemetry_hooks.span_stop t.config.telemetry "spf_refresh" started;
-    Array.iteri
-      (fun i psn -> Psn.install_tree psn (Spf_engine.tree t.spf (Node.of_int i)))
-      t.psns
+    for i = 0 to Array.length t.next_hops - 1 do
+      Spf_tree.next_hops_into (Spf_engine.tree t.spf (Node.of_int i))
+        t.next_hops.(i)
+    done
   end
   else begin
     (* Each node routes on its own view.  Trees are built from scratch
@@ -210,7 +213,8 @@ let install_tables t =
             ~cost:t.view_costs.(i) weights;
           Dijkstra.compute_flat t.graph ~weights (Node.of_int i))
         t.weights;
-    Array.iteri (fun i tree -> Psn.install_tree t.psns.(i) tree) t.trees
+    Array.iteri (fun i tree -> Spf_tree.next_hops_into tree t.next_hops.(i))
+      t.trees
   end;
   t.tables_dirty <- false
 
@@ -242,7 +246,7 @@ let apply_update t i costs =
   let tree = t.trees.(i) in
   ignore
     (Spf_repair.repair t.repair t.graph ~tree ~weights ~changes:t.changes);
-  Psn.install_tree t.psns.(i) tree
+  Spf_tree.next_hops_into tree t.next_hops.(i)
 
 (* --- In-flight updates and pending acknowledgements --- *)
 
@@ -474,44 +478,57 @@ let make_queue t (link : Link.t) =
             | Link_queue.Corrupted -> Trace.Line_error)
       end)
 
-(* End-of-period processing: read every measurement, run the metric,
-   flood significant changes, recompute tables if anything changed. *)
+(* The (link, cost) payload of the hop-by-hop update reporting flooded
+   entries [k, stop), built back to front so it lists its links in
+   ascending order.  Toplevel, so a flood builds no closure. *)
+let rec run_costs t k stop acc =
+  if stop = k then acc
+  else
+    let j = stop - 1 in
+    run_costs t k j ((Link.id_of_int t.chg_ids.(j), t.chg_costs.(j)) :: acc)
+
+(* Originate one origin's update hop by hop on the priority lanes: the
+   origin takes its own costs first, then sends on every up line. *)
+let flood_hop_by_hop t origin costs =
+  let token = open_flight t (Flooder.originate t.flooders.(origin) ~costs) in
+  Measure.record_updates t.measure ~count:1 ~bits:0.;
+  apply_update t origin costs;
+  let off = Graph.csr_out_off t.graph in
+  let ids = Graph.csr_out_link_ids t.graph in
+  for j = off.(origin) to off.(origin + 1) - 1 do
+    let l = ids.(j) in
+    if t.link_up.(l) then send_control t l token
+  done
+
+(* End-of-period processing: close every up link's measurement window,
+   run the metric over the delays in one batch pass, flood one update
+   per origin run of the significant changes (in ascending origin
+   order), and recompute tables if anything changed. *)
 let routing_period t =
   let tele = t.config.telemetry in
   let p_started = Telemetry_hooks.span_start tele in
   let period = Units.routing_period_s in
   let now = Engine.now t.engine in
   expire_flights t ~now;
-  (* Each PSN's outgoing links in link-id order. *)
-  let off = Graph.csr_out_off t.graph in
-  let ids = Graph.csr_out_link_ids t.graph in
-  for i = 0 to Array.length t.psns - 1 do
-    for k = off.(i) to off.(i + 1) - 1 do
-      let l = ids.(k) in
-      if t.link_up.(l) then begin
-        let avg = Measurement.finish_period t.measurements.(l) in
-        let lid = Link.id_of_int l in
-        match Metric.period_update t.metric lid ~measured_delay_s:avg with
-        | Some cost ->
-          if t.changed_costs.(i) = [] then begin
-            t.changed_origins.(t.changed_count) <- i;
-            t.changed_count <- t.changed_count + 1
-          end;
-          t.changed_costs.(i) <- (lid, cost) :: t.changed_costs.(i)
-        | None -> ()
-      end
-    done
+  for l = 0 to Array.length t.link_up - 1 do
+    if t.link_up.(l) then
+      t.link_delay.(l) <- Measurement.finish_period t.measurements.(l)
   done;
-  (* Flood one update per origin that had significant changes. *)
-  if t.changed_count > 0 then
-    Log.debug (fun m ->
-        m "t=%.0fs: %d PSNs flooding updates" now t.changed_count);
+  let nch =
+    Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
+      ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
+  in
   let f_started = Telemetry_hooks.span_start tele in
-  for k = 0 to t.changed_count - 1 do
-    let origin = t.changed_origins.(k) in
-    let costs = t.changed_costs.(origin) in
-    t.changed_costs.(origin) <- [];
-    let links = List.length costs in
+  let floods = ref 0 in
+  let k = ref 0 in
+  while !k < nch do
+    let start = !k in
+    let stop =
+      Update.run_end ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch
+        start
+    in
+    let origin = t.link_src.(t.chg_ids.(start)) in
+    let links = stop - start in
     if tracing t then
       trace t (fun () ->
           Trace.Update_flooded { origin = Node.of_int origin; links });
@@ -525,19 +542,16 @@ let routing_period t =
       Measure.record_updates t.measure ~count:1 ~bits;
       t.tables_dirty <- true
     end
-    else begin
-      (* Hop-by-hop propagation on the priority lanes. *)
-      let token = open_flight t (Flooder.originate t.flooders.(origin) ~costs) in
-      Measure.record_updates t.measure ~count:1 ~bits:0.;
-      apply_update t origin costs;
-      for j = off.(origin) to off.(origin + 1) - 1 do
-        let l = ids.(j) in
-        if t.link_up.(l) then send_control t l token
-      done
-    end
+    else flood_hop_by_hop t origin (run_costs t start stop []);
+    incr floods;
+    k := stop
   done;
   Telemetry_hooks.span_stop tele "flood" f_started;
-  t.changed_count <- 0;
+  (* Read out first: a ref the log closure captured would be boxed every
+     period. *)
+  let floods = !floods in
+  if floods > 0 then
+    Log.debug (fun m -> m "t=%.0fs: %d PSNs flooded updates" now floods);
   if t.tables_dirty then install_tables t;
   (* Per-period series. *)
   if t.config.record_series then
@@ -590,7 +604,6 @@ let create ?config graph tm =
   let engine = Engine.create () in
   let rng = Rng.create config.seed in
   let metric = Metric.create config.metric graph in
-  let psns = Array.init n (fun i -> Psn.create graph (Node.of_int i)) in
   let pool =
     if config.domains > 1 then Some (Domain_pool.create config.domains)
     else None
@@ -621,15 +634,16 @@ let create ?config graph tm =
       engine;
       clock = Engine.clock engine;
       metric;
-      psns;
-      next_hops = Array.map Psn.table psns;
+      next_hops = Array.init n (fun _ -> Array.make n (-1));
       pool = Packet.create (Engine.clock engine);
       lines = [||];
       measurements = Array.init nl (fun i -> Measurement.create (link i));
+      link_delay = Array.make nl 0.;
       link_src = Array.init nl (fun i -> Node.to_int (link i).Link.src);
       link_dst = Array.init nl (fun i -> Node.to_int (link i).Link.dst);
       link_rev = Array.init nl (fun i -> Link.id_to_int (link i).Link.reverse);
-      flooders = Array.map Psn.flooder psns;
+      flooders =
+        Array.init n (fun i -> Flooder.create graph ~owner:(Node.of_int i));
       flood_tx = Broadcast.instant_transmissions graph;
       workload = None;
       measure = Measure.create ~nodes:n;
@@ -654,9 +668,8 @@ let create ?config graph tm =
       oldest_token = 0;
       next_update_token = 0;
       pending = Bytes.make (flight_capacity * nl) '\000';
-      changed_costs = Array.make n [];
-      changed_origins = Array.make n 0;
-      changed_count = 0;
+      chg_ids = Array.make nl 0;
+      chg_costs = Array.make nl 0;
       link_rng = Rng.create (config.seed lxor 0x5F5F5F);
       flood_latency = Welford.create ();
       spf = Spf_engine.create ?pool ~tracer graph;

@@ -8,6 +8,15 @@ open! Import
     metric transformation → significance filtering → flooding → SPF
     recomputation → forwarding.
 
+    Each routing period closes every up link's measurement window and
+    hands the averages to the metric pass every simulator shares,
+    {!Routing_metric.Metric.period_update_all}.  The links it floods
+    come back grouped by origin, and each origin's run is one update,
+    originated in ascending origin order: under instant flooding it is
+    charged its topology-constant transmissions and builds no list;
+    hop by hop, its [(link, cost)] payload (ascending link order) is
+    built from the run.
+
     The one deliberate simplification (shared with the paper's own model)
     is that a flooded update takes effect network-wide within the routing
     period it was generated in: "all the nodes in a network adjust their

@@ -206,10 +206,10 @@ let test_src_lint_scoping () =
   Sys.remove doc;
   Alcotest.(check (list string)) "mentions are not uses" [] (codes diags)
 
-(* The blanking behind the mentions-are-not-uses rule follows the real
-   lexer: nested comments, strings containing "*)", '"' char literals
-   (inside comments too) and {id|…|id} quoted strings all stay opaque,
-   and the code after them is still scanned. *)
+(* Mentions are not uses because the lint reads the parse tree: nested
+   comments, strings containing "*)", '"' char literals (inside comments
+   too) and {id|…|id} quoted strings all stay opaque, and the code after
+   them is still scanned. *)
 let test_src_comment_tricks () =
   let diags =
     Src_check.scan_file ~in_spf_closure:true (fixture "src/comment_tricks.ml")
@@ -219,6 +219,19 @@ let test_src_comment_tricks () =
   match (List.hd diags).Diagnostic.location with
   | Some { Diagnostic.line = Some 14; _ } -> ()
   | _ -> Alcotest.fail "L001 should point at comment_tricks.ml line 14"
+
+(* A file the parser rejects gets one L000 at the parser's location and
+   no rule reads the rest of it.  The fixture is not named .ml, so a
+   tree scan of test/ does not pick it up. *)
+let test_src_parse_failure () =
+  let diags =
+    Src_check.scan_file ~in_spf_closure:true (fixture "src/syntax_error.txt")
+  in
+  Alcotest.(check (list string)) "one L000, nothing else" [ "L000" ]
+    (codes diags);
+  match (List.hd diags).Diagnostic.location with
+  | Some { Diagnostic.line = Some 6; _ } -> ()
+  | _ -> Alcotest.fail "L000 should point at syntax_error.txt line 6"
 
 (* --- The compiled-artifact passes (A0xx / D0xx) --- *)
 
@@ -434,6 +447,7 @@ let () =
          Alcotest.test_case "src scoping" `Quick test_src_lint_scoping;
          Alcotest.test_case "src comment tricks" `Quick
            test_src_comment_tricks;
+         Alcotest.test_case "src parse failure" `Quick test_src_parse_failure;
          Alcotest.test_case "alloc artifacts" `Quick test_alloc_fixtures;
          Alcotest.test_case "domains artifacts" `Quick
            test_domains_fixtures;

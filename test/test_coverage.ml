@@ -1,9 +1,8 @@
 (* Additional coverage for corners the main suites do not reach:
-   serialization to disk, metric counters, histogram internals, trace-less
-   defaults, parameter caps and generator options. *)
+   serialization to disk, metric counters, trace-less defaults, parameter
+   caps and generator options. *)
 
 open Routing_topology
-module Histogram = Routing_stats.Histogram
 module Table = Routing_stats.Table
 module Time_series = Routing_stats.Time_series
 module Hnm_params = Routing_metric.Hnm_params
@@ -58,8 +57,13 @@ let test_metric_update_counter () =
   let l = Link.id_of_int 0 in
   (* Drive a big cost swing so an update floods. *)
   let hot = Queueing.delay_s (Graph.link g l) ~utilization:0.95 in
-  ignore (Metric.period_update m l ~measured_delay_s:hot);
-  ignore (Metric.period_update m l ~measured_delay_s:hot);
+  let period () =
+    Metric.period_update_all m ~up:[| true; false |]
+      ~link_delay_s:[| hot; 0. |] ~changed_ids:[| 0; 0 |]
+      ~changed_costs:[| 0; 0 |]
+  in
+  ignore (period ());
+  ignore (period ());
   Alcotest.(check bool) "updates counted" true (Metric.updates_flooded m > 0);
   Metric.reset_update_counter m;
   Alcotest.(check int) "counter reset" 0 (Metric.updates_flooded m)
@@ -78,21 +82,6 @@ let test_min_cost_capped_for_long_lines () =
     (Hnm_params.min_cost l < p.Hnm_params.max_cost);
   Alcotest.(check int) "capped at 2x base" (2 * p.Hnm_params.base_min)
     (Hnm_params.min_cost l)
-
-(* --- Histogram internals --- *)
-
-let test_histogram_add_many_and_mean () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  Histogram.add_many h 2.5 10;
-  Histogram.add_many h 7.5 10;
-  Alcotest.(check int) "count" 20 (Histogram.count h);
-  Alcotest.(check (float 1e-6)) "midpoint mean" 5. (Histogram.mean h);
-  let entries = Histogram.to_list h in
-  Alcotest.(check int) "two occupied bins (extremes trimmed)" 6
-    (List.length entries);
-  let lo, hi = Histogram.bin_bounds h 2 in
-  Alcotest.(check (float 1e-9)) "bin 2 lower" 2. lo;
-  Alcotest.(check (float 1e-9)) "bin 2 upper" 3. hi
 
 (* --- Table separators and decimals --- *)
 
@@ -257,9 +246,7 @@ let () =
           Alcotest.test_case "floor cap" `Quick test_min_cost_capped_for_long_lines
         ] );
       ( "stats",
-        [ Alcotest.test_case "histogram add_many/mean" `Quick
-            test_histogram_add_many_and_mean;
-          Alcotest.test_case "table decimals" `Quick test_table_float_decimals;
+        [ Alcotest.test_case "table decimals" `Quick test_table_float_decimals;
           Alcotest.test_case "time series growth" `Quick test_time_series_growth ]
       );
       ( "topology",

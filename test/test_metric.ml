@@ -11,6 +11,7 @@ module Dspf = Routing_metric.Dspf
 module Legacy = Routing_metric.Legacy
 module Significance = Routing_metric.Significance
 module Metric = Routing_metric.Metric
+module Rng = Routing_stats.Rng
 
 (* A little test bench of one link per interesting line type. *)
 let bench () =
@@ -478,6 +479,15 @@ let test_significance_decay () =
 
 (* --- Metric facade --- *)
 
+(* One batch metric pass with only link [lid] up, fed [delay_s]; the
+   number of floods. *)
+let period_one m lid ~delay_s =
+  let nl = Graph.link_count (Metric.graph m) in
+  Metric.period_update_all m
+    ~up:(Array.init nl (fun i -> i = Link.id_to_int lid))
+    ~link_delay_s:(Array.make nl delay_s) ~changed_ids:(Array.make nl 0)
+    ~changed_costs:(Array.make nl 0)
+
 let test_metric_kinds () =
   List.iter
     (fun k ->
@@ -496,7 +506,7 @@ let test_static_capacity_kind () =
   Alcotest.(check bool) "satellite floor above terrestrial" true
     (Metric.cost m (s56 g).Link.id > 30);
   Alcotest.(check bool) "never updates" true
-    (Metric.period_update m (t56 g).Link.id ~measured_delay_s:5. = None);
+    (period_one m (t56 g).Link.id ~delay_s:5. = 0);
   Alcotest.(check int) "equilibrium cost is the floor at any load" 30
     (Metric.equilibrium_cost Metric.Static_capacity (t56 g) ~utilization:0.99)
 
@@ -506,7 +516,7 @@ let test_metric_minhop_is_static () =
   Graph.iter_links g (fun l ->
       Alcotest.(check int) "unit cost" 1 (Metric.cost m l.Link.id);
       Alcotest.(check bool) "never updates" true
-        (Metric.period_update m l.Link.id ~measured_delay_s:5. = None));
+        (period_one m l.Link.id ~delay_s:5. = 0));
   Alcotest.(check int) "no updates flooded" 0 (Metric.updates_flooded m)
 
 let test_metric_flooded_vs_local () =
@@ -514,7 +524,7 @@ let test_metric_flooded_vs_local () =
   let m = Metric.create Metric.Hn_spf g in
   let l = (t56 g).Link.id in
   (* A sub-threshold change updates the local cost but not the flooded one. *)
-  ignore (Metric.period_update m l ~measured_delay_s:(delay_at (t56 g) 0.55));
+  ignore (period_one m l ~delay_s:(delay_at (t56 g) 0.55));
   Alcotest.(check bool) "local moved" true (Metric.local_cost m l > 30);
   Alcotest.(check int) "flooded unchanged" 30 (Metric.cost m l)
 
@@ -532,6 +542,113 @@ let test_metric_equilibrium_cost_consistency () =
       let c0 = Metric.equilibrium_cost k (t56 g) ~utilization:0. in
       Alcotest.(check int) "matches idle_cost" (Metric.idle_cost k (t56 g)) c0)
     [ Metric.Min_hop; Metric.D_spf; Metric.Hn_spf ]
+
+(* --- The one metric pass against a per-link reference --- *)
+
+(* The per-link reference: each link's own metric state and significance
+   test, driven one link at a time through the scalar [period_update]s —
+   the primitives {!Routing_equilibrium.Cobweb} uses. *)
+type ref_link =
+  | Ref_dspf of Dspf.t * Significance.t
+  | Ref_hnm of Hnm.t * Significance.t
+
+let ref_link variant (l : Link.t) =
+  match variant with
+  | `Dspf ->
+    let d = Dspf.create l in
+    Ref_dspf
+      ( d,
+        Significance.create Significance.dspf_policy
+          ~initial_cost:(Dspf.current_cost d) )
+  | `Hnspf config ->
+    let config = config l in
+    let h = Hnm.create_custom config l in
+    Ref_hnm
+      ( h,
+        Significance.create
+          (Significance.Fixed config.Hnm.params.Hnm_params.min_change)
+          ~initial_cost:(Hnm.current_cost h) )
+
+(* The reference's period for one up link: [Some cost] when it floods. *)
+let ref_period r ~delay_s =
+  let c, s =
+    match r with
+    | Ref_dspf (d, s) -> (Dspf.period_update d ~measured_delay_s:delay_s, s)
+    | Ref_hnm (h, s) -> (Hnm.period_update h ~measured_delay_s:delay_s, s)
+  in
+  if Significance.consider s ~cost:c then Some c else None
+
+let ref_local = function
+  | Ref_dspf (d, _) -> Dspf.current_cost d
+  | Ref_hnm (h, _) -> Hnm.current_cost h
+
+let ablated (l : Link.t) =
+  { (Hnm.default_config l.Link.line_type) with
+    Hnm.averaging = false;
+    movement_limits = false }
+
+let prop_batch_matches_per_link (name, variant) =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "batch = per-link, %s" name)
+    ~count:60
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nodes = 3 + Rng.int rng 10 in
+      let line_type =
+        List.nth Line_type.all (Rng.int rng (List.length Line_type.all))
+      in
+      let g =
+        Generators.ring_chord ~line_type rng ~nodes ~chords:(Rng.int rng nodes)
+      in
+      let nl = Graph.link_count g in
+      let m =
+        match variant with
+        | `Dspf -> Metric.create Metric.D_spf g
+        | `Hnspf config -> Metric.create_custom_hnspf config g
+      in
+      let refs = Array.init nl (fun i -> ref_link variant (link g i)) in
+      let ref_flooded = Array.map ref_local refs in
+      let src i = Node.to_int (link g i).Link.src in
+      let changed_ids = Array.make nl 0 and changed_costs = Array.make nl 0 in
+      let periods = 5 + Rng.int rng 30 in
+      let ok = ref true in
+      for _ = 1 to periods do
+        let up = Array.init nl (fun _ -> Rng.int rng 8 > 0) in
+        let link_delay_s =
+          Array.init nl (fun i ->
+              Queueing.delay_s (link g i) ~utilization:(Rng.float rng 1.2))
+        in
+        let expected = ref [] in
+        for i = nl - 1 downto 0 do
+          if up.(i) then
+            match ref_period refs.(i) ~delay_s:link_delay_s.(i) with
+            | Some c ->
+              ref_flooded.(i) <- c;
+              expected := (i, c) :: !expected
+            | None -> ()
+        done;
+        let count =
+          Metric.period_update_all m ~up ~link_delay_s ~changed_ids
+            ~changed_costs
+        in
+        let got =
+          List.init count (fun k -> (changed_ids.(k), changed_costs.(k)))
+        in
+        (* Same floods with the same costs... *)
+        if List.sort compare got <> !expected then ok := false;
+        (* ... grouped by origin: (origin, link id) strictly ascending. *)
+        for k = 1 to count - 1 do
+          let a = changed_ids.(k - 1) and b = changed_ids.(k) in
+          if compare (src a, a) (src b, b) >= 0 then ok := false
+        done;
+        for i = 0 to nl - 1 do
+          let lid = Link.id_of_int i in
+          if Metric.cost m lid <> ref_flooded.(i) then ok := false;
+          if Metric.local_cost m lid <> ref_local refs.(i) then ok := false
+        done
+      done;
+      !ok)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
@@ -596,4 +713,10 @@ let () =
           Alcotest.test_case "flooded vs local" `Quick test_metric_flooded_vs_local;
           Alcotest.test_case "link up easing" `Quick test_metric_link_up_easing;
           Alcotest.test_case "equilibrium consistency" `Quick
-            test_metric_equilibrium_cost_consistency ] ) ]
+            test_metric_equilibrium_cost_consistency ]
+        @ qsuite
+            (List.map prop_batch_matches_per_link
+               [ ("D-SPF", `Dspf);
+                 ("HN-SPF", `Hnspf (fun (l : Link.t) ->
+                      Hnm.default_config l.Link.line_type));
+                 ("HN-SPF ablated", `Hnspf ablated) ]) ) ]

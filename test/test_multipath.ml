@@ -320,6 +320,39 @@ let test_multipath_sim_light_load_lossless () =
   Alcotest.(check bool) "delay ~ 2 hops of 56k" true
     (last.Multipath_sim.mean_delay_s > 0.02 && last.Multipath_sim.mean_delay_s < 0.08)
 
+(* Every field of every period, floats as exact hex, so the update
+   accounting (how many origins flood, and the bits their floods carry)
+   is pinned bit for bit along with the load and delay figures. *)
+let stats_digest stats =
+  let buf = Buffer.create 2048 in
+  List.iter
+    (fun (s : Multipath_sim.period_stats) ->
+      Printf.bprintf buf "%h %h %h %h %h %d %h %h\n" s.time_s s.offered_bps
+        s.delivered_bps s.dropped_bps s.mean_delay_s s.updates s.update_bits
+        s.max_utilization)
+    stats;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_multipath_sim_update_accounting () =
+  let g = square () in
+  let tm = Traffic_matrix.create ~nodes:4 in
+  Traffic_matrix.set tm ~src:(node g "S") ~dst:(node g "T") 78_400.;
+  let square_stats =
+    Multipath_sim.run (Multipath_sim.create g Metric.Hn_spf tm) ~periods:30
+  in
+  Alcotest.(check string) "square, HN-SPF, 30 periods"
+    "c5f44b1ff348c6598c3b72520a411a86" (stats_digest square_stats);
+  let g = Arpanet.topology () in
+  let tm = Arpanet.peak_traffic (Rng.create 7) g in
+  let peak_stats =
+    Multipath_sim.run (Multipath_sim.create g Metric.D_spf tm) ~periods:20
+  in
+  (* The digest only pins the grouping if several origins flood at once. *)
+  Alcotest.(check bool) "several origins flood in one period" true
+    (List.exists (fun s -> s.Multipath_sim.updates > 1) peak_stats);
+  Alcotest.(check string) "ARPANET peak, D-SPF, 20 periods"
+    "d8acad375196b9f5a28e8c0e067ac4d3" (stats_digest peak_stats)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_multipath"
@@ -347,4 +380,6 @@ let () =
         [ Alcotest.test_case "large flow" `Quick
             test_large_flow_single_path_limit_cycles;
           Alcotest.test_case "light load" `Quick
-            test_multipath_sim_light_load_lossless ] ) ]
+            test_multipath_sim_light_load_lossless;
+          Alcotest.test_case "update accounting" `Quick
+            test_multipath_sim_update_accounting ] ) ]

@@ -1,7 +1,6 @@
 (* Tests for the routing_obs telemetry library and its simulator wiring:
-   JSON/JSONL round-trips, histogram merge laws, the oscillation detector
-   separating D-SPF from HN-SPF on a fixed scenario, and the telemetry
-   bytes of fixed runs. *)
+   JSON/JSONL round-trips, the oscillation detector separating D-SPF from
+   HN-SPF on a fixed scenario, and the telemetry bytes of fixed runs. *)
 
 module Json = Routing_obs.Json
 module Sink = Routing_obs.Sink
@@ -9,7 +8,6 @@ module Metrics = Routing_obs.Metrics
 module Span = Routing_obs.Span
 module Oscillation = Routing_obs.Oscillation
 module Telemetry = Routing_obs.Telemetry
-module Histogram = Routing_stats.Histogram
 module Trace = Routing_sim.Trace
 module Flow_sim = Routing_sim.Flow_sim
 module Network = Routing_sim.Network
@@ -124,38 +122,6 @@ let test_trace_of_json_rejects () =
   Alcotest.(check bool) "unknown reason" true
     (bad {|{"t":1.0,"ev":"drop","at":0,"src":1,"dst":2,"reason":"gremlins"}|});
   Alcotest.(check bool) "not an object" true (bad "[1,2]")
-
-(* --- Histogram merge --- *)
-
-let histogram_gen =
-  let open QCheck2.Gen in
-  map
-    (fun xs ->
-      let h = Histogram.create ~lo:0. ~hi:100. ~bins:10 in
-      List.iter (Histogram.add h) xs;
-      h)
-    (list_size (int_range 0 50) (float_bound_exclusive 120.))
-
-let prop_histogram_merge_associative =
-  QCheck2.Test.make ~name:"histogram merge is associative" ~count:200
-    QCheck2.Gen.(triple histogram_gen histogram_gen histogram_gen)
-    (fun (a, b, c) ->
-      Histogram.equal
-        (Histogram.merge (Histogram.merge a b) c)
-        (Histogram.merge a (Histogram.merge b c)))
-
-let prop_histogram_merge_commutative =
-  QCheck2.Test.make ~name:"histogram merge is commutative" ~count:200
-    QCheck2.Gen.(pair histogram_gen histogram_gen)
-    (fun (a, b) ->
-      Histogram.equal (Histogram.merge a b) (Histogram.merge b a))
-
-let test_histogram_merge_layout_mismatch () =
-  let a = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  let b = Histogram.create ~lo:0. ~hi:2. ~bins:4 in
-  Alcotest.check_raises "layout mismatch"
-    (Invalid_argument "Histogram.merge: incompatible bin layouts") (fun () ->
-      ignore (Histogram.merge a b))
 
 (* --- Sink --- *)
 
@@ -384,12 +350,6 @@ let () =
       ( "trace",
         [ Alcotest.test_case "of_json rejects" `Quick test_trace_of_json_rejects ]
         @ qsuite [ prop_trace_jsonl_roundtrip ] );
-      ( "histogram",
-        [ Alcotest.test_case "layout mismatch" `Quick
-            test_histogram_merge_layout_mismatch ]
-        @ qsuite
-            [ prop_histogram_merge_associative;
-              prop_histogram_merge_commutative ] );
       ( "sink",
         [ Alcotest.test_case "buffer emits JSONL" `Quick test_sink_buffer_jsonl;
           Alcotest.test_case "null is lazy" `Quick test_sink_null_is_lazy ] );

@@ -1,7 +1,6 @@
 (* Unit and property tests for the routing_stats library. *)
 
 module Welford = Routing_stats.Welford
-module Histogram = Routing_stats.Histogram
 module Filter = Routing_stats.Filter
 module Time_series = Routing_stats.Time_series
 module Table = Routing_stats.Table
@@ -74,49 +73,6 @@ let prop_welford_merge =
       Welford.count merged = Welford.count all
       && Float.abs (Welford.mean merged -. Welford.mean all) < 1e-9
       && Float.abs (Welford.variance merged -. Welford.variance all) < 1e-6)
-
-(* --- Histogram --- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  List.iter (Histogram.add h) [ 0.; 0.5; 1.; 9.99; -1.; 10.; 100. ];
-  Alcotest.(check int) "count includes over/underflow" 7 (Histogram.count h);
-  Alcotest.(check int) "bin 0" 2 (Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 1 (Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h)
-
-let test_histogram_percentile () =
-  let h = Histogram.create ~lo:0. ~hi:100. ~bins:100 in
-  for i = 1 to 100 do
-    Histogram.add h (float_of_int i -. 0.5)
-  done;
-  check_close "median" 1.5 50. (Histogram.percentile h 50.);
-  check_close "p90" 1.5 90. (Histogram.percentile h 90.);
-  Alcotest.(check bool) "p0 <= p50" true
-    (Histogram.percentile h 0. <= Histogram.percentile h 50.)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "bins <= 0"
-    (Invalid_argument "Histogram.create: bins <= 0") (fun () ->
-      ignore (Histogram.create ~lo:0. ~hi:1. ~bins:0));
-  Alcotest.check_raises "hi <= lo" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Histogram.create ~lo:1. ~hi:1. ~bins:4))
-
-let prop_histogram_percentile_monotone =
-  QCheck2.Test.make ~name:"percentiles are monotone" ~count:100
-    QCheck2.Gen.(list_size (int_range 1 200) (float_bound_exclusive 50.))
-    (fun xs ->
-      let h = Histogram.create ~lo:0. ~hi:50. ~bins:25 in
-      List.iter (Histogram.add h) xs;
-      let ps = [ 1.; 10.; 25.; 50.; 75.; 90.; 99. ] in
-      let vs = List.map (Histogram.percentile h) ps in
-      let rec monotone = function
-        | a :: (b :: _ as rest) -> a <= b +. 1e-9 && monotone rest
-        | _ -> true
-      in
-      monotone vs)
 
 (* --- Filters --- *)
 
@@ -367,11 +323,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_welford_basic;
           Alcotest.test_case "reset" `Quick test_welford_reset ]
         @ qsuite [ prop_welford_matches_naive; prop_welford_merge ] );
-      ( "histogram",
-        [ Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "percentile" `Quick test_histogram_percentile;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid ]
-        @ qsuite [ prop_histogram_percentile_monotone ] );
       ( "filter",
         [ Alcotest.test_case "ewma first sample" `Quick test_ewma_first_sample;
           Alcotest.test_case "hnm filter" `Quick test_ewma_is_hnm_filter;
