@@ -1341,6 +1341,8 @@ let write_bench_json path ~domains ~topologies rows =
   Obs_metrics.set_meta reg "units"
     "ns / minor words / major words per run (bechamel OLS estimates)";
   Obs_metrics.set_meta reg "domains" (string_of_int domains);
+  Obs_metrics.set_meta reg "cores"
+    (string_of_int (Domain.recommended_domain_count ()));
   set_provenance reg;
   List.iter
     (fun (name, (ns, minor, major)) ->

@@ -7,7 +7,7 @@ module Graph = Routing_topology.Graph
 module Traffic_matrix = Routing_topology.Traffic_matrix
 module Dijkstra = Routing_spf.Dijkstra
 module Spf_tree = Routing_spf.Spf_tree
-module Radix_queue = Routing_spf.Radix_queue
+module Int_heap = Routing_spf.Int_heap
 module Metric = Routing_metric.Metric
 module Queueing = Routing_metric.Queueing
 module Units = Routing_metric.Units

@@ -237,8 +237,9 @@ let rec note_changes t i ~cost weights = function
 
 (* Node [i] takes an update's costs into its view, repairs its own tree
    — §2.2's "incremental adjustments", bit-identical to recomputing it
-   from scratch on the new view — and refreshes its forwarding column
-   from the repaired tree in place. *)
+   from scratch on the new view — and, when the repair wrote the tree,
+   refreshes its forwarding column from it in place.  A repair that
+   wrote nothing left the tree, and so the column, as they were. *)
 let apply_update t i costs =
   let weights = t.weights.(i) in
   Spf_repair.clear_changes t.changes;
@@ -246,7 +247,8 @@ let apply_update t i costs =
   let tree = t.trees.(i) in
   ignore
     (Spf_repair.repair t.repair t.graph ~tree ~weights ~changes:t.changes);
-  Spf_tree.next_hops_into tree t.next_hops.(i)
+  if Spf_repair.wrote_tree t.repair then
+    Spf_tree.next_hops_into tree t.next_hops.(i)
 
 (* --- In-flight updates and pending acknowledgements --- *)
 

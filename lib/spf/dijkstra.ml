@@ -82,23 +82,23 @@ type scratch = {
   mutable dist : int array; (* composite distances *)
   mutable settled : bool array;
   mutable parent : int array; (* arriving link id; -1 = none *)
-  heap : Radix_queue.t;
-  slot : Radix_queue.slot; (* out-cell for allocation-free pops *)
+  heap : Int_heap.t;
+  slot : Int_heap.slot; (* out-cell for allocation-free pops *)
 }
 
 let scratch () =
   { dist = [||];
     settled = [||];
     parent = [||];
-    heap = Radix_queue.create ();
-    slot = Radix_queue.slot () }
+    heap = Int_heap.create ();
+    slot = Int_heap.slot () }
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [compute_into] would put those (cold) sites inside the A0xx-gated
    body. *)
 let[@inline never] ready s g n =
   (* One entry per relaxed link plus the root: the run's peak. *)
-  Radix_queue.reserve s.heap (Graph.link_count g + 1);
+  Int_heap.reserve s.heap (Graph.link_count g + 1);
   if Array.length s.dist < n then begin
     s.dist <- Array.make n max_int;
     s.settled <- Array.make n false;
@@ -109,15 +109,15 @@ let[@inline never] ready s g n =
     Array.fill s.settled 0 n false;
     Array.fill s.parent 0 n (-1)
   end;
-  Radix_queue.clear s.heap
+  Int_heap.clear s.heap
 
 (* The SPF inner loop over the flat (CSR) adjacency and a memoized weight
    table.  Tie-breaking is identical to the historical list-based version:
    queue priorities are (composite weight, arriving link id) pairs — globally
    unique — and on a fully tied relaxation the lower arriving link id wins,
-   so the tree is a pure function of the weight table.  Dijkstra never
-   pushes a key below the last popped one (edge weights are positive), the
-   exact precondition of the monotone radix queue.
+   so the tree is a pure function of the weight table: any queue that
+   pops in (key, tie) order yields the same pop sequence and the same
+   tree.
 
    The result overwrites every entry of the tree's arrays, so whatever the
    tree held before — a stale tree under older weights, or a fresh
@@ -136,10 +136,10 @@ let compute_into s g ~weights tree =
   let heap = s.heap in
   let ri = Node.to_int (Spf_tree.root tree) in
   dist.(ri) <- 0;
-  Radix_queue.push heap ~key:0 ~tie:(-1) ri;
+  Int_heap.push heap ~key:0 ~tie:(-1) ri;
   let slot = s.slot in
-  while Radix_queue.pop_min_into heap slot do
-    let w = slot.Radix_queue.key and i = slot.Radix_queue.value in
+  while Int_heap.pop_min_into heap slot do
+    let w = slot.Int_heap.key and i = slot.Int_heap.value in
     if not settled.(i) then begin
       settled.(i) <- true;
       for k = out_off.(i) to out_off.(i + 1) - 1 do
@@ -151,13 +151,13 @@ let compute_into s g ~weights tree =
           if w' < dist.(j) then begin
             dist.(j) <- w';
             parent.(j) <- lid;
-            Radix_queue.push heap ~key:w' ~tie:lid j
+            Int_heap.push heap ~key:w' ~tie:lid j
           end
           else if w' = dist.(j) && lid < parent.(j) then begin
             (* Fully tied: keep the lower arriving link id so the tree
                is independent of queue internals. *)
             parent.(j) <- lid;
-            Radix_queue.push heap ~key:w' ~tie:lid j
+            Int_heap.push heap ~key:w' ~tie:lid j
           end
         end
       done

@@ -83,7 +83,7 @@ val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
 
 type scratch
 (** Reusable work arrays (settled flags, composite distances, parent link
-    ids, the monotone {!Radix_queue}) for the inner loop.  Owned by one
+    ids, the {!Int_heap}) for the inner loop.  Owned by one
     domain at a time; resizes itself to whatever graph it is used on. *)
 
 val scratch : unit -> scratch

@@ -90,12 +90,13 @@ let graph t = t.graph
 let stats t = t.stats
 
 (* Below this much total work, run the recompute inline even when a pool
-   is attached.  The unit is one node-or-edge visit; a visit costs on the
-   order of 100 ns (bench perf-spf: mesh200's ~840 visits/source take
-   ~75 µs), while waking the pool and draining a job costs tens of µs —
-   so a fan-out only pays for itself once the batch holds a couple of
-   milliseconds of work.  Incremental refreshes that touch a handful of
-   sources (the common per-period case) stay sequential. *)
+   is attached.  The unit is one node-or-edge visit; a visit costs about
+   50 ns (bench perf-spf, 2-vCPU box: mesh200's ~840 visits per source
+   take ~41 µs), while waking the pool and draining a job costs tens of
+   µs — so a fan-out only pays for itself once the batch holds several
+   hundred µs of work, and this threshold is about 0.8 ms of it.
+   Incremental refreshes that touch a handful of sources (the common
+   per-period case) stay sequential. *)
 let parallel_grain = 16_384
 
 let[@inline] push_todo t i =

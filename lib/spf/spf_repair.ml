@@ -20,16 +20,16 @@ open! Import
    patched directly — a parent swap at equal distance changes nothing
    downstream.  Ties arriving after a node settled are impossible: an
    achieving predecessor's key is at least one edge weight below the
-   node's, so it settles (and relaxes) strictly earlier in the monotone
-   pop order, and achieving predecessors that never enter the queue are
-   exactly the intact ones the seeding phase already scanned.
+   node's, so it settles (and relaxes) strictly earlier (keys pop in
+   nondecreasing order), and achieving predecessors that never enter the
+   queue are exactly the intact ones the seeding phase already scanned.
 
    Structure note: [repair] runs every routing period on the simulator's
    steady path and is pinned allocation-free by the A0xx gate (DESIGN.md
    §8).  Hence no local closures (their environment blocks allocate): the
    phases are top-level helpers over explicit arguments, the changes
    arrive as int columns, the flood worklist is an int stack in the
-   scratch, queue pops go through a reusable {!Radix_queue.slot}, and
+   scratch, queue pops go through a reusable {!Int_heap.slot}, and
    parent patches draw on the graph's preallocated [Some link-id] cells
    ({!Graph.some_link_ids}) instead of boxing a fresh option per patch. *)
 
@@ -69,8 +69,8 @@ let add_change c lid ~old_w ~new_w =
 [@@hot_path]
 
 type scratch = {
-  queue : Radix_queue.t;
-  slot : Radix_queue.slot; (* out-cell for allocation-free pops *)
+  queue : Int_heap.t;
+  slot : Int_heap.slot; (* out-cell for allocation-free pops *)
   mutable stamp : int array; (* touched this epoch *)
   mutable settled : int array;
   mutable invalid : int array;
@@ -81,11 +81,12 @@ type scratch = {
   mutable stack : int array; (* flood worklist, first [nstack] live *)
   mutable nstack : int;
   mutable epoch : int;
+  mutable wrote : bool; (* the last repair wrote a tree entry *)
 }
 
 let scratch () =
-  { queue = Radix_queue.create ();
-    slot = Radix_queue.slot ();
+  { queue = Int_heap.create ();
+    slot = Int_heap.slot ();
     stamp = [||];
     settled = [||];
     invalid = [||];
@@ -95,14 +96,15 @@ let scratch () =
     ntouched = 0;
     stack = [||];
     nstack = 0;
-    epoch = 0 }
+    epoch = 0;
+    wrote = false }
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [repair] would put those (cold) sites inside the A0xx-gated body. *)
 let[@inline never] ready s g =
   let n = Graph.node_count g in
   (* A repair's peak queue: a seed per node plus two entries per link. *)
-  Radix_queue.reserve s.queue (n + (2 * Graph.link_count g));
+  Int_heap.reserve s.queue (n + (2 * Graph.link_count g));
   if Array.length s.stamp < n then begin
     s.stamp <- Array.make n 0;
     s.settled <- Array.make n 0;
@@ -116,7 +118,10 @@ let[@inline never] ready s g =
   s.epoch <- s.epoch + 1;
   s.ntouched <- 0;
   s.nstack <- 0;
-  Radix_queue.clear s.queue
+  s.wrote <- false;
+  Int_heap.clear s.queue
+
+let wrote_tree s = s.wrote
 
 let parent_id (parent : Link.id option array) v =
   match parent.(v) with None -> -1 | Some lid -> Link.id_to_int lid
@@ -218,13 +223,16 @@ let seed_decreases s g parent some_link dist_u hops_u epoch c =
             touch s epoch v;
             s.newdist.(v) <- cand;
             s.newparent.(v) <- lid;
-            Radix_queue.push s.queue ~key:cand ~tie:lid v
+            Int_heap.push s.queue ~key:cand ~tie:lid v
           end
           else if cand = cur then
             if s.stamp.(v) = epoch then begin
               if lid < s.newparent.(v) then s.newparent.(v) <- lid
             end
-            else if lid < parent_id parent v then parent.(v) <- some_link.(lid)
+            else if lid < parent_id parent v then begin
+              parent.(v) <- some_link.(lid);
+              s.wrote <- true
+            end
         end
       end
     end
@@ -283,19 +291,20 @@ let repair s g ~tree ~weights ~changes =
     if !best_w <> max_int then begin
       s.newdist.(v) <- !best_w;
       s.newparent.(v) <- !best_l;
-      Radix_queue.push s.queue ~key:!best_w ~tie:!best_l v
+      Int_heap.push s.queue ~key:!best_w ~tie:!best_l v
     end
   done;
   seed_decreases s g parent some_link dist_u hops_u epoch changes;
-  (* Phase 4: monotone re-settle, patching the tree exactly as a fresh
-     computation would decode it. *)
+  (* Phase 4: re-settle in (key, link id) order, patching the tree exactly
+     as a fresh computation would decode it. *)
   let resettled = ref 0 in
   let slot = s.slot in
-  while Radix_queue.pop_min_into s.queue slot do
-    let w = slot.Radix_queue.key and v = slot.Radix_queue.value in
+  while Int_heap.pop_min_into s.queue slot do
+    let w = slot.Int_heap.key and v = slot.Int_heap.value in
     if s.settled.(v) <> epoch && s.newdist.(v) = w then begin
       s.settled.(v) <- epoch;
       incr resettled;
+      s.wrote <- true (* and so for this settle's tie patches below *);
       dist_u.(v) <- Dijkstra.composite_units w;
       hops_u.(v) <- Dijkstra.composite_hops w;
       parent.(v) <-
@@ -314,7 +323,7 @@ let repair s g ~tree ~weights ~changes =
             touch s epoch j;
             s.newdist.(j) <- w';
             s.newparent.(j) <- lid;
-            Radix_queue.push s.queue ~key:w' ~tie:lid j
+            Int_heap.push s.queue ~key:w' ~tie:lid j
           end
           else if w' = cur then
             if s.stamp.(j) = epoch then begin
@@ -334,7 +343,8 @@ let repair s g ~tree ~weights ~changes =
     if s.settled.(v) <> epoch then begin
       dist_u.(v) <- max_int;
       hops_u.(v) <- max_int;
-      parent.(v) <- None
+      parent.(v) <- None;
+      s.wrote <- true
     end
   done;
   !resettled

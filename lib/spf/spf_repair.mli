@@ -25,8 +25,8 @@ open! Import
       link whose source is intact offers its destination a shortcut, and
       an exact tie with a lower link id patches the parent pointer alone
       (distances downstream are untouched by a parent swap).
-    + {b Re-settle}: a monotone Dijkstra loop over the {!Radix_queue}
-      settles the frontier outward, patching the tree at each settle with
+    + {b Re-settle}: a Dijkstra loop over the {!Int_heap}, popping in
+      [(key, link id)] order, settles the frontier outward, patching the tree at each settle with
       the same decode as a fresh computation.  Touched nodes that never
       re-settle are exactly the ones the changes disconnected.
 
@@ -35,8 +35,8 @@ open! Import
     and hand over only trees that may actually be affected. *)
 
 type scratch
-(** Epoch-stamped work arrays plus the monotone queue: repairs never pay
-    an O(n) clear, only O(touched).  Owned by one domain at a time;
+(** Epoch-stamped work arrays plus the heap: repairs never pay an O(n)
+    clear, only O(touched).  Owned by one domain at a time;
     resizes itself to whatever graph it is used on. *)
 
 val scratch : unit -> scratch
@@ -88,3 +88,10 @@ val repair :
     [changes] holds [(link, old_weight, new_weight)] for every table
     entry that differs, each link at most once.  [tree] must have been
     exact under the old table. *)
+
+val wrote_tree : scratch -> bool
+(** Whether the last {!repair} through this scratch wrote any entry of
+    its tree: a re-settled node, a parent patched on an exact tie, or a
+    node reset to unreached.  [false] means the tree is exactly as it was
+    before that repair, so anything derived from it (a forwarding column)
+    is still current.  A repair can write entries yet re-settle none. *)

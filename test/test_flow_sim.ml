@@ -344,7 +344,7 @@ let test_hnspf_quiet_periods_allocate_nothing () =
 (* Busy periods too: Table 1's pair on the ARPANET peak matrix floods
    every period, yet counted floods, in-place SPF recompute and repair
    and the reusable change set keep each period at zero words.  Warm-up
-   covers the amortized doublings (radix-queue buckets, change-set
+   covers the amortized doublings (SPF heap columns, change-set
    columns); the measured window ends before the history columns' next
    doubling at 64 periods. *)
 let test_busy_periods_allocate_nothing () =

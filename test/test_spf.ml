@@ -1,71 +1,68 @@
 (* Unit and property tests for the routing_spf library. *)
 
 open Routing_topology
-module Rq = Routing_spf.Radix_queue
+module H = Routing_spf.Int_heap
 module Dijkstra = Routing_spf.Dijkstra
 module Spf_tree = Routing_spf.Spf_tree
 module Spf_repair = Routing_spf.Spf_repair
 module Routing_table = Routing_spf.Routing_table
 module Rng = Routing_stats.Rng
 
-(* --- radix queue --- *)
+(* --- int heap --- *)
 
-let test_radix_ordering () =
-  let q = Rq.create () in
+let pop q =
+  let s = H.slot () in
+  if H.pop_min_into q s then Some (s.H.key, s.H.tie, s.H.value) else None
+
+let test_heap_ordering () =
+  let q = H.create () in
   List.iter
-    (fun (k, t) -> Rq.push q ~key:k ~tie:t (k * 10))
+    (fun (k, t) -> H.push q ~key:k ~tie:t (k * 10))
     [ (5, 0); (1, 2); (1, 1); (3, 0); (2, 0) ];
-  Alcotest.(check int) "length" 5 (Rq.length q);
-  let order = List.init 5 (fun _ -> Option.get (Rq.pop_min q)) in
+  Alcotest.(check int) "length" 5 (H.length q);
+  let order = List.init 5 (fun _ -> Option.get (pop q)) in
   Alcotest.(check bool) "lexicographic (key, tie)" true
     (order = [ (1, 1, 10); (1, 2, 10); (2, 0, 20); (3, 0, 30); (5, 0, 50) ]);
-  Alcotest.(check bool) "empty" true (Rq.is_empty q);
-  Alcotest.(check int) "floor follows pops" 5 (Rq.last q)
+  Alcotest.(check bool) "empty" true (H.is_empty q);
+  Alcotest.(check bool) "empty pop" true (pop q = None)
 
-let test_radix_rejects_non_monotone () =
-  let q = Rq.create () in
-  Rq.push q ~key:10 ~tie:0 1;
-  (match Rq.pop_min q with
-  | Some (10, 0, 1) -> ()
-  | _ -> Alcotest.fail "pop should return the pushed entry");
-  Rq.push q ~key:10 ~tie:1 2;
-  (* 10 equals the floor: allowed.  9 is below it: rejected. *)
-  Alcotest.check_raises "below the floor"
-    (Invalid_argument "Radix_queue.push: key 9 below the monotone floor 10")
-    (fun () -> Rq.push q ~key:9 ~tie:0 3)
+let test_heap_clear () =
+  let q = H.create () in
+  H.push q ~key:7 ~tie:0 0;
+  ignore (pop q);
+  H.push q ~key:4 ~tie:1 1;
+  H.push q ~key:9 ~tie:0 2;
+  let capacity = H.capacity q in
+  H.clear q;
+  Alcotest.(check bool) "cleared" true (H.is_empty q);
+  Alcotest.(check int) "capacity kept" capacity (H.capacity q);
+  (* Cleared entries are gone; smaller keys than any popped are fine. *)
+  H.push q ~key:1 ~tie:0 9;
+  Alcotest.(check bool) "reusable" true (pop q = Some (1, 0, 9));
+  Alcotest.(check bool) "nothing left" true (pop q = None)
 
-let test_radix_clear () =
-  let q = Rq.create () in
-  Rq.push q ~key:7 ~tie:0 0;
-  ignore (Rq.pop_min q);
-  Rq.clear q;
-  Alcotest.(check bool) "cleared" true (Rq.is_empty q);
-  Alcotest.(check int) "floor reset" 0 (Rq.last q);
-  (* After clear the floor is gone, so small keys are admissible again. *)
-  Rq.push q ~key:1 ~tie:0 9;
-  Alcotest.(check bool) "reusable" true (Rq.pop_min q = Some (1, 0, 9))
-
-(* The queue only promises anything for monotone sequences (every push at
-   or above the last popped key) — exactly what Dijkstra and the repair
-   loop produce.  Against a model priority queue, a list of
-   (key, tie, value) entries kept sorted, random interleavings of pushes
-   and pops must agree pop for pop.  Ties are made unique so the
-   comparison is exact, not set-valued.  A second queue, reserved up
-   front for the sequence's peak number of live entries, must pop the
-   same entries without its pool ever growing: popped slots are reused,
-   so the peak is all a run needs. *)
-let prop_radix_matches_priority_queue =
-  QCheck2.Test.make ~name:"radix queue = priority queue (monotone ops)"
-    ~count:300
+(* Against a model priority queue, a list of (key, tie, value) entries
+   kept sorted, random interleavings of pushes and pops must agree pop
+   for pop.  Keys go up and down freely and are drawn from a narrow
+   range, so exact (key, tie) duplicates are common; as in every caller,
+   the value is a function of (key, tie), so duplicates are
+   indistinguishable and the comparison is exact.  A second heap,
+   reserved up front for the sequence's peak number of live entries,
+   must pop the same entries without its columns ever growing. *)
+let prop_heap_matches_sorted_model =
+  QCheck2.Test.make ~name:"heap = sorted model (any keys)" ~count:300
     QCheck2.Gen.(
       list_size (int_range 0 300)
-        (pair (option (int_range 0 2000)) (int_range 0 9)))
+        (frequency
+           [ (3, map Option.some (pair (int_range (-20) 40) (int_range 0 4)));
+             (2, return None) ]))
     (fun ops ->
-      let q = Rq.create () in
+      let value key tie = (key * 8) + tie in
+      let q = H.create () in
       let peak =
         let live = ref 0 and peak = ref 0 in
         List.iter
-          (fun (op, _) ->
+          (fun op ->
             (match op with
             | Some _ -> incr live
             | None -> if !live > 0 then decr live);
@@ -73,9 +70,9 @@ let prop_radix_matches_priority_queue =
           ops;
         !peak
       in
-      let reserved = Rq.create () in
-      Rq.reserve reserved peak;
-      let capacity = Rq.capacity reserved in
+      let reserved = H.create () in
+      H.reserve reserved peak;
+      let capacity = H.capacity reserved in
       let model = ref [] in
       let pop_model () =
         match !model with
@@ -84,35 +81,26 @@ let prop_radix_matches_priority_queue =
           model := rest;
           Some e
       in
-      let last = ref 0 in
       let ok = ref true in
-      List.iteri
-        (fun i (op, r) ->
-          match op with
-          | Some delta ->
-            let key = !last + delta and tie = (r * 1_000_000) + i in
-            Rq.push q ~key ~tie i;
-            Rq.push reserved ~key ~tie i;
-            model := List.merge compare [ (key, tie, i) ] !model
-          | None -> (
-            let from_reserved = Rq.pop_min reserved in
-            match (Rq.pop_min q, pop_model ()) with
-            | None, None -> if from_reserved <> None then ok := false
-            | Some ((k, _, _) as e), Some e' ->
-              last := k;
-              if e <> e' || from_reserved <> Some e then ok := false
-            | _ -> ok := false))
-        ops;
-      let rec drain () =
-        let from_reserved = Rq.pop_min reserved in
-        match (Rq.pop_min q, pop_model ()) with
-        | None, None -> if from_reserved <> None then ok := false
-        | Some e, Some e' ->
-          if e = e' && from_reserved = Some e then drain () else ok := false
-        | _ -> ok := false
+      let pop_all () =
+        let from_reserved = pop reserved in
+        let e = pop q and e' = pop_model () in
+        if e <> e' || from_reserved <> e' then ok := false;
+        e' <> None
       in
-      drain ();
-      !ok && Rq.capacity reserved = capacity)
+      List.iter
+        (function
+          | Some (key, tie) ->
+            H.push q ~key ~tie (value key tie);
+            H.push reserved ~key ~tie (value key tie);
+            model := List.merge compare [ (key, tie, value key tie) ] !model
+          | None -> ignore (pop_all ()))
+        ops;
+      if H.length q <> List.length !model then ok := false;
+      while !ok && pop_all () do
+        ()
+      done;
+      !ok && H.is_empty q && H.capacity reserved = capacity)
 
 (* --- helpers --- *)
 
@@ -304,6 +292,73 @@ let prop_shortest_paths_hereditary =
           end);
       !ok)
 
+(* A reference with no queue at all: the O(N²) selection loop settles
+   the unsettled node of least composite distance, relaxing every link
+   out of it, and each reached node's parent is then the lowest-id
+   enabled link achieving its distance.  Costs 1–3 make equal-cost paths
+   (and so the tie rule) common, and random links are disabled.  The
+   tree [compute_flat] builds must match on every node: the lowest-id
+   tie rule is what makes a tree independent of the queue it ran on. *)
+let prop_dijkstra_matches_selection_loop =
+  QCheck2.Test.make ~name:"dijkstra = queue-free reference" ~count:200
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Rng.create ((seed * 13) + 3) in
+      let nl = Graph.link_count g and n = Graph.node_count g in
+      let costs = Array.init nl (fun _ -> 1 + Rng.int rng 3) in
+      let up = Array.init nl (fun _ -> Rng.int rng 5 > 0) in
+      let weights =
+        Dijkstra.compute_weights
+          ~enabled:(fun l -> up.(Link.id_to_int l))
+          g
+          ~cost:(fun l -> costs.(Link.id_to_int l))
+      in
+      let src l = Node.to_int (Graph.link g (Link.id_of_int l)).Link.src in
+      let dst l = Node.to_int (Graph.link g (Link.id_of_int l)).Link.dst in
+      let root = Rng.int rng n in
+      let dist = Array.make n max_int and settled = Array.make n false in
+      dist.(root) <- 0;
+      for _ = 1 to n do
+        let u = ref (-1) in
+        for v = 0 to n - 1 do
+          if (not settled.(v)) && dist.(v) < max_int
+             && (!u < 0 || dist.(v) < dist.(!u))
+          then u := v
+        done;
+        if !u >= 0 then begin
+          settled.(!u) <- true;
+          for l = 0 to nl - 1 do
+            if weights.(l) >= 0 && src l = !u then
+              dist.(dst l) <- min dist.(dst l) (dist.(!u) + weights.(l))
+          done
+        end
+      done;
+      let tree = Dijkstra.compute_flat g ~weights (Node.of_int root) in
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        let nv = Node.of_int v in
+        let comp =
+          Dijkstra.composite ~dist:(Spf_tree.dist tree nv)
+            ~hops:(Spf_tree.hops tree nv)
+        in
+        if comp <> dist.(v) then ok := false;
+        let expected = ref (-1) in
+        if v <> root && dist.(v) < max_int then
+          for l = nl - 1 downto 0 do
+            if weights.(l) >= 0 && dst l = v && dist.(src l) < max_int
+               && dist.(src l) + weights.(l) = dist.(v)
+            then expected := l
+          done;
+        let got =
+          match Spf_tree.parent_link tree nv with
+          | None -> -1
+          | Some l -> Link.id_to_int l.Link.id
+        in
+        if got <> !expected then ok := false
+      done;
+      !ok)
+
 (* --- Spf_tree accessors --- *)
 
 let test_tree_paths_and_next_hop () =
@@ -379,6 +434,28 @@ let test_incremental_tracks_change () =
   ignore (set_cost s g ~costs ~weights ~tree direct.Link.id 5);
   Alcotest.(check int) "after decrease, direct again" 5 (Spf_tree.dist tree d)
 
+(* A repair can write the tree without re-settling anything: taking
+   down the only link into a node leaves it unreached, and [wrote_tree]
+   must say so, or a forwarding column kept beside the tree would still
+   route over the dead link. *)
+let test_incremental_disconnect_writes () =
+  let b = Builder.create () in
+  let _ = Builder.trunk b Line_type.T56 "A" "B" in
+  let g = Builder.build b in
+  let a = node g "A" and bn = node g "B" in
+  let ab = Option.get (Graph.find_link g ~src:a ~dst:bn) in
+  let costs = Array.make (Graph.link_count g) 10 in
+  let weights, tree = view g costs a in
+  let k = Link.id_to_int ab.Link.id in
+  let changes = Spf_repair.changes () in
+  Spf_repair.add_change changes ab.Link.id ~old_w:weights.(k) ~new_w:(-1);
+  weights.(k) <- -1;
+  let s = Spf_repair.scratch () in
+  let resettled = Spf_repair.repair s g ~tree ~weights ~changes in
+  Alcotest.(check int) "nothing re-settled" 0 resettled;
+  Alcotest.(check bool) "tree written" true (Spf_repair.wrote_tree s);
+  Alcotest.(check bool) "B unreached" false (Spf_tree.reached tree bn)
+
 let prop_incremental_matches_full =
   QCheck2.Test.make ~name:"incremental = full recompute over update sequences"
     ~count:40
@@ -434,7 +511,11 @@ let test_incremental_skip_rate () =
    generated case.  Each update re-costs all out-links of one node, as a
    routing update does, and every node's repaired tree must equal a
    from-scratch Dijkstra afterwards.  One change set is refilled for
-   every receipt, as the DES refills its own. *)
+   every receipt, as the DES refills its own.  The DES refreshes a
+   node's forwarding column only when [wrote_tree] says the repair
+   wrote the tree, so whenever it says not, the tree must still equal a
+   from-scratch copy taken before the receipt; and a repair with no
+   changes must write nothing. *)
 let prop_shared_scratch_matches_full =
   let s = Spf_repair.scratch () in
   let changes = Spf_repair.changes () in
@@ -455,6 +536,10 @@ let prop_shared_scratch_matches_full =
             (fun (l : Link.t) -> (l.Link.id, 1 + Rng.int rng 60))
             (Graph.out_links g origin)
         in
+        let before =
+          Array.init (Graph.node_count g) (fun r ->
+              fresh g costs (Node.of_int r))
+        in
         List.iter (fun (lid, c) -> costs.(Link.id_to_int lid) <- c) update;
         Array.iteri
           (fun r (weights, tree) ->
@@ -473,6 +558,12 @@ let prop_shared_scratch_matches_full =
                   Spf_repair.add_change changes lid ~old_w:old ~new_w:w)
               update;
             ignore (Spf_repair.repair s g ~tree ~weights ~changes);
+            if (not (Spf_repair.wrote_tree s))
+               && not (Spf_tree.equal tree before.(r))
+            then ok := false;
+            Spf_repair.clear_changes changes;
+            ignore (Spf_repair.repair s g ~tree ~weights ~changes);
+            if Spf_repair.wrote_tree s then ok := false;
             if not (Spf_tree.equal tree (fresh g costs (Node.of_int r))) then
               ok := false)
           views
@@ -519,12 +610,10 @@ let prop_consistent_tables_are_loop_free =
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_spf"
-    [ ( "radix_queue",
-        [ Alcotest.test_case "ordering" `Quick test_radix_ordering;
-          Alcotest.test_case "monotone floor" `Quick
-            test_radix_rejects_non_monotone;
-          Alcotest.test_case "clear" `Quick test_radix_clear ]
-        @ qsuite [ prop_radix_matches_priority_queue ] );
+    [ ( "int_heap",
+        [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
+          Alcotest.test_case "clear" `Quick test_heap_clear ]
+        @ qsuite [ prop_heap_matches_sorted_model ] );
       ( "dijkstra",
         [ Alcotest.test_case "direct wins" `Quick test_dijkstra_direct_wins;
           Alcotest.test_case "reroutes" `Quick
@@ -538,7 +627,8 @@ let () =
         @ qsuite
             [ prop_dijkstra_optimality;
               prop_dijkstra_agrees_with_bellman_ford;
-              prop_shortest_paths_hereditary ] );
+              prop_shortest_paths_hereditary;
+              prop_dijkstra_matches_selection_loop ] );
       ( "spf_tree",
         [ Alcotest.test_case "paths and next hop" `Quick
             test_tree_paths_and_next_hop ] );
@@ -546,7 +636,9 @@ let () =
         [ Alcotest.test_case "ignores irrelevant" `Quick
             test_incremental_ignores_irrelevant_increase;
           Alcotest.test_case "tracks change" `Quick test_incremental_tracks_change;
-          Alcotest.test_case "skip rate (§2.2)" `Quick test_incremental_skip_rate ]
+          Alcotest.test_case "skip rate (§2.2)" `Quick test_incremental_skip_rate;
+          Alcotest.test_case "disconnect writes the tree" `Quick
+            test_incremental_disconnect_writes ]
         @ qsuite [ prop_incremental_matches_full ] );
       ("repair_scratch", qsuite [ prop_shared_scratch_matches_full ]);
       ( "routing_table",
