@@ -6,13 +6,18 @@
     times fire in insertion order (a strict FIFO tie-break), which keeps
     simulations deterministic.
 
-    A 4-ary min-heap stored as a structure of arrays — an unboxed float
-    column of times beside int columns of sequence numbers, kinds and
-    operands — so neither scheduling nor draining allocates: {!pop_min}
-    advances the queue's {!clock} to the popped time and leaves the
-    operands in {!popped_a}/{!popped_b}.  A push or a pop moves at most
-    one row per level over about log₄ n levels; the columns double when
-    full. *)
+    Two tiers in one order.  A row due within about a second of the
+    clock goes to a time wheel of 1,024 buckets of 2⁻¹⁰ s, each a list
+    sorted by (time, seq), where a push walks a few rows of one bucket
+    and a pop unlinks a bucket's head; every other row goes to a 4-ary
+    min-heap.  {!pop_min} takes the earlier of the two heads,
+    so events pop in exactly the order one heap would give.  Both tiers
+    are structures of arrays — unboxed float columns of times beside int
+    columns of sequence numbers, kinds and operands — so neither
+    scheduling nor draining allocates: {!pop_min} advances the queue's
+    {!clock} to the popped time and leaves the operands in
+    {!popped_a}/{!popped_b}.  The heap's columns and the wheel's row
+    pool double when full. *)
 
 type t
 

@@ -113,11 +113,12 @@ let[@inline never] ready s g n =
 
 (* The SPF inner loop over the flat (CSR) adjacency and a memoized weight
    table.  Tie-breaking is identical to the historical list-based version:
-   queue priorities are (composite weight, arriving link id) pairs — globally
-   unique — and on a fully tied relaxation the lower arriving link id wins,
-   so the tree is a pure function of the weight table: any queue that
-   pops in (key, tie) order yields the same pop sequence and the same
-   tree.
+   on a fully tied relaxation the lower arriving link id wins, so the tree
+   is a pure function of the weight table.  A tied relaxation only patches
+   the parent and pushes nothing: the node's queued key is already its
+   distance, and every edge weight is at least 1, so two nodes at the same
+   distance never relax each other and the order in which equal keys pop
+   cannot change the tree.
 
    The result overwrites every entry of the tree's arrays, so whatever the
    tree held before — a stale tree under older weights, or a fresh
@@ -153,12 +154,9 @@ let compute_into s g ~weights tree =
             parent.(j) <- lid;
             Int_heap.push heap ~key:w' ~tie:lid j
           end
-          else if w' = dist.(j) && lid < parent.(j) then begin
-            (* Fully tied: keep the lower arriving link id so the tree
-               is independent of queue internals. *)
-            parent.(j) <- lid;
-            Int_heap.push heap ~key:w' ~tie:lid j
-          end
+          else if w' = dist.(j) && lid < parent.(j) then
+            (* Fully tied: keep the lower arriving link id. *)
+            parent.(j) <- lid
         end
       done
     end

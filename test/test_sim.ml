@@ -38,67 +38,168 @@ let test_event_queue_fifo_ties () =
   Alcotest.(check (list int)) "insertion order among ties" [ 1; 2; 3; 4; 5 ]
     (drain_operands q)
 
-(* Random interleavings of pushes and pops against a model: a set of
-   (time, insertion index, kind, a, b) rows in that order.  Each case
-   draws a time span (from 5 ticks, where most times tie exactly, to a
-   million), a standing population pushed first (up to 1,000 rows) and
-   a push share for the up to 2,000 mixed operations after it (10 % to
-   90 %), so runs reach the heap's deeper levels, end on partial child
-   groups of every size and double the columns several times.  Every pop
+(* Random interleavings of pushes, pops and clock jumps against a model:
+   a set of (time, insertion index, kind, a, b) rows in that order.  Each
+   case draws a mode, a standing population pushed first (up to 1,000
+   rows) and a push share for the up to 3,000 mixed operations after it
+   (10 % to 90 %).  Three modes push absolute times in quarter seconds
+   over spans from 5 ticks (most times tie exactly) to a million, so runs
+   reach the heap's deeper levels, end on partial child groups of every
+   size and double the columns several times.  Three modes push times in
+   2⁻¹⁴-s ticks (16 to a wheel bucket) relative to the highest clock yet,
+   so the wheel carries them: within one bucket or two (crowded enough
+   that a push sorts past the walk cap), from 1/8 s before to 1 s after
+   (inside the horizon) and from 1 s before to 2 s after (across it).
+   Those modes also jump the clock 1 to 2 s past its high-water mark
+   with [advance_to] while rows are pending, so the clock runs several
+   seconds and the wheel's cursor wraps its ring several times.  Every
+   mode but the one-bucket one pushes rows before the clock.  Every pop
    must return the model's head — earliest time, then earliest
-   insertion — with its operands, and advance the clock to its time;
-   the queue's length must track the model's. *)
+   insertion — with its operands, be [due] at its time and not just
+   before it, and set the clock to its time; a jump must set the clock;
+   the queue's length must track the model's.  The cases do not shrink:
+   with no printer a shrunk case is never shown, and shrinking thousands
+   of operations can run for many minutes. *)
 module Rows = Set.Make (struct
   type t = float * int * int * int * int
 
-  let compare = compare
+  let compare (t, i, _, _, _) (t', i', _, _, _) =
+    match Float.compare t t' with 0 -> Int.compare i i' | c -> c
 end)
+
+type queue_op = Push of int | Pop | Jump of int
 
 let prop_event_queue_matches_sorted_model =
   QCheck2.Test.make ~name:"event queue = sorted (time, insertion) model"
-    ~count:300
-    QCheck2.Gen.(
-      let* span = oneofl [ 4; 40; 1_000_000 ] in
-      let push = map Option.some (int_range 0 span) in
+    ~count:600
+    (QCheck2.Gen.no_shrink
+    @@ QCheck2.Gen.(
+      let* tick, lo, hi, relative =
+        oneofl
+          [ (0.25, 0, 4, false);
+            (0.25, 0, 40, false);
+            (0.25, 0, 1_000_000, false);
+            (0x1p-14, 0, 15, true);
+            (0x1p-14, -2_048, 16_383, true);
+            (0x1p-14, -16_384, 32_768, true) ]
+      in
+      let push = map (fun k -> Push k) (int_range lo hi) in
+      let jump = map (fun k -> Jump k) (int_range 16_384 32_768) in
       let* pushes = int_range 1 9 in
       let* standing = list_size (int_range 0 1000) push in
       let+ mixed =
-        list_size (int_range 0 2000)
-          (frequency [ (pushes, push); (10 - pushes, pure None) ])
+        list_size (int_range 0 3000)
+          (frequency
+             ([ (10 * pushes, push); (10 * (10 - pushes), pure Pop) ]
+             @ if relative then [ (1, jump) ] else []))
       in
-      standing @ mixed)
-    (fun ops ->
+      (tick, relative, standing @ mixed)))
+    (fun (tick, relative, ops) ->
       let q = Event_queue.create () in
       let model = ref Rows.empty in
+      let now = ref 0. and high = ref 0. in
       let ok = ref true in
+      let clock_is t = (Event_queue.clock q).Event_queue.now = t in
       let pop () =
         match Rows.min_elt_opt !model with
         | None -> if not (Event_queue.is_empty q) then ok := false
         | Some ((time, _, kind, a, b) as row) ->
           model := Rows.remove row !model;
+          if not (Event_queue.due q time && not (Event_queue.due q (Float.pred time)))
+          then ok := false;
           let k = Event_queue.pop_min q in
+          now := time;
+          high := Float.max !high time;
           if
             k <> kind
             || Event_queue.popped_a q <> a
             || Event_queue.popped_b q <> b
-            || (Event_queue.clock q).Event_queue.now <> time
+            || not (clock_is time)
           then ok := false
       in
       List.iteri
         (fun i op ->
           (match op with
-          | Some t ->
-            let time = float_of_int t /. 4. in
+          | Push k ->
+            let time = (if relative then !high else 0.) +. (float_of_int k *. tick) in
             let kind = i mod 5 and a = i * 7 and b = -i in
             Event_queue.add q ~time ~kind ~a ~b;
             model := Rows.add (time, i, kind, a, b) !model
-          | None -> pop ());
+          | Pop -> pop ()
+          | Jump k ->
+            let target = !high +. (float_of_int k *. tick) in
+            Event_queue.advance_to q target;
+            now := Float.max !now target;
+            high := Float.max !high target;
+            if not (clock_is !now) then ok := false);
           if Event_queue.length q <> Rows.cardinal !model then ok := false)
         ops;
       while not (Rows.is_empty !model) do
         pop ()
       done;
       !ok && Event_queue.is_empty q)
+
+(* The two tiers break a time tie by insertion order.  Heap first: a row
+   due past the horizon goes to the heap, a pop raises the window, and
+   a later row at the same time goes to the wheel.  Wheel first: a row
+   goes to the wheel, 70 earlier rows are prepended to its bucket, and a
+   later row at the same time would sort after 71 rows of the bucket,
+   past the walk cap, so it goes to the heap. *)
+let test_event_queue_tier_ties () =
+  let q = Event_queue.create () in
+  Event_queue.add q ~time:4.5 ~kind:0 ~a:0 ~b:0;
+  Event_queue.add q ~time:5. ~kind:0 ~a:1 ~b:0;
+  ignore (Event_queue.pop_min q);
+  Event_queue.add q ~time:5. ~kind:0 ~a:2 ~b:0;
+  Alcotest.(check (list int)) "heap row first" [ 1; 2 ] (drain_operands q);
+  let q = Event_queue.create () in
+  let t = 0.5 +. 0x1p-11 in
+  Event_queue.add q ~time:(0.5 +. (15. *. 0x1p-14)) ~kind:0 ~a:1_000 ~b:0;
+  Event_queue.add q ~time:t ~kind:0 ~a:100 ~b:0;
+  for k = 1 to 70 do
+    Event_queue.add q ~time:(t -. (float_of_int k *. 0x1p-20)) ~kind:0 ~a:k ~b:0
+  done;
+  Event_queue.add q ~time:t ~kind:0 ~a:101 ~b:0;
+  Alcotest.(check (list int)) "wheel row first"
+    (List.init 70 (fun i -> 70 - i) @ [ 100; 101; 1_000 ])
+    (drain_operands q)
+
+let test_event_queue_length_counts_both_tiers () =
+  let q = Event_queue.create () in
+  for i = 0 to 9 do
+    Event_queue.add q ~time:(0.001 *. float_of_int i) ~kind:0 ~a:i ~b:0;
+    Event_queue.add q ~time:(100. +. float_of_int i) ~kind:0 ~a:i ~b:0
+  done;
+  Alcotest.(check int) "both tiers" 20 (Event_queue.length q);
+  for _ = 1 to 15 do
+    ignore (Event_queue.pop_min q)
+  done;
+  Alcotest.(check int) "after 15 pops" 5 (Event_queue.length q);
+  let e = Engine.create () in
+  for _ = 1 to 3 do
+    Engine.schedule e ~after:0.001 ~kind:0 ~a:0 ~b:0;
+    Engine.schedule e ~after:100. ~kind:0 ~a:0 ~b:0
+  done;
+  Alcotest.(check int) "engine pending" 6 (Engine.pending e);
+  Engine.run_until e 1.;
+  Alcotest.(check int) "engine pending after the near rows" 3 (Engine.pending e)
+
+(* 20,000 rows in one 2⁻¹⁰-s bucket, at 6,667 distinct times in tied
+   triples, pushed in a scattered order (index 7,919·k mod 20,000), so
+   most pushes sort into the middle of a long bucket and past the walk
+   cap: they pop in (time, insertion) order all the same. *)
+let test_event_queue_crowded_bucket () =
+  let n = 20_000 in
+  let q = Event_queue.create () in
+  let rows =
+    List.init n (fun k ->
+        let time = 0.5 +. (float_of_int (k * 7_919 mod n / 3) *. 0x1p-24) in
+        Event_queue.add q ~time ~kind:0 ~a:k ~b:0;
+        (time, k))
+  in
+  Alcotest.(check (list int)) "time, then insertion order"
+    (List.map snd (List.sort compare rows))
+    (drain_operands q)
 
 let test_engine_clock () =
   let e = Engine.create () in
@@ -769,7 +870,11 @@ let () =
     [ ( "event_queue",
         [ Alcotest.test_case "time order" `Quick test_event_queue_time_order;
           Alcotest.test_case "fifo ties" `Quick test_event_queue_fifo_ties;
-          QCheck_alcotest.to_alcotest prop_event_queue_matches_sorted_model ] );
+          QCheck_alcotest.to_alcotest prop_event_queue_matches_sorted_model;
+          Alcotest.test_case "ties across tiers" `Quick test_event_queue_tier_ties;
+          Alcotest.test_case "length counts both tiers" `Quick
+            test_event_queue_length_counts_both_tiers;
+          Alcotest.test_case "crowded bucket" `Quick test_event_queue_crowded_bucket ] );
       ( "engine",
         [ Alcotest.test_case "clock" `Quick test_engine_clock;
           Alcotest.test_case "horizon" `Quick test_engine_horizon_stops_events;
