@@ -117,7 +117,7 @@ type t = {
          ({!Broadcast.instant_transmissions}) *)
   mutable workload : Workload.t option;
   measure : Measure.t;
-  min_hops : int array array; (* src * dst, hop count on the up topology *)
+  min_hops : int array array; (* src * dst, up-topology hops; -1 = none *)
   link_up : bool array;
   prev_bits : float array; (* per link, snapshot at last period start *)
   cost_series : Time_series.t array;
@@ -186,7 +186,7 @@ let recompute_min_hops t =
     for dst = 0 to n - 1 do
       t.min_hops.(src).(dst) <-
         (let d = Node.of_int dst in
-         if Spf_tree.reached tree d then Spf_tree.hops tree d else max_int)
+         if Spf_tree.reached tree d then Spf_tree.hops tree d else -1)
     done
   done
 
@@ -339,9 +339,13 @@ let[@inline never] deliver t p =
   let src = Packet.src pool p and dst = Packet.dst pool p in
   let hops = Packet.hops pool p in
   let delay_s = t.clock.Engine.now -. (Packet.created_column pool).(p) in
+  (* A pair a cut disconnected after this packet passed it has no min-hop
+     path: the packet counts its actual hops, as in [Flow_sim]. *)
+  let mh = t.min_hops.(src).(dst) in
+  let mh = if mh >= 0 then mh else hops in
   Measure.record_delivery t.measure ~delay_s
     ~bits:(Packet.bits_column pool).(p)
-    ~hops ~min_hops:t.min_hops.(src).(dst);
+    ~hops ~min_hops:mh;
   if tracing t then
     trace t (fun () ->
         Trace.Packet_delivered
@@ -649,7 +653,7 @@ let create ?config graph tm =
       flood_tx = Broadcast.instant_transmissions graph;
       workload = None;
       measure = Measure.create ~nodes:n;
-      min_hops = Array.init n (fun _ -> Array.make n max_int);
+      min_hops = Array.init n (fun _ -> Array.make n (-1));
       link_up = Array.make nl true;
       prev_bits = Array.make nl 0.;
       views;

@@ -41,7 +41,7 @@ let parse_action = function
     | None -> Error (Printf.sprintf "unknown metric %S" name))
   | [ "scale"; x ] -> (
     match float_of_string_opt x with
-    | Some f when f >= 0. -> Ok (Scale_traffic f)
+    | Some f when Float.is_finite f && f >= 0. -> Ok (Scale_traffic f)
     | _ -> Error (Printf.sprintf "bad scale %S" x))
   | [ "adaptive"; "on" ] -> Ok (Adaptive_sources true)
   | [ "adaptive"; "off" ] -> Ok (Adaptive_sources false)
@@ -56,7 +56,7 @@ let parse_event_line ~line:number line =
   match fields with
   | "at" :: time :: action -> (
     match float_of_string_opt time with
-    | Some at_s when at_s >= 0. -> (
+    | Some at_s when Float.is_finite at_s && at_s >= 0. -> (
       match parse_action action with
       | Ok action -> Ok { at_s; action; line = number }
       | Error e -> Error e)

@@ -2,6 +2,7 @@ open! Import
 
 type t = {
   cost_hops : Obs_metrics.series array;
+  mutable idle : (Metric.kind * float array) option; (* per link, >= 1 *)
   osc : Obs_oscillation.t;
   on_flag : link:int -> time:float -> flips:int -> unit;
   spf_gauges : (Obs_metrics.gauge * (Spf_engine.stats -> int)) list;
@@ -26,6 +27,7 @@ let attach tele ~links =
   { cost_hops =
       Array.init links (fun i ->
           Obs_metrics.series m ~labels:(link_label i) "link_cost_hops");
+    idle = None;
     osc = Telemetry.init_oscillation tele ~links;
     on_flag =
       (fun ~link ~time ~flips ->
@@ -52,14 +54,27 @@ let[@inline] span_stop tele name started =
   | None -> ()
   | Some tele -> Obs_span.record (Telemetry.spans tele) ~name ~started
 
+(* A link's idle cost is a constant of its metric kind, but
+   [Metric.idle_cost] builds a fresh HNM or D-SPF state to read it: build
+   the table once per kind (a simulator's first period, and after a
+   [Flow_sim.switch_metric]) instead of once per link per period. *)
+let idle_costs h graph kind =
+  match h.idle with
+  | Some (k, idle) when k = kind -> idle
+  | _ ->
+    let idle =
+      Array.init (Graph.link_count graph) (fun i ->
+          let link = Graph.link graph (Link.id_of_int i) in
+          float_of_int (max 1 (Metric.idle_cost kind link)))
+    in
+    h.idle <- Some (kind, idle);
+    idle
+
 let observe_costs h graph metric ~time =
-  let kind = Metric.kind metric in
+  let idle = idle_costs h graph (Metric.kind metric) in
   for i = 0 to Graph.link_count graph - 1 do
-    let lid = Link.id_of_int i in
-    let cost = Metric.cost metric lid in
-    let idle = Metric.idle_cost kind (Graph.link graph lid) in
-    Obs_metrics.sample h.cost_hops.(i) ~time
-      (float_of_int cost /. float_of_int (max 1 idle));
+    let cost = Metric.cost metric (Link.id_of_int i) in
+    Obs_metrics.sample h.cost_hops.(i) ~time (float_of_int cost /. idle.(i));
     Obs_oscillation.observe ~on_flag:h.on_flag h.osc ~link:i ~time ~cost
   done
 

@@ -37,7 +37,9 @@ val span_stop : Telemetry.t option -> string -> float -> unit
 
 val observe_costs : t -> Graph.t -> Metric.t -> time:float -> unit
 (** Once per routing period, after flooding: sample every link's
-    flooded cost in hops and feed it to the oscillation detector. *)
+    flooded cost in hops and feed it to the oscillation detector.  The
+    per-link idle costs it divides by are built on the first call and
+    again only when the metric's kind changes. *)
 
 val record_spf_stats : t -> Spf_engine.stats -> unit
 (** Set the [spf_engine] gauges to the engine's current counters. *)

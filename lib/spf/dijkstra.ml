@@ -4,20 +4,8 @@ type tie_break = [ `Neutral | `Favor of Link.id | `Avoid of Link.id ]
 
 let max_link_cost = 254
 
-(* Composite edge weights encode lexicographic comparison of
-   (path cost, probe-link preference, hop count) in a single positive
-   integer, keeping plain Dijkstra applicable:
-
-     w(l) = (cost(l) * cost_scale + probe_adjust(l)) * hop_scale + 1
-
-   probe_adjust is -1 on the probed link under [`Favor] (an infinitesimal
-   discount: among equal-cost paths, ones using the link win), +1 under
-   [`Avoid].  The +1 per edge makes hop count the final tie-break.  With
-   cost <= 254 and paths < 256 hops the sums stay far below max_int. *)
-let hop_scale = 256
-
-let cost_scale = 1024
-
+(* One link's range-checked cost and probe adjustment, encoded by the
+   trees' own {!Spf_tree.edge_weight}. *)
 let edge_weight ~tie_break ~cost lid =
   let c = cost lid in
   if c < 1 || c > max_link_cost then
@@ -29,7 +17,7 @@ let edge_weight ~tie_break ~cost lid =
     | `Favor probe -> if Link.id_equal probe lid then -1 else 0
     | `Avoid probe -> if Link.id_equal probe lid then 1 else 0
   in
-  (((c * cost_scale) + adjust) * hop_scale) + 1
+  Spf_tree.edge_weight ~cost:c ~adjust
 
 let link_weight ~cost lid = edge_weight ~tie_break:`Neutral ~cost lid
 
@@ -52,63 +40,30 @@ let compute_weights ?tie_break ?enabled g ~cost =
   compute_weights_into ?tie_break ?enabled g ~cost weights;
   weights
 
-let composite ~dist ~hops =
-  if dist = max_int then max_int else (dist * cost_scale * hop_scale) + hops
-
-(* Inverse of [composite] under [`Neutral] tie-breaking: the hop count
-   lives in the low byte and the unit distance above the scales, with the
-   half-up rounding that absorbs [`Favor]/[`Avoid] adjustments (for which
-   the middle bits are nonzero). *)
-(* Int-returning halves of [decompose]: results cross module boundaries
-   unboxed, so the repair resettle loop can re-decode patched distances
-   without allocating the pair. *)
-let composite_units comp =
-  if comp = max_int then max_int
-  else
-    (comp / hop_scale / cost_scale)
-    + (if (comp / hop_scale) mod cost_scale > cost_scale / 2 then 1 else 0)
-
-let composite_hops comp = if comp = max_int then max_int else comp mod hop_scale
-
-let decompose comp = (composite_units comp, composite_hops comp)
-
-(* Reusable work arrays for the inner loop.  The settled flags, composite
-   distances, parent link ids and the heap never escape a computation, so
-   one scratch can serve every tree a domain computes.  The tree's own
-   arrays are written in place by [compute_into]; only [compute_flat_s]
-   allocates them, for a tree that does not exist yet.  A scratch belongs
-   to one domain; the pool fan-out gives each participant its own. *)
+(* Reusable work arrays for the inner loop.  The settled flags and the
+   heap never escape a computation, so one scratch can serve every tree a
+   domain computes; the distances and parents are the tree's own arrays,
+   written in place.  A scratch belongs to one domain; the pool fan-out
+   gives each participant its own. *)
 type scratch = {
-  mutable dist : int array; (* composite distances *)
   mutable settled : bool array;
-  mutable parent : int array; (* arriving link id; -1 = none *)
   heap : Int_heap.t;
   slot : Int_heap.slot; (* out-cell for allocation-free pops *)
 }
 
 let scratch () =
-  { dist = [||];
-    settled = [||];
-    parent = [||];
-    heap = Int_heap.create ();
-    slot = Int_heap.slot () }
+  { settled = [||]; heap = Int_heap.create (); slot = Int_heap.slot () }
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [compute_into] would put those (cold) sites inside the A0xx-gated
-   body. *)
-let[@inline never] ready s g n =
+   body.  Resets the tree's [n] entries to unreached. *)
+let[@inline never] ready s g ~dist ~parent n =
   (* One entry per relaxed link plus the root: the run's peak. *)
   Int_heap.reserve s.heap (Graph.link_count g + 1);
-  if Array.length s.dist < n then begin
-    s.dist <- Array.make n max_int;
-    s.settled <- Array.make n false;
-    s.parent <- Array.make n (-1)
-  end
-  else begin
-    Array.fill s.dist 0 n max_int;
-    Array.fill s.settled 0 n false;
-    Array.fill s.parent 0 n (-1)
-  end;
+  if Array.length s.settled < n then s.settled <- Array.make n false
+  else Array.fill s.settled 0 n false;
+  Array.fill dist 0 n max_int;
+  Array.fill parent 0 n (-1);
   Int_heap.clear s.heap
 
 (* The SPF inner loop over the flat (CSR) adjacency and a memoized weight
@@ -120,19 +75,19 @@ let[@inline never] ready s g n =
    distance never relax each other and the order in which equal keys pop
    cannot change the tree.
 
-   The result overwrites every entry of the tree's arrays, so whatever the
-   tree held before — a stale tree under older weights, or a fresh
-   unreached one — no entry survives: nodes this run does not reach are
-   reset to unreached.  Parent options come from the graph's shared
-   [Some link-id] cells, so the kernel allocates nothing. *)
+   The loop works directly in the tree's composite-distance and parent
+   arrays, reset first, so whatever the tree held before — a stale tree
+   under older weights, or a fresh unreached one — no entry survives:
+   nodes this run does not reach end unreached.  Nothing here
+   allocates. *)
 let compute_into s g ~weights tree =
   let n = Graph.node_count g in
   let out_off = Graph.csr_out_off g in
   let out_link_ids = Graph.csr_out_link_ids g in
   let out_dst = Graph.csr_out_dst g in
-  ready s g n;
-  let dist = s.dist in
-  let parent = s.parent in
+  let dist = Spf_tree.unsafe_composite tree in
+  let parent = Spf_tree.unsafe_parent tree in
+  ready s g ~dist ~parent n;
   let settled = s.settled in
   let heap = s.heap in
   let ri = Node.to_int (Spf_tree.root tree) in
@@ -160,34 +115,11 @@ let compute_into s g ~weights tree =
         end
       done
     end
-  done;
-  (* Decode composite weights back into routing units and hop counts. *)
-  let units = Spf_tree.unsafe_dist tree in
-  let hops = Spf_tree.unsafe_hops tree in
-  let tree_parent = Spf_tree.unsafe_parent tree in
-  let some_link = Graph.some_link_ids g in
-  for i = 0 to n - 1 do
-    let d = dist.(i) in
-    if d = max_int then begin
-      units.(i) <- max_int;
-      hops.(i) <- max_int;
-      tree_parent.(i) <- None
-    end
-    else begin
-      units.(i) <- composite_units d;
-      hops.(i) <- composite_hops d;
-      let p = parent.(i) in
-      tree_parent.(i) <- (if p < 0 then None else some_link.(p))
-    end
   done
 [@@hot_path]
 
 let compute_flat_s s g ~weights root =
-  let n = Graph.node_count g in
-  let tree =
-    Spf_tree.make ~graph:g ~root ~parent:(Array.make n None)
-      ~dist:(Array.make n max_int) ~hops:(Array.make n max_int)
-  in
+  let tree = Spf_tree.unreached g root in
   compute_into s g ~weights tree;
   tree
 

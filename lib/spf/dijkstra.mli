@@ -16,10 +16,12 @@ open! Import
 
     {b Hot path.}  Internally every computation runs over the graph's flat
     (CSR) adjacency and a per-link table of memoized composite edge weights
-    ({!compute_weights} / {!compute_flat}), so the inner loop touches only
-    int arrays.  {!compute} is the convenience wrapper; callers computing
-    many trees against the same costs — {!all_pairs}, {!Spf_engine} — build
-    the weight table once and share it. *)
+    ({!compute_weights} / {!compute_flat}; {!Spf_tree} owns the encoding),
+    so the inner loop touches only int arrays, and its composite distances
+    and int parents are the tree's own.  {!compute} is the convenience
+    wrapper; callers computing many trees against the same costs —
+    {!all_pairs}, {!Spf_engine} — build the weight table once and share
+    it. *)
 
 type tie_break =
   [ `Neutral  (** fewer hops, then lower link ids *)
@@ -52,9 +54,10 @@ val compute_weights :
   cost:(Link.id -> int) ->
   int array
 (** The composite edge-weight table, indexed by link id: each enabled
-    link's cost folded with the tie-break adjustment and the per-hop +1;
-    disabled links carry the sentinel [-1].  Equal tables (under [(=)])
-    guarantee identical trees from {!compute_flat}.
+    link's cost folded with the tie-break adjustment and the per-hop +1
+    ({!Spf_tree.edge_weight}); disabled links carry the sentinel [-1].
+    Equal tables (under [(=)]) guarantee identical trees from
+    {!compute_flat}.
     @raise Invalid_argument if any enabled link's cost is outside
     [\[1, max_link_cost\]]. *)
 
@@ -82,9 +85,10 @@ val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
     [compute_flat g ~weights:(compute_weights ...) root]. *)
 
 type scratch
-(** Reusable work arrays (settled flags, composite distances, parent link
-    ids, the {!Int_heap}) for the inner loop.  Owned by one
-    domain at a time; resizes itself to whatever graph it is used on. *)
+(** Reusable work arrays (the settled flags and the {!Int_heap}) for the
+    inner loop; distances and parents live in the tree itself.  Owned by
+    one domain at a time; resizes itself to whatever graph it is used
+    on. *)
 
 val scratch : unit -> scratch
 
@@ -94,8 +98,9 @@ val compute_into : scratch -> Graph.t -> weights:int array -> Spf_tree.t -> unit
     bit-identical to [compute_flat g ~weights (Spf_tree.root tree)].
     Every entry is overwritten, so a stale tree — exact under an older
     table, or with nodes the new table no longer reaches — comes out
-    exact.  Allocation-free once the scratch is sized; parent options are
-    the graph's shared {!Graph.some_link_ids} cells.  Like a repair, it
+    exact.  The inner loop runs in the tree's own arrays
+    ({!Spf_tree.unsafe_composite}, {!Spf_tree.unsafe_parent}) and
+    allocates nothing once the scratch is sized.  Like a repair, it
     changes what every holder of the tree sees. *)
 
 val compute_flat_s :
@@ -107,27 +112,6 @@ val source_chunk : sources:int -> domains:int -> int
 (** The [~grain] for fanning [sources] single-source computations over
     [domains] domains with {!Domain_pool.parallel_for} — several sources
     per handout claim, small enough to balance uneven work. *)
-
-val composite : dist:int -> hops:int -> int
-(** Re-encode a tree's per-node [dist] (routing units) and [hops] into the
-    composite distance the inner loop compared, assuming [`Neutral]
-    tie-breaking (the encoding is lossy under [`Favor]/[`Avoid]).
-    [max_int] maps to [max_int].  Used by {!Spf_engine} to reason about
-    whether a weight change can affect a tree. *)
-
-val decompose : int -> int * int
-(** Inverse of {!composite} under [`Neutral] tie-breaking: composite
-    distance back to [(units, hops)].  [max_int] maps to
-    [(max_int, max_int)].  Used by the repair path to re-decode patched
-    distances exactly as {!compute_flat} decodes fresh ones. *)
-
-val composite_units : int -> int
-(** First component of {!decompose}, returned unboxed — the repair
-    resettle loop re-decodes per popped node and must not allocate the
-    pair. *)
-
-val composite_hops : int -> int
-(** Second component of {!decompose}, returned unboxed. *)
 
 val all_pairs :
   ?tie_break:tie_break ->

@@ -7,7 +7,7 @@ open! Import
 
    - untouched: the tree entry is still exact (or provably an
      over-approximation that no surviving path undercuts); its composite
-     distance is re-encoded from the tree on demand.
+     distance is read straight from the tree.
    - touched, not settled: [newdist]/[newparent] hold the best candidate
      so far ([max_int]/[-1] for invalidated nodes not yet re-offered a
      path); the tree entry is stale and must not be read.
@@ -29,9 +29,9 @@ open! Import
    §8).  Hence no local closures (their environment blocks allocate): the
    phases are top-level helpers over explicit arguments, the changes
    arrive as int columns, the flood worklist is an int stack in the
-   scratch, queue pops go through a reusable {!Int_heap.slot}, and
-   parent patches draw on the graph's preallocated [Some link-id] cells
-   ({!Graph.some_link_ids}) instead of boxing a fresh option per patch. *)
+   scratch, and queue pops go through a reusable {!Int_heap.slot}.  The
+   tree holds composite distances and int parents, so reads and patches
+   are plain int array accesses. *)
 
 (* A reusable change set: three int columns and a live count.  Filling it
    allocates only when a column doubles. *)
@@ -123,14 +123,6 @@ let[@inline never] ready s g =
 
 let wrote_tree s = s.wrote
 
-let parent_id (parent : Link.id option array) v =
-  match parent.(v) with None -> -1 | Some lid -> Link.id_to_int lid
-
-(* Composite distance under the old table, decoded from the tree — only
-   meaningful for untouched nodes. *)
-let old_comp dist_u hops_u v =
-  Dijkstra.composite ~dist:dist_u.(v) ~hops:hops_u.(v)
-
 let touch s epoch v =
   if s.stamp.(v) <> epoch then begin
     s.stamp.(v) <- epoch;
@@ -164,10 +156,11 @@ let invalidate s epoch v =
    on the decreased edges of a hypothetical shorter path, using the strict
    inequality from the decrease test), so a tree passing every per-link
    test is bit-identical to a full recompute.  A plain loop over the
-   tree's own arrays: no closures, no options built. *)
+   tree's own arrays, with no closures.  An unreached [v] holds [max_int],
+   which every candidate through a reached [u] undercuts. *)
 let affects g tree c =
   let parent = Spf_tree.unsafe_parent tree in
-  let dist = Spf_tree.unsafe_dist tree and hops = Spf_tree.unsafe_hops tree in
+  let comp = Spf_tree.unsafe_composite tree in
   let hit = ref false and k = ref 0 in
   while (not !hit) && !k < c.count do
     let lid = c.links.(!k) and old_w = c.old_w.(!k) and new_w = c.new_w.(!k) in
@@ -175,10 +168,8 @@ let affects g tree c =
     let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
     (hit :=
        if new_w >= 0 && (old_w < 0 || new_w < old_w) then
-         dist.(u) <> max_int
-         && (dist.(v) = max_int
-            || old_comp dist hops u + new_w <= old_comp dist hops v)
-       else parent_id parent v = lid);
+         comp.(u) <> max_int && comp.(u) + new_w <= comp.(v)
+       else parent.(v) = lid);
     incr k
   done;
   !hit
@@ -193,7 +184,7 @@ let seed_increases s g parent epoch c =
     if old_w >= 0 && (new_w < 0 || new_w > old_w) then begin
       let lid = c.links.(k) in
       let v = Node.to_int (Graph.link g (Link.id_of_int lid)).Link.dst in
-      if parent_id parent v = lid then invalidate s epoch v
+      if parent.(v) = lid then invalidate s epoch v
     end
   done
 [@@hot_path]
@@ -201,7 +192,7 @@ let seed_increases s g parent epoch c =
 (* Phase 3b: decreased links from intact sources.  Invalidated
    destinations were already offered this link by the in-scan of phase 3a;
    invalidated sources relax it when (if) they re-settle. *)
-let seed_decreases s g parent some_link dist_u hops_u epoch c =
+let seed_decreases s g parent comp epoch c =
   for k = 0 to c.count - 1 do
     let old_w = c.old_w.(k) and new_w = c.new_w.(k) in
     if new_w >= 0 && (old_w < 0 || new_w < old_w) then begin
@@ -209,16 +200,10 @@ let seed_decreases s g parent some_link dist_u hops_u epoch c =
       let l = Graph.link g (Link.id_of_int lid) in
       let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
       if s.invalid.(u) <> epoch && s.invalid.(v) <> epoch then begin
-        let du =
-          if s.stamp.(u) = epoch then s.newdist.(u)
-          else old_comp dist_u hops_u u
-        in
+        let du = if s.stamp.(u) = epoch then s.newdist.(u) else comp.(u) in
         if du <> max_int then begin
           let cand = du + new_w in
-          let cur =
-            if s.stamp.(v) = epoch then s.newdist.(v)
-            else old_comp dist_u hops_u v
-          in
+          let cur = if s.stamp.(v) = epoch then s.newdist.(v) else comp.(v) in
           if cand < cur then begin
             touch s epoch v;
             s.newdist.(v) <- cand;
@@ -229,8 +214,8 @@ let seed_decreases s g parent some_link dist_u hops_u epoch c =
             if s.stamp.(v) = epoch then begin
               if lid < s.newparent.(v) then s.newparent.(v) <- lid
             end
-            else if lid < parent_id parent v then begin
-              parent.(v) <- some_link.(lid);
+            else if lid < parent.(v) then begin
+              parent.(v) <- lid;
               s.wrote <- true
             end
         end
@@ -242,9 +227,7 @@ let seed_decreases s g parent some_link dist_u hops_u epoch c =
 let repair s g ~tree ~weights ~changes =
   ready s g;
   let parent = Spf_tree.unsafe_parent tree in
-  let some_link = Graph.some_link_ids g in
-  let dist_u = Spf_tree.unsafe_dist tree in
-  let hops_u = Spf_tree.unsafe_hops tree in
+  let comp = Spf_tree.unsafe_composite tree in
   let out_off = Graph.csr_out_off g in
   let out_link_ids = Graph.csr_out_link_ids g in
   let out_dst = Graph.csr_out_dst g in
@@ -258,7 +241,7 @@ let repair s g ~tree ~weights ~changes =
     let u = s.stack.(s.nstack) in
     for k = out_off.(u) to out_off.(u + 1) - 1 do
       let j = out_dst.(k) in
-      if s.invalid.(j) <> epoch && parent_id parent j = out_link_ids.(k) then
+      if s.invalid.(j) <> epoch && parent.(j) = out_link_ids.(k) then
         invalidate s epoch j
     done
   done;
@@ -277,7 +260,7 @@ let repair s g ~tree ~weights ~changes =
       if ew >= 0 then begin
         let u = Node.to_int (Graph.link g (Link.id_of_int lid)).Link.src in
         if s.invalid.(u) <> epoch then begin
-          let du = old_comp dist_u hops_u u in
+          let du = comp.(u) in
           if du <> max_int then begin
             let cand = du + ew in
             if cand < !best_w || (cand = !best_w && lid < !best_l) then begin
@@ -294,9 +277,9 @@ let repair s g ~tree ~weights ~changes =
       Int_heap.push s.queue ~key:!best_w ~tie:!best_l v
     end
   done;
-  seed_decreases s g parent some_link dist_u hops_u epoch changes;
-  (* Phase 4: re-settle in (key, link id) order, patching the tree exactly
-     as a fresh computation would decode it. *)
+  seed_decreases s g parent comp epoch changes;
+  (* Phase 4: re-settle in (key, link id) order, patching the tree with
+     the same composite and parent a fresh computation would write. *)
   let resettled = ref 0 in
   let slot = s.slot in
   while Int_heap.pop_min_into s.queue slot do
@@ -305,20 +288,15 @@ let repair s g ~tree ~weights ~changes =
       s.settled.(v) <- epoch;
       incr resettled;
       s.wrote <- true (* and so for this settle's tie patches below *);
-      dist_u.(v) <- Dijkstra.composite_units w;
-      hops_u.(v) <- Dijkstra.composite_hops w;
-      parent.(v) <-
-        (if s.newparent.(v) < 0 then None else some_link.(s.newparent.(v)));
+      comp.(v) <- w;
+      parent.(v) <- s.newparent.(v);
       for k = out_off.(v) to out_off.(v + 1) - 1 do
         let lid = out_link_ids.(k) in
         let ew = weights.(lid) in
         let j = out_dst.(k) in
         if ew >= 0 && s.settled.(j) <> epoch then begin
           let w' = w + ew in
-          let cur =
-            if s.stamp.(j) = epoch then s.newdist.(j)
-            else old_comp dist_u hops_u j
-          in
+          let cur = if s.stamp.(j) = epoch then s.newdist.(j) else comp.(j) in
           if w' < cur then begin
             touch s epoch j;
             s.newdist.(j) <- w';
@@ -329,8 +307,7 @@ let repair s g ~tree ~weights ~changes =
             if s.stamp.(j) = epoch then begin
               if lid < s.newparent.(j) then s.newparent.(j) <- lid
             end
-            else if lid < parent_id parent j then
-              parent.(j) <- some_link.(lid)
+            else if lid < parent.(j) then parent.(j) <- lid
         end
       done
     end
@@ -341,9 +318,8 @@ let repair s g ~tree ~weights ~changes =
   for t = 0 to s.ntouched - 1 do
     let v = s.touched.(t) in
     if s.settled.(v) <> epoch then begin
-      dist_u.(v) <- max_int;
-      hops_u.(v) <- max_int;
-      parent.(v) <- None;
+      comp.(v) <- max_int;
+      parent.(v) <- -1;
       s.wrote <- true
     end
   done;

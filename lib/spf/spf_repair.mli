@@ -4,10 +4,10 @@ open! Import
 
     Given a tree that was exact under the previous weight table and the
     set of per-link weight changes ({!changes}), {!repair} patches the tree's
-    distances, hop counts and parent links so that it is {b bit-identical}
-    to [Dijkstra.compute_flat] from scratch under the new table — in time
-    proportional to the part of the tree that actually changes, not the
-    graph.
+    composite distances and int parent links in place, never decoding, so
+    that it is {b bit-identical} to [Dijkstra.compute_flat] from scratch
+    under the new table — in time proportional to the part of the tree
+    that actually changes, not the graph.
 
     The repair leans on the same fact as the reuse proof {!affects}:
     under [`Neutral] tie-breaking the from-scratch tree is a pure function
@@ -26,9 +26,10 @@ open! Import
       an exact tie with a lower link id patches the parent pointer alone
       (distances downstream are untouched by a parent swap).
     + {b Re-settle}: a Dijkstra loop over the {!Int_heap}, popping in
-      [(key, link id)] order, settles the frontier outward, patching the tree at each settle with
-      the same decode as a fresh computation.  Touched nodes that never
-      re-settle are exactly the ones the changes disconnected.
+      [(key, link id)] order, settles the frontier outward, writing at
+      each settle the composite and parent a fresh computation would.
+      Touched nodes that never re-settle are exactly the ones the changes
+      disconnected.
 
     A tree untouched by the changes costs nothing here — but callers
     ({!Spf_engine}) should use the cheap per-tree proof {!affects} first

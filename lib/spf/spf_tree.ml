@@ -3,35 +3,58 @@ open! Import
 type t = {
   graph : Graph.t;
   root : Node.t;
-  parent : Link.id option array;
-  dist : int array;
-  hops : int array;
+  parent : int array; (* arriving link id; -1 = root or unreached *)
+  comp : int array; (* composite distance; max_int = unreached *)
 }
 
-let make ~graph ~root ~parent ~dist ~hops =
-  { graph; root; parent; dist; hops }
+let unreached graph root =
+  let n = Graph.node_count graph in
+  { graph; root; parent = Array.make n (-1); comp = Array.make n max_int }
+
+let hop_scale = 256
+
+let cost_scale = 1024
+
+let edge_weight ~cost ~adjust = (((cost * cost_scale) + adjust) * hop_scale) + 1
+
+(* The decode: unit cost above both scales, rounded half up so that a
+   favored (-1) or avoided (+1) probe adjustment in the middle bits does
+   not shift it, and the hop count in the low byte.  Inlined: load
+   assignment decodes hops once per reached node per source and once per
+   flow.  Composites are never negative, so the low byte is a mask, which
+   spares that loop [mod]'s sign fix-up. *)
+let[@inline] units_of comp =
+  if comp = max_int then max_int
+  else
+    (comp / hop_scale / cost_scale)
+    + (if (comp / hop_scale) mod cost_scale > cost_scale / 2 then 1 else 0)
+
+let[@inline] hops_of comp =
+  if comp = max_int then max_int else comp land (hop_scale - 1)
 
 let graph t = t.graph
 
 let root t = t.root
 
-let reached t n = t.dist.(Node.to_int n) <> max_int
+let reached t n = t.comp.(Node.to_int n) <> max_int
 
-let dist t n = t.dist.(Node.to_int n)
+let dist t n = units_of t.comp.(Node.to_int n)
 
-let hops t n = t.hops.(Node.to_int n)
+let hops t n = hops_of t.comp.(Node.to_int n)
+
+let link t p = Graph.link t.graph (Link.id_of_int p)
 
 let parent_link t n =
-  Option.map (Graph.link t.graph) t.parent.(Node.to_int n)
+  let p = t.parent.(Node.to_int n) in
+  if p < 0 then None else Some (link t p)
 
 (* Raw int-indexed accessors for hot loops: no option or Node.t boxing. *)
 
-let reached_i t i = t.dist.(i) <> max_int
+let[@inline] reached_i t i = t.comp.(i) <> max_int
 
-let hops_i t i = t.hops.(i)
+let[@inline] hops_i t i = hops_of t.comp.(i)
 
-let parent_id t i =
-  match t.parent.(i) with None -> -1 | Some lid -> Link.id_to_int lid
+let[@inline] parent_id t i = t.parent.(i)
 
 (* First hop of node [v], memoized in [col] ([unknown] = not yet
    resolved).  Recursion depth is bounded by the tree's depth, and
@@ -42,21 +65,19 @@ let rec first_hop t col root v =
   let h = col.(v) in
   if h <> unknown then h
   else begin
+    let p = t.parent.(v) in
     let h =
-      if t.dist.(v) = max_int then -1
+      if p < 0 then -1
       else
-        match t.parent.(v) with
-        | None -> -1
-        | Some lid ->
-          let u = Node.to_int (Graph.link t.graph lid).Link.src in
-          if u = root then Link.id_to_int lid else first_hop t col root u
+        let u = Node.to_int (link t p).Link.src in
+        if u = root then p else first_hop t col root u
     in
     col.(v) <- h;
     h
   end
 
 let next_hops_into t col =
-  let n = Array.length t.dist in
+  let n = Array.length t.comp in
   let root = Node.to_int t.root in
   Array.fill col 0 n unknown;
   col.(root) <- -1;
@@ -70,43 +91,36 @@ let next_hops_into t col =
 
 let unsafe_parent t = t.parent
 
-let unsafe_dist t = t.dist
-
-let unsafe_hops t = t.hops
+let unsafe_composite t = t.comp
 
 let path t dst =
   if not (reached t dst) then invalid_arg "Spf_tree.path: unreachable";
   let rec climb n acc =
-    match t.parent.(Node.to_int n) with
-    | None -> acc
-    | Some lid ->
-      let l = Graph.link t.graph lid in
+    let p = t.parent.(Node.to_int n) in
+    if p < 0 then acc
+    else
+      let l = link t p in
       climb l.Link.src (l :: acc)
   in
   climb dst []
 
+(* The root and unreached nodes have no parent, so these climbs stop
+   there without a separate reachability test. *)
 let next_hop t dst =
-  if Node.equal dst t.root || not (reached t dst) then None
-  else begin
-    let rec climb n =
-      match t.parent.(Node.to_int n) with
-      | None -> None
-      | Some lid ->
-        let l = Graph.link t.graph lid in
-        if Node.equal l.Link.src t.root then Some l else climb l.Link.src
-    in
-    climb dst
-  end
+  let rec climb n =
+    let p = t.parent.(Node.to_int n) in
+    if p < 0 then None
+    else
+      let l = link t p in
+      if Node.equal l.Link.src t.root then Some l else climb l.Link.src
+  in
+  climb dst
 
 let uses_link t dst lid =
-  reached t dst
-  &&
+  let lid = Link.id_to_int lid in
   let rec climb n =
-    match t.parent.(Node.to_int n) with
-    | None -> false
-    | Some plid ->
-      Link.id_equal plid lid
-      || climb (Graph.link t.graph plid).Link.src
+    let p = t.parent.(Node.to_int n) in
+    p >= 0 && (p = lid || climb (link t p).Link.src)
   in
   climb dst
 
@@ -122,25 +136,4 @@ let destinations_via t lid =
   |> List.rev
 
 let equal a b =
-  Node.equal a.root b.root
-  && a.dist = b.dist && a.hops = b.hops
-  && Array.length a.parent = Array.length b.parent
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i p ->
-           match (p, b.parent.(i)) with
-           | None, None -> ()
-           | Some x, Some y when Link.id_equal x y -> ()
-           | _ -> ok := false)
-         a.parent;
-       !ok
-     end
-
-let equal_dists a b =
-  Array.length a.dist = Array.length b.dist
-  && Node.equal a.root b.root
-  &&
-  let ok = ref true in
-  Array.iteri (fun i d -> if d <> b.dist.(i) then ok := false) a.dist;
-  !ok
+  Node.equal a.root b.root && a.comp = b.comp && a.parent = b.parent

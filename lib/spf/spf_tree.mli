@@ -5,20 +5,41 @@ open! Import
     A tree is rooted at the computing PSN.  Because shortest paths are
     hereditary (every subpath of a shortest path is a shortest path — §4.1),
     the tree simultaneously encodes the full path, the next hop and the
-    distance for every destination. *)
+    distance for every destination.
+
+    {b One format.}  A tree holds exactly what Dijkstra computes: per node,
+    the id of the link over which the path arrives ([-1] for the root and
+    unreached nodes) and the {e composite} distance the inner loop compared
+    ([max_int] when unreached).  {!Dijkstra} writes these arrays,
+    {!Spf_repair} patches them in place, and the readers below decode
+    routing units and hop counts when asked.  This module owns the
+    encoding: the scales, {!edge_weight} and the decode. *)
 
 type t
 
-val make :
-  graph:Graph.t ->
-  root:Node.t ->
-  parent:Link.id option array ->
-  dist:int array ->
-  hops:int array ->
-  t
-(** Arrays are indexed by node id; [parent.(n)] is the link over which the
-    path enters [n] ([None] for the root and unreachable nodes); [dist] is
-    in routing units with [max_int] for unreachable. *)
+val unreached : Graph.t -> Node.t -> t
+(** [unreached g root]: a tree from [root] over [g] that reaches no node
+    yet, not even [root] — the blank that [Dijkstra.compute_into] fills. *)
+
+(** {2 Composite distances}
+
+    One positive integer encodes the lexicographic order of (path cost,
+    probe-link preference, hop count), which keeps plain Dijkstra
+    applicable.  A link contributes
+
+    {[ w(l) = (cost(l) * 1024 + adjust(l)) * 256 + 1 ]}
+
+    where [adjust] is [-1] on a favored probe link, [+1] on an avoided one
+    and [0] otherwise: an infinitesimal discount or surcharge among
+    equal-cost paths, with the [+1] per link making hop count the final
+    tie-break.  A path's composite is the sum over its links, so the hop
+    count sits in the low byte and the unit cost above both scales; the
+    decode rounds half up to absorb the probe adjustment. *)
+
+val edge_weight : cost:int -> adjust:int -> int
+(** [edge_weight ~cost ~adjust] is [w(l)] above for a link of [cost]
+    routing units.  Callers bound [cost] (Dijkstra admits at most 254) so
+    that sums over paths of fewer than 256 hops stay exact. *)
 
 val graph : t -> Graph.t
 
@@ -36,7 +57,7 @@ val parent_link : t -> Node.t -> Link.t option
 
 (** {2 Raw accessors} — int-indexed views for hot loops (load assignment
     walks every reached node of every source's tree each period); no
-    option or [Node.t] boxing. *)
+    option or [Node.t] boxing, and inlined into release-build callers. *)
 
 val reached_i : t -> int -> bool
 (** [reached_i t i = reached t (Node.of_int i)]. *)
@@ -55,18 +76,16 @@ val next_hops_into : t -> int array -> unit
     pass over the tree, in place and allocation-free — how the packet
     simulator refreshes a PSN's forwarding column. *)
 
-val unsafe_parent : t -> Link.id option array
-(** The tree's own parent array, exposed so {!Spf_repair} can patch it
-    and [Dijkstra.compute_into] can rewrite it in place.  Mutating it
-    silently changes what every holder of the tree sees; only those two
-    paths, which restore the [Dijkstra.compute] invariant before
-    returning, may write. *)
+val unsafe_parent : t -> int array
+(** The tree's own parent array (arriving link ids, [-1] for none),
+    exposed so {!Spf_repair} can patch it and [Dijkstra.compute_into] can
+    rewrite it in place.  Mutating it silently changes what every holder
+    of the tree sees; only those two paths, which restore the
+    [Dijkstra.compute] invariant before returning, may write. *)
 
-val unsafe_dist : t -> int array
-(** The distance array — same caveats as {!unsafe_parent}. *)
-
-val unsafe_hops : t -> int array
-(** The hop-count array — same caveats as {!unsafe_parent}. *)
+val unsafe_composite : t -> int array
+(** The composite-distance array ([max_int] when unreached) — same caveats
+    as {!unsafe_parent}.  These are not routing units: {!dist} decodes. *)
 
 val path : t -> Node.t -> Link.t list
 (** Links from the root to the destination, in forwarding order; [[]] for
@@ -86,10 +105,7 @@ val fold_reached : t -> init:'a -> f:('a -> Node.t -> 'a) -> 'a
 (** Fold over every reached node except the root. *)
 
 val equal : t -> t -> bool
-(** Structural equality: same root, same distances, hop counts {e and}
-    parent links for every node.  The determinism tests use this to assert
-    parallel and sequential computations agree bit-for-bit. *)
-
-val equal_dists : t -> t -> bool
-(** True when the two trees assign every node the same distance (parents may
-    differ between equally short trees). *)
+(** Structural equality: same root, same composite distances and parent
+    links for every node — so the same distances and hop counts too.  The
+    determinism tests use this to assert parallel and sequential
+    computations agree bit-for-bit. *)

@@ -12,7 +12,6 @@ type t = {
   out_dst : int array; (* parallel to out_link_ids: destination node ints *)
   in_off : int array;
   in_link_ids : int array; (* link ids, grouped by dst *)
-  some_link_ids : Link.id option array; (* [Some id] at index id *)
 }
 
 let node_count t = Array.length t.names
@@ -58,8 +57,6 @@ let csr_out_dst t = t.out_dst
 let csr_in_off t = t.in_off
 
 let csr_in_link_ids t = t.in_link_ids
-
-let some_link_ids t = t.some_link_ids
 
 let find_link t ~src ~dst =
   List.find_opt (fun (l : Link.t) -> Node.equal l.dst dst) (out_links t src)
@@ -191,5 +188,4 @@ let make ~names ~links =
     out_link_ids;
     out_dst;
     in_off;
-    in_link_ids;
-    some_link_ids = Array.init nl (fun i -> Some (Link.id_of_int i)) }
+    in_link_ids }

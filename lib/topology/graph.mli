@@ -62,12 +62,6 @@ val csr_in_off : t -> int array
 
 val csr_in_link_ids : t -> int array
 
-val some_link_ids : t -> Link.id option array
-(** [Some id] at index [id] for every link, preallocated once per graph:
-    hot paths that store optional link ids (SPF parent pointers) take
-    these shared cells instead of boxing a fresh option per write.  The
-    graph's own array — read-only, like the CSR arrays. *)
-
 val find_link : t -> src:Node.t -> dst:Node.t -> Link.t option
 (** The (first) direct link between two nodes, if adjacent. *)
 

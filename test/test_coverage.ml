@@ -193,7 +193,15 @@ at 10 frob A B" "unknown action";
   check "trunk A B 56T
 at 10 metric nonsense" "unknown metric";
   check "trunk A B 56T
-at 10 scale -2" "bad scale"
+at 10 scale -2" "bad scale";
+  (* Non-finite numbers are refused with the same located errors: an
+     infinite scale would drive every demand to infinity on replay. *)
+  check "trunk A B 56T
+at 10 scale inf" "line 2: bad scale";
+  check "trunk A B 56T
+at 10 scale 1e400" "line 2: bad scale";
+  check "trunk A B 56T
+at inf link-down A B" "line 2: bad time"
 
 let test_script_runs_events () =
   match Script.parse script_text with

@@ -341,6 +341,49 @@ let test_telemetry_golden_bytes () =
     ("ec3bec5fdf0fcf182ee783bd7d19b380", "f9bff5d7fb31841ab2e7349e419165c1")
     (telemetry_digests tele)
 
+(* The cost-in-hops series divides each flooded cost by the link's idle
+   cost under the metric's kind.  The hooks build that table once per
+   kind, so a metric switch must rebuild it: a fresh metric reports its
+   idle costs, so every sample reads exactly 1 hop before and after each
+   switch, where a stale table would not (the two kinds' idle costs
+   differ). *)
+let test_cost_hops_follow_metric_switch () =
+  let module Builder = Routing_topology.Builder in
+  let module Line_type = Routing_topology.Line_type in
+  let module Hooks = Routing_sim.Telemetry_hooks in
+  let module Time_series = Routing_stats.Time_series in
+  let b = Builder.create () in
+  let _ = Builder.trunk b Line_type.T56 "A" "B" in
+  let _ = Builder.trunk b Line_type.T9_6 "B" "C" in
+  let g = Builder.build b in
+  let nl = Graph.link_count g in
+  let idle kind l = Metric.idle_cost kind l in
+  Alcotest.(check bool) "idle costs differ between kinds" true
+    (List.exists
+       (fun l -> idle Metric.D_spf l <> idle Metric.Hn_spf l)
+       (Graph.links g));
+  let tele = Telemetry.create () in
+  (* Adopted before the hooks attach, so their series are these. *)
+  let series =
+    Array.init nl (fun i ->
+        let ts = Time_series.create "link_cost_hops" in
+        Metrics.adopt_series (Telemetry.metrics tele)
+          ~labels:(Hooks.link_label i) "link_cost_hops" ts;
+        ts)
+  in
+  let hooks = Hooks.attach tele ~links:nl in
+  List.iteri
+    (fun k kind ->
+      Hooks.observe_costs hooks g (Metric.create kind g)
+        ~time:(float_of_int (10 * (k + 1))))
+    [ Metric.D_spf; Metric.D_spf; Metric.Hn_spf; Metric.Min_hop; Metric.D_spf ];
+  Array.iter
+    (fun ts ->
+      Alcotest.(check int) "one sample per period" 5 (Time_series.length ts);
+      Time_series.iter ts (fun ~time ~value ->
+          Alcotest.(check (float 0.)) (Printf.sprintf "t=%g" time) 1. value))
+    series
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_obs"
@@ -370,5 +413,7 @@ let () =
       ( "telemetry",
         [ Alcotest.test_case "deterministic end-to-end" `Slow
             test_flow_telemetry_deterministic;
-          Alcotest.test_case "golden bytes" `Slow test_telemetry_golden_bytes ]
+          Alcotest.test_case "golden bytes" `Slow test_telemetry_golden_bytes;
+          Alcotest.test_case "cost hops follow a metric switch" `Quick
+            test_cost_hops_follow_metric_switch ]
       ) ]

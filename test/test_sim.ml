@@ -626,6 +626,37 @@ let test_network_link_failure_reroutes () =
   Alcotest.(check bool) "still delivering" true
     (i.Measure.internode_traffic_bps > 10_000.)
 
+(* A cut that disconnects a pair leaves packets already past it in
+   flight; they still arrive, but the pair has no min-hop path any more.
+   Such a delivery counts its actual hops as its minimum (the flow
+   model's rule), so the minimum-path mean stays finite. *)
+let test_network_cut_pair_min_path () =
+  let b = Builder.create () in
+  let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "A" "B" in
+  let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "B" "C" in
+  let g = Builder.build b in
+  let node name = Option.get (Graph.node_by_name g name) in
+  let a = node "A" and c = node "C" in
+  let tm = Traffic_matrix.create ~nodes:3 in
+  Traffic_matrix.set tm ~src:a ~dst:c 40_000.;
+  let config = { (Network.default_config Metric.Hn_spf) with Network.seed = 5 } in
+  let net = Network.create ~config g tm in
+  Network.run net ~duration_s:30.;
+  Network.reset_measurements net;
+  let ab = Option.get (Graph.find_link g ~src:a ~dst:(node "B")) in
+  Network.set_link_up net ab.Link.id false;
+  Network.set_link_up net (Graph.reverse g ab).Link.id false;
+  Network.run net ~duration_s:5.;
+  Alcotest.(check bool) "a packet past the cut delivered" true
+    (Network.delivered_packets net > 0);
+  let i = Network.indicators net in
+  Alcotest.(check bool)
+    (Printf.sprintf "minimum path %g finite and at most actual %g"
+       i.Measure.minimum_path_hops i.Measure.actual_path_hops)
+    true
+    (Float.is_finite i.Measure.minimum_path_hops
+    && i.Measure.minimum_path_hops <= i.Measure.actual_path_hops)
+
 let test_network_series_recorded () =
   let g, net = small_net Metric.Hn_spf in
   Network.run net ~duration_s:45.;
@@ -906,6 +937,7 @@ let () =
           Alcotest.test_case "50s reliability floods" `Quick
             test_network_fifty_second_floods;
           Alcotest.test_case "link failure" `Quick test_network_link_failure_reroutes;
+          Alcotest.test_case "cut pair min path" `Quick test_network_cut_pair_min_path;
           Alcotest.test_case "series" `Quick test_network_series_recorded;
           Alcotest.test_case "hop-by-hop flooding" `Slow
             test_network_hop_by_hop_flooding;

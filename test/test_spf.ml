@@ -219,14 +219,27 @@ let test_dijkstra_rejects_bad_cost () =
 
 (* Shortest-path distances must satisfy the Bellman optimality condition:
    for every link (u,v), dist(v) <= dist(u) + cost(u,v), with equality for
-   tree links. *)
+   tree links, and every reached node's hop count is its path's length.
+   Both hold under every tie-break, since a probe adjustment only decides
+   among equal-cost paths.  [`Favor]/[`Avoid] trees are where the decode
+   from composite distances is lossy, and the response map reads exactly
+   these values from them: the half-up rounding must land every distance
+   back on whole units. *)
 let prop_dijkstra_optimality =
   QCheck2.Test.make ~name:"dijkstra satisfies Bellman conditions" ~count:60
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let g = random_graph seed in
       let cost = random_costs seed g in
-      let tree = Dijkstra.compute g ~cost (Node.of_int 0) in
+      let rng = Rng.create (seed + 104_729) in
+      let probe = Link.id_of_int (Rng.int rng (Graph.link_count g)) in
+      let tie_break =
+        match Rng.int rng 3 with
+        | 0 -> `Neutral
+        | 1 -> `Favor probe
+        | _ -> `Avoid probe
+      in
+      let tree = Dijkstra.compute ~tie_break g ~cost (Node.of_int 0) in
       let ok = ref true in
       Graph.iter_links g (fun l ->
           let du = Spf_tree.dist tree l.Link.src in
@@ -238,6 +251,10 @@ let prop_dijkstra_optimality =
           | Some l ->
             let du = Spf_tree.dist tree l.Link.src in
             if Spf_tree.dist tree n <> du + cost l.Link.id then ok := false);
+      Graph.iter_nodes g (fun n ->
+          if Spf_tree.reached tree n
+             && Spf_tree.hops tree n <> List.length (Spf_tree.path tree n)
+          then ok := false);
       !ok)
 
 (* Distributed Bellman-Ford with static costs converges to the same
@@ -335,14 +352,11 @@ let prop_dijkstra_matches_selection_loop =
         end
       done;
       let tree = Dijkstra.compute_flat g ~weights (Node.of_int root) in
+      let comp = Spf_tree.unsafe_composite tree in
       let ok = ref true in
       for v = 0 to n - 1 do
         let nv = Node.of_int v in
-        let comp =
-          Dijkstra.composite ~dist:(Spf_tree.dist tree nv)
-            ~hops:(Spf_tree.hops tree nv)
-        in
-        if comp <> dist.(v) then ok := false;
+        if comp.(v) <> dist.(v) then ok := false;
         let expected = ref (-1) in
         if v <> root && dist.(v) < max_int then
           for l = nl - 1 downto 0 do
