@@ -202,18 +202,15 @@ let main topology file dump dot metrics scale minutes warmup packet_level seed
         | None -> Obs_sink.null
         | Some path -> Obs_sink.file (out_path path kind ~multi)
       in
+      (* One clock for the stage profile and the flight recorder: wall
+         time under --profile, untimed (deterministic) otherwise. *)
       let clock = if profile then Obs_span.wall else Obs_span.untimed in
-      (* The flight recorder shares --profile's clock choice: wall time
-         for a real profile, untimed (deterministic) otherwise. *)
       let tracer =
         match chrome_trace with
         | None -> Tracer.null
-        | Some _ ->
-          Tracer.create
-            ~clock:(if profile then Tracer.Wall else Tracer.Untimed)
-            ()
+        | Some _ -> Tracer.create ~clock ()
       in
-      let tele = Telemetry.create ~sink ~clock ~tracer ~gc:profile () in
+      let tele = Telemetry.create ~sink ~clock ~tracer () in
       let m = Telemetry.metrics tele in
       Obs_metrics.set_meta m "topology" topo_name;
       Obs_metrics.set_meta m "metric" (Metric.kind_name kind);
@@ -349,14 +346,16 @@ let cmd =
     Arg.(value & opt (some string) None
          & info [ "metrics-out" ] ~docv:"FILE.json"
              ~doc:"Write the end-of-run metrics snapshot (counters, gauges, \
-                   per-link cost/utilization series, span timings) to $(docv).")
+                   per-link cost/utilization series, stage timings) to \
+                   $(docv).")
   in
   let chrome_trace =
     Arg.(value & opt (some string) None
          & info [ "chrome-trace" ] ~docv:"FILE.trace.json"
              ~doc:"Flight-record the run and write a Chrome trace-event \
-                   file to $(docv): routing periods, SPF refreshes, flow \
-                   assignment and floods as spans, one track per domain.  \
+                   file to $(docv): the routing-period stages (as in \
+                   $(b,--profile)) and the SPF engines' recomputes and \
+                   repairs as spans, one track per domain.  \
                    Loadable in Perfetto or chrome://tracing; $(b,replay) \
                    $(docv) prints a digest.  Timestamps are deterministic \
                    sequence numbers unless $(b,--profile) adds a wall \
@@ -366,10 +365,14 @@ let cmd =
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
-             ~doc:"Time SPF refreshes, flooding rounds and routing periods \
-                   with a wall clock and print the profile table.  Makes \
-                   $(b,--metrics-out) output nondeterministic (real \
-                   durations); without it span durations are recorded as 0.")
+             ~doc:"Time each routing-period stage (routing period, SPF \
+                   refresh, flood and, in the flow simulator, flow \
+                   assignment, metrics and accounting) with a wall clock, \
+                   count the minor words it allocates, and print the \
+                   profile table.  Makes $(b,--metrics-out) and \
+                   $(b,--chrome-trace) output nondeterministic (real \
+                   durations); without it stage durations and words are \
+                   recorded as 0.")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")

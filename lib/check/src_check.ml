@@ -125,11 +125,11 @@ let rec mutable_init (e : Parsetree.expression) =
     if List.mem name mutable_constructors then Some name else None
   | _ -> None
 
-(* The two pluggable-clock modules: the span profile's [wall] clock and
-   the flight recorder's opt-in [Wall] clock. *)
+(* The one pluggable-clock module: {!Tracer.now} reads the [Wall] clock
+   the flight recorder and the stage profiles share. *)
 let clock_file path =
   Filename.basename (Filename.dirname path) = "obs"
-  && List.mem (Filename.basename path) [ "span.ml"; "tracer.ml" ]
+  && Filename.basename path = "tracer.ml"
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
@@ -159,9 +159,8 @@ let scan_structure ~in_spf_closure path structure =
            parallel runs stop being reproducible"
       | ("Unix.gettimeofday" | "Sys.time") when not (clock_file path) ->
         add loc "L002"
-          "wall-clock read outside lib/obs/span.ml and lib/obs/tracer.ml: \
-           route timing through the pluggable Span or Tracer clock so runs \
-           stay deterministic"
+          "wall-clock read outside lib/obs/tracer.ml: route timing \
+           through the pluggable Tracer clock so runs stay deterministic"
       | _ -> ())
     | _ -> ());
     Ast_iterator.default_iterator.expr it e

@@ -18,10 +18,9 @@ open! Import
       seeds must be explicit ({!Routing_stats.Rng}) or runs stop being
       reproducible
     - [L002] (error) — [Unix.gettimeofday] or [Sys.time] outside the
-      two pluggable-clock modules ([lib/obs/span.ml],
-      [lib/obs/tracer.ml]): wall-clock reads belong behind the
-      {!Routing_obs.Span} clock or the {!Routing_obs.Tracer} [Wall]
-      clock
+      one pluggable-clock module, [lib/obs/tracer.ml]: wall-clock reads
+      belong behind the {!Routing_obs.Tracer} [Wall] clock, which the
+      stage profiles share
     - [L003] (error) — top-level mutable state (a toplevel value binding
       whose initializer is an application of [ref], [Hashtbl.create],
       [Queue.create], [Buffer.create] or [Atomic.make]; a function's

@@ -64,3 +64,16 @@ let instant_transmissions g =
     end
   done;
   Array.map (fun c -> per_comp.(c)) comp
+
+let instant_bits flood_tx ~link_src ~changed_ids ~count =
+  let bits = ref 0 and k = ref 0 in
+  while !k < count do
+    let stop = Update.run_end ~link_src ~changed_ids ~count !k in
+    bits :=
+      !bits
+      + (flood_tx.(link_src.(changed_ids.(!k)))
+        * Update.wire_bits ~links:(stop - !k));
+    k := stop
+  done;
+  !bits
+[@@hot_path]

@@ -41,3 +41,14 @@ val instant_transmissions : Graph.t -> int array
     never looks at link state, so the count does not depend on flooder
     history or on which trunks are up: simulators multiply it by
     {!Update.wire_bits} instead of walking each flood. *)
+
+val instant_bits :
+  int array -> link_src:int array -> changed_ids:int array -> count:int -> int
+(** [instant_bits tx ~link_src ~changed_ids ~count]: the wire bits of
+    instantly flooding one update per origin run of
+    [changed_ids.(0 .. count - 1)] ({!Update.run_end}) — each run's
+    [tx.(origin)] transmissions ([tx] from {!instant_transmissions})
+    times {!Update.wire_bits} of the links it reports.  The one
+    flood-charge rule every simulator's instant flooding applies.
+    Int-only and allocation-free; every term and partial sum is an
+    integer exact as a float. *)

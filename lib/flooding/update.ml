@@ -17,6 +17,15 @@ let run_end ~(link_src : int array) ~(changed_ids : int array) ~count k =
   !j
 [@@hot_path]
 
+let runs ~link_src ~changed_ids ~count =
+  let n = ref 0 and k = ref 0 in
+  while !k < count do
+    k := run_end ~link_src ~changed_ids ~count !k;
+    incr n
+  done;
+  !n
+[@@hot_path]
+
 let size_bits t = float_of_int (wire_bits ~links:(List.length t.costs))
 
 let pp ppf t =

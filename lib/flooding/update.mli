@@ -31,6 +31,10 @@ val run_end :
     [link_src.(changed_ids.(k))] and it reports [stop - k] links.
     Int-only and allocation-free. *)
 
+val runs : link_src:int array -> changed_ids:int array -> count:int -> int
+(** The number of runs {!run_end} splits [changed_ids.(0 .. count - 1)]
+    into: the updates one metric pass floods. *)
+
 val size_bits : t -> float
 (** [wire_bits] of the update's cost list, as a float. *)
 

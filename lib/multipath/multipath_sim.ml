@@ -114,21 +114,13 @@ let step t =
     Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
       ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
   in
-  let updates = ref 0 in
-  let update_bits = ref 0. in
-  let k = ref 0 in
-  while !k < nch do
-    let stop =
-      Update.run_end ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch !k
-    in
-    let origin = t.link_src.(t.chg_ids.(!k)) in
-    incr updates;
-    update_bits :=
-      !update_bits
-      +. float_of_int t.flood_tx.(origin)
-         *. float_of_int (Update.wire_bits ~links:(stop - !k));
-    k := stop
-  done;
+  let updates =
+    Update.runs ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch
+  in
+  let update_bits =
+    Broadcast.instant_bits t.flood_tx ~link_src:t.link_src
+      ~changed_ids:t.chg_ids ~count:nch
+  in
   t.period <- t.period + 1;
   let stats =
     { time_s = float_of_int t.period *. Units.routing_period_s;
@@ -137,8 +129,8 @@ let step t =
       dropped_bps = !offered_total -. !delivered;
       mean_delay_s =
         (if !delivered > 0. then !delay_weighted /. !delivered else 0.);
-      updates = !updates;
-      update_bits = !update_bits;
+      updates;
+      update_bits = float_of_int update_bits;
       max_utilization = Array.fold_left Float.max 0. t.utilization }
   in
   t.history <- stats :: t.history;

@@ -3,20 +3,16 @@ type t = {
   sink : Sink.t;
   spans : Span.t;
   tracer : Tracer.t;
-  gc : bool;
-  osc_window_s : float;
   osc_max_flips : int;
   mutable osc : Oscillation.t option;
 }
 
 let create ?(sink = Sink.null) ?(clock = Span.untimed) ?(tracer = Tracer.null)
-    ?(gc = false) ?(osc_window_s = 120.) ?(osc_max_flips = 4) () =
+    ?(osc_max_flips = 4) () =
   { metrics = Metrics.create ();
     sink;
     spans = Span.create ~clock ();
     tracer;
-    gc;
-    osc_window_s;
     osc_max_flips;
     osc = None }
 
@@ -28,15 +24,12 @@ let spans t = t.spans
 
 let tracer t = t.tracer
 
-let gc_enabled t = t.gc
-
 let init_oscillation t ~links =
   match t.osc with
   | Some o -> o
   | None ->
     let o =
-      Oscillation.create ~window_s:t.osc_window_s ~max_flips:t.osc_max_flips
-        ~links ()
+      Oscillation.create ~max_flips:t.osc_max_flips ~links ()
     in
     t.osc <- Some o;
     o

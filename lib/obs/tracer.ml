@@ -110,15 +110,18 @@ let[@inline] ring_for t =
     Array.unsafe_get t.rings (Array.unsafe_get map d)
   else register t d
 
+let[@inline] now = function
+  | Untimed -> 0.
+  | Wall -> Unix.gettimeofday ()
+  | Fn f -> f ()
+
 (* [kind] is the low two bits of the packed code: 0 begin, 1 end,
    2 instant, 3 counter. *)
 let emit t kind id a b =
   let r = ring_for t in
   let i = r.written land t.mask in
-  (match t.clk with
-  | Untimed -> Array.unsafe_set r.ts i (float_of_int r.written)
-  | Wall -> Array.unsafe_set r.ts i (Unix.gettimeofday ())
-  | Fn f -> Array.unsafe_set r.ts i (f ()));
+  Array.unsafe_set r.ts i
+    (match t.clk with Untimed -> float_of_int r.written | clk -> now clk);
   Array.unsafe_set r.code i ((id lsl 2) lor kind);
   Array.unsafe_set r.arg_a i a;
   Array.unsafe_set r.arg_b i b;

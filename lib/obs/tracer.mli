@@ -17,11 +17,12 @@
     {!Trace_export} turns the whole tracer into Chrome trace-event JSON.
 
     Both simulators record into the tracer of their telemetry bundle:
-    the flow simulator its routing-period phases and per-period
-    counters, both of them their SPF engines' spans and the domain
-    pool's chunks.  The packet simulator's own events (deliveries,
-    drops, floods) are too many for a ring and stream through the
-    bundle's {!Sink} instead. *)
+    their routing-period stages (through {!Span}, which writes each
+    stage's begin and end here and closes its aggregate in the bundle's
+    profile at the same call), their SPF engines' spans, the domain
+    pool's chunks and, in the flow simulator, per-period counters.  The
+    packet simulator's own events (deliveries, drops, floods) are too
+    many for a ring and stream through the bundle's {!Sink} instead. *)
 
 type t
 
@@ -29,7 +30,7 @@ type clock =
   | Untimed
       (** Timestamps are per-ring sequence numbers (0, 1, 2, …):
           deterministic across runs, totally ordered within a track. *)
-  | Wall  (** [Unix.gettimeofday]; boxes one float per event. *)
+  | Wall  (** [Unix.gettimeofday], through {!now}. *)
   | Fn of (unit -> float)  (** Custom clock, e.g. for tests. *)
 
 type kind = Begin | End | Instant | Counter
@@ -47,6 +48,10 @@ val enabled : t -> bool
 val capacity : t -> int
 
 val clock : t -> clock
+
+val now : clock -> float
+(** Read a clock: 0 under {!Untimed}.  The one place a wall clock is
+    read; {!Span}'s profiles read theirs through it too. *)
 
 (** {1 Recording} *)
 

@@ -31,8 +31,6 @@ type obs_state = {
   updates_counter : Obs_metrics.counter;
   util_series : Obs_metrics.series array;
   cost_series : Obs_metrics.series array;
-  gc_period : Gc_account.t option; (* when the bundle enables GC accounting *)
-  gc_refresh : Gc_account.t option;
 }
 
 let make_obs_state tele ~links =
@@ -41,17 +39,11 @@ let make_obs_state tele ~links =
     Array.init links (fun i ->
         Obs_metrics.series m ~labels:(Telemetry_hooks.link_label i) name)
   in
-  let gc_account scope =
-    if Telemetry.gc_enabled tele then Some (Gc_account.create m ~scope)
-    else None
-  in
   { hooks = Telemetry_hooks.attach tele ~links;
     obs_sink = Telemetry.sink tele;
     updates_counter = Obs_metrics.counter m "updates_flooded";
     util_series = per_link "link_utilization";
-    cost_series = per_link "link_cost";
-    gc_period = gc_account "routing_period";
-    gc_refresh = gc_account "spf_refresh" }
+    cost_series = per_link "link_cost" }
 
 (* All-float and therefore flat: per-period accumulation stores unboxed
    floats into these fields, where a float ref (or a mixed int/float
@@ -63,7 +55,6 @@ type facc = {
   mutable f_delay_w : float;
   mutable f_hops_w : float;
   mutable f_min_hops_w : float;
-  mutable f_bits : float;
   mutable f_max_util : float;
 }
 
@@ -196,15 +187,15 @@ type t = {
   enabled_opt : (Link.id -> bool) option;
   mutable cost_f : Link.id -> int; (* rebuilt on switch_metric *)
   tracer : Tracer.t;
-  tr_period : int; (* interned event names *)
-  tr_refresh : int;
-  tr_assign : int;
-  tr_metrics : int;
-  tr_account : int;
-  tr_flood : int;
-  tr_updates : int;
+  (* The period's stages, into the tracer and the bundle's profile. *)
+  st_period : Obs_span.stage;
+  st_refresh : Obs_span.stage;
+  st_assign : Obs_span.stage;
+  st_metrics : Obs_span.stage;
+  st_account : Obs_span.stage;
+  st_flood : Obs_span.stage;
+  tr_updates : int; (* interned counter names *)
   tr_routes : int;
-  telemetry : Telemetry.t option;
   obs : obs_state option;
 }
 
@@ -232,6 +223,9 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       pool;
   let link_up = Array.make nl true in
   let obs = Option.map (fun tele -> make_obs_state tele ~links:nl) telemetry in
+  let stage =
+    Obs_span.stage ?profile:(Option.map Telemetry.spans telemetry) tracer
+  in
   let flows = Flow_store.of_matrix tm in
   let t =
     { graph;
@@ -276,7 +270,6 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
           f_delay_w = 0.;
           f_hops_w = 0.;
           f_min_hops_w = 0.;
-          f_bits = 0.;
           f_max_util = 0. };
       osc_seen = Array.make nl false;
       osc_last = Array.make nl 0;
@@ -286,15 +279,14 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       enabled_opt = Some (fun lid -> link_up.(Link.id_to_int lid));
       cost_f = Metric.cost_fn metric;
       tracer;
-      tr_period = Tracer.intern tracer "routing_period";
-      tr_refresh = Tracer.intern tracer "spf_refresh";
-      tr_assign = Tracer.intern tracer "flow_assign";
-      tr_metrics = Tracer.intern tracer "flow_metrics";
-      tr_account = Tracer.intern tracer "flow_account";
-      tr_flood = Tracer.intern tracer "flood";
+      st_period = stage "routing_period";
+      st_refresh = stage "spf_refresh";
+      st_assign = stage "flow_assign";
+      st_metrics = stage "flow_metrics";
+      st_account = stage "flow_account";
+      st_flood = stage "flood";
       tr_updates = Tracer.intern tracer "updates_flooded";
       tr_routes = Tracer.intern tracer "routes_changed";
-      telemetry;
       obs }
   in
   (* The tree a source routes on this period; built once, reads the
@@ -372,12 +364,6 @@ let fill_min_hops t =
 
 let spf_stats t = Spf_engine.stats t.engine
 
-let telemetry t = t.telemetry
-
-let[@inline] gc_start = function Some a -> Gc_account.start a | None -> ()
-
-let[@inline] gc_finish = function Some a -> Gc_account.finish a | None -> ()
-
 (* End-to-end source adaptation: the 1987 ARPANET's users backed off under
    loss (TCP and the IMP's own end-to-end mechanisms), so offered traffic
    tracked what the network could carry.  Multiplicative decrease on
@@ -393,22 +379,10 @@ let[@inline] step_throttle throttle fi ~loss_fraction =
      else Float.min 1. (current +. 0.05))
 
 let tick t =
-  let tr = t.tracer and tele = t.telemetry in
-  let gc_p, gc_r =
-    match t.obs with
-    | None -> (None, None)
-    | Some o -> (o.gc_period, o.gc_refresh)
-  in
-  Tracer.span_begin tr t.tr_period;
-  gc_start gc_p;
-  let p_started = Telemetry_hooks.span_start tele in
-  Tracer.span_begin tr t.tr_refresh;
-  gc_start gc_r;
-  let r_started = Telemetry_hooks.span_start tele in
+  Obs_span.enter t.st_period;
+  Obs_span.enter t.st_refresh;
   refresh_trees t;
-  Telemetry_hooks.span_stop tele "spf_refresh" r_started;
-  gc_finish gc_r;
-  Tracer.span_end tr t.tr_refresh;
+  Obs_span.leave t.st_refresh;
   (* Snapshot this period's flooded costs for next period's laggards. *)
   let nl = Graph.link_count t.graph in
   for i = 0 to nl - 1 do
@@ -438,13 +412,11 @@ let tick t =
      Above the threshold, source stripes fan out over the domain pool;
      the stream-replay reduction keeps results bit-identical. *)
   Array.fill t.offered 0 nl 0.;
-  Tracer.span_begin tr t.tr_assign;
-  let a_started = Telemetry_hooks.span_start tele in
+  Obs_span.enter t.st_assign;
   let pool = if nf >= parallel_flow_threshold then t.pool else None in
   Load_assign.assign ?pool t.assign ~flows:t.flows ~tree_for:t.tree_for_f
     ~sending:t.sending ~offered:t.offered ~first_hop:t.first_hop;
-  Telemetry_hooks.span_stop tele "flow_assign" a_started;
-  Tracer.span_end tr t.tr_assign;
+  Obs_span.leave t.st_assign;
   (* Route-change accounting against the previous periods (§3.3's route
      oscillation, counted Rzepka & Chołda-style): a changed first hop is a
      route change; coming straight back to the hop of two periods ago is a
@@ -472,7 +444,6 @@ let tick t =
   acc.f_delay_w <- 0.;
   acc.f_hops_w <- 0.;
   acc.f_min_hops_w <- 0.;
-  acc.f_bits <- 0.;
   acc.f_max_util <- 0.;
   let congested = ref 0 in
   Queueing.mm1k_into t.graph ~up:t.link_up ~offered_bps:t.offered
@@ -487,14 +458,14 @@ let tick t =
      per-flow columns rather than boxed callback arguments.  Source
      stripes fan out like pass 1's; every write is per-flow, so the
      result is bit-identical with no replay. *)
-  Tracer.span_begin tr t.tr_metrics;
+  Obs_span.enter t.st_metrics;
   Load_assign.metrics_into ?pool t.assign ~flows:t.flows
     ~tree_for:t.tree_for_f ~link_delay:t.link_delay ~link_pass:t.link_pass
     ~delay_s:t.flow_delay ~share:t.flow_share ~hops:t.flow_hops;
-  Tracer.span_end tr t.tr_metrics;
+  Obs_span.leave t.st_metrics;
   (* Accounting, sequential and in flow order so the float totals keep
      their summation order. *)
-  Tracer.span_begin tr t.tr_account;
+  Obs_span.enter t.st_account;
   fill_min_hops t;
   let min_hops = t.min_hops in
   let adaptive = t.adaptive_sources in
@@ -519,7 +490,7 @@ let tick t =
       acc.f_min_hops_w <- acc.f_min_hops_w +. (float_of_int mh *. carried)
     end
   done;
-  Tracer.span_end tr t.tr_account;
+  Obs_span.leave t.st_account;
   (* Metric pass: feed each up link its period delay, in one batch call;
      quiet periods return 0 without touching the heap. *)
   let nch =
@@ -529,27 +500,17 @@ let tick t =
   (* One update per origin run of the flooded links, flooded instantly:
      every copy is fresh, so its transmissions are the topology's count
      and only the bits need computing. *)
-  let updates = ref 0 in
-  Tracer.span_begin tr t.tr_flood;
-  let f_started = Telemetry_hooks.span_start tele in
-  let k = ref 0 in
-  while !k < nch do
-    let stop =
-      Update.run_end ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch !k
-    in
-    let origin = t.link_src.(t.chg_ids.(!k)) in
-    incr updates;
-    acc.f_bits <-
-      acc.f_bits
-      +. (float_of_int t.flood_tx.(origin)
-         *. float_of_int (Update.wire_bits ~links:(stop - !k)));
-    k := stop
-  done;
-  Telemetry_hooks.span_stop tele "flood" f_started;
-  Tracer.span_end tr t.tr_flood;
+  Obs_span.enter t.st_flood;
+  let updates =
+    Update.runs ~link_src:t.link_src ~changed_ids:t.chg_ids ~count:nch
+  in
+  let bits =
+    Broadcast.instant_bits t.flood_tx ~link_src:t.link_src
+      ~changed_ids:t.chg_ids ~count:nch
+  in
+  Obs_span.leave t.st_flood;
   t.period <- t.period + 1;
   let now = time_s t in
-  let updates = !updates in
   (* Flip accounting over the flooded costs runs with or without a
      telemetry bundle; the bundle adds the windowed oscillation detector,
      per-link series and flag events. *)
@@ -569,8 +530,8 @@ let tick t =
     end
   done;
   let link_flips = t.link_flips_total - flips_before in
-  Tracer.counter tr t.tr_updates ~value:updates;
-  Tracer.counter tr t.tr_routes ~value:!routes_changed;
+  Tracer.counter t.tracer t.tr_updates ~value:updates;
+  Tracer.counter t.tracer t.tr_routes ~value:!routes_changed;
   (* Telemetry per-period: utilization and cost series, the shared hooks
      (cost-in-hops series, oscillation flags, SPF engine gauges), the
      update counter and one JSONL summary event. *)
@@ -611,16 +572,14 @@ let tick t =
   h.h_min_hops.(k) <-
     (if delivered > 0. then acc.f_min_hops_w /. delivered else 0.);
   h.h_updates.(k) <- updates;
-  h.h_bits.(k) <- acc.f_bits;
+  h.h_bits.(k) <- float_of_int bits;
   h.h_max_util.(k) <- acc.f_max_util;
   h.h_congested.(k) <- !congested;
   h.h_routes.(k) <- !routes_changed;
   h.h_nh_flips.(k) <- !nh_flips;
   h.h_link_flips.(k) <- link_flips;
   h.len <- k + 1;
-  Telemetry_hooks.span_stop tele "routing_period" p_started;
-  gc_finish gc_p;
-  Tracer.span_end tr t.tr_period
+  Obs_span.leave t.st_period
 
 let stats_at t k =
   let h = t.hist in

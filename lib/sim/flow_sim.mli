@@ -22,7 +22,9 @@ open! Import
       exact without walking it: L_c - N_c + 1 transmissions over the
       origin's connected component
       ({!Routing_flooding.Broadcast.instant_transmissions}) times
-      {!Routing_flooding.Update.wire_bits} for the links it reports;
+      {!Routing_flooding.Update.wire_bits} for the links it reports,
+      summed over the period's updates by
+      {!Routing_flooding.Broadcast.instant_bits};
     + next period, everyone routes on the new costs.  "All the nodes in a
       network adjust their routes … simultaneously" (§3.2). *)
 
@@ -72,27 +74,27 @@ val create :
     [telemetry] (default none) attaches a telemetry bundle: per-link
     utilization/cost series and update counters accumulate in its metrics
     registry, each period emits a JSONL summary event through its sink,
-    SPF refreshes and routing periods run inside profiling spans, and the
-    oscillation detector watches every link's flooded cost.  Everything
-    recorded is deterministic (span durations stay 0 unless the bundle
-    uses {!Routing_obs.Span.wall}).
+    the period's six stages close their aggregates in its profile, and
+    the oscillation detector watches every link's flooded cost.
+    Everything recorded is deterministic (stage durations and words stay
+    0 unless the bundle uses {!Routing_obs.Span.wall}).
 
     [tracer] (default: the telemetry bundle's tracer, or {!Tracer.null})
-    flight-records the run: every routing period, SPF refresh, flow
-    assignment, per-flow metrics pass ([flow_metrics]), per-flow
-    accounting ([flow_account]) and flood becomes a span on the calling
-    domain's track ([flow_metrics] and [flow_account] in the tracer
-    only, not in the telemetry bundle's profiling spans), the
-    SPF engines record their recompute/repair batches, and worker domains
-    record the blocks of indices they claim. *)
+    flight-records the run.  Each period's six stages — the routing
+    period ([routing_period]) around the SPF refresh ([spf_refresh]),
+    flow assignment ([flow_assign]), per-flow metrics pass
+    ([flow_metrics]), per-flow accounting ([flow_account]) and flood
+    ([flood]) — are one {!Routing_obs.Span.enter} / {!Routing_obs.Span.leave}
+    pair each, a span on the calling domain's track under the same name
+    as its profile row.  The SPF engines record their recompute/repair
+    batches, and worker domains record the blocks of indices they
+    claim. *)
 
 val create_with :
   ?domains:int -> ?telemetry:Telemetry.t -> ?tracer:Tracer.t -> Graph.t ->
   Metric.t -> Traffic_matrix.t -> t
 (** Use a pre-built metric — e.g. a custom-parameterized HNM from
     {!Routing_metric.Metric.create_custom_hnspf}. *)
-
-val telemetry : t -> Telemetry.t option
 
 val graph : t -> Graph.t
 

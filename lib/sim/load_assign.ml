@@ -10,7 +10,7 @@ open! Import
 
    + bucket the source's flow demands onto their destination nodes,
    + sweep the reached nodes leaves-inward (descending hop count — a
-     counting sort, since tree depth is bounded by the 8-bit hop field),
+     counting sort, since a tree's depth is below its node count),
      adding each node's accumulated demand to its parent link and parent
      node.
 
@@ -33,10 +33,6 @@ open! Import
    (the parallel path's streams for the most a stripe can push), so
    steady-state periods allocate nothing on either path. *)
 
-(* Tree depth is bounded by the composite-weight encoding's 8-bit hop
-   field, so counting sort over hop counts needs this many buckets. *)
-let max_hops = 256
-
 (* Sources per parallel work item: big enough to amortize handout
    overhead, small enough that a 200-node graph still yields a dozen
    stealable stripes. *)
@@ -58,7 +54,7 @@ type scratch = {
 let new_scratch n =
   { p_acc = Array.make n 0.;
     p_order = Array.make n 0;
-    p_bucket = Array.make (max_hops + 2) 0;
+    p_bucket = Array.make (n + 1) 0; (* hop counts 0 .. n - 1, shifted *)
     p_first_link = Array.make n (-1);
     p_delay_to = Array.make n 0.;
     p_share_to = Array.make n 0. }
@@ -164,7 +160,7 @@ let group t store =
 
 (* Fill [order.(0 .. m-1)] with the tree's reached nodes in ascending hop
    count (ties: ascending node id) and return [m].  Counting sort: hop
-   counts fit in 8 bits by construction, but real trees are much
+   counts are below the node count, but real trees are much
    shallower, so the sort only touches buckets up to the deepest hop seen
    — [bucket] is kept all-zero between calls instead of cleared up front,
    which would cost more than the sort itself on mid-sized graphs.

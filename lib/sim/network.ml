@@ -156,6 +156,10 @@ type t = {
      by diffing and fanned over the pool. *)
   spf : Spf_engine.t;
   min_spf : Spf_engine.t;
+  (* The period's stages, into the bundle's tracer and profile. *)
+  st_period : Obs_span.stage;
+  st_refresh : Obs_span.stage;
+  st_flood : Obs_span.stage;
   obs : obs_state option;
   mutable started : bool;
   mutable tables_dirty : bool;
@@ -194,10 +198,10 @@ let install_tables t =
   if t.config.instant_flooding then begin
     (* Every node routes on the same flooded costs: one engine refresh
        serves all tables, reusing provably unaffected trees. *)
-    let started = Telemetry_hooks.span_start t.config.telemetry in
+    Obs_span.enter t.st_refresh;
     Spf_engine.refresh t.spf ~enabled:(link_enabled t)
       ~cost:(Metric.cost_fn t.metric);
-    Telemetry_hooks.span_stop t.config.telemetry "spf_refresh" started;
+    Obs_span.leave t.st_refresh;
     for i = 0 to Array.length t.next_hops - 1 do
       Spf_tree.next_hops_into (Spf_engine.tree t.spf (Node.of_int i))
         t.next_hops.(i)
@@ -511,8 +515,7 @@ let flood_hop_by_hop t origin costs =
    per origin run of the significant changes (in ascending origin
    order), and recompute tables if anything changed. *)
 let routing_period t =
-  let tele = t.config.telemetry in
-  let p_started = Telemetry_hooks.span_start tele in
+  Obs_span.enter t.st_period;
   let period = Units.routing_period_s in
   let now = Engine.now t.engine in
   expire_flights t ~now;
@@ -524,7 +527,7 @@ let routing_period t =
     Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
       ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
   in
-  let f_started = Telemetry_hooks.span_start tele in
+  Obs_span.enter t.st_flood;
   let floods = ref 0 in
   let k = ref 0 in
   while !k < nch do
@@ -538,21 +541,22 @@ let routing_period t =
     if tracing t then
       trace t (fun () ->
           Trace.Update_flooded { origin = Node.of_int origin; links });
-    if t.config.instant_flooding then begin
-      (* Every copy is fresh, so the flood's transmissions are the
-         topology's count; no walk needed. *)
-      let bits =
-        float_of_int t.flood_tx.(origin)
-        *. float_of_int (Update.wire_bits ~links)
-      in
-      Measure.record_updates t.measure ~count:1 ~bits;
-      t.tables_dirty <- true
-    end
-    else flood_hop_by_hop t origin (run_costs t start stop []);
+    if not t.config.instant_flooding then
+      flood_hop_by_hop t origin (run_costs t start stop []);
     incr floods;
     k := stop
   done;
-  Telemetry_hooks.span_stop tele "flood" f_started;
+  if t.config.instant_flooding && nch > 0 then begin
+    (* Every copy is fresh, so the floods' transmissions are the
+       topology's count; no walk needed. *)
+    Measure.record_updates t.measure ~count:!floods
+      ~bits:
+        (float_of_int
+           (Broadcast.instant_bits t.flood_tx ~link_src:t.link_src
+              ~changed_ids:t.chg_ids ~count:nch));
+    t.tables_dirty <- true
+  end;
+  Obs_span.leave t.st_flood;
   (* Read out first: a ref the log closure captured would be boxed every
      period. *)
   let floods = !floods in
@@ -584,7 +588,7 @@ let routing_period t =
       t.lines;
     Telemetry_hooks.observe_costs o.hooks t.graph t.metric ~time:now;
     Telemetry_hooks.record_spf_stats o.hooks (Spf_engine.stats t.spf));
-  Telemetry_hooks.span_stop tele "routing_period" p_started
+  Obs_span.leave t.st_period
 
 let schedule_period t =
   Engine.schedule t.engine ~after:Units.routing_period_s
@@ -625,6 +629,10 @@ let create ?config graph tm =
     Option.iter
       (fun p -> Domain_pool.set_probe p (Some (Tracer.pool_probe tracer)))
       pool;
+  let stage =
+    Obs_span.stage ?profile:(Option.map Telemetry.spans config.telemetry)
+      tracer
+  in
   let link i = Graph.link graph (Link.id_of_int i) in
   let no_update = { Update.origin = Node.of_int 0; seq = Sequence.zero; costs = [] } in
   let flight_capacity =
@@ -680,6 +688,9 @@ let create ?config graph tm =
       flood_latency = Welford.create ();
       spf = Spf_engine.create ?pool ~tracer graph;
       min_spf = Spf_engine.create ?pool ~tracer graph;
+      st_period = stage "routing_period";
+      st_refresh = stage "spf_refresh";
+      st_flood = stage "flood";
       obs = Option.map (fun tele -> make_obs_state tele ~links:nl)
           config.telemetry;
       cost_series =
@@ -772,5 +783,3 @@ let generated_packets t =
   | None -> 0
 
 let spf_stats t = Spf_engine.stats t.spf
-
-let telemetry t = t.config.telemetry

@@ -12,8 +12,10 @@ open! Import
     hands the averages to the metric pass every simulator shares,
     {!Routing_metric.Metric.period_update_all}.  The links it floods
     come back grouped by origin, and each origin's run is one update,
-    originated in ascending origin order: under instant flooding it is
-    charged its topology-constant transmissions and builds no list;
+    originated in ascending origin order: under instant flooding the
+    period's updates are charged their topology-constant transmissions
+    at once ({!Routing_flooding.Broadcast.instant_bits}) and build no
+    list;
     hop by hop, its [(link, cost)] payload (ascending link order) is
     built from the run.
 
@@ -56,13 +58,16 @@ type config = {
           line through its sink, per-link utilization/cost/queue-depth
           series accumulate in the registry, and {!Telemetry_hooks} adds
           what the flow simulator records the same way — the
-          [routing_period], [spf_refresh] and [flood] spans in the
-          bundle's {!Routing_obs.Span} profile, the cost-in-hops series,
-          the oscillation detector over every link's flooded cost and the
-          SPF engine gauges.  The bundle's tracer flight-records the SPF
-          engines and the domain pool.  All recorded data is
-          deterministic for a fixed [seed] (span durations stay 0 unless
-          the bundle was created with {!Routing_obs.Span.wall}). *)
+          cost-in-hops series, the oscillation detector over every
+          link's flooded cost and the SPF engine gauges.  The three
+          routing-period stages, [routing_period] around [flood] and
+          the instant-flooding [spf_refresh], are one
+          {!Routing_obs.Span.enter} / {!Routing_obs.Span.leave} pair
+          each, into the bundle's profile and its tracer at once; the
+          tracer also flight-records the SPF engines and the domain
+          pool.  All recorded data is deterministic for a fixed [seed]
+          (stage durations and words stay 0 unless the bundle was
+          created with {!Routing_obs.Span.wall}). *)
 }
 
 val default_config : Metric.kind -> config
@@ -129,5 +134,3 @@ val spf_stats : t -> Spf_engine.stats
     repairs its own tree instead, the shared engine never runs, and every
     counter reads 0. *)
 
-val telemetry : t -> Telemetry.t option
-(** The bundle passed in via {!config.telemetry}, if any. *)

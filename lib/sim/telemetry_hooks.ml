@@ -45,15 +45,6 @@ let attach tele ~links =
           (Obs_metrics.gauge m ~labels "spf_engine", read))
         spf_counters }
 
-let[@inline] span_start = function
-  | None -> 0.
-  | Some tele -> Obs_span.clock_now (Telemetry.spans tele)
-
-let[@inline] span_stop tele name started =
-  match tele with
-  | None -> ()
-  | Some tele -> Obs_span.record (Telemetry.spans tele) ~name ~started
-
 (* A link's idle cost is a constant of its metric kind, but
    [Metric.idle_cost] builds a fresh HNM or D-SPF state to read it: build
    the table once per kind (a simulator's first period, and after a

@@ -4,8 +4,6 @@ open! Import
 
     Both simulators record some things the same way, and this module is
     the one copy of them:
-    - the routing-period phase spans ({!span_start} / {!span_stop}, the
-      closure-free {!Routing_obs.Span} idiom);
     - the per-link [link_cost_hops] series: flooded cost over the
       link's idle cost, the paper's "reported cost in hops" axis
       (Figs 5–6);
@@ -17,7 +15,8 @@ open! Import
 
     What differs stays in each simulator: its own counters (updates,
     drops, deliveries), series (utilization, cost, queue depth), JSONL
-    events and GC accounts. *)
+    events and its routing-period stages ({!Routing_obs.Span.stage},
+    into the bundle's profile and tracer). *)
 
 type t
 
@@ -27,13 +26,6 @@ val attach : Telemetry.t -> links:int -> t
 
 val link_label : int -> Obs_metrics.labels
 (** [link=l<i>], the label every per-link instrument carries. *)
-
-val span_start : Telemetry.t option -> float
-(** Open a span: the bundle's profile clock, or 0 with no bundle. *)
-
-val span_stop : Telemetry.t option -> string -> float -> unit
-(** Close, under a static name, a span that {!span_start} opened.
-    Without a bundle both hooks are one branch. *)
 
 val observe_costs : t -> Graph.t -> Metric.t -> time:float -> unit
 (** Once per routing period, after flooding: sample every link's

@@ -11,7 +11,7 @@ let unreached graph root =
   let n = Graph.node_count graph in
   { graph; root; parent = Array.make n (-1); comp = Array.make n max_int }
 
-let hop_scale = 256
+let hop_scale = 1 lsl 20
 
 let cost_scale = 1024
 
@@ -19,10 +19,10 @@ let edge_weight ~cost ~adjust = (((cost * cost_scale) + adjust) * hop_scale) + 1
 
 (* The decode: unit cost above both scales, rounded half up so that a
    favored (-1) or avoided (+1) probe adjustment in the middle bits does
-   not shift it, and the hop count in the low byte.  Inlined: load
+   not shift it, and the hop count in the low 20 bits.  Inlined: load
    assignment decodes hops once per reached node per source and once per
-   flow.  Composites are never negative, so the low byte is a mask, which
-   spares that loop [mod]'s sign fix-up. *)
+   flow.  Composites are never negative, so the hop field is a mask,
+   which spares that loop [mod]'s sign fix-up. *)
 let[@inline] units_of comp =
   if comp = max_int then max_int
   else

@@ -27,19 +27,20 @@ val unreached : Graph.t -> Node.t -> t
     probe-link preference, hop count), which keeps plain Dijkstra
     applicable.  A link contributes
 
-    {[ w(l) = (cost(l) * 1024 + adjust(l)) * 256 + 1 ]}
+    {[ w(l) = (cost(l) * 1024 + adjust(l)) * 2^20 + 1 ]}
 
     where [adjust] is [-1] on a favored probe link, [+1] on an avoided one
     and [0] otherwise: an infinitesimal discount or surcharge among
     equal-cost paths, with the [+1] per link making hop count the final
     tie-break.  A path's composite is the sum over its links, so the hop
-    count sits in the low byte and the unit cost above both scales; the
-    decode rounds half up to absorb the probe adjustment. *)
+    count sits in the low 20 bits and the unit cost above both scales;
+    the decode rounds half up to absorb the probe adjustment.  A path of
+    a million 254-unit links still fits in 62 bits. *)
 
 val edge_weight : cost:int -> adjust:int -> int
 (** [edge_weight ~cost ~adjust] is [w(l)] above for a link of [cost]
     routing units.  Callers bound [cost] (Dijkstra admits at most 254) so
-    that sums over paths of fewer than 256 hops stay exact. *)
+    that sums over paths of fewer than 2^20 hops stay exact. *)
 
 val graph : t -> Graph.t
 

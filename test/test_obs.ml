@@ -8,6 +8,7 @@ module Metrics = Routing_obs.Metrics
 module Span = Routing_obs.Span
 module Oscillation = Routing_obs.Oscillation
 module Telemetry = Routing_obs.Telemetry
+module Tracer = Routing_obs.Tracer
 module Trace = Routing_sim.Trace
 module Flow_sim = Routing_sim.Flow_sim
 module Network = Routing_sim.Network
@@ -185,14 +186,23 @@ let test_metrics_kind_collision () =
 
 let test_span_untimed_deterministic () =
   let s = Span.create ~clock:Span.untimed () in
-  let span name = Span.record s ~name ~started:(Span.clock_now s) in
-  for _ = 1 to 3 do span "work" done;
-  span "alpha";
+  let record st =
+    Span.enter st;
+    ignore (Sys.opaque_identity (Array.make 5 0));
+    Span.leave st
+  in
+  let stage = Span.stage ~profile:s Tracer.null in
+  let work = stage "work" and work' = stage "work" in
+  record work;
+  record work;
+  record work';
+  record (stage "alpha");
   match Span.report s with
   | [ a; w ] ->
     Alcotest.(check string) "sorted" "alpha" a.Span.name;
-    Alcotest.(check int) "count" 3 w.Span.count;
-    Alcotest.(check (float 0.)) "untimed total" 0. w.Span.total_s
+    Alcotest.(check int) "stages of one name share a row" 3 w.Span.count;
+    Alcotest.(check (float 0.)) "untimed total" 0. w.Span.total_s;
+    Alcotest.(check (float 0.)) "untimed words" 0. w.Span.minor_words
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
 
 (* --- Oscillation detector --- *)
@@ -258,6 +268,89 @@ let test_oscillation_dspf_vs_hnspf () =
   let hnspf = run_scenario Metric.Hn_spf in
   Alcotest.(check (list int)) "HN-SPF stays calm" []
     (Oscillation.ever_flagged hnspf)
+
+(* --- One stage recorder: the tracer's stage spans are the profile's --- *)
+
+(* Begin events per span name on every track of a tracer. *)
+let tracer_span_counts tr =
+  let counts = Hashtbl.create 8 in
+  for slot = 0 to Tracer.slots tr - 1 do
+    Tracer.iter_slot tr slot (fun ~ts:_ ~kind ~name ~a:_ ~b:_ ->
+        if kind = Tracer.Begin then begin
+          let n = Tracer.name tr name in
+          Hashtbl.replace counts n
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts n))
+        end)
+  done;
+  List.sort compare (Hashtbl.fold (fun n c acc -> (n, c) :: acc) counts [])
+
+let profile_counts tele =
+  List.map (fun (r : Span.row) -> (r.name, r.count))
+    (Span.report (Telemetry.spans tele))
+
+(* Spans the SPF engines record into the tracer alone. *)
+let engine_spans = [ "spf_recompute"; "spf_repair" ]
+
+let stage_spans counts =
+  List.filter (fun (n, _) -> not (List.mem n engine_spans)) counts
+
+(* A flow run with a live tracer and a bundle records each of its six
+   stages into both, under one name and one count. *)
+let test_flow_stages_one_recorder () =
+  let g, tm =
+    match Serial.load scenario_path with
+    | Ok gt -> gt
+    | Error m -> Alcotest.failf "cannot load %s: %s" scenario_path m
+  in
+  let tracer = Tracer.create () in
+  let tele = Telemetry.create ~tracer () in
+  let sim = Flow_sim.create ~telemetry:tele g Metric.D_spf tm in
+  for _ = 1 to 5 do Flow_sim.tick sim done;
+  let profile = profile_counts tele in
+  Alcotest.(check (list (pair string int))) "six stages, once a period"
+    (List.map
+       (fun n -> (n, 5))
+       [ "flood"; "flow_account"; "flow_assign"; "flow_metrics";
+         "routing_period"; "spf_refresh" ])
+    profile;
+  Alcotest.(check (list (pair string int))) "tracer stage spans = profile"
+    profile
+    (stage_spans (tracer_span_counts tracer))
+
+(* Two packet DES networks flight-record into one tracer, each with its
+   own bundle: the tracer holds both networks' stage spans, and each
+   bundle's profile counts its own network's alone. *)
+let test_des_stages_shared_tracer () =
+  let g, _ = Routing_topology.Generators.two_region () in
+  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
+  Graph.iter_nodes g (fun src ->
+      Graph.iter_nodes g (fun dst ->
+          if src <> dst then Traffic_matrix.set tm ~src ~dst 2000.));
+  let tracer = Tracer.create () in
+  let net kind seconds =
+    let tele = Telemetry.create ~tracer () in
+    let config =
+      { (Network.default_config kind) with
+        Network.seed = 9;
+        domains = 1;
+        telemetry = Some tele }
+    in
+    Network.run (Network.create ~config g tm) ~duration_s:seconds;
+    profile_counts tele
+  in
+  let a = net Metric.D_spf 30. and b = net Metric.Hn_spf 50. in
+  let count name rows = Option.value ~default:0 (List.assoc_opt name rows) in
+  Alcotest.(check (list int)) "each bundle counts its own periods" [ 3; 5 ]
+    [ count "routing_period" a; count "routing_period" b ];
+  Alcotest.(check (list int)) "and its own floods" [ 3; 5 ]
+    [ count "flood" a; count "flood" b ];
+  let names = [ "flood"; "routing_period"; "spf_refresh" ] in
+  Alcotest.(check (list string)) "three stages per bundle" names
+    (List.map fst a);
+  Alcotest.(check (list (pair string int)))
+    "the shared tracer holds both networks' stage spans"
+    (List.map (fun n -> (n, count n a + count n b)) names)
+    (stage_spans (tracer_span_counts tracer))
 
 (* --- Telemetry end-to-end determinism --- *)
 
@@ -327,7 +420,7 @@ let test_telemetry_golden_bytes () =
     (Astring.String.is_infix ~affix:{|"ev":"oscillation"|}
        (Sink.contents (Telemetry.sink des)));
   Alcotest.(check (pair string string)) "two-region DES snapshot, stream"
-    ("eb815d7c9af94bb68c1db6ca63040da2", "43c7ad95055de6f3b6f11ec4b259264e")
+    ("a6d437685f89c63919c8a9a90e064f27", "43c7ad95055de6f3b6f11ec4b259264e")
     (telemetry_digests des);
   let g, tm =
     match Serial.load scenario_path with
@@ -338,7 +431,7 @@ let test_telemetry_golden_bytes () =
   let sim = Flow_sim.create ~telemetry:tele g Metric.Hn_spf tm in
   for _ = 1 to 12 do ignore (Flow_sim.step sim) done;
   Alcotest.(check (pair string string)) "arpanet_peak flow snapshot, stream"
-    ("ec3bec5fdf0fcf182ee783bd7d19b380", "f9bff5d7fb31841ab2e7349e419165c1")
+    ("a60b5c1a50b84d77cc536a9c3b15b078", "f9bff5d7fb31841ab2e7349e419165c1")
     (telemetry_digests tele)
 
 (* The cost-in-hops series divides each flooded cost by the link's idle
@@ -414,6 +507,10 @@ let () =
         [ Alcotest.test_case "deterministic end-to-end" `Slow
             test_flow_telemetry_deterministic;
           Alcotest.test_case "golden bytes" `Slow test_telemetry_golden_bytes;
+          Alcotest.test_case "flow stages: tracer and profile agree" `Quick
+            test_flow_stages_one_recorder;
+          Alcotest.test_case "DES stages: one tracer, one bundle each" `Quick
+            test_des_stages_shared_tracer;
           Alcotest.test_case "cost hops follow a metric switch" `Quick
             test_cost_hops_follow_metric_switch ]
       ) ]

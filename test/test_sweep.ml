@@ -22,6 +22,7 @@ module Generators = Routing_topology.Generators
 module Rng = Routing_stats.Rng
 module Metric = Routing_metric.Metric
 module Spf_engine = Routing_spf.Spf_engine
+module Spf_tree = Routing_spf.Spf_tree
 module Load_assign = Routing_sim.Load_assign
 module Flow_store = Routing_sim.Flow_store
 module Domain_pool = Routing_metric.Domain_pool
@@ -86,6 +87,51 @@ let run_assignment_case (seed, nodes, chords, nf) =
           offered'.(l))
     offered;
   true
+
+(* Paths of 256 hops and more: the composite distance's hop field is
+   wide enough that the hop counts, the aggregated assignment and the
+   per-flow metrics stay exact on a 600-node ring with unit costs. *)
+let test_assignment_long_paths () =
+  let nodes = 600 in
+  let g = Generators.ring nodes in
+  let nl = Graph.link_count g in
+  let engine = Spf_engine.create g in
+  Spf_engine.refresh engine ~cost:(fun _ -> 1);
+  let tree_for = Spf_engine.tree engine in
+  let tree = tree_for (Node.of_int 0) in
+  List.iter
+    (fun d ->
+      Alcotest.(check int)
+        (Printf.sprintf "hops to node %d" d)
+        (min d (nodes - d))
+        (Spf_tree.hops tree (Node.of_int d)))
+    [ 10; 255; 256; 280; 300; 301 ];
+  let flows = Flow_store.create ~nodes in
+  List.iter
+    (fun d ->
+      Flow_store.add flows ~src:(Node.of_int 0) ~dst:(Node.of_int d)
+        ~demand_bps:1000.)
+    [ 280; 10 ];
+  let sending = Array.sub (Flow_store.demand_col flows) 0 2 in
+  let assign f =
+    let offered = Array.make nl 0. and first_hop = Array.make 2 (-7) in
+    f (Load_assign.create g) ~flows ~tree_for ~sending ~offered ~first_hop;
+    (offered, first_hop)
+  in
+  let offered, first_hop = assign (Load_assign.assign ?pool:None) in
+  let offered', first_hop' = assign Load_assign.assign_baseline in
+  Alcotest.(check (array (float 0.))) "assign = assign_baseline" offered'
+    offered;
+  Alcotest.(check (array int)) "first hops" first_hop' first_hop;
+  Alcotest.(check int) "links loaded" 280
+    (Array.fold_left (fun n o -> if o > 0. then n + 1 else n) 0 offered);
+  let delay_s = Array.make 2 0. and share = Array.make 2 0.
+  and hops = Array.make 2 0 in
+  Load_assign.metrics_into (Load_assign.create g) ~flows ~tree_for
+    ~link_delay:(Array.make nl 0.001) ~link_pass:(Array.make nl 1.) ~delay_s
+    ~share ~hops;
+  Alcotest.(check (array int)) "metrics_into hops" [| 280; 10 |] hops;
+  Alcotest.(check (float 1e-12)) "280-hop path delay" 0.28 delay_s.(0)
 
 let prop_assignment_matches_baseline =
   QCheck.Test.make ~count:60 ~name:"aggregated assignment == per-flow baseline"
@@ -748,8 +794,9 @@ let () =
     [ ( "assignment",
         [ QCheck_alcotest.to_alcotest prop_assignment_matches_baseline;
           QCheck_alcotest.to_alcotest prop_parallel_bit_identical;
-          Alcotest.test_case "scratch reuse" `Quick test_assignment_scratch_reuse
-        ] );
+          Alcotest.test_case "scratch reuse" `Quick test_assignment_scratch_reuse;
+          Alcotest.test_case "paths of 256 hops or more" `Quick
+            test_assignment_long_paths ] );
       ( "flow store",
         [ Alcotest.test_case "matrix round-trip and aggregate" `Quick
             test_store_matrix_round_trip;

@@ -1,14 +1,13 @@
 (* Tests for the flight recorder: ring accounting under wraparound,
    well-nestedness and time-ordering of recorded streams (qcheck over
    random span programs), byte-deterministic Chrome trace-event export
-   with a JSON round-trip and digest, and multi-domain recording through
-   the pool probe. *)
+   with a JSON round-trip and digest, multi-domain recording through
+   the pool probe, and the stage recorder's per-stage words. *)
 
 module Json = Routing_obs.Json
 module Tracer = Routing_obs.Tracer
 module Trace_export = Routing_obs.Trace_export
-module Metrics = Routing_obs.Metrics
-module Gc_account = Routing_obs.Gc_account
+module Span = Routing_obs.Span
 module Telemetry = Routing_obs.Telemetry
 module Domain_pool = Routing_metric.Domain_pool
 
@@ -189,20 +188,80 @@ let test_pool_probe_multi_domain () =
       (List.fold_left (fun acc (_, n) -> acc + n) 0 d.Trace_export.tracks)
       d.Trace_export.total_events
 
-(* --- GC accounting --- *)
+(* --- Stages: the recorder's words are not the stage's --- *)
 
-let test_gc_account_deltas () =
-  let reg = Metrics.create () in
-  let acc = Gc_account.create reg ~scope:"test" in
-  let sink = ref [] in
-  Gc_account.with_ acc (fun () ->
-      for i = 0 to 999 do
-        sink := (i, float_of_int i) :: !sink
-      done);
-  Alcotest.(check int) "one section" 1 (Gc_account.sections acc);
-  Alcotest.(check bool)
-    "boxed conses show up as minor words" true
-    (Gc_account.minor_words acc > 0)
+let words_of profile name =
+  match
+    List.find_opt (fun (r : Span.row) -> r.name = name) (Span.report profile)
+  with
+  | Some r -> (r.count, r.minor_words)
+  | None -> Alcotest.failf "no %s row" name
+
+(* Under a wall clock, an outer stage around six empty inner stages:
+   the outer reads exactly the 6 words of the array it allocates
+   (header and five fields), each inner 0, whatever the clock reads
+   and quantile updates the recorder did meanwhile — with and without a
+   live tracer on a test clock that itself allocates. *)
+let test_stage_words_are_its_own () =
+  let calls = 50 in
+  List.iter
+    (fun (what, tracer) ->
+      let profile = Span.create ~clock:Span.wall () in
+      let outer = Span.stage ~profile tracer "outer" in
+      let inner =
+        Array.init 6 (fun i ->
+            Span.stage ~profile tracer (Printf.sprintf "inner%d" i))
+      in
+      for _ = 1 to calls do
+        Span.enter outer;
+        ignore (Sys.opaque_identity (Array.make 5 0));
+        for i = 0 to 5 do
+          Span.enter inner.(i);
+          Span.leave inner.(i)
+        done;
+        Span.leave outer
+      done;
+      Alcotest.(check (pair int (float 0.)))
+        (what ^ ": outer words are its own")
+        (calls, float_of_int (6 * calls))
+        (words_of profile "outer");
+      Array.iteri
+        (fun i _ ->
+          Alcotest.(check (pair int (float 0.)))
+            (Printf.sprintf "%s: inner%d allocates nothing" what i)
+            (calls, 0.)
+            (words_of profile (Printf.sprintf "inner%d" i)))
+        inner)
+    [ ("no tracer", Tracer.null);
+      ("Fn-clock tracer",
+       Tracer.create
+         ~clock:(Tracer.Fn (fun () -> float_of_int (Sys.opaque_identity 3)))
+         ()) ]
+
+(* An untimed profile and a live untimed tracer: once the profile's
+   quantile estimators hold their first five observations (sorting
+   those boxes floats), recording a stage allocates nothing, and
+   durations and words read 0. *)
+let test_stage_untimed_allocates_nothing () =
+  let profile = Span.create () in
+  let tracer = Tracer.create () in
+  let st = Span.stage ~profile tracer "quiet" in
+  for _ = 1 to 5 do
+    Span.enter st;
+    Span.leave st
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Span.enter st;
+    Span.leave st
+  done;
+  Alcotest.(check (float 0.)) "no words" 0. (Gc.minor_words () -. before);
+  match Span.report profile with
+  | [ r ] ->
+    Alcotest.(check int) "count" 105 r.Span.count;
+    Alcotest.(check (float 0.)) "untimed total" 0. r.Span.total_s;
+    Alcotest.(check (float 0.)) "untimed words" 0. r.Span.minor_words
+  | rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
@@ -221,6 +280,8 @@ let () =
       ( "domains",
         [ Alcotest.test_case "pool probe" `Quick test_pool_probe_multi_domain ]
       );
-      ( "gc",
-        [ Alcotest.test_case "account deltas" `Quick test_gc_account_deltas ]
-      ) ]
+      ( "stage",
+        [ Alcotest.test_case "words are the stage's own" `Quick
+            test_stage_words_are_its_own;
+          Alcotest.test_case "untimed allocates nothing" `Quick
+            test_stage_untimed_allocates_nothing ] ) ]
