@@ -58,10 +58,6 @@ let check ?file g tm =
               (List.length stubs)
               (name_list (List.map (Graph.node_name g) stubs))));
     (* Demand a PSN physically cannot source or sink. *)
-    let n = Graph.node_count g in
-    let inbound = Array.make n 0. in
-    Traffic_matrix.iter tm (fun ~src:_ ~dst bps ->
-        inbound.(Node.to_int dst) <- inbound.(Node.to_int dst) +. bps);
     Graph.iter_nodes g (fun node ->
         let capacity =
           List.fold_left
@@ -78,6 +74,6 @@ let check ?file g tm =
                     (Graph.node_name g node) direction demand capacity))
         in
         report "sources" (Traffic_matrix.offered_from tm node);
-        report "sinks" inbound.(Node.to_int node))
+        report "sinks" (Traffic_matrix.offered_to tm node))
   end;
   List.rev !diags

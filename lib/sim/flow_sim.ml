@@ -205,6 +205,15 @@ let[@inline] lags_at ~stagger i =
   stagger > 0.
   && float_of_int ((i * 2654435761) land 0xFFFF) /. 65536. < stagger
 
+(* A store large enough to fan out gets the parallel assignment scratch
+   when it is installed, not from the first period that assigns it (see
+   [Spf_engine.create] for why a pooled simulator sizes up front). *)
+let reserve_fanout t =
+  match t.pool with
+  | Some pool when Flow_store.length t.flows >= parallel_flow_threshold ->
+    Load_assign.reserve_parallel t.assign ~slots:(Domain_pool.size pool)
+  | Some _ | None -> ()
+
 let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
     graph metric tm =
   let nl = Graph.link_count graph in
@@ -297,6 +306,7 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       | Some lag when lags_at ~stagger:t.stagger (Node.to_int src) ->
         Spf_engine.tree lag src
       | _ -> Spf_engine.tree t.engine src);
+  reserve_fanout t;
   t
 
 let create ?domains ?telemetry ?tracer graph kind tm =
@@ -606,7 +616,8 @@ let run t ~periods = List.init periods (fun _ -> step t)
 
 let set_traffic t tm =
   t.flows <- Flow_store.of_matrix tm;
-  t.prev_first_hop <- [||]
+  t.prev_first_hop <- [||];
+  reserve_fanout t
 
 (* Install a host-level flow store directly — the million-flow path the
    heavy-tailed generator feeds.  AIMD throttles ride in the store, so a
@@ -615,7 +626,8 @@ let set_flows t store =
   if Flow_store.nodes store <> Graph.node_count t.graph then
     invalid_arg "Flow_sim.set_flows: store built for a different node count";
   t.flows <- store;
-  t.prev_first_hop <- [||]
+  t.prev_first_hop <- [||];
+  reserve_fanout t
 
 let flows t = t.flows
 

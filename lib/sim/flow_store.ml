@@ -90,12 +90,19 @@ let total_demand_bps t =
   !s
 
 (* Same flow order as the historical [Flow_sim.flows_of_matrix]:
-   [Traffic_matrix.iter] visits nonzero entries row-major. *)
+   [Traffic_matrix.flows] lists nonzero entries row-major.  The store
+   adopts its exact-size columns; [version] reads as if each flow had
+   been appended. *)
 let of_matrix tm =
-  let t = create ~nodes:(Traffic_matrix.nodes tm) in
-  Traffic_matrix.iter tm (fun ~src ~dst demand_bps ->
-      add t ~src ~dst ~demand_bps);
-  t
+  let src, dst, demand_bps = Traffic_matrix.flows tm in
+  let len = Array.length src in
+  { n_nodes = Traffic_matrix.nodes tm;
+    len;
+    src;
+    dst;
+    demand_bps;
+    throttle = Array.make len 1.;
+    version = len }
 
 let to_matrix t =
   let tm = Traffic_matrix.create ~nodes:t.n_nodes in

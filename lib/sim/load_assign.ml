@@ -103,7 +103,7 @@ type t = {
   mutable by_src_flow : int array;
   lsrc : int array; (* per link: its source node, denormalized from the graph *)
   seq : scratch; (* sequential-path sweep scratch *)
-  (* parallel-path scratch, sized on first parallel call and reused *)
+  (* parallel-path scratch, sized by [reserve_parallel] and reused *)
   mutable pscratch : scratch array; (* one slot per pool participant *)
   mutable streams : stream array; (* one per source stripe *)
 }
@@ -316,19 +316,19 @@ let replay_streams streams ~nstripes ~offered =
 
 let nstripes t = (t.n + stripe_width - 1) / stripe_width
 
-let slot_scratch t pool =
-  let psize = Domain_pool.size pool in
-  if Array.length t.pscratch < psize then
-    t.pscratch <- Array.init psize (fun _ -> new_scratch t.n);
-  t.pscratch
-
-let assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered =
+let reserve_parallel t ~slots =
+  if Array.length t.pscratch < slots then
+    t.pscratch <- Array.init slots (fun _ -> new_scratch t.n);
   let nstripes = nstripes t in
   if Array.length t.streams < nstripes then
     t.streams <-
       Array.init nstripes (fun _ ->
-          new_stream ~capacity:(stripe_width * t.n));
-  let pscratch = slot_scratch t pool and streams = t.streams in
+          new_stream ~capacity:(stripe_width * t.n))
+
+let assign_parallel t pool ~dst ~tree_for ~sending ~first_hop ~offered =
+  reserve_parallel t ~slots:(Domain_pool.size pool);
+  let nstripes = nstripes t in
+  let pscratch = t.pscratch and streams = t.streams in
   Domain_pool.parallel_for pool
     ~init:(fun me -> pscratch.(me))
     nstripes
@@ -407,7 +407,8 @@ let metrics_into ?pool t ~flows ~tree_for ~link_delay ~link_pass ~delay_s
   let dst = Flow_store.dst_col flows in
   match pool with
   | Some pool when Domain_pool.size pool > 1 && t.n > 1 ->
-    let pscratch = slot_scratch t pool in
+    reserve_parallel t ~slots:(Domain_pool.size pool);
+    let pscratch = t.pscratch in
     Domain_pool.parallel_for pool
       ~init:(fun me -> pscratch.(me))
       (nstripes t)

@@ -34,6 +34,13 @@ type t
 
 val create : Graph.t -> t
 
+val reserve_parallel : t -> slots:int -> unit
+(** Size the parallel paths' scratch for a pool of [slots] participants:
+    one sweep scratch per slot and one contribution stream per stripe.
+    Both parallel calls do this on first use; a caller that sizes it when
+    it sets up (as {!Flow_sim} does for a store large enough to fan out)
+    keeps the first period from allocating it. *)
+
 val assign :
   ?pool:Domain_pool.t ->
   t ->

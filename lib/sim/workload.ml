@@ -13,7 +13,7 @@ type t = {
   pool : Packet.pool;
   size : size;
   fixed : fixed;
-  (* Flows as columns, in traffic-matrix fold order. *)
+  (* Flows as columns, in traffic-matrix [iter] order. *)
   srcs : int array;
   dsts : int array;
   rates_pps : float array;
@@ -35,19 +35,20 @@ let[@inline] clamp_bits b = if b < 64. then 64. else b
 let mean_bits = function Fixed b -> clamp_bits b | Exponential b -> b
 
 let create ?(size = Exponential 600.) rng engine pool tm ~inject =
-  let flows =
-    Traffic_matrix.fold tm ~init:[] ~f:(fun acc ~src ~dst bps ->
-        (Node.to_int src, Node.to_int dst, bps /. mean_bits size) :: acc)
-    |> List.rev |> Array.of_list
-  in
+  let srcs, dsts, rates_pps = Traffic_matrix.flows tm in
+  (* The demand column is ours: turn it into packet rates in place. *)
+  let mean = mean_bits size in
+  for flow = 0 to Array.length rates_pps - 1 do
+    rates_pps.(flow) <- rates_pps.(flow) /. mean
+  done;
   { rng;
     engine;
     pool;
     size;
-    fixed = { fixed_bits = mean_bits size };
-    srcs = Array.map (fun (s, _, _) -> s) flows;
-    dsts = Array.map (fun (_, d, _) -> d) flows;
-    rates_pps = Array.map (fun (_, _, r) -> r) flows;
+    fixed = { fixed_bits = mean };
+    srcs;
+    dsts;
+    rates_pps;
     inject;
     running = false;
     scale = 1.;

@@ -54,6 +54,13 @@ type t = {
    analysis and recomputes everything. *)
 let threshold = 0.25
 
+(* The repair scratch is first used by the first repair, which can come
+   periods after the first refresh.  A pooled engine sizes it here:
+   under several domains each minor collection's promotions are split
+   among all domains and a worker's share reaches the GC counters only
+   at its next major slice, so scratch first allocated in a later period
+   would make the allocation counts of the periods after it depend on
+   scheduling.  Without a pool the first repair sizes it. *)
 let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
   let n = Graph.node_count graph in
   let slots = match pool with Some p -> Domain_pool.size p | None -> 1 in
@@ -67,7 +74,10 @@ let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
     weights_scratch = [||];
     trees = Array.make n None;
     scratches = Array.init slots (fun _ -> Dijkstra.scratch ());
-    repair_scratch = Spf_repair.scratch ();
+    repair_scratch =
+      Spf_repair.scratch
+        ?graph:(if repair && slots > 1 then Some graph else None)
+        ();
     changes =
       (let c = Spf_repair.changes () in
        Spf_repair.reserve_changes c (Graph.link_count graph);

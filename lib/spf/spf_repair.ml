@@ -84,24 +84,7 @@ type scratch = {
   mutable wrote : bool; (* the last repair wrote a tree entry *)
 }
 
-let scratch () =
-  { queue = Int_heap.create ();
-    slot = Int_heap.slot ();
-    stamp = [||];
-    settled = [||];
-    invalid = [||];
-    newdist = [||];
-    newparent = [||];
-    touched = [||];
-    ntouched = 0;
-    stack = [||];
-    nstack = 0;
-    epoch = 0;
-    wrote = false }
-
-(* Kept out of line: the resize path allocates, and inlining it into
-   [repair] would put those (cold) sites inside the A0xx-gated body. *)
-let[@inline never] ready s g =
+let size_for s g =
   let n = Graph.node_count g in
   (* A repair's peak queue: a seed per node plus two entries per link. *)
   Int_heap.reserve s.queue (n + (2 * Graph.link_count g));
@@ -114,7 +97,31 @@ let[@inline never] ready s g =
     s.touched <- Array.make n 0;
     s.stack <- Array.make n 0;
     s.epoch <- 0
-  end;
+  end
+
+let scratch ?graph () =
+  let s =
+    { queue = Int_heap.create ();
+      slot = Int_heap.slot ();
+      stamp = [||];
+      settled = [||];
+      invalid = [||];
+      newdist = [||];
+      newparent = [||];
+      touched = [||];
+      ntouched = 0;
+      stack = [||];
+      nstack = 0;
+      epoch = 0;
+      wrote = false }
+  in
+  (match graph with Some g -> size_for s g | None -> ());
+  s
+
+(* Kept out of line: the resize path allocates, and inlining it into
+   [repair] would put those (cold) sites inside the A0xx-gated body. *)
+let[@inline never] ready s g =
+  size_for s g;
   s.epoch <- s.epoch + 1;
   s.ntouched <- 0;
   s.nstack <- 0;

@@ -40,7 +40,9 @@ type scratch
     clear, only O(touched).  Owned by one domain at a time;
     resizes itself to whatever graph it is used on. *)
 
-val scratch : unit -> scratch
+val scratch : ?graph:Graph.t -> unit -> scratch
+(** [scratch ~graph ()] comes sized for [graph], so repairs on that graph
+    never resize it.  Without [graph] the first repair sizes it. *)
 
 (** {2 Change sets}
 

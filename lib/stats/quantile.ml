@@ -41,6 +41,20 @@ let[@inline] linear t i d =
   let q = t.heights and pos = t.positions in
   q.(i) +. (d *. (q.(i + int_of_float d) -. q.(i)) /. (pos.(i + int_of_float d) -. pos.(i)))
 
+(* Insertion sort of the five first observations by [Float.compare],
+   in place on the unboxed values: [Array.sort] takes the comparison as
+   a closure and boxes every element it compares. *)
+let sort_initial a =
+  for i = 1 to 4 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && Float.compare a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 (* Inlined, like [Welford.add], so a caller's float reaches the markers
    unboxed: [Measure.record_delivery] feeds one delay to three of these. *)
 let[@inline] add t x =
@@ -48,7 +62,7 @@ let[@inline] add t x =
     t.initial.(t.n) <- x;
     t.n <- t.n + 1;
     if t.n = 5 then begin
-      Array.sort Float.compare t.initial;
+      sort_initial t.initial;
       Array.blit t.initial 0 t.heights 0 5
     end
   end
@@ -97,6 +111,8 @@ let[@inline] add t x =
       end
     done
   end
+
+let markers t = Array.copy t.heights
 
 let value t =
   if t.n = 0 then nan

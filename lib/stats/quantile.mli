@@ -19,6 +19,11 @@ val add : t -> float -> unit
 
 val count : t -> int
 
+val markers : t -> float array
+(** A copy of the five marker heights: all zero before the fifth
+    observation, then the first five observations in [Float.compare]
+    order, which the P² updates move from there. *)
+
 val value : t -> float
 (** Current estimate; [nan] before any observation.  Exact while fewer
     than five observations have been seen. *)

@@ -132,7 +132,8 @@ let bridge_links g =
 (* Scale rows/columns down until no node offers (or sinks) more than
    [frac] of its attached line capacity — a gravity matrix knows nothing
    about 9.6 kb/s tail circuits and would otherwise oversubscribe them
-   physically. *)
+   physically.  Each pass reads one row and one column sum per node, so
+   the fit is O(passes * N^2). *)
 let fit_to_access_capacity g tm ~frac =
   let cap_out = Array.make (Graph.node_count g) 0. in
   let cap_in = Array.make (Graph.node_count g) 0. in
@@ -151,10 +152,7 @@ let fit_to_access_capacity g tm ~frac =
                 (k *. Traffic_matrix.get tm ~src:node ~dst))
         end);
     Graph.iter_nodes g (fun node ->
-        let sunk =
-          Traffic_matrix.fold tm ~init:0. ~f:(fun acc ~src:_ ~dst v ->
-              if Node.equal dst node then acc +. v else acc)
-        in
+        let sunk = Traffic_matrix.offered_to tm node in
         let limit = frac *. cap_in.(Node.to_int node) in
         if sunk > limit then begin
           let k = limit /. sunk in

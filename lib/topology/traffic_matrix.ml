@@ -22,10 +22,21 @@ let copy t = { t with demand = Array.copy t.demand }
 let scale t factor =
   { t with demand = Array.map (fun v -> v *. factor) t.demand }
 
-let total_bps t = Array.fold_left ( +. ) 0. t.demand
+(* Plain loops, not [Array.fold_left]: a float accumulator threaded
+   through a closure is boxed once per entry. *)
+let total_bps t =
+  let sum = ref 0. in
+  for i = 0 to Array.length t.demand - 1 do
+    sum := !sum +. t.demand.(i)
+  done;
+  !sum
 
 let flow_count t =
-  Array.fold_left (fun acc v -> if v > 0. then acc + 1 else acc) 0 t.demand
+  let count = ref 0 in
+  for i = 0 to Array.length t.demand - 1 do
+    if t.demand.(i) > 0. then incr count
+  done;
+  !count
 
 let iter t f =
   for s = 0 to t.n - 1 do
@@ -35,16 +46,42 @@ let iter t f =
     done
   done
 
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun ~src ~dst v -> acc := f !acc ~src ~dst v);
-  !acc
+let flows t =
+  let len = flow_count t in
+  let srcs = Array.make len 0
+  and dsts = Array.make len 0
+  and demands = Array.make len 0. in
+  let k = ref 0 in
+  for s = 0 to t.n - 1 do
+    for d = 0 to t.n - 1 do
+      let v = t.demand.((s * t.n) + d) in
+      if v > 0. then begin
+        srcs.(!k) <- s;
+        dsts.(!k) <- d;
+        demands.(!k) <- v;
+        incr k
+      end
+    done
+  done;
+  (srcs, dsts, demands)
 
 let offered_from t node =
   let s = Node.to_int node in
   let sum = ref 0. in
   for d = 0 to t.n - 1 do
     sum := !sum +. t.demand.((s * t.n) + d)
+  done;
+  !sum
+
+(* Only the entries [iter] visits, in its order, so the sum is bit for
+   bit what accumulating [iter]'s demands per destination gives, even
+   where [scale] by a negative factor or NaN left entries [iter] skips. *)
+let offered_to t node =
+  let d = Node.to_int node in
+  let sum = ref 0. in
+  for s = 0 to t.n - 1 do
+    let v = t.demand.((s * t.n) + d) in
+    if v > 0. then sum := !sum +. v
   done;
   !sum
 

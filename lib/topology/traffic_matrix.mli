@@ -30,13 +30,22 @@ val flow_count : t -> int
 (** Number of nonzero demands. *)
 
 val iter : t -> (src:Node.t -> dst:Node.t -> float -> unit) -> unit
-(** Visits nonzero entries only. *)
+(** Visits positive entries only, row-major: sources ascending, then
+    destinations ascending. *)
 
-val fold :
-  t -> init:'a -> f:('a -> src:Node.t -> dst:Node.t -> float -> 'a) -> 'a
+val flows : t -> int array * int array * float array
+(** [(srcs, dsts, demands)]: the entries {!iter} visits, in its order,
+    as fresh exact-size columns of node ids and demands, built without a
+    closure — for simulators that keep flows as columns. *)
 
 val offered_from : t -> Node.t -> float
 (** Total traffic sourced at a node. *)
+
+val offered_to : t -> Node.t -> float
+(** Total traffic sunk at a node: the node's column summed over the
+    entries {!iter} visits, sources ascending — the same additions in the
+    same order as accumulating [iter]'s demands per destination, without
+    walking the rest of the matrix. *)
 
 (** {2 Generators} *)
 

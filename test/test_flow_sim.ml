@@ -9,6 +9,8 @@ module Rng = Routing_stats.Rng
 module Tracer = Routing_obs.Tracer
 module Network = Routing_sim.Network
 module Engine = Routing_sim.Engine
+module Flow_store = Routing_sim.Flow_store
+module Spf_engine = Routing_spf.Spf_engine
 
 (* The Fig 1 scenario: two regions, two equal bridges, heavy inter-region
    load (~74% of combined bridge capacity). *)
@@ -407,6 +409,76 @@ let test_packet_des_allocation () =
     true
     (events > 10_000 && per_event < 4.)
 
+(* Every [Flow_sim.create] builds its store from the matrix: the store
+   adopts [Traffic_matrix.flows]'s exact-size columns (on the ARPANET
+   too big for the minor heap), so what it allocates there is a few
+   blocks whatever the flow count, not a word per flow. *)
+let test_store_of_matrix_allocation () =
+  let g = Arpanet.topology () in
+  let tm = Arpanet.peak_traffic (Rng.create 7) g in
+  let before = Gc.minor_words () in
+  let store = Flow_store.of_matrix tm in
+  let words = Gc.minor_words () -. before in
+  let flows = Flow_store.length store in
+  Alcotest.(check int) "one flow per entry"
+    (Traffic_matrix.flow_count tm) flows;
+  Alcotest.(check bool)
+    (Printf.sprintf "of_matrix: %.0f minor words for %d flows, at most 32"
+       words flows)
+    true
+    (flows > 1_000 && words <= 32.)
+
+(* With worker domains, each minor collection's promotions are split
+   among all domains, and a worker's share reaches the GC counters only at
+   its next major slice.  Whatever a pooled simulator first allocates in a
+   period, and keeps, is young at some later collection, and the
+   allocation count of a later period includes a share of it or not
+   depending on scheduling.  So a pooled simulator sizes up front what
+   would otherwise first appear late: the parallel assignment scratch
+   comes with the store (period one would allocate it after its last
+   collection) and the engines' repair scratch with the engines (HN-SPF
+   first repairs trees in period two).  The 39,800 flows are above the
+   fan-out threshold. *)
+let test_pooled_sim_sizes_up_front () =
+  let g = Generators.ring_chord (Rng.create 99) ~nodes:200 ~chords:120 in
+  let tm = Traffic_matrix.gravity (Rng.create 3) ~nodes:200 ~total_bps:2e6 in
+  let promoted () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.promoted_words
+  in
+  (* From a fresh major cycle, so none ends (and empties the minor heaps)
+     between the two readings. *)
+  let promoted_over sim ~periods =
+    Gc.full_major ();
+    let before = promoted () in
+    for _ = 1 to periods do
+      Flow_sim.tick sim
+    done;
+    promoted () -. before
+  in
+  let unpooled = Flow_sim.create ~domains:1 g Metric.Hn_spf tm in
+  let pooled = Flow_sim.create ~domains:2 g Metric.Hn_spf tm in
+  let first_unpooled = promoted_over unpooled ~periods:1 in
+  let first_pooled = promoted_over pooled ~periods:1 in
+  let later = promoted_over pooled ~periods:2 in
+  let repaired = (Flow_sim.spf_stats pooled).Spf_engine.sources_repaired in
+  Alcotest.(check bool)
+    (Printf.sprintf "periods two and three repair trees (%d)" repaired)
+    true (repaired > 0);
+  (* What period one keeps beyond the unpooled run is the workers' own
+     SPF scratch and the fan-out bookkeeping: about 500 words, against
+     about 3,000 when the assignment scratch comes with the first
+     period. *)
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "period one keeps %.0f words pooled, %.0f unpooled: under 1,024 more"
+       first_pooled first_unpooled)
+    true
+    (first_pooled -. first_unpooled < 1024.);
+  Alcotest.(check bool)
+    (Printf.sprintf "periods two and three keep %.0f words, under 256" later)
+    true (later < 256.)
+
 let test_route_change_counters () =
   let g, tm, _, _ = two_region_setup () in
   (* D-SPF's oscillation is route flapping by definition: flows stampede
@@ -505,7 +577,11 @@ let () =
             test_hnspf_quiet_periods_allocate_nothing;
           Alcotest.test_case "Table 1 busy periods (traced)" `Quick
             test_busy_periods_allocate_nothing;
-          Alcotest.test_case "packet DES" `Quick test_packet_des_allocation ] );
+          Alcotest.test_case "packet DES" `Quick test_packet_des_allocation;
+          Alcotest.test_case "flow store from matrix" `Quick
+            test_store_of_matrix_allocation;
+          Alcotest.test_case "pooled sim sizes up front" `Quick
+            test_pooled_sim_sizes_up_front ] );
       ( "route changes",
         [ Alcotest.test_case "counters" `Quick test_route_change_counters;
           Alcotest.test_case "delay percentiles" `Quick

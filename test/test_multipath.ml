@@ -129,13 +129,13 @@ let prop_ecmp_conservation =
       let tm = Traffic_matrix.gravity rng ~nodes ~total_bps:10_000. in
       let loads = Ecmp.spread g ~cost tm in
       let total_on_links = Array.fold_left ( +. ) 0. loads.Ecmp.offered_bps in
-      let expected =
-        Traffic_matrix.fold tm ~init:0. ~f:(fun acc ~src ~dst demand ->
-            let rspf = Reverse_spf.compute g ~cost dst in
-            match Ecmp.expectation rspf ~link_delay_s:(fun _ -> 0.) src with
-            | Some e -> acc +. (demand *. e.Ecmp.expected_hops)
-            | None -> acc)
-      in
+      let expected = ref 0. in
+      Traffic_matrix.iter tm (fun ~src ~dst demand ->
+          let rspf = Reverse_spf.compute g ~cost dst in
+          match Ecmp.expectation rspf ~link_delay_s:(fun _ -> 0.) src with
+          | Some e -> expected := !expected +. (demand *. e.Ecmp.expected_hops)
+          | None -> ());
+      let expected = !expected in
       Float.abs (total_on_links -. expected) < 1e-6 *. Float.max 1. expected)
 
 let test_expectation_square () =

@@ -219,6 +219,27 @@ let prop_quantile_matches_exact =
       in
       Float.abs (Quantile.value q -. exact) <= Float.max 1e-9 (0.15 *. spread))
 
+(* The five first observations become the markers in [Float.compare]
+   order.  Values come from a small pool so ties are common; [-0.] is
+   left out because it compares equal to [0.], so two correct sorts may
+   order the pair either way. *)
+let prop_quantile_initial_markers_sorted =
+  QCheck2.Test.make ~name:"p2 markers = Array.sort of first five" ~count:500
+    QCheck2.Gen.(
+      list_repeat 5
+        (oneof
+           [ map float_of_int (int_range (-3) 3);
+             map (fun x -> if x = 0. then 0. else x) (float_range (-1e3) 1e3)
+           ]))
+    (fun xs ->
+      let q = Quantile.create 0.5 in
+      List.iter (Quantile.add q) xs;
+      let expected = Array.of_list xs in
+      Array.sort Float.compare expected;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        expected (Quantile.markers q))
+
 (* --- Ascii plot --- *)
 
 module Ascii_plot = Routing_stats.Ascii_plot
@@ -341,7 +362,9 @@ let () =
           Alcotest.test_case "small samples" `Quick test_quantile_small_samples_exact;
           Alcotest.test_case "uniform" `Quick test_quantile_converges_uniform;
           Alcotest.test_case "exponential" `Quick test_quantile_converges_exponential ]
-        @ qsuite [ prop_quantile_matches_exact ] );
+        @ qsuite
+            [ prop_quantile_matches_exact;
+              prop_quantile_initial_markers_sorted ] );
       ( "ascii_plot",
         [ Alcotest.test_case "renders points" `Quick test_plot_renders_points;
           Alcotest.test_case "degenerate range" `Quick test_plot_degenerate_range;

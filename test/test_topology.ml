@@ -265,7 +265,120 @@ let test_arpanet_traffic () =
       Alcotest.(check bool)
         (Printf.sprintf "access-feasible at %s" (Graph.node_name g node))
         true
-        (Traffic_matrix.offered_from tm node <= cap))
+        (Traffic_matrix.offered_from tm node <= cap));
+  (* Nor sink more than its inbound trunks can deliver: the fit scales
+     columns as well as rows. *)
+  Graph.iter_nodes g (fun node ->
+      let cap =
+        List.fold_left (fun acc l -> acc +. Link.capacity_bps l) 0.
+          (Graph.in_links g node)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "sink-feasible at %s" (Graph.node_name g node))
+        true
+        (Traffic_matrix.offered_to tm node <= cap))
+
+(* Reference fit: each node's inbound demand is accumulated by a fold
+   over the whole matrix (O(passes * N^3), one boxed float per entry).
+   [Arpanet.peak_traffic] must reproduce it bit for bit. *)
+let reference_fold tm ~init ~f =
+  let acc = ref init in
+  Traffic_matrix.iter tm (fun ~src ~dst v -> acc := f !acc ~src ~dst v);
+  !acc
+
+let reference_fit g tm ~frac =
+  let cap_out = Array.make (Graph.node_count g) 0. in
+  let cap_in = Array.make (Graph.node_count g) 0. in
+  Graph.iter_links g (fun (l : Link.t) ->
+      let c = Link.capacity_bps l in
+      cap_out.(Node.to_int l.Link.src) <- cap_out.(Node.to_int l.Link.src) +. c;
+      cap_in.(Node.to_int l.Link.dst) <- cap_in.(Node.to_int l.Link.dst) +. c);
+  for _pass = 1 to 8 do
+    Graph.iter_nodes g (fun node ->
+        let offered = Traffic_matrix.offered_from tm node in
+        let limit = frac *. cap_out.(Node.to_int node) in
+        if offered > limit then begin
+          let k = limit /. offered in
+          Graph.iter_nodes g (fun dst ->
+              Traffic_matrix.set tm ~src:node ~dst
+                (k *. Traffic_matrix.get tm ~src:node ~dst))
+        end);
+    Graph.iter_nodes g (fun node ->
+        let sunk =
+          reference_fold tm ~init:0. ~f:(fun acc ~src:_ ~dst v ->
+              if Node.equal dst node then acc +. v else acc)
+        in
+        let limit = frac *. cap_in.(Node.to_int node) in
+        if sunk > limit then begin
+          let k = limit /. sunk in
+          Graph.iter_nodes g (fun src ->
+              Traffic_matrix.set tm ~src ~dst:node
+                (k *. Traffic_matrix.get tm ~src ~dst:node))
+        end)
+  done
+
+let reference_peak rng g =
+  let base =
+    Traffic_matrix.gravity rng ~nodes:(Graph.node_count g) ~total_bps:400_000.
+  in
+  reference_fit g base ~frac:0.30;
+  List.iter
+    (fun (a, z, bps) ->
+      match (Graph.node_by_name g a, Graph.node_by_name g z) with
+      | Some src, Some dst ->
+        Traffic_matrix.add base ~src ~dst bps;
+        Traffic_matrix.add base ~src:dst ~dst:src bps
+      | _ -> Alcotest.failf "no node %s or %s" a z)
+    [ ("MIT", "ISI", 6_000.);
+      ("BBN", "SRI", 5_000.);
+      ("ARPA", "ISI", 5_000.);
+      ("CMU", "STANFORD", 4_000.);
+      ("UTAH", "MIT", 3_000.) ];
+  base
+
+let test_peak_traffic_matches_reference () =
+  let g = Arpanet.topology () in
+  let n = Graph.node_count g in
+  List.iter
+    (fun seed ->
+      let tm = Arpanet.peak_traffic (Rng.create seed) g in
+      let expected = reference_peak (Rng.create seed) g in
+      for s = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          let src = Node.of_int s and dst = Node.of_int d in
+          let got = Traffic_matrix.get tm ~src ~dst
+          and want = Traffic_matrix.get expected ~src ~dst in
+          let bits = Int64.bits_of_float in
+          if not (Int64.equal (bits got) (bits want)) then
+            Alcotest.failf "seed %d, %d->%d: %h, reference %h" seed s d got want
+        done
+      done)
+    (7 :: 11 :: List.init 200 (fun i -> (i * 1000) + 1))
+
+(* Set-up allocation: the fit reads row and column sums in place, so a
+   whole peak matrix costs well under ten minor words per entry, and
+   summing a matrix allocates nothing per entry: at most the two-word
+   box that any out-of-line call returning a float allocates. *)
+let test_peak_traffic_allocation () =
+  let g = Arpanet.topology () in
+  let n = Graph.node_count g in
+  let rng = Rng.create 7 in
+  let before = Gc.minor_words () in
+  let tm = Arpanet.peak_traffic rng g in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak_traffic: %.0f minor words < 10 N^2 = %d" words
+       (10 * n * n))
+    true
+    (words < float_of_int (10 * n * n));
+  let before = Gc.minor_words () in
+  let total = Traffic_matrix.total_bps tm in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "total_bps: %.0f minor words, at most its boxed result"
+       words)
+    true (words <= 2.);
+  Alcotest.(check bool) "total read" true (total > 0.)
 
 let test_milnet_shape () =
   let g = Milnet.topology () in
@@ -583,14 +696,58 @@ let prop_tm_offered_from_consistent =
       let tm = Traffic_matrix.gravity (Rng.create seed) ~nodes ~total_bps:1e4 in
       let ok = ref true in
       for s = 0 to nodes - 1 do
-        let row =
-          Traffic_matrix.fold tm ~init:0. ~f:(fun acc ~src ~dst:_ v ->
-              if Node.to_int src = s then acc +. v else acc)
-        in
-        if Float.abs (row -. Traffic_matrix.offered_from tm (Node.of_int s)) > 1e-6
+        let row = ref 0. in
+        Traffic_matrix.iter tm (fun ~src ~dst:_ v ->
+            if Node.to_int src = s then row := !row +. v);
+        if Float.abs (!row -. Traffic_matrix.offered_from tm (Node.of_int s)) > 1e-6
         then ok := false
       done;
       !ok)
+
+(* [offered_to] is the column sum of [iter]'s entries in [iter]'s order,
+   and [flows] lists exactly those entries, on gravity matrices with
+   some rows and columns zeroed (so sources and sinks go missing) and a
+   few NaN entries, which [iter] skips. *)
+let prop_tm_columns_and_flows_follow_iter =
+  QCheck2.Test.make ~name:"offered_to and flows follow iter" ~count:100
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 14))
+    (fun (seed, nodes) ->
+      let rng = Rng.create seed in
+      let tm = Traffic_matrix.gravity rng ~nodes ~total_bps:1e5 in
+      for k = 0 to nodes - 1 do
+        let zero_row = Rng.int rng 4 = 0 and zero_col = Rng.int rng 4 = 0 in
+        for j = 0 to nodes - 1 do
+          if zero_row then
+            Traffic_matrix.set tm ~src:(Node.of_int k) ~dst:(Node.of_int j) 0.;
+          if zero_col then
+            Traffic_matrix.set tm ~src:(Node.of_int j) ~dst:(Node.of_int k) 0.
+        done;
+        if Rng.int rng 4 = 0 then
+          Traffic_matrix.set tm ~src:(Node.of_int k)
+            ~dst:(Node.of_int (Rng.int rng nodes))
+            nan
+      done;
+      let bits = Int64.bits_of_float in
+      let column = Array.make nodes 0. in
+      let visited = ref [] in
+      Traffic_matrix.iter tm (fun ~src ~dst v ->
+          let d = Node.to_int dst in
+          column.(d) <- column.(d) +. v;
+          visited := (Node.to_int src, d, bits v) :: !visited);
+      let srcs, dsts, demands = Traffic_matrix.flows tm in
+      let listed =
+        List.init (Array.length srcs) (fun i ->
+            (srcs.(i), dsts.(i), bits demands.(i)))
+      in
+      Array.length dsts = Array.length srcs
+      && Array.length demands = Array.length srcs
+      && listed = List.rev !visited
+      && Array.length srcs = Traffic_matrix.flow_count tm
+      && List.for_all
+           (fun d ->
+             Int64.equal (bits column.(d))
+               (bits (Traffic_matrix.offered_to tm (Node.of_int d))))
+           (List.init nodes Fun.id))
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
@@ -625,6 +782,10 @@ let () =
         [ Alcotest.test_case "arpanet shape" `Quick test_arpanet_shape;
           Alcotest.test_case "arpanet bridges" `Quick test_arpanet_bridges;
           Alcotest.test_case "arpanet traffic" `Quick test_arpanet_traffic;
+          Alcotest.test_case "peak traffic = reference fit" `Quick
+            test_peak_traffic_matches_reference;
+          Alcotest.test_case "peak traffic allocation" `Quick
+            test_peak_traffic_allocation;
           Alcotest.test_case "milnet shape" `Quick test_milnet_shape ] );
       ( "analysis",
         [ Alcotest.test_case "ring" `Quick test_analysis_ring_has_no_bridges;
@@ -647,4 +808,6 @@ let () =
           Alcotest.test_case "scale/copy" `Quick test_tm_scale_copy;
           Alcotest.test_case "gravity" `Quick test_tm_gravity_total;
           Alcotest.test_case "hotspot" `Quick test_tm_hotspot ]
-        @ qsuite [ prop_tm_offered_from_consistent ] ) ]
+        @ qsuite
+            [ prop_tm_offered_from_consistent;
+              prop_tm_columns_and_flows_follow_iter ] ) ]
