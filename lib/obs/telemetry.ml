@@ -24,15 +24,9 @@ let spans t = t.spans
 
 let tracer t = t.tracer
 
-let init_oscillation t ~links =
-  match t.osc with
-  | Some o -> o
-  | None ->
-    let o =
-      Oscillation.create ~max_flips:t.osc_max_flips ~links ()
-    in
-    t.osc <- Some o;
-    o
+let osc_max_flips t = t.osc_max_flips
+
+let adopt_oscillation t o = t.osc <- Some o
 
 let oscillation t = t.osc
 

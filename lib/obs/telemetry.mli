@@ -1,6 +1,6 @@
 (** The bundle a simulator carries: one registry, one event sink, one
-    stage profile, one flight recorder and (once the simulator declares
-    its link count) one oscillation detector.
+    stage profile, one flight recorder and (once the simulator adopts
+    its own) one oscillation detector.
 
     Simulators accept [?telemetry] and do nothing when it is absent — the
     disabled path is a single [match] per hook.  A simulator records its
@@ -22,7 +22,8 @@ val create :
     {!Span.untimed} (so durations and words stay deterministic — pass
     {!Span.wall} for a real profile with per-stage minor words);
     [tracer] to {!Tracer.null} (pass a live one to flight-record the
-    run).  [osc_max_flips] is stored for {!init_oscillation}. *)
+    run).  [osc_max_flips] (default 4) is the threshold of the
+    oscillation detector the attached simulator creates. *)
 
 val metrics : t -> Metrics.t
 
@@ -32,12 +33,15 @@ val spans : t -> Span.t
 
 val tracer : t -> Tracer.t
 
-val init_oscillation : t -> links:int -> Oscillation.t
-(** Create (or return the already-created) detector sized to the
-    simulator's link count, with {!Oscillation.create}'s default window
-    and the threshold given at {!create}. *)
+val osc_max_flips : t -> int
+(** The flip threshold given at {!create}. *)
+
+val adopt_oscillation : t -> Oscillation.t -> unit
+(** Report this detector in the snapshot: the one the attached
+    simulator owns and feeds every routing period. *)
 
 val oscillation : t -> Oscillation.t option
+(** The adopted detector, if a simulator has attached. *)
 
 val snapshot_json : t -> Json.t
 (** Metrics snapshot with the stage profile and oscillation summary

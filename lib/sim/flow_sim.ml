@@ -33,13 +33,13 @@ type obs_state = {
   cost_series : Obs_metrics.series array;
 }
 
-let make_obs_state tele ~links =
+let make_obs_state tele ~links ~osc =
   let m = Telemetry.metrics tele in
   let per_link name =
     Array.init links (fun i ->
         Obs_metrics.series m ~labels:(Telemetry_hooks.link_label i) name)
   in
-  { hooks = Telemetry_hooks.attach tele ~links;
+  { hooks = Telemetry_hooks.attach tele ~links ~osc;
     obs_sink = Telemetry.sink tele;
     updates_counter = Obs_metrics.counter m "updates_flooded";
     util_series = per_link "link_utilization";
@@ -134,16 +134,10 @@ type t = {
   mutable flows : Flow_store.t;
   link_up : bool array;
   utilization : float array; (* most recent period, raw offered/capacity *)
-  pool : Domain_pool.t option; (* shared by all three engines *)
+  pool : Domain_pool.t option; (* the engine's and the flow stripes' *)
   engine : Spf_engine.t; (* per-source trees on flooded costs *)
-  min_engine : Spf_engine.t; (* per-source min-hop trees on up links *)
-  mutable lag_engine : Spf_engine.t option;
-      (* laggard sources' trees on the previous period's costs; created on
-         first use when stagger > 0 *)
   mutable period : int;
   hist : hist;
-  mutable stagger : float; (* fraction of nodes applying updates one period late *)
-  mutable prev_costs : int array; (* flooded costs as of the previous period *)
   mutable adaptive_sources : bool;
   mutable prev_first_hop : int array; (* per flow index; -1 = none yet *)
   mutable prev2_first_hop : int array; (* first hop two periods ago *)
@@ -159,8 +153,12 @@ type t = {
   mutable flow_delay : float array; (* per flow: path delay this period *)
   mutable flow_share : float array; (* per flow: survival share *)
   mutable flow_hops : int array; (* per flow: path length; -1 = unreached *)
+  (* Node x node min-hop counts over the up links
+     ({!Graph_analysis.hop_counts_into}); [||] until the first period's
+     accounting and again after a link fails or revives. *)
+  mutable hop_table : int array;
   (* Per-flow min-hop path lengths (-1 = unreached), valid for the store
-     [mh_store] at version [mh_version] on the current min-hop trees. *)
+     [mh_store] at version [mh_version] on the current hop table. *)
   mutable min_hops : int array;
   mutable mh_store : Flow_store.t;
   mutable mh_version : int; (* -1: stale *)
@@ -170,20 +168,15 @@ type t = {
       (* per origin: transmissions of one instant flood
          ({!Broadcast.instant_transmissions}) *)
   acc : facc;
-  (* Always-on flip counter over the flooded costs, mirroring
-     {!Routing_obs.Oscillation}'s window-independent flip total but kept
-     in-module: a cross-module [observe ~time:_] call would box its float
-     time argument on every link, and the steady-state period must
-     allocate nothing.  The telemetry bundle layers the windowed detector
-     (flag events, per-link series) on top. *)
-  osc_seen : bool array; (* per link: cost observed at least once *)
-  osc_last : int array; (* per link: last flooded cost *)
-  osc_dir : int array; (* per link: sign of the last change; 0 = none *)
-  mutable link_flips_total : int;
+  (* The flip detector over the flooded costs, fed every period with or
+     without a telemetry bundle: its totals are [link_flips], and its
+     flags are the bundle's. *)
+  osc : Obs_oscillation.t;
   (* Closure caches: the hot path passes stored closures (and stored
      options, which ride through [?arg:opt] without re-wrapping) instead of
      rebuilding them every period. *)
-  mutable tree_for_f : Node.t -> Spf_tree.t;
+  on_flag : (link:int -> tick:int -> flips:int -> unit) option;
+  tree_for_f : Node.t -> Spf_tree.t; (* the engine's current trees *)
   enabled_opt : (Link.id -> bool) option;
   mutable cost_f : Link.id -> int; (* rebuilt on switch_metric *)
   tracer : Tracer.t;
@@ -199,15 +192,10 @@ type t = {
   obs : obs_state option;
 }
 
-(* Deterministic membership in the lagging set for a stagger fraction:
-   hash the node id into [0, 1). *)
-let[@inline] lags_at ~stagger i =
-  stagger > 0.
-  && float_of_int ((i * 2654435761) land 0xFFFF) /. 65536. < stagger
-
 (* A store large enough to fan out gets the parallel assignment scratch
-   when it is installed, not from the first period that assigns it (see
-   [Spf_engine.create] for why a pooled simulator sizes up front). *)
+   when it is installed, not from the first period that assigns it (a
+   pooled [Spf_engine] sizes its repair scratch at creation for the same
+   reason). *)
 let reserve_fanout t =
   match t.pool with
   | Some pool when Flow_store.length t.flows >= parallel_flow_threshold ->
@@ -231,7 +219,15 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       (fun p -> Domain_pool.set_probe p (Some (Tracer.pool_probe tracer)))
       pool;
   let link_up = Array.make nl true in
-  let obs = Option.map (fun tele -> make_obs_state tele ~links:nl) telemetry in
+  let osc =
+    Obs_oscillation.create
+      ?max_flips:(Option.map Telemetry.osc_max_flips telemetry)
+      ~links:nl ()
+  in
+  let obs =
+    Option.map (fun tele -> make_obs_state tele ~links:nl ~osc) telemetry
+  in
+  let engine = Spf_engine.create ?pool ~tracer graph in
   let stage =
     Obs_span.stage ?profile:(Option.map Telemetry.spans telemetry) tracer
   in
@@ -243,14 +239,9 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       link_up;
       utilization = Array.make nl 0.;
       pool;
-      engine = Spf_engine.create ?pool ~tracer graph;
-      min_engine = Spf_engine.create ?pool ~tracer graph;
-      lag_engine = None;
+      engine;
       period = 0;
       hist = hist_create ();
-      stagger = 0.;
-      prev_costs =
-        Array.init nl (fun i -> Metric.cost metric (Link.id_of_int i));
       adaptive_sources = false;
       prev_first_hop = [||];
       prev2_first_hop = [||];
@@ -266,6 +257,7 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       flow_delay = [||];
       flow_share = [||];
       flow_hops = [||];
+      hop_table = [||];
       min_hops = [||];
       mh_store = flows;
       mh_version = -1;
@@ -280,11 +272,9 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
           f_hops_w = 0.;
           f_min_hops_w = 0.;
           f_max_util = 0. };
-      osc_seen = Array.make nl false;
-      osc_last = Array.make nl 0;
-      osc_dir = Array.make nl 0;
-      link_flips_total = 0;
-      tree_for_f = (fun _ -> assert false);
+      osc;
+      on_flag = Option.map (fun o -> Telemetry_hooks.on_flag o.hooks) obs;
+      tree_for_f = Spf_engine.tree engine;
       enabled_opt = Some (fun lid -> link_up.(Link.id_to_int lid));
       cost_f = Metric.cost_fn metric;
       tracer;
@@ -298,14 +288,6 @@ let create_with ?(domains = Domain_pool.resolve ()) ?telemetry ?tracer
       tr_routes = Tracer.intern tracer "routes_changed";
       obs }
   in
-  (* The tree a source routes on this period; built once, reads the
-     mutable stagger/lag state at call time. *)
-  t.tree_for_f <-
-    (fun src ->
-      match t.lag_engine with
-      | Some lag when lags_at ~stagger:t.stagger (Node.to_int src) ->
-        Spf_engine.tree lag src
-      | _ -> Spf_engine.tree t.engine src);
   reserve_fanout t;
   t
 
@@ -320,53 +302,25 @@ let time_s t = float_of_int t.period *. Units.routing_period_s
 
 let period_index t = t.period
 
-let min_hop_cost = fun _ -> 1
-
-(* The engines diff the flooded costs (and the up/down set) themselves, so
-   refresh is cheap whenever a period flooded no significant update — no
-   dirty flags to maintain.  Laggard sources under [stagger] route on the
-   previous period's costs, served by a second engine fed [prev_costs]. *)
-let refresh_trees t =
-  let min_stats = Spf_engine.stats t.min_engine in
-  let skipped = min_stats.Spf_engine.skipped in
-  Spf_engine.refresh ?enabled:t.enabled_opt t.min_engine ~cost:min_hop_cost;
-  (* Only a skipped refresh provably leaves every min-hop tree as it was;
-     one that did work makes the cached min-hop column stale. *)
-  if min_stats.Spf_engine.skipped = skipped then t.mh_version <- -1;
-  if t.stagger > 0. then begin
-    let lags n = lags_at ~stagger:t.stagger (Node.to_int n) in
-    Spf_engine.refresh t.engine
-      ~wanted:(fun n -> not (lags n))
-      ?enabled:t.enabled_opt ~cost:t.cost_f;
-    let lag_engine =
-      match t.lag_engine with
-      | Some e -> e
-      | None ->
-        let e = Spf_engine.create ?pool:t.pool ~tracer:t.tracer t.graph in
-        t.lag_engine <- Some e;
-        e
-    in
-    Spf_engine.refresh lag_engine ~wanted:lags ?enabled:t.enabled_opt
-      ~cost:(fun lid -> t.prev_costs.(Link.id_to_int lid))
-  end
-  else Spf_engine.refresh ?enabled:t.enabled_opt t.engine ~cost:t.cost_f
-
-(* Min-hop trees change only when a trunk fails or revives, so the
-   per-flow min-hop lengths are a column, refilled only when stale: the
-   min-hop engine's refresh did work ([refresh_trees] marks that), or
-   the flow store changed by identity or version, the key [Load_assign]
-   groups on. *)
+(* Min-hop counts change only when a trunk fails or revives, so the hop
+   table is built at first use and dropped by [set_link_up], and the
+   per-flow min-hop lengths are a column over it, refilled only when
+   stale: the table was rebuilt, or the flow store changed by identity
+   or version, the key [Load_assign] groups on. *)
 let fill_min_hops t =
   let flows = t.flows in
+  let n = Graph.node_count t.graph in
+  if Array.length t.hop_table <> n * n then begin
+    t.hop_table <- Array.make (n * n) (-1);
+    Graph_analysis.hop_counts_into ~up:t.link_up t.graph t.hop_table;
+    t.mh_version <- -1
+  end;
   if t.mh_store != flows || t.mh_version <> Flow_store.version flows then begin
     let nf = Flow_store.length flows in
     if Array.length t.min_hops < nf then t.min_hops <- Array.make nf (-1);
     let src = Flow_store.src_col flows and dst = Flow_store.dst_col flows in
     for fi = 0 to nf - 1 do
-      let tree = Spf_engine.tree t.min_engine (Node.of_int src.(fi)) in
-      let d = dst.(fi) in
-      t.min_hops.(fi) <-
-        (if Spf_tree.reached_i tree d then Spf_tree.hops_i tree d else -1)
+      t.min_hops.(fi) <- t.hop_table.((src.(fi) * n) + dst.(fi))
     done;
     t.mh_store <- flows;
     t.mh_version <- Flow_store.version flows
@@ -390,14 +344,12 @@ let[@inline] step_throttle throttle fi ~loss_fraction =
 
 let tick t =
   Obs_span.enter t.st_period;
+  (* The engine diffs the flooded costs (and the up/down set) itself, so
+     refresh is cheap whenever a period flooded no significant update. *)
   Obs_span.enter t.st_refresh;
-  refresh_trees t;
+  Spf_engine.refresh ?enabled:t.enabled_opt t.engine ~cost:t.cost_f;
   Obs_span.leave t.st_refresh;
-  (* Snapshot this period's flooded costs for next period's laggards. *)
   let nl = Graph.link_count t.graph in
-  for i = 0 to nl - 1 do
-    t.prev_costs.(i) <- Metric.cost t.metric (Link.id_of_int i)
-  done;
   let nf = Flow_store.length t.flows in
   let demand = Flow_store.demand_col t.flows in
   let throttle = Flow_store.throttle_col t.flows in
@@ -521,30 +473,20 @@ let tick t =
   Obs_span.leave t.st_flood;
   t.period <- t.period + 1;
   let now = time_s t in
-  (* Flip accounting over the flooded costs runs with or without a
-     telemetry bundle; the bundle adds the windowed oscillation detector,
-     per-link series and flag events. *)
-  let flips_before = t.link_flips_total in
+  (* Flip detection over the flooded costs runs with or without a
+     telemetry bundle; with one, a calm→flagged link is also counted and
+     emitted as an event. *)
+  let flips_before = Obs_oscillation.total_flips t.osc in
   for i = 0 to nl - 1 do
-    let cost = Metric.cost t.metric (Link.id_of_int i) in
-    if not t.osc_seen.(i) then begin
-      t.osc_seen.(i) <- true;
-      t.osc_last.(i) <- cost
-    end
-    else if cost <> t.osc_last.(i) then begin
-      let dir = if cost > t.osc_last.(i) then 1 else -1 in
-      if t.osc_dir.(i) <> 0 && dir <> t.osc_dir.(i) then
-        t.link_flips_total <- t.link_flips_total + 1;
-      t.osc_dir.(i) <- dir;
-      t.osc_last.(i) <- cost
-    end
+    Obs_oscillation.observe ?on_flag:t.on_flag t.osc ~link:i ~tick:t.period
+      ~cost:(Metric.cost t.metric (Link.id_of_int i))
   done;
-  let link_flips = t.link_flips_total - flips_before in
+  let link_flips = Obs_oscillation.total_flips t.osc - flips_before in
   Tracer.counter t.tracer t.tr_updates ~value:updates;
   Tracer.counter t.tracer t.tr_routes ~value:!routes_changed;
   (* Telemetry per-period: utilization and cost series, the shared hooks
-     (cost-in-hops series, oscillation flags, SPF engine gauges), the
-     update counter and one JSONL summary event. *)
+     (cost-in-hops series, SPF engine gauges), the update counter and one
+     JSONL summary event. *)
   (match t.obs with
   | None -> ()
   | Some o ->
@@ -635,7 +577,7 @@ let switch_metric t kind =
   Log.info (fun m ->
       m "t=%.0fs: switching metric to %s" (time_s t) (Metric.kind_name kind));
   (* A software reload floods fresh costs for every link at once; the
-     engines pick the new costs up by diffing on the next refresh. *)
+     engine picks the new costs up by diffing on the next refresh. *)
   t.metric <- Metric.create kind t.graph;
   t.cost_f <- Metric.cost_fn t.metric
 
@@ -646,16 +588,13 @@ let set_link_up t lid up =
         m "t=%.0fs: link %a %s" (time_s t) Link.pp (Graph.link t.graph lid)
           (if up then "up (easing in)" else "down"));
     t.link_up.(i) <- up;
+    t.hop_table <- [||];
     if up then Metric.link_up t.metric lid
   end
 
 let set_adaptive_sources t enabled =
   t.adaptive_sources <- enabled;
   if not enabled then Flow_store.reset_throttle t.flows
-
-let set_stagger t fraction =
-  if fraction < 0. || fraction > 1. then invalid_arg "Flow_sim.set_stagger";
-  t.stagger <- fraction
 
 let link_utilization t lid = t.utilization.(Link.id_to_int lid)
 

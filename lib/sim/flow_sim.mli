@@ -35,7 +35,9 @@ type period_stats = {
   dropped_bps : float;
   mean_delay_s : float;  (** delivered-traffic-weighted one-way delay *)
   mean_hops : float;  (** traffic-weighted actual path length *)
-  mean_min_hops : float;  (** traffic-weighted min-hop path length *)
+  mean_min_hops : float;
+      (** traffic-weighted min-hop path length over the up links
+          ({!Routing_topology.Graph_analysis.hop_counts_into}) *)
   updates : int;  (** routing updates flooded this period *)
   update_bits : float;  (** flooding bandwidth spent this period *)
   max_utilization : float;  (** hottest link *)
@@ -51,7 +53,8 @@ type period_stats = {
           Chołda's route-change counters *)
   link_flips : int;
       (** per-link flooded-cost direction flips this period, summed over
-          links ({!Routing_obs.Oscillation}) *)
+          links, from the simulator's own flip detector
+          ({!Routing_obs.Oscillation}) *)
 }
 
 type t
@@ -62,7 +65,7 @@ val create :
 (** The flow simulator is fully deterministic: same inputs, same run.
     [domains] (default {!Domain_pool.resolve}[ ()], i.e. the
     [ARPANET_DOMAINS] environment variable or 1) sizes the one domain pool
-    three per-period passes fan out over: the SPF engines' full
+    three per-period passes fan out over: the SPF engine's full
     per-source recomputes (batches of at least 16,384 node-or-edge
     visits), and the source stripes of the load assignment and of the
     per-flow metrics pass (stores of at least 4,096 flows).  Repairs,
@@ -75,9 +78,12 @@ val create :
     utilization/cost series and update counters accumulate in its metrics
     registry, each period emits a JSONL summary event through its sink,
     the period's six stages close their aggregates in its profile, and
-    the oscillation detector watches every link's flooded cost.
-    Everything recorded is deterministic (stage durations and words stay
-    0 unless the bundle uses {!Routing_obs.Span.wall}).
+    the simulator's flip detector — one {!Routing_obs.Oscillation.t}
+    over every link's flooded cost, fed every period with or without a
+    bundle — takes the bundle's threshold, counts and emits its flags
+    and is the one the bundle's snapshot reports.  Everything recorded
+    is deterministic (stage durations and words stay 0 unless the
+    bundle uses {!Routing_obs.Span.wall}).
 
     [tracer] (default: the telemetry bundle's tracer, or {!Tracer.null})
     flight-records the run.  Each period's six stages — the routing
@@ -86,9 +92,14 @@ val create :
     ([flow_metrics]), per-flow accounting ([flow_account]) and flood
     ([flood]) — are one {!Routing_obs.Span.enter} / {!Routing_obs.Span.leave}
     pair each, a span on the calling domain's track under the same name
-    as its profile row.  The SPF engines record their recompute/repair
+    as its profile row.  The SPF engine records its recompute/repair
     batches, and worker domains record the blocks of indices they
-    claim. *)
+    claim.
+
+    The simulator holds one SPF engine, the one it routes on.  The
+    minimum-path baseline comes from a node × node hop table over the
+    up links, built at the first period's accounting (never here) and
+    again after {!set_link_up}. *)
 
 val create_with :
   ?domains:int -> ?telemetry:Telemetry.t -> ?tracer:Tracer.t -> Graph.t ->
@@ -146,7 +157,8 @@ val switch_metric : t -> Metric.kind -> unit
 
 val set_link_up : t -> Link.id -> bool -> unit
 (** Fail or restore one simplex link.  A restored HN-SPF link eases in at
-    its maximum cost. *)
+    its maximum cost.  The min-hop table is rebuilt at the next period's
+    accounting. *)
 
 val set_adaptive_sources : t -> bool -> unit
 (** Model end-to-end backoff (off by default): each flow's source reduces
@@ -160,16 +172,6 @@ val set_adaptive_sources : t -> bool -> unit
     adaptation step is one array pass.  Disabling resets every throttle
     to 1. *)
 
-val set_stagger : t -> float -> unit
-(** What-if knob for §3.2's third oscillation ingredient ("all the nodes
-    in a network adjust their routes ... simultaneously"): make the given
-    fraction of nodes apply routing updates one period late.  The real PSN
-    could not do this — it would break destination-only forwarding — so
-    transient forwarding loops become possible; the flow simulator routes
-    each flow from its source's tree and does not model them.  0 (the
-    default) is faithful ARPANET behaviour.
-    @raise Invalid_argument outside [\[0, 1\]]. *)
-
 val link_utilization : t -> Link.id -> float
 (** Utilization in the most recent period (0 before any step). *)
 
@@ -177,7 +179,7 @@ val link_cost : t -> Link.id -> int
 (** Currently flooded cost. *)
 
 val spf_stats : t -> Spf_engine.stats
-(** Live counters of the main SPF engine: how many refreshes were skipped
+(** Live counters of the SPF engine: how many refreshes were skipped
     outright (no significant update flooded), how many source trees were
     reused versus recomputed. *)
 

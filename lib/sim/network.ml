@@ -38,9 +38,13 @@ let default_config metric =
     telemetry = None }
 
 (* Telemetry handles, resolved once at creation so the hot paths touch
-   plain mutable cells.  The [drops] array is indexed by [reason_index]. *)
+   plain mutable cells.  The [drops] array is indexed by [reason_index].
+   The flip detector exists only here: the DES's indicators report no
+   link flips, so without a bundle nothing would read it. *)
 type obs_state = {
   hooks : Telemetry_hooks.t;
+  osc : Obs_oscillation.t;
+  on_flag : (link:int -> tick:int -> flips:int -> unit) option;
   obs_sink : Obs_sink.t;
   drops : Obs_metrics.counter array;
   delivered : Obs_metrics.counter;
@@ -59,7 +63,13 @@ let reason_index = function
 
 let make_obs_state tele ~links =
   let m = Telemetry.metrics tele in
-  { hooks = Telemetry_hooks.attach tele ~links;
+  let osc =
+    Obs_oscillation.create ~max_flips:(Telemetry.osc_max_flips tele) ~links ()
+  in
+  let hooks = Telemetry_hooks.attach tele ~links ~osc in
+  { hooks;
+    osc;
+    on_flag = Some (Telemetry_hooks.on_flag hooks);
     obs_sink = Telemetry.sink tele;
     drops =
       (let arr =
@@ -117,7 +127,9 @@ type t = {
          ({!Broadcast.instant_transmissions}) *)
   mutable workload : Workload.t option;
   measure : Measure.t;
-  min_hops : int array array; (* src * dst, up-topology hops; -1 = none *)
+  min_hops : int array;
+      (* node x node hops over the up links, row-major; -1 = none
+         ({!Graph_analysis.hop_counts_into}) *)
   link_up : bool array;
   prev_bits : float array; (* per link, snapshot at last period start *)
   cost_series : Time_series.t array;
@@ -151,11 +163,10 @@ type t = {
   chg_costs : int array;
   link_rng : Rng.t;
   flood_latency : Welford.t;
-  (* Shared SPF engines (instant flooding): per-source route trees on the
-     flooded costs, and min-hop trees on the up topology, both refreshed
-     by diffing and fanned over the pool. *)
+  (* The shared SPF engine (instant flooding): per-source route trees on
+     the flooded costs, refreshed by diffing and fanned over the pool. *)
   spf : Spf_engine.t;
-  min_spf : Spf_engine.t;
+  mutable period : int; (* routing periods run: the flip detector's tick *)
   (* The period's stages, into the bundle's tracer and profile. *)
   st_period : Obs_span.stage;
   st_refresh : Obs_span.stage;
@@ -181,18 +192,6 @@ let trace t make_event =
 let[@inline] tracing t = Option.is_some t.obs
 
 let link_enabled t lid = t.link_up.(Link.id_to_int lid)
-
-let recompute_min_hops t =
-  let n = Graph.node_count t.graph in
-  Spf_engine.refresh t.min_spf ~enabled:(link_enabled t) ~cost:(fun _ -> 1);
-  for src = 0 to n - 1 do
-    let tree = Spf_engine.tree t.min_spf (Node.of_int src) in
-    for dst = 0 to n - 1 do
-      t.min_hops.(src).(dst) <-
-        (let d = Node.of_int dst in
-         if Spf_tree.reached tree d then Spf_tree.hops tree d else -1)
-    done
-  done
 
 let install_tables t =
   if t.config.instant_flooding then begin
@@ -345,7 +344,7 @@ let[@inline never] deliver t p =
   let delay_s = t.clock.Engine.now -. (Packet.created_column pool).(p) in
   (* A pair a cut disconnected after this packet passed it has no min-hop
      path: the packet counts its actual hops, as in [Flow_sim]. *)
-  let mh = t.min_hops.(src).(dst) in
+  let mh = t.min_hops.((src * Graph.node_count t.graph) + dst) in
   let mh = if mh >= 0 then mh else hops in
   Measure.record_delivery t.measure ~delay_s
     ~bits:(Packet.bits_column pool).(p)
@@ -518,6 +517,7 @@ let routing_period t =
   Obs_span.enter t.st_period;
   let period = Units.routing_period_s in
   let now = Engine.now t.engine in
+  t.period <- t.period + 1;
   expire_flights t ~now;
   for l = 0 to Array.length t.link_up - 1 do
     if t.link_up.(l) then
@@ -575,9 +575,9 @@ let routing_period t =
         Time_series.record t.cost_series.(i) ~time:now
           (float_of_int (Metric.cost t.metric (Link.id_of_int i))))
       t.lines;
-  (* Telemetry per-period: queue depths, then the shared hooks —
-     cost-in-hops series, oscillation detection over the flooded costs,
-     and the SPF engine counters kept current. *)
+  (* Telemetry per-period: queue depths, the shared hooks' cost-in-hops
+     series, flip detection over the flooded costs, and the SPF engine
+     counters kept current. *)
   (match t.obs with
   | None -> ()
   | Some o ->
@@ -587,6 +587,10 @@ let routing_period t =
           (float_of_int (Link_queue.queue_length q)))
       t.lines;
     Telemetry_hooks.observe_costs o.hooks t.graph t.metric ~time:now;
+    for i = 0 to Array.length t.link_up - 1 do
+      Obs_oscillation.observe ?on_flag:o.on_flag o.osc ~link:i ~tick:t.period
+        ~cost:(Metric.cost t.metric (Link.id_of_int i))
+    done;
     Telemetry_hooks.record_spf_stats o.hooks (Spf_engine.stats t.spf));
   Obs_span.leave t.st_period
 
@@ -661,7 +665,7 @@ let create ?config graph tm =
       flood_tx = Broadcast.instant_transmissions graph;
       workload = None;
       measure = Measure.create ~nodes:n;
-      min_hops = Array.init n (fun _ -> Array.make n (-1));
+      min_hops = Array.make (n * n) (-1);
       link_up = Array.make nl true;
       prev_bits = Array.make nl 0.;
       views;
@@ -687,7 +691,7 @@ let create ?config graph tm =
       link_rng = Rng.create (config.seed lxor 0x5F5F5F);
       flood_latency = Welford.create ();
       spf = Spf_engine.create ?pool ~tracer graph;
-      min_spf = Spf_engine.create ?pool ~tracer graph;
+      period = 0;
       st_period = stage "routing_period";
       st_refresh = stage "spf_refresh";
       st_flood = stage "flood";
@@ -720,7 +724,7 @@ let create ?config graph tm =
     Some
       (Workload.create rng engine t.pool tm ~inject:(fun p ->
            forward t (Packet.src t.pool p) p));
-  recompute_min_hops t;
+  Graph_analysis.hop_counts_into ~up:t.link_up graph t.min_hops;
   install_tables t;
   t
 
@@ -759,7 +763,7 @@ let set_link_up t lid up =
       done;
     Link_queue.set_up t.lines.(i).queue up;
     if up then Metric.link_up t.metric lid;
-    recompute_min_hops t;
+    Graph_analysis.hop_counts_into ~up:t.link_up t.graph t.min_hops;
     install_tables t
   end
 

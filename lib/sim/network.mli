@@ -24,7 +24,13 @@ open! Import
     period it was generated in: "all the nodes in a network adjust their
     routes … simultaneously" because update processing outruns data traffic
     (§3.2).  The flooding protocol still runs in full to account for its
-    bandwidth. *)
+    bandwidth.
+
+    Routing holds one shared SPF engine (instant flooding) or one tree
+    per node (hop by hop).  The minimum-path baseline a delivery is
+    measured against is a node × node hop table over the up links
+    ({!Routing_topology.Graph_analysis.hop_counts_into}), filled at
+    creation and again whenever a link fails or revives. *)
 
 type config = {
   metric : Metric.kind;
@@ -58,13 +64,15 @@ type config = {
           line through its sink, per-link utilization/cost/queue-depth
           series accumulate in the registry, and {!Telemetry_hooks} adds
           what the flow simulator records the same way — the
-          cost-in-hops series, the oscillation detector over every
-          link's flooded cost and the SPF engine gauges.  The three
+          cost-in-hops series, the flag counter and events of a flip
+          detector ({!Routing_obs.Oscillation}) the network creates
+          with the bundle and feeds every link's flooded cost each
+          period, and the SPF engine gauges.  The three
           routing-period stages, [routing_period] around [flood] and
           the instant-flooding [spf_refresh], are one
           {!Routing_obs.Span.enter} / {!Routing_obs.Span.leave} pair
           each, into the bundle's profile and its tracer at once; the
-          tracer also flight-records the SPF engines and the domain
+          tracer also flight-records the SPF engine and the domain
           pool.  All recorded data is deterministic for a fixed [seed]
           (stage durations and words stay 0 unless the bundle was
           created with {!Routing_obs.Span.wall}). *)
@@ -104,7 +112,8 @@ val reset_measurements : t -> unit
 
 val set_link_up : t -> Link.id -> bool -> unit
 (** Take one simplex link down or bring it back (its reverse is separate).
-    Coming back up, an HN-SPF link eases in at maximum cost (§5.4). *)
+    Coming back up, an HN-SPF link eases in at maximum cost (§5.4).  The
+    min-hop table and the routing tables are rebuilt at once. *)
 
 val cost_series : t -> Link.id -> Routing_stats.Time_series.t
 (** Per-period flooded cost of a link (empty unless [record_series]). *)

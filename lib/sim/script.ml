@@ -161,18 +161,27 @@ let apply t sim = function
     Flow_sim.set_traffic sim (Traffic_matrix.scale t.traffic factor)
   | Adaptive_sources on -> Flow_sim.set_adaptive_sources sim on
 
-let run ?domains ?telemetry ?tracer ?(metric = Metric.Hn_spf)
-    ?(on_period = fun _ _ -> ()) t ~periods =
+(* Events are sorted by time, so the due ones are a prefix of what is
+   pending. *)
+let rec fire_due t sim ~due = function
+  | e :: rest when e.at_s <= due ->
+    apply t sim e.action;
+    fire_due t sim ~due rest
+  | rest -> rest
+
+(* A period with no event due allocates nothing here, and without
+   [on_period] none is spent on a stats record either. *)
+let run ?domains ?telemetry ?tracer ?(metric = Metric.Hn_spf) ?on_period t
+    ~periods =
   let sim = Flow_sim.create ?domains ?telemetry ?tracer t.graph metric t.traffic in
   let pending = ref t.events in
   for period = 0 to periods - 1 do
-    let now = float_of_int period *. Units.routing_period_s in
-    let fire, keep =
-      List.partition (fun e -> e.at_s <= now +. 1e-9) !pending
-    in
-    pending := keep;
-    List.iter (fun e -> apply t sim e.action) fire;
-    let stats = Flow_sim.step sim in
-    on_period sim stats
+    let due = (float_of_int period *. Units.routing_period_s) +. 1e-9 in
+    (match !pending with
+    | e :: _ when e.at_s <= due -> pending := fire_due t sim ~due !pending
+    | _ -> ());
+    match on_period with
+    | None -> Flow_sim.tick sim
+    | Some f -> f sim (Flow_sim.step sim)
   done;
   sim

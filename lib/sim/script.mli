@@ -74,7 +74,8 @@ val run :
   Flow_sim.t
 (** Replay on the flow simulator (initial metric defaults to [Hn_spf]),
     firing each event at the start of its period and calling [on_period]
-    after every step.  [domains], [telemetry] and [tracer] pass through to
+    after every step.  A period with no event due and no [on_period]
+    allocates nothing beyond {!Flow_sim.tick}.  [domains], [telemetry] and [tracer] pass through to
     {!Flow_sim.create} — a tracer flight-records every routing period of
     the replay.  Returns the simulator for inspection.
     @raise Invalid_argument if an event names an unknown node or a pair

@@ -3,8 +3,7 @@ open! Import
 type t = {
   cost_hops : Obs_metrics.series array;
   mutable idle : (Metric.kind * float array) option; (* per link, >= 1 *)
-  osc : Obs_oscillation.t;
-  on_flag : link:int -> time:float -> flips:int -> unit;
+  on_flag : link:int -> tick:int -> flips:int -> unit;
   spf_gauges : (Obs_metrics.gauge * (Spf_engine.stats -> int)) list;
 }
 
@@ -20,21 +19,23 @@ let spf_counters : (string * (Spf_engine.stats -> int)) list =
     ("sources_reused", fun s -> s.Spf_engine.sources_reused);
     ("nodes_resettled", fun s -> s.Spf_engine.nodes_resettled) ]
 
-let attach tele ~links =
+let attach tele ~links ~osc =
   let m = Telemetry.metrics tele in
   let sink = Telemetry.sink tele in
   let osc_flags = Obs_metrics.counter m "oscillation_flags" in
+  Telemetry.adopt_oscillation tele osc;
   { cost_hops =
       Array.init links (fun i ->
           Obs_metrics.series m ~labels:(link_label i) "link_cost_hops");
     idle = None;
-    osc = Telemetry.init_oscillation tele ~links;
     on_flag =
-      (fun ~link ~time ~flips ->
+      (fun ~link ~tick ~flips ->
         Obs_metrics.inc osc_flags;
         Obs_sink.emit sink (fun () ->
             Obs_json.Obj
-              [ ("t", Obs_json.Float time);
+              [ ("t",
+                 Obs_json.Float
+                   (float_of_int tick *. Units.routing_period_s));
                 ("ev", Obs_json.String "oscillation");
                 ("link", Obs_json.Int link);
                 ("flips", Obs_json.Int flips) ]));
@@ -44,6 +45,8 @@ let attach tele ~links =
           let labels = [ ("counter", which) ] in
           (Obs_metrics.gauge m ~labels "spf_engine", read))
         spf_counters }
+
+let on_flag h = h.on_flag
 
 (* A link's idle cost is a constant of its metric kind, but
    [Metric.idle_cost] builds a fresh HNM or D-SPF state to read it: build
@@ -65,8 +68,7 @@ let observe_costs h graph metric ~time =
   let idle = idle_costs h graph (Metric.kind metric) in
   for i = 0 to Graph.link_count graph - 1 do
     let cost = Metric.cost metric (Link.id_of_int i) in
-    Obs_metrics.sample h.cost_hops.(i) ~time (float_of_int cost /. idle.(i));
-    Obs_oscillation.observe ~on_flag:h.on_flag h.osc ~link:i ~time ~cost
+    Obs_metrics.sample h.cost_hops.(i) ~time (float_of_int cost /. idle.(i))
   done
 
 let record_spf_stats h stats =

@@ -84,20 +84,19 @@ let point_hash ~scenario_digest (spec : Sweep_spec.t) p =
 
 (* ---------------------------------------------------------------- *)
 (* Parse-once preparation.  Everything domains share is built here,
-   sequentially, and never written afterwards: graphs and parsed scripts
-   are immutable, and the per-(scenario, seed) traffic templates are
-   private to the tables until [prepare] returns.  Per point the only
-   remaining work besides the simulation itself is one
-   [Traffic_matrix.scale] — a fresh private matrix, so scripted
-   link/traffic events cannot leak between concurrently running
-   points. *)
+   sequentially, and never written afterwards: scripts are immutable
+   (a builtin topology is a script with no events), and the
+   per-(scenario, seed) traffic templates are private to the tables
+   until [prepare] returns.  Per point the only remaining work besides
+   the simulation itself is one [Traffic_matrix.scale] — a fresh
+   private matrix, so scripted link/traffic events cannot leak between
+   concurrently running points. *)
 
 type prepared = {
   spec : Sweep_spec.t;
   pts : point array;
   hashes : string array;  (* hashes.(i) belongs to pts.(i) *)
-  graphs : (string, Graph.t) Hashtbl.t;  (* builtin name -> topology *)
-  scripts : (string, Script.t) Hashtbl.t;  (* file path -> parsed script *)
+  scripts : (string, Script.t) Hashtbl.t;  (* scenario name -> script *)
   templates : (string * int, Traffic_matrix.t) Hashtbl.t;
       (* (scenario, seed) -> unscaled demand template *)
 }
@@ -106,36 +105,55 @@ let prepared_points prep = prep.pts
 
 let point_hashes prep = prep.hashes
 
-let builtin_graph name =
+(* A builtin scenario: its topology, and the generator of a seed's peak
+   matrix, which is its demand template. *)
+let builtin name =
   match name with
-  | "arpanet" -> Arpanet.topology ()
-  | "milnet" -> Milnet.topology ()
+  | "arpanet" -> (Arpanet.topology (), Arpanet.peak_traffic)
+  | "milnet" -> (Milnet.topology (), Milnet.peak_traffic)
   | other -> invalid_arg (Printf.sprintf "Sweep_engine: unknown builtin %S" other)
 
-let builtin_peak name rng graph =
-  match name with
-  | "arpanet" -> Arpanet.peak_traffic rng graph
-  | _ -> Milnet.peak_traffic rng graph
+(* Per-seed demand jitter (±10 %, visiting flows in the matrix's
+   deterministic iteration order) turns one scenario file into a small
+   family of comparable traffic realisations; the point's load scale
+   composes on top at dispatch time.  Scripted [scale] events stay
+   relative to these demands. *)
+let jittered traffic seed =
+  let rng = Rng.create seed in
+  let template = Traffic_matrix.create ~nodes:(Traffic_matrix.nodes traffic) in
+  Traffic_matrix.iter traffic (fun ~src ~dst demand ->
+      let jitter = Rng.uniform rng ~lo:0.9 ~hi:1.1 in
+      Traffic_matrix.set template ~src ~dst (demand *. jitter));
+  template
 
 let prepare (spec : Sweep_spec.t) =
   let pts = Array.of_list (points spec) in
-  let graphs = Hashtbl.create 4 in
   let scripts = Hashtbl.create 4 in
   let digests = Hashtbl.create 4 in
+  let template_of = Hashtbl.create 4 in (* scenario -> seed -> template *)
   List.iter
     (fun sc ->
       let name = Sweep_spec.scenario_name sc in
       if not (Hashtbl.mem digests name) then
         match sc with
         | Sweep_spec.Builtin b ->
-          Hashtbl.add graphs name (builtin_graph b);
+          (* An event-free script; its own traffic stays empty, since
+             every point runs on its seed's peak matrix. *)
+          let graph, peak = builtin b in
+          let traffic = Traffic_matrix.create ~nodes:(Graph.node_count graph) in
+          Hashtbl.add scripts name { Script.graph; traffic; events = [] };
+          Hashtbl.add template_of name (fun seed -> peak (Rng.create seed) graph);
           Hashtbl.add digests name ("builtin:" ^ b)
         | Sweep_spec.File path ->
           let text = In_channel.with_open_text path In_channel.input_all in
-          (match Script.parse text with
-          | Ok s -> Hashtbl.add scripts name s
-          | Error e ->
-            invalid_arg (Printf.sprintf "Sweep_engine: scenario %S: %s" name e));
+          let script =
+            match Script.parse text with
+            | Ok s -> s
+            | Error e ->
+              invalid_arg (Printf.sprintf "Sweep_engine: scenario %S: %s" name e)
+          in
+          Hashtbl.add scripts name script;
+          Hashtbl.add template_of name (jittered script.traffic);
           Hashtbl.add digests name (Digest.to_hex (Digest.string text)))
     spec.scenarios;
   let templates = Hashtbl.create 16 in
@@ -143,63 +161,28 @@ let prepare (spec : Sweep_spec.t) =
     (fun p ->
       let key = (p.scenario, p.seed) in
       if not (Hashtbl.mem templates key) then
-        let template =
-          match Hashtbl.find_opt scripts p.scenario with
-          | None ->
-            builtin_peak p.scenario (Rng.create p.seed)
-              (Hashtbl.find graphs p.scenario)
-          | Some script ->
-            (* Per-seed demand jitter (±10 %, visiting flows in the
-               matrix's deterministic iteration order) turns one scenario
-               file into a small family of comparable traffic
-               realisations; the point's load scale composes on top at
-               dispatch time.  Scripted [scale] events stay relative to
-               these demands. *)
-            let rng = Rng.create p.seed in
-            let template =
-              Traffic_matrix.create ~nodes:(Traffic_matrix.nodes script.traffic)
-            in
-            Traffic_matrix.iter script.traffic (fun ~src ~dst demand ->
-                let jitter = Rng.uniform rng ~lo:0.9 ~hi:1.1 in
-                Traffic_matrix.set template ~src ~dst (demand *. jitter));
-            template
-        in
-        Hashtbl.add templates key template)
+        Hashtbl.add templates key (Hashtbl.find template_of p.scenario p.seed))
     pts;
   let hashes =
     Array.map
       (fun p -> point_hash ~scenario_digest:(Hashtbl.find digests p.scenario) spec p)
       pts
   in
-  { spec; pts; hashes; graphs; scripts; templates }
+  { spec; pts; hashes; scripts; templates }
 
 (* ---------------------------------------------------------------- *)
-(* Running points.  Each point's simulator is private — built from the
-   shared immutable spec plus one fresh scaled matrix — and runs with
+(* Running points.  Each point's simulator is private — its scenario's
+   script replayed on one fresh scaled matrix — and runs with
    [~domains:1] so pools never nest. *)
-
-let builtin_sim ?tracer prep p =
-  let graph = Hashtbl.find prep.graphs p.scenario in
-  let template = Hashtbl.find prep.templates (p.scenario, p.seed) in
-  let traffic = Traffic_matrix.scale template p.scale in
-  let sim = Flow_sim.create ~domains:1 ?tracer graph p.metric traffic in
-  for _ = 1 to prep.spec.periods do
-    ignore (Flow_sim.step sim)
-  done;
-  sim
-
-let scripted_sim ?tracer prep p =
-  let script = Hashtbl.find prep.scripts p.scenario in
-  let template = Hashtbl.find prep.templates (p.scenario, p.seed) in
-  let traffic = Traffic_matrix.scale template p.scale in
-  Script.run ~domains:1 ?tracer ~metric:p.metric { script with traffic }
-    ~periods:prep.spec.periods
 
 let run_point ?tracer prep i =
   let p = prep.pts.(i) in
+  let script = Hashtbl.find prep.scripts p.scenario in
+  let template = Hashtbl.find prep.templates (p.scenario, p.seed) in
+  let traffic = Traffic_matrix.scale template p.scale in
   let sim =
-    if Hashtbl.mem prep.scripts p.scenario then scripted_sim ?tracer prep p
-    else builtin_sim ?tracer prep p
+    Script.run ~domains:1 ?tracer ~metric:p.metric { script with traffic }
+      ~periods:prep.spec.periods
   in
   let indicators = Flow_sim.indicators sim ~skip:prep.spec.warmup () in
   { point = p; hash = prep.hashes.(i); indicators }

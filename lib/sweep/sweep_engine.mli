@@ -86,10 +86,11 @@ val points : Sweep_spec.t -> point list
 (** {2 Parse-once preparation} *)
 
 type prepared
-(** A spec parsed once into immutable shared state: builtin topologies,
-    parsed scenario scripts, per-(scenario, seed) demand templates, and
-    per-point hashes.  All domains read it concurrently; nothing in it
-    is written after {!prepare} returns. *)
+(** A spec parsed once into immutable shared state: one {!Script.t} per
+    scenario (a builtin topology is a script with no events),
+    per-(scenario, seed) demand templates, and per-point hashes.  Every
+    point runs through {!Script.run}.  All domains read it concurrently;
+    nothing in it is written after {!prepare} returns. *)
 
 val prepare : Sweep_spec.t -> prepared
 (** Read and parse every scenario a single time and precompute the

@@ -60,33 +60,43 @@ let articulation_points g =
   done;
   !points
 
+(* One BFS per source over the CSR out-links, each row its own
+   distance column; [queue] holds the row's frontier in visit order. *)
+let hop_counts_into ?up g table =
+  let n = Graph.node_count g in
+  if Array.length table <> n * n then
+    invalid_arg "Graph_analysis.hop_counts_into: table is not N x N";
+  let off = Graph.csr_out_off g in
+  let ids = Graph.csr_out_link_ids g in
+  let dsts = Graph.csr_out_dst g in
+  let queue = Array.make n 0 in
+  Array.fill table 0 (n * n) (-1);
+  for src = 0 to n - 1 do
+    let row = src * n in
+    table.(row + src) <- 0;
+    queue.(0) <- src;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let d = table.(row + u) + 1 in
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = dsts.(k) in
+        let usable = match up with None -> true | Some up -> up.(ids.(k)) in
+        if usable && table.(row + v) < 0 then begin
+          table.(row + v) <- d;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done
+  done
+
 let diameter_hops g =
   let n = Graph.node_count g in
-  if n <= 1 then 0
-  else begin
-    let worst = ref 0 in
-    Graph.iter_nodes g (fun src ->
-        (* BFS in hops. *)
-        let dist = Array.make n (-1) in
-        let queue = Queue.create () in
-        dist.(Node.to_int src) <- 0;
-        Queue.add src queue;
-        while not (Queue.is_empty queue) do
-          let node = Queue.pop queue in
-          List.iter
-            (fun (l : Link.t) ->
-              let j = Node.to_int l.Link.dst in
-              if dist.(j) < 0 then begin
-                dist.(j) <- dist.(Node.to_int node) + 1;
-                Queue.add l.Link.dst queue
-              end)
-            (Graph.out_links g node)
-        done;
-        Array.iter
-          (fun d -> if d < 0 then worst := max_int else worst := max !worst d)
-          dist);
-    !worst
-  end
+  let table = Array.make (n * n) (-1) in
+  hop_counts_into g table;
+  Array.fold_left (fun worst d -> if d < 0 then max_int else max worst d) 0 table
 
 let captive_traffic_fraction g tm =
   let cut_trunks = bridges g in

@@ -15,6 +15,15 @@ val bridges : Graph.t -> Link.t list
 val articulation_points : Graph.t -> Node.t list
 (** Nodes whose removal disconnects the remaining graph, in id order. *)
 
+val hop_counts_into : ?up:bool array -> Graph.t -> int array -> unit
+(** Fill the [N × N] row-major table with every pair's minimum hop
+    count over the links whose [up] flag (indexed by link id) is set
+    (default: every link), [-1] where no path exists: entry
+    [src * N + dst], one BFS per source over the CSR out-links.  The
+    simulators' minimum-path baseline (Table 1's "Internode Minimum
+    Path").
+    @raise Invalid_argument if the table is not [N × N]. *)
+
 val diameter_hops : Graph.t -> int
 (** Longest shortest path in hops; [max_int] if disconnected, 0 for
     single-node graphs. *)

@@ -19,11 +19,15 @@ let add t ~src ~dst v = set t ~src ~dst (get t ~src ~dst +. v)
 
 let copy t = { t with demand = Array.copy t.demand }
 
-let scale t factor =
-  { t with demand = Array.map (fun v -> v *. factor) t.demand }
-
-(* Plain loops, not [Array.fold_left]: a float accumulator threaded
+(* Plain loops, not [Array.map] or [Array.fold_left]: a float passed
    through a closure is boxed once per entry. *)
+let scale t factor =
+  let demand = Array.create_float (Array.length t.demand) in
+  for i = 0 to Array.length demand - 1 do
+    demand.(i) <- t.demand.(i) *. factor
+  done;
+  { t with demand }
+
 let total_bps t =
   let sum = ref 0. in
   for i = 0 to Array.length t.demand - 1 do

@@ -248,33 +248,6 @@ let prop_survives_random_link_flaps =
       done;
       !ok)
 
-let test_stagger_desynchronizes () =
-  (* §3.2 blames simultaneity: if half the nodes react one period late,
-     D-SPF's perfect all-or-nothing flip is broken up. *)
-  let g, tm, a, b = two_region_setup () in
-  let sim = Flow_sim.create g Metric.D_spf tm in
-  Flow_sim.set_stagger sim 0.5;
-  let utils = bridge_utils sim a b 24 in
-  let tail = List.filteri (fun i _ -> i >= 8) utils in
-  let fully_one_sided =
-    List.length
-      (List.filter
-         (fun (ua, ub) -> Float.min ua ub < 0.05 && Float.max ua ub > 1.2)
-         tail)
-  in
-  (* The synchronous run is one-sided in >= 8/10 tail periods (asserted in
-     test_dspf_oscillates); staggered reaction must break that pattern in
-     at least some periods. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "not always all-or-nothing (%d/16)" fully_one_sided)
-    true
-    (fully_one_sided < 16);
-  Alcotest.(check bool) "validation" true
-    (try
-       Flow_sim.set_stagger sim 1.5;
-       false
-     with Invalid_argument _ -> true)
-
 let test_indicators_validation () =
   let g, tm, _, _ = two_region_setup () in
   let sim = Flow_sim.create g Metric.Hn_spf tm in
@@ -373,6 +346,32 @@ let test_busy_periods_allocate_nothing () =
             0. d)
         deltas)
     [ (Metric.D_spf, 1.0); (Metric.Hn_spf, 1.13) ]
+
+(* A replay adds nothing per period while no event is due: the due ones
+   are a prefix of the sorted pending list, checked at its head, and
+   without [on_period] no stats record is built.  Two replays of the
+   static-metric steady state that differ only in length (both inside
+   the history columns' first 64 slots) must allocate the same words,
+   with an event pending past both ends the whole time. *)
+let test_script_replay_allocation () =
+  let module Script = Routing_sim.Script in
+  let g, tm, _, _ = two_region_setup () in
+  let script =
+    { Script.graph = g;
+      traffic = tm;
+      events =
+        [ { Script.at_s = 10_000.; action = Script.Scale_traffic 2.; line = 1 } ] }
+  in
+  let words periods =
+    let before = Gc.minor_words () in
+    ignore
+      (Script.run ~domains:1 ~metric:Metric.Static_capacity script ~periods);
+    Gc.minor_words () -. before
+  in
+  let short = words 30 in
+  let long = words 60 in
+  Alcotest.(check (float 0.)) "30 more periods allocate nothing" 0.
+    (long -. short)
 
 (* The packet DES: events are int rows, packets live in a pool, link
    FIFOs are int rings and each PSN forwards from an int column, so the
@@ -563,8 +562,6 @@ let () =
             test_link_failure_and_revival;
           Alcotest.test_case "adaptive sources" `Quick
             test_adaptive_sources_relieve_overload;
-          Alcotest.test_case "stagger desynchronizes" `Quick
-            test_stagger_desynchronizes;
           Alcotest.test_case "indicators validation" `Quick
             test_indicators_validation;
           Alcotest.test_case "history order" `Quick test_history_order ]
@@ -577,6 +574,8 @@ let () =
             test_hnspf_quiet_periods_allocate_nothing;
           Alcotest.test_case "Table 1 busy periods (traced)" `Quick
             test_busy_periods_allocate_nothing;
+          Alcotest.test_case "scripted replay, no event due" `Quick
+            test_script_replay_allocation;
           Alcotest.test_case "packet DES" `Quick test_packet_des_allocation;
           Alcotest.test_case "flow store from matrix" `Quick
             test_store_of_matrix_allocation;

@@ -208,15 +208,14 @@ let test_span_untimed_deterministic () =
 (* --- Oscillation detector --- *)
 
 let test_oscillation_flags_square_wave () =
-  let o = Oscillation.create ~window_s:120. ~max_flips:4 ~links:2 () in
+  let o = Oscillation.create ~window:12 ~max_flips:4 ~links:2 () in
   let fired = ref [] in
-  for p = 0 to 19 do
-    let time = 10. *. float_of_int p in
+  for tick = 0 to 19 do
     (* link 0 swings every period; link 1 climbs monotonically *)
-    Oscillation.observe o ~link:0 ~time
-      ~cost:(if p land 1 = 0 then 10 else 100)
-      ~on_flag:(fun ~link ~time:_ ~flips:_ -> fired := link :: !fired);
-    Oscillation.observe o ~link:1 ~time ~cost:(10 + p)
+    Oscillation.observe o ~link:0 ~tick
+      ~cost:(if tick land 1 = 0 then 10 else 100)
+      ~on_flag:(fun ~link ~tick:_ ~flips:_ -> fired := link :: !fired);
+    Oscillation.observe o ~link:1 ~tick ~cost:(10 + tick)
   done;
   Alcotest.(check (list int)) "only the square wave" [ 0 ]
     (Oscillation.ever_flagged o);
@@ -225,18 +224,170 @@ let test_oscillation_flags_square_wave () =
     (Oscillation.flips_in_window o ~link:1)
 
 let test_oscillation_window_drains () =
-  let o = Oscillation.create ~window_s:50. ~max_flips:2 ~links:1 () in
+  let o = Oscillation.create ~window:5 ~max_flips:2 ~links:1 () in
   List.iteri
-    (fun i cost ->
-      Oscillation.observe o ~link:0 ~time:(10. *. float_of_int i) ~cost)
+    (fun tick cost -> Oscillation.observe o ~link:0 ~tick ~cost)
     [ 10; 90; 10; 90; 10 ];
   Alcotest.(check (list int)) "flagged while swinging" [ 0 ]
     (Oscillation.flagged o);
   (* far in the future the window is empty again *)
-  Oscillation.observe o ~link:0 ~time:10000. ~cost:10;
+  Oscillation.observe o ~link:0 ~tick:1000 ~cost:10;
   Alcotest.(check (list int)) "calm after drain" [] (Oscillation.flagged o);
   Alcotest.(check (list int)) "history remembers" [ 0 ]
     (Oscillation.ever_flagged o)
+
+(* A reference detector the tick-based one must match: float times, and
+   each link's flips a list of times, pruned to the trailing [width_s]
+   seconds on every observation. *)
+module List_detector = struct
+  type link_state = {
+    mutable last_cost : int;
+    mutable seen : bool;
+    mutable direction : int;
+    mutable flips : float list; (* newest first, within window *)
+    mutable flips_total : int;
+    mutable flagged : bool;
+    mutable ever : bool;
+  }
+
+  type t = {
+    width_s : float;
+    max_flips : int;
+    states : link_state array;
+    mutable flag_count : int;
+    mutable flips_total : int;
+  }
+
+  let create ~width_s ~max_flips ~links =
+    { width_s;
+      max_flips;
+      states =
+        Array.init links (fun _ ->
+            { last_cost = 0;
+              seen = false;
+              direction = 0;
+              flips = [];
+              flips_total = 0;
+              flagged = false;
+              ever = false });
+      flag_count = 0;
+      flips_total = 0 }
+
+  let rec keep_within horizon = function
+    | x :: rest when x >= horizon -> x :: keep_within horizon rest
+    | _ -> []
+
+  let observe ~on_flag t ~link ~time ~cost =
+    let s = t.states.(link) in
+    s.flips <- keep_within (time -. t.width_s) s.flips;
+    (if not s.seen then begin
+       s.seen <- true;
+       s.last_cost <- cost
+     end
+     else if cost <> s.last_cost then begin
+       let direction = if cost > s.last_cost then 1 else -1 in
+       if s.direction <> 0 && direction <> s.direction then begin
+         s.flips <- time :: s.flips;
+         s.flips_total <- s.flips_total + 1;
+         t.flips_total <- t.flips_total + 1
+       end;
+       s.direction <- direction;
+       s.last_cost <- cost
+     end);
+    let n = List.length s.flips in
+    if n > t.max_flips then begin
+      if not s.flagged then begin
+        s.flagged <- true;
+        s.ever <- true;
+        t.flag_count <- t.flag_count + 1;
+        on_flag ~link ~time ~flips:n
+      end
+    end
+    else s.flagged <- false
+
+  let links pred t =
+    List.filter (fun i -> pred t.states.(i))
+      (List.init (Array.length t.states) Fun.id)
+end
+
+(* Random windows, thresholds, link counts and cost sequences; ticks rise
+   strictly, each round observes a random subset of the links once, and
+   the model sees time = 10 x tick with a 10 x window-second window. *)
+let prop_oscillation_matches_list_model =
+  let open QCheck2.Gen in
+  let round links =
+    pair (int_range 1 6)
+      (list_size (return links) (opt ~ratio:0.8 (int_range 0 3)))
+  in
+  let case =
+    triple (int_range 1 15) (int_range 1 6) (int_range 1 4) >>= fun (w, m, l) ->
+    map (fun rounds -> (w, m, l, rounds)) (list_size (int_range 0 80) (round l))
+  in
+  QCheck2.Test.make ~name:"tick detector = list-window model" ~count:300 case
+    (fun (window, max_flips, links, rounds) ->
+      let o = Oscillation.create ~window ~max_flips ~links () in
+      let m =
+        List_detector.create ~width_s:(10. *. float_of_int window) ~max_flips
+          ~links
+      in
+      let got = ref [] and want = ref [] in
+      let on_flag ~link ~tick ~flips = got := (link, tick, flips) :: !got in
+      let model_flag ~link ~time ~flips =
+        want := (link, int_of_float (time /. 10.), flips) :: !want
+      in
+      let agree () =
+        Oscillation.flagged o = List_detector.links (fun s -> s.flagged) m
+        && Oscillation.ever_flagged o
+           = List_detector.links (fun s -> s.ever) m
+        && Oscillation.flag_count o = m.flag_count
+        && Oscillation.total_flips o = m.flips_total
+        && List.for_all
+             (fun link ->
+               let s = m.states.(link) in
+               Oscillation.link_total_flips o ~link = s.flips_total
+               && Oscillation.flips_in_window o ~link = List.length s.flips)
+             (List.init links Fun.id)
+        && !got = !want
+      in
+      let tick = ref 0 in
+      List.for_all
+        (fun (gap, costs) ->
+          tick := !tick + gap;
+          let time = 10. *. float_of_int !tick in
+          List.iteri
+            (fun link -> function
+              | None -> ()
+              | Some cost ->
+                Oscillation.observe ~on_flag o ~link ~tick:!tick ~cost;
+                List_detector.observe ~on_flag:model_flag m ~link ~time ~cost)
+            costs;
+          agree ())
+        rounds)
+
+(* Observing allocates nothing: int columns and a ring of flip ticks,
+   where the list window consed a boxed float per flip.  A square wave
+   on every link flips each tick, so after warm-up the rings wrap on
+   every observation. *)
+let test_oscillation_observe_allocates_nothing () =
+  let links = 8 in
+  let o = Oscillation.create ~links () in
+  let feed tick =
+    for link = 0 to links - 1 do
+      Oscillation.observe o ~link ~tick
+        ~cost:(if (tick + link) land 1 = 0 then 10 else 90)
+    done
+  in
+  for tick = 1 to 40 do
+    feed tick
+  done;
+  let before = Gc.minor_words () in
+  for tick = 41 to 240 do
+    feed tick
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every link flagged" links
+    (List.length (Oscillation.flagged o));
+  Alcotest.(check (float 0.)) "200 ticks of flips allocate nothing" 0. words
 
 (* --- Fixed-seed scenario: the detector separates the metrics --- *)
 
@@ -464,7 +615,8 @@ let test_cost_hops_follow_metric_switch () =
           ~labels:(Hooks.link_label i) "link_cost_hops" ts;
         ts)
   in
-  let hooks = Hooks.attach tele ~links:nl in
+  let osc = Oscillation.create ~links:nl () in
+  let hooks = Hooks.attach tele ~links:nl ~osc in
   List.iteri
     (fun k kind ->
       Hooks.observe_costs hooks g (Metric.create kind g)
@@ -501,8 +653,11 @@ let () =
             test_oscillation_flags_square_wave;
           Alcotest.test_case "window drains" `Quick
             test_oscillation_window_drains;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_oscillation_observe_allocates_nothing;
           Alcotest.test_case "D-SPF vs HN-SPF" `Slow
-            test_oscillation_dspf_vs_hnspf ] );
+            test_oscillation_dspf_vs_hnspf ]
+        @ qsuite [ prop_oscillation_matches_list_model ] );
       ( "telemetry",
         [ Alcotest.test_case "deterministic end-to-end" `Slow
             test_flow_telemetry_deterministic;

@@ -657,6 +657,40 @@ let test_network_cut_pair_min_path () =
     (Float.is_finite i.Measure.minimum_path_hops
     && i.Measure.minimum_path_hops <= i.Measure.actual_path_hops)
 
+(* The minimum-path baseline follows the up topology: on a four-node
+   ring, A to B takes one hop until the A-B trunk fails, then three, and
+   every delivery after the cut is measured against the three-hop
+   minimum, not the stale one-hop one. *)
+let test_network_min_path_follows_cut () =
+  let b = Builder.create () in
+  List.iter
+    (fun (x, y) -> ignore (Builder.trunk b Line_type.T56 ~propagation_s:0.002 x y))
+    [ ("A", "B"); ("B", "C"); ("C", "D"); ("D", "A") ];
+  let g = Builder.build b in
+  let node name = Option.get (Graph.node_by_name g name) in
+  let a = node "A" and b' = node "B" in
+  let tm = Traffic_matrix.create ~nodes:4 in
+  Traffic_matrix.set tm ~src:a ~dst:b' 20_000.;
+  let config = { (Network.default_config Metric.Hn_spf) with Network.seed = 5 } in
+  let net = Network.create ~config g tm in
+  Network.run net ~duration_s:30.;
+  let before = Network.indicators net in
+  Alcotest.(check (float 1e-9)) "one hop before the cut" 1.
+    before.Measure.minimum_path_hops;
+  let ab = Option.get (Graph.find_link g ~src:a ~dst:b') in
+  Network.set_link_up net ab.Link.id false;
+  Network.set_link_up net (Graph.reverse g ab).Link.id false;
+  Network.run net ~duration_s:1.;
+  Network.reset_measurements net;
+  Network.run net ~duration_s:30.;
+  let after = Network.indicators net in
+  Alcotest.(check bool) "deliveries after the cut" true
+    (Network.delivered_packets net > 0);
+  Alcotest.(check (float 1e-9)) "three hops around the ring" 3.
+    after.Measure.minimum_path_hops;
+  Alcotest.(check (float 1e-9)) "actual path equals it" 3.
+    after.Measure.actual_path_hops
+
 let test_network_series_recorded () =
   let g, net = small_net Metric.Hn_spf in
   Network.run net ~duration_s:45.;
@@ -938,6 +972,8 @@ let () =
             test_network_fifty_second_floods;
           Alcotest.test_case "link failure" `Quick test_network_link_failure_reroutes;
           Alcotest.test_case "cut pair min path" `Quick test_network_cut_pair_min_path;
+          Alcotest.test_case "min path follows a cut" `Quick
+            test_network_min_path_follows_cut;
           Alcotest.test_case "series" `Quick test_network_series_recorded;
           Alcotest.test_case "hop-by-hop flooding" `Slow
             test_network_hop_by_hop_flooding;

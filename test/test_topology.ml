@@ -421,6 +421,39 @@ let test_tm_scale_copy () =
   Alcotest.(check (float 1e-9)) "copy is independent" 60.
     (Traffic_matrix.total_bps tm)
 
+(* [scale] must compute exactly [Array.map (fun v -> v *. factor)]'s
+   products, entry for entry and bit for bit, without boxing a float per
+   entry: on the 57-node peak matrix the fresh demand array goes straight
+   to the major heap, so the call's minor words are its record alone,
+   where a closure per entry allocated about four words each. *)
+let test_tm_scale_exact_and_unboxed () =
+  let g = Arpanet.topology () in
+  let tm = Arpanet.peak_traffic (Rng.create 7) g in
+  let n = Traffic_matrix.nodes tm in
+  List.iter
+    (fun factor ->
+      let scaled = Traffic_matrix.scale tm factor in
+      for s = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          let src = Node.of_int s and dst = Node.of_int d in
+          let want = Traffic_matrix.get tm ~src ~dst *. factor in
+          let got = Traffic_matrix.get scaled ~src ~dst in
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            Alcotest.failf "x%h: entry (%d, %d) is %h, want %h" factor s d
+              got want
+        done
+      done)
+    [ 1.; 1.13; 0.5; 2.5; 0.; -1.; Float.nan; Float.infinity ];
+  let factor = 1.13 in
+  let before = Gc.minor_words () in
+  let scaled = Traffic_matrix.scale tm factor in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "scale: %.0f minor words for %d entries, at most 16" words
+       (n * n))
+    true
+    (Traffic_matrix.nodes scaled = n && words <= 16.)
+
 let test_tm_gravity_total () =
   let tm = Traffic_matrix.gravity (Rng.create 3) ~nodes:10 ~total_bps:1000. in
   Alcotest.(check (float 1e-6)) "gravity hits requested total" 1000.
@@ -547,6 +580,59 @@ let test_analysis_parallel_trunk_not_bridge () =
   in
   Alcotest.(check (list string)) "only the single B-C trunk" [ "BC" ]
     bridge_names
+
+(* The BFS hop table against min-hop SPF trees on random topologies with
+   random simplex links down: every pair's entry is the tree's hop count,
+   and -1 exactly where the tree does not reach. *)
+let prop_hop_counts_match_min_hop_spf =
+  QCheck2.Test.make ~name:"hop counts = min-hop SPF" ~count:60
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let module Dijkstra = Routing_spf.Dijkstra in
+      let module Spf_tree = Routing_spf.Spf_tree in
+      let rng = Rng.create seed in
+      let nodes = 3 + Rng.int rng 24 in
+      let g =
+        if Rng.bool rng then
+          Generators.ring_chord rng ~nodes ~chords:(Rng.int rng 6)
+        else Generators.waxman rng ~nodes ~alpha:0.6 ~beta:0.4
+      in
+      let down_share = Rng.uniform rng ~lo:0. ~hi:0.5 in
+      let up =
+        Array.init (Graph.link_count g) (fun _ ->
+            Rng.uniform rng ~lo:0. ~hi:1. >= down_share)
+      in
+      let table = Array.make (nodes * nodes) 7 in
+      Graph_analysis.hop_counts_into ~up g table;
+      let enabled lid = up.(Link.id_to_int lid) in
+      let ok = ref true in
+      for s = 0 to nodes - 1 do
+        let tree = Dijkstra.min_hop_tree ~enabled g (Node.of_int s) in
+        for d = 0 to nodes - 1 do
+          let dst = Node.of_int d in
+          let want =
+            if Spf_tree.reached tree dst then Spf_tree.hops tree dst else -1
+          in
+          if table.((s * nodes) + d) <> want then ok := false
+        done
+      done;
+      !ok)
+
+(* [diameter_hops] now reads the hop table; the shipped topologies keep
+   the diameters the per-source queue walk found. *)
+let test_analysis_diameters () =
+  let two_region, _ = Generators.two_region () in
+  List.iter
+    (fun (name, g, want) ->
+      Alcotest.(check int) name want (Graph_analysis.diameter_hops g))
+    [ ("arpanet", Arpanet.topology (), 13);
+      ("milnet", Milnet.topology (), 10);
+      ("two_region", two_region, 5) ];
+  let b = Builder.create () in
+  let _ = Builder.trunk b Line_type.T56 "A" "B" in
+  let _ = Builder.trunk b Line_type.T56 "C" "D" in
+  Alcotest.(check int) "disconnected" max_int
+    (Graph_analysis.diameter_hops (Builder.build b))
 
 let test_analysis_arpanet () =
   let g = Arpanet.topology () in
@@ -792,9 +878,11 @@ let () =
           Alcotest.test_case "line" `Quick test_analysis_line_all_bridges;
           Alcotest.test_case "parallel trunk" `Quick
             test_analysis_parallel_trunk_not_bridge;
-          Alcotest.test_case "arpanet" `Quick test_analysis_arpanet ]
+          Alcotest.test_case "arpanet" `Quick test_analysis_arpanet;
+          Alcotest.test_case "diameters" `Quick test_analysis_diameters ]
         @ qsuite
-            [ prop_bridges_match_brute_force;
+            [ prop_hop_counts_match_min_hop_spf;
+              prop_bridges_match_brute_force;
               prop_articulation_match_brute_force ] );
       ( "dot",
         [ Alcotest.test_case "export" `Quick test_dot_export ] );
@@ -806,6 +894,8 @@ let () =
       ( "traffic_matrix",
         [ Alcotest.test_case "set/get" `Quick test_tm_set_get;
           Alcotest.test_case "scale/copy" `Quick test_tm_scale_copy;
+          Alcotest.test_case "scale exact and unboxed" `Quick
+            test_tm_scale_exact_and_unboxed;
           Alcotest.test_case "gravity" `Quick test_tm_gravity_total;
           Alcotest.test_case "hotspot" `Quick test_tm_hotspot ]
         @ qsuite
