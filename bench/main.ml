@@ -39,15 +39,6 @@ let response_map =
 
 let probe () = Arpanet.representative_link (Lazy.force arpanet)
 
-let two_region_tm g =
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-  Graph.iter_nodes g (fun src ->
-      Graph.iter_nodes g (fun dst ->
-          let sn = Graph.node_name g src and dn = Graph.node_name g dst in
-          if sn.[0] = 'L' && dn.[0] = 'R' then
-            Traffic_matrix.set tm ~src ~dst 1300.));
-  tm
-
 (* ------------------------------------------------------------------ *)
 (* Fig 1 / §3.3: routing oscillations between two inter-region links.  *)
 
@@ -55,7 +46,7 @@ let fig1 () =
   section
     "Fig 1 — routing oscillations: two regions joined by links A and B";
   let g, (a, b) = Generators.two_region () in
-  let tm = two_region_tm g in
+  let tm = Generators.two_region_traffic g in
   note
     "offered inter-region load: %.1f kb/s over two 56 kb/s bridges (%.0f%%)@."
     (Traffic_matrix.total_bps tm /. 1000.)
@@ -589,7 +580,7 @@ let ablate () =
   let g, (a, b) = Generators.two_region () in
   (* Harsher than Fig 1: 103% of the combined bridge capacity, where the
      equilibrium sits on the steep part of the response map. *)
-  let tm = Traffic_matrix.scale (two_region_tm g) 1.38 in
+  let tm = Traffic_matrix.scale (Generators.two_region_traffic g) 1.38 in
   let wide_bounds_params lt =
     (* Relax the "at most two additional hops" judgment call (§4.4) to
        seven additional hops: same flat-then-linear shape, 8x ceiling. *)
@@ -1168,7 +1159,8 @@ let perf () =
 (* SPF engine benchmarks: full vs incremental vs parallel all-pairs.   *)
 (* `perf` runs these at full quota and records BENCH_spf.json so the   *)
 (* perf trajectory is tracked across PRs; `perf-quick` is the runtest  *)
-(* smoke mode — tiny quota, no file written.                           *)
+(* smoke mode — tiny quota, and the record built and checked but not   *)
+(* written.                                                            *)
 
 module Spf_engine = Routing_spf.Spf_engine
 module Spf_tree = Routing_spf.Spf_tree
@@ -1335,7 +1327,23 @@ let set_provenance reg =
   Obs_metrics.set_meta reg "git_rev" (git_rev ());
   Obs_metrics.set_meta reg "date" (bench_date ())
 
-let write_bench_json path ~domains ~topologies rows =
+(* A BENCH_*.json record must survive its own codec — CI's schema
+   check, run in the quick modes too. *)
+let check_codec name json =
+  match Obs_json.of_string (Obs_json.to_string json) with
+  | Ok round when Obs_json.equal round json -> ()
+  | Ok _ -> failwith (name ^ " does not round-trip identically")
+  | Error e -> failwith (name ^ " does not re-parse: " ^ e)
+
+let write_record path json =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (Obs_json.to_string_pretty json);
+      output_char oc '\n')
+
+let spf_bench_record ~domains ~topologies rows =
   let reg = Obs_metrics.create () in
   Obs_metrics.set_meta reg "benchmark" "all-pairs SPF refresh";
   Obs_metrics.set_meta reg "units"
@@ -1386,10 +1394,36 @@ let write_bench_json path ~domains ~topologies rows =
             (find (Printf.sprintf "all-pairs parallel (%d domains)" domains))
         ) ]
   in
-  Obs_metrics.write_file reg path
+  Obs_metrics.to_json reg
     ~extra:
       [ ( "speedups_vs_full_recompute",
           Obs_json.List (List.map speedup_of topologies) ) ]
+
+(* Every speedup of a topology benched in full (all-pairs rows
+   included) must be a finite, positive ratio: a renamed row would leave
+   its speedup null. *)
+let check_spf_record json ~full =
+  check_codec "BENCH_spf.json" json;
+  match Obs_json.member "speedups_vs_full_recompute" json with
+  | Ok (Obs_json.List entries) ->
+    List.iter
+      (function
+        | Obs_json.Obj (("topology", Obs_json.String topology) :: speedups)
+          when List.mem topology full ->
+          List.iter
+            (fun (name, v) ->
+              match v with
+              | Obs_json.Float r when Float.is_finite r && r > 0. -> ()
+              | _ ->
+                failwith
+                  (Printf.sprintf
+                     "BENCH_spf.json: %s %s is %s, not a finite positive \
+                      speedup"
+                     topology name (Obs_json.to_string v)))
+            speedups
+        | _ -> ())
+      entries
+  | _ -> failwith "BENCH_spf.json has no speedups_vs_full_recompute list"
 
 (* Crash-and-identity gate, run before any timing: drive the repair
    engine through the delta shapes the rows below measure (one-link
@@ -1452,10 +1486,19 @@ let perf_spf ~quick () =
       topologies
   in
   print_rows rows;
-  if not quick then begin
-    write_bench_json "BENCH_spf.json" ~domains:(Domain_pool.size pool)
+  let json =
+    spf_bench_record ~domains:(Domain_pool.size pool)
       ~topologies:(List.map (fun (t, _, _) -> t) topologies)
-      rows;
+      rows
+  in
+  check_spf_record json
+    ~full:
+      (List.filter_map
+         (fun (t, _, wanted) -> if wanted = None then Some t else None)
+         topologies);
+  if quick then note "BENCH_spf.json record checked (not written)@."
+  else begin
+    write_record "BENCH_spf.json" json;
     note "wrote BENCH_spf.json@."
   end
 
@@ -1839,20 +1882,8 @@ let write_sim_json path ~cores ~sweep_src ~rows ~sweep ~million ~knees =
                  ("steady_state_minor_words", Obs_json.Int 0) ] ));
           ("critical_load", Obs_json.List (List.map knee_json knees)) ]
   in
-  (* The record must survive its own codec — CI's schema check. *)
-  (match Obs_json.of_string (Obs_json.to_string json) with
-   | Ok round when Obs_json.equal round json -> ()
-   | Ok _ -> failwith "BENCH_sim.json does not round-trip identically"
-   | Error e -> failwith ("BENCH_sim.json does not re-parse: " ^ e));
-  (match path with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc (Obs_json.to_string_pretty json);
-         output_char oc '\n'))
+  check_codec "BENCH_sim.json" json;
+  Option.iter (fun path -> write_record path json) path
 
 let bench_sim ~quick () =
   section

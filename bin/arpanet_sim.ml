@@ -15,7 +15,6 @@ module Network = Routing_sim.Network
 module Measure = Routing_sim.Measure
 module Metric = Routing_metric.Metric
 module Units = Routing_metric.Units
-module Rng = Routing_stats.Rng
 module Table = Routing_stats.Table
 module Spf_engine = Routing_spf.Spf_engine
 module Telemetry = Routing_obs.Telemetry
@@ -27,8 +26,6 @@ module Obs_metrics = Routing_obs.Metrics
 module Script = Routing_sim.Script
 module Checker = Routing_check.Checker
 module Diagnostic = Routing_check.Diagnostic
-
-type topology = Arpanet | Milnet | Two_region
 
 (* Lint a scenario file before simulating it: the cheap S0xx/T0xx
    passes (the R0xx stability sweep stays in arpanet_check).  Errors
@@ -68,23 +65,9 @@ let build_scenario topology file seed scale ~check =
       Format.eprintf "cannot load %s: %s@." path message;
       exit 1)
   | None ->
-  let rng = Rng.create seed in
-  match topology with
-  | Arpanet ->
-    let g = Arpanet.topology () in
-    (g, Traffic_matrix.scale (Arpanet.peak_traffic rng g) scale)
-  | Milnet ->
-    let g = Milnet.topology () in
-    (g, Traffic_matrix.scale (Milnet.peak_traffic rng g) scale)
-  | Two_region ->
-    let g, _ = Generators.two_region () in
-    let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-    Graph.iter_nodes g (fun src ->
-        Graph.iter_nodes g (fun dst ->
-            let sn = Graph.node_name g src and dn = Graph.node_name g dst in
-            if sn.[0] = 'L' && dn.[0] = 'R' then
-              Traffic_matrix.set tm ~src ~dst (1300. *. scale)));
-    (g, tm)
+    (* [topology_arg] admits only catalogue names. *)
+    let g, demand = Option.get (Script.builtin topology) in
+    (g, Traffic_matrix.scale (demand seed) scale)
 
 type run_outcome = {
   ind : Measure.indicators;
@@ -184,13 +167,7 @@ let main topology file dump dot metrics scale minutes warmup packet_level seed
     minutes warmup;
   let multi = List.length metrics > 1 in
   let topo_name =
-    match file with
-    | Some path -> Filename.basename path
-    | None -> (
-      match topology with
-      | Arpanet -> "arpanet"
-      | Milnet -> "milnet"
-      | Two_region -> "two-region")
+    match file with Some path -> Filename.basename path | None -> topology
   in
   let telemetry_for kind =
     if trace_out = None && metrics_out = None && chrome_trace = None
@@ -281,17 +258,11 @@ let main topology file dump dot metrics scale minutes warmup packet_level seed
 open Cmdliner
 
 let topology_arg =
-  let parse = function
-    | "arpanet" -> Ok Arpanet
-    | "milnet" -> Ok Milnet
-    | "two-region" -> Ok Two_region
-    | s -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
+  let parse s =
+    if List.mem s Script.builtins then Ok s
+    else Error (`Msg (Printf.sprintf "unknown topology %S" s))
   in
-  let print ppf t =
-    Format.pp_print_string ppf
-      (match t with Arpanet -> "arpanet" | Milnet -> "milnet" | Two_region -> "two-region")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Format.pp_print_string)
 
 let metric_arg =
   let parse s =
@@ -304,9 +275,11 @@ let metric_arg =
 
 let cmd =
   let topology =
-    Arg.(value & opt topology_arg Arpanet
+    Arg.(value & opt topology_arg "arpanet"
          & info [ "t"; "topology" ] ~docv:"TOPO"
-             ~doc:"Topology: arpanet, milnet or two-region.")
+             ~doc:
+               (Printf.sprintf "Builtin scenario: %s."
+                  (String.concat ", " Script.builtins)))
   in
   let metric =
     Arg.(value & opt metric_arg Metric.Hn_spf

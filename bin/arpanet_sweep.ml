@@ -243,8 +243,9 @@ let cmd =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"SWEEP.json"
              ~doc:"Sweep specification: a JSON object with a \
-                   $(b,scenarios) list (builtin $(b,arpanet)/$(b,milnet) \
-                   or .scn paths) and optional $(b,metrics), $(b,scales), \
+                   $(b,scenarios) list (builtin $(b,arpanet), $(b,milnet), \
+                   $(b,two-region) or .scn paths) and optional \
+                   $(b,metrics), $(b,scales), \
                    $(b,seeds) (list or {\"from\",\"count\"}), \
                    $(b,periods), $(b,warmup) fields.")
   in

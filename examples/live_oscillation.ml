@@ -32,11 +32,7 @@ type state = {
 
 let setup () =
   let graph, (bridge_a, bridge_b) = Generators.two_region () in
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count graph) in
-  Graph.iter_nodes graph (fun src ->
-      Graph.iter_nodes graph (fun dst ->
-          let sn = Graph.node_name graph src and dn = Graph.node_name graph dst in
-          if sn.[0] = 'L' && dn.[0] = 'R' then Traffic_matrix.set tm ~src ~dst 1300.));
+  let tm = Generators.two_region_traffic graph in
   { sim = Flow_sim.create graph Metric.D_spf tm;
     kind = Metric.D_spf;
     paused = false;

@@ -18,12 +18,7 @@ let bar width u =
 
 let () =
   let g, (bridge_a, bridge_b) = Generators.two_region () in
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-  Graph.iter_nodes g (fun src ->
-      Graph.iter_nodes g (fun dst ->
-          let sn = Graph.node_name g src and dn = Graph.node_name g dst in
-          if sn.[0] = 'L' && dn.[0] = 'R' then
-            Traffic_matrix.set tm ~src ~dst 1300.));
+  let tm = Generators.two_region_traffic g in
   Format.printf
     "Two regions, two 56 kb/s bridges, %.0f kb/s offered left-to-right@.\
      (%.0f%% of the combined bridge capacity)@.@."

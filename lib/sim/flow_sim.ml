@@ -653,10 +653,6 @@ let indicators t ?(skip = 0) () =
     Quantile.add q95 h.h_delay.(k);
     Quantile.add q99 h.h_delay.(k)
   done;
-  let quantile_ms q =
-    let v = Quantile.value q in
-    if Float.is_nan v then 0. else 1000. *. v
-  in
   { Measure.elapsed_s = elapsed;
     internode_traffic_bps = delivered_total /. fn;
     round_trip_delay_ms = 2. *. weighted h.h_delay *. 1000.;
@@ -669,9 +665,9 @@ let indicators t ?(skip = 0) () =
     path_ratio = (if minimum > 0. then actual /. minimum else 1.);
     dropped_per_s = sumf h.h_dropped /. fn /. 600.;
     overhead_bps = sumf h.h_bits /. elapsed;
-    delay_p50_ms = quantile_ms q50;
-    delay_p95_ms = quantile_ms q95;
-    delay_p99_ms = quantile_ms q99;
+    delay_p50_ms = Measure.quantile_ms q50;
+    delay_p95_ms = Measure.quantile_ms q95;
+    delay_p99_ms = Measure.quantile_ms q99;
     route_changes_per_period = float_of_int (sumi h.h_routes) /. fn;
     next_hop_flips_per_period = float_of_int (sumi h.h_nh_flips) /. fn;
     link_flips_per_period = float_of_int (sumi h.h_link_flips) /. fn }

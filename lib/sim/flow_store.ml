@@ -145,7 +145,6 @@ type size_dist = Pareto of { alpha : float } | Lognormal of { sigma : float }
 let heavy_tailed rng ~nodes ~flows ~total_bps ~size =
   if nodes < 2 then invalid_arg "Flow_store.heavy_tailed: need >= 2 nodes";
   if flows < 0 then invalid_arg "Flow_store.heavy_tailed: negative flows";
-  let t = create ~nodes in
   if flows > 0 && total_bps > 0. then begin
     let cum = Array.make nodes 0. in
     let running = ref 0. in
@@ -169,21 +168,37 @@ let heavy_tailed rng ~nodes ~flows ~total_bps ~size =
       | Pareto { alpha } -> Rng.pareto rng ~alpha ~x_min:1.
       | Lognormal { sigma } -> Rng.lognormal rng ~mu:0. ~sigma
     in
-    for _ = 1 to flows do
+    (* Exact-size columns, written in place as [of_matrix] adopts them;
+       [version] reads as if each flow had been appended. *)
+    let src = Array.make flows 0
+    and dst = Array.make flows 0
+    and demand_bps = Array.create_float flows in
+    for fi = 0 to flows - 1 do
       let s = draw_node () in
       let d = ref (draw_node ()) in
       while !d = s do
         d := draw_node ()
       done;
-      add t ~src:(Node.of_int s) ~dst:(Node.of_int !d)
-        ~demand_bps:(draw_size ())
+      src.(fi) <- s;
+      dst.(fi) <- !d;
+      demand_bps.(fi) <- draw_size ()
     done;
+    let t =
+      { n_nodes = nodes;
+        len = flows;
+        src;
+        dst;
+        demand_bps;
+        throttle = Array.make flows 1.;
+        version = flows }
+    in
     let raw = total_demand_bps t in
     if raw > 0. then begin
       let factor = total_bps /. raw in
       for fi = 0 to t.len - 1 do
         t.demand_bps.(fi) <- t.demand_bps.(fi) *. factor
       done
-    end
-  end;
-  t
+    end;
+    t
+  end
+  else create ~nodes

@@ -29,24 +29,75 @@ let pp_indicators ppf i =
     i.actual_path_hops i.minimum_path_hops i.path_ratio i.dropped_per_s
     i.overhead_bps
 
+let fields =
+  [ ("elapsed_s", fun i -> i.elapsed_s);
+    ("internode_traffic_bps", fun i -> i.internode_traffic_bps);
+    ("round_trip_delay_ms", fun i -> i.round_trip_delay_ms);
+    ("updates_per_s", fun i -> i.updates_per_s);
+    ("update_period_per_node_s", fun i -> i.update_period_per_node_s);
+    ("actual_path_hops", fun i -> i.actual_path_hops);
+    ("minimum_path_hops", fun i -> i.minimum_path_hops);
+    ("path_ratio", fun i -> i.path_ratio);
+    ("dropped_per_s", fun i -> i.dropped_per_s);
+    ("overhead_bps", fun i -> i.overhead_bps);
+    ("delay_p50_ms", fun i -> i.delay_p50_ms);
+    ("delay_p95_ms", fun i -> i.delay_p95_ms);
+    ("delay_p99_ms", fun i -> i.delay_p99_ms);
+    ("route_changes_per_period", fun i -> i.route_changes_per_period);
+    ("next_hop_flips_per_period", fun i -> i.next_hop_flips_per_period);
+    ("link_flips_per_period", fun i -> i.link_flips_per_period) ]
+
+(* [of_values v] inverts [fields]: [v.(k)] is the [k]th field's value. *)
+let of_values v =
+  { elapsed_s = v.(0);
+    internode_traffic_bps = v.(1);
+    round_trip_delay_ms = v.(2);
+    updates_per_s = v.(3);
+    update_period_per_node_s = v.(4);
+    actual_path_hops = v.(5);
+    minimum_path_hops = v.(6);
+    path_ratio = v.(7);
+    dropped_per_s = v.(8);
+    overhead_bps = v.(9);
+    delay_p50_ms = v.(10);
+    delay_p95_ms = v.(11);
+    delay_p99_ms = v.(12);
+    route_changes_per_period = v.(13);
+    next_hop_flips_per_period = v.(14);
+    link_flips_per_period = v.(15) }
+
+let to_json i =
+  Obs_json.Obj
+    (List.map (fun (name, get) -> (name, Obs_json.Float (get i))) fields)
+
+let of_json j =
+  let values = Array.make (List.length fields) Float.nan in
+  let rec decode k = function
+    | [] -> Ok (of_values values)
+    | (name, _) :: rest ->
+      let value =
+        match Obs_json.member name j with
+        | Error _ -> Error (Printf.sprintf "missing indicator %S" name)
+        | Ok Obs_json.Null -> Ok Float.nan (* the printer maps NaN to null *)
+        | Ok v ->
+          Result.map_error
+            (fun _ -> Printf.sprintf "indicator %S is not a number" name)
+            (Obs_json.to_float v)
+      in
+      Result.bind value (fun f ->
+          values.(k) <- f;
+          decode (k + 1) rest)
+  in
+  decode 0 fields
+
+(* Built once: a report exports every point's indicators. *)
+let gauge_names = List.map (fun (name, _) -> "indicator_" ^ name) fields
+
 let export ?(labels = []) registry i =
-  let g name v = Obs_metrics.set (Obs_metrics.gauge registry ~labels name) v in
-  g "indicator_elapsed_s" i.elapsed_s;
-  g "indicator_internode_traffic_bps" i.internode_traffic_bps;
-  g "indicator_round_trip_delay_ms" i.round_trip_delay_ms;
-  g "indicator_updates_per_s" i.updates_per_s;
-  g "indicator_update_period_per_node_s" i.update_period_per_node_s;
-  g "indicator_actual_path_hops" i.actual_path_hops;
-  g "indicator_minimum_path_hops" i.minimum_path_hops;
-  g "indicator_path_ratio" i.path_ratio;
-  g "indicator_dropped_per_s" i.dropped_per_s;
-  g "indicator_overhead_bps" i.overhead_bps;
-  g "indicator_delay_p50_ms" i.delay_p50_ms;
-  g "indicator_delay_p95_ms" i.delay_p95_ms;
-  g "indicator_delay_p99_ms" i.delay_p99_ms;
-  g "indicator_route_changes_per_period" i.route_changes_per_period;
-  g "indicator_next_hop_flips_per_period" i.next_hop_flips_per_period;
-  g "indicator_link_flips_per_period" i.link_flips_per_period
+  List.iter2
+    (fun gauge (_, get) ->
+      Obs_metrics.set (Obs_metrics.gauge registry ~labels gauge) (get i))
+    gauge_names fields
 
 let comparison_table ?title runs =
   let columns =

@@ -31,6 +31,21 @@ type indicators = {
           ({!Routing_obs.Oscillation.total_flips}) *)
 }
 
+val fields : (string * (indicators -> float)) list
+(** Every field of {!indicators} with its name, in record order: the
+    keys of {!to_json}'s object, the indicator columns of the sweep
+    CSV and, prefixed ["indicator_"], {!export}'s gauges. *)
+
+val to_json : indicators -> Obs_json.t
+(** One object keyed by {!fields}' names, in record order.  The
+    printer's rules hold: NaN prints as [null], ±∞ as [±1e999], and a
+    finite value as the shortest decimal that reads back to it. *)
+
+val of_json : Obs_json.t -> (indicators, string) result
+(** Decode {!to_json}'s object: [null] reads back as NaN, so
+    re-encoding a decoded record gives the same bytes.  Extra keys are
+    ignored; the error names the first missing or non-numeric field. *)
+
 val pp_indicators : Format.formatter -> indicators -> unit
 
 val comparison_table :
@@ -39,9 +54,9 @@ val comparison_table :
 
 val export :
   ?labels:Obs_metrics.labels -> Obs_metrics.t -> indicators -> unit
-(** Publish every indicator as an [indicator_*] gauge in a telemetry
-    registry, so [--metrics-out] snapshots carry the Table-1 summary
-    alongside the raw series. *)
+(** Publish every indicator as an [indicator_*] gauge named after its
+    {!fields} entry, so [--metrics-out] snapshots carry the Table-1
+    summary alongside the raw series. *)
 
 (** {2 Accumulation} *)
 
@@ -72,6 +87,11 @@ val p95_delay_ms : t -> float
 
 val p99_delay_ms : t -> float
 (** Streaming (P²) estimate of the 99th-percentile one-way delay. *)
+
+val quantile_ms : Routing_stats.Quantile.t -> float
+(** A P² estimate of a delay in seconds, in ms, read as [0.] before the
+    estimator's first observation: the percentile indicators of both
+    simulators. *)
 
 val indicators : t -> elapsed_s:float -> indicators
 (** The route-change indicators are reported as [0.] here: the packet

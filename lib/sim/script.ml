@@ -1,5 +1,8 @@
 open! Import
 module Serial = Routing_topology.Serial
+module Arpanet = Routing_topology.Arpanet
+module Milnet = Routing_topology.Milnet
+module Generators = Routing_topology.Generators
 
 type action =
   | Link_down of string * string
@@ -185,3 +188,24 @@ let run ?domains ?telemetry ?tracer ?(metric = Metric.Hn_spf) ?on_period t
     | Some f -> f sim (Flow_sim.step sim)
   done;
   sim
+
+(* The builtin scenarios: each entry builds its topology afresh and
+   returns its seeded demand on that topology. *)
+let catalogue =
+  [ ( "arpanet",
+      fun () ->
+        let g = Arpanet.topology () in
+        (g, fun seed -> Arpanet.peak_traffic (Rng.create seed) g) );
+    ( "milnet",
+      fun () ->
+        let g = Milnet.topology () in
+        (g, fun seed -> Milnet.peak_traffic (Rng.create seed) g) );
+    ( "two-region",
+      fun () ->
+        let g, _ = Generators.two_region () in
+        (g, fun _ -> Generators.two_region_traffic g) ) ]
+
+let builtins = List.map fst catalogue
+
+let builtin name =
+  Option.map (fun build -> build ()) (List.assoc_opt name catalogue)

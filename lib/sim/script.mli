@@ -81,3 +81,28 @@ val run :
     @raise Invalid_argument if an event names an unknown node or a pair
     with no direct trunk — impossible for a [t] obtained from {!parse},
     which rejects such references up front. *)
+
+(** {2 Builtin scenarios}
+
+    The scenarios a name selects without a file.  [arpanet_sim
+    --topology] and a sweep spec's ["scenarios"] list read this one
+    catalogue; [arpanet_sim --topology NAME --dump] prints a builtin at
+    a seed in the file format, and [scenarios/] ships those dumps at
+    seed 7. *)
+
+val builtins : string list
+(** Every builtin name, in catalogue order: ["arpanet"], ["milnet"],
+    ["two-region"]. *)
+
+val builtin : string -> (Graph.t * (int -> Traffic_matrix.t)) option
+(** [builtin name] builds [name]'s topology afresh and pairs it with its
+    demand for a seed, a fresh matrix on that topology per call:
+    - ["arpanet"] and ["milnet"]: the synthesized peak-hour matrix drawn
+      from [Rng.create seed]
+      ({!Routing_topology.Arpanet.peak_traffic},
+      {!Routing_topology.Milnet.peak_traffic});
+    - ["two-region"]: Fig 1's demand
+      ({!Routing_topology.Generators.two_region_traffic}), whatever the
+      seed.
+
+    [None] for a name not in {!builtins}. *)

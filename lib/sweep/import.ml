@@ -4,8 +4,6 @@ module Node = Routing_topology.Node
 module Link = Routing_topology.Link
 module Graph = Routing_topology.Graph
 module Traffic_matrix = Routing_topology.Traffic_matrix
-module Arpanet = Routing_topology.Arpanet
-module Milnet = Routing_topology.Milnet
 module Rng = Routing_stats.Rng
 module Metric = Routing_metric.Metric
 module Domain_pool = Routing_metric.Domain_pool

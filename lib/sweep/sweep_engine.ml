@@ -105,14 +105,6 @@ let prepared_points prep = prep.pts
 
 let point_hashes prep = prep.hashes
 
-(* A builtin scenario: its topology, and the generator of a seed's peak
-   matrix, which is its demand template. *)
-let builtin name =
-  match name with
-  | "arpanet" -> (Arpanet.topology (), Arpanet.peak_traffic)
-  | "milnet" -> (Milnet.topology (), Milnet.peak_traffic)
-  | other -> invalid_arg (Printf.sprintf "Sweep_engine: unknown builtin %S" other)
-
 (* Per-seed demand jitter (±10 %, visiting flows in the matrix's
    deterministic iteration order) turns one scenario file into a small
    family of comparable traffic realisations; the point's load scale
@@ -138,11 +130,16 @@ let prepare (spec : Sweep_spec.t) =
         match sc with
         | Sweep_spec.Builtin b ->
           (* An event-free script; its own traffic stays empty, since
-             every point runs on its seed's peak matrix. *)
-          let graph, peak = builtin b in
+             every point runs on its seed's demand. *)
+          let graph, demand =
+            match Script.builtin b with
+            | Some built -> built
+            | None ->
+              invalid_arg (Printf.sprintf "Sweep_engine: unknown builtin %S" b)
+          in
           let traffic = Traffic_matrix.create ~nodes:(Graph.node_count graph) in
           Hashtbl.add scripts name { Script.graph; traffic; events = [] };
-          Hashtbl.add template_of name (fun seed -> peak (Rng.create seed) graph);
+          Hashtbl.add template_of name demand;
           Hashtbl.add digests name ("builtin:" ^ b)
         | Sweep_spec.File path ->
           let text = In_channel.with_open_text path In_channel.input_all in
@@ -202,26 +199,6 @@ let point_registry p indicators =
     registry indicators;
   registry
 
-let indicators_json (i : Measure.indicators) =
-  Obs_json.Obj
-    [ ("elapsed_s", Obs_json.Float i.elapsed_s);
-      ("internode_traffic_bps", Obs_json.Float i.internode_traffic_bps);
-      ("round_trip_delay_ms", Obs_json.Float i.round_trip_delay_ms);
-      ("updates_per_s", Obs_json.Float i.updates_per_s);
-      ("update_period_per_node_s", Obs_json.Float i.update_period_per_node_s);
-      ("actual_path_hops", Obs_json.Float i.actual_path_hops);
-      ("minimum_path_hops", Obs_json.Float i.minimum_path_hops);
-      ("path_ratio", Obs_json.Float i.path_ratio);
-      ("dropped_per_s", Obs_json.Float i.dropped_per_s);
-      ("overhead_bps", Obs_json.Float i.overhead_bps);
-      ("delay_p50_ms", Obs_json.Float i.delay_p50_ms);
-      ("delay_p95_ms", Obs_json.Float i.delay_p95_ms);
-      ("delay_p99_ms", Obs_json.Float i.delay_p99_ms);
-      ("route_changes_per_period", Obs_json.Float i.route_changes_per_period);
-      ("next_hop_flips_per_period", Obs_json.Float i.next_hop_flips_per_period);
-      ("link_flips_per_period", Obs_json.Float i.link_flips_per_period)
-    ]
-
 let outcome_json o =
   Obs_json.Obj
     [ ("index", Obs_json.Int o.point.index);
@@ -230,7 +207,7 @@ let outcome_json o =
       ("scale", Obs_json.Float o.point.scale);
       ("seed", Obs_json.Int o.point.seed);
       ("hash", Obs_json.String o.hash);
-      ("indicators", indicators_json o.indicators)
+      ("indicators", Measure.to_json o.indicators)
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -506,50 +483,6 @@ let run ?domains ?tracer spec = run_prepared ?domains ?tracer (prepare spec)
 
 let ( let* ) = Result.bind
 
-let float_field name j =
-  match Obs_json.member name j with
-  | Error _ -> Result.Error (Printf.sprintf "missing indicator %S" name)
-  | Ok Obs_json.Null -> Ok Float.nan (* the printer maps NaN to null *)
-  | Ok v ->
-    (match Obs_json.to_float v with
-    | Ok f -> Ok f
-    | Error _ -> Result.Error (Printf.sprintf "indicator %S is not a number" name))
-
-let indicators_of_json j : (Measure.indicators, string) result =
-  let* elapsed_s = float_field "elapsed_s" j in
-  let* internode_traffic_bps = float_field "internode_traffic_bps" j in
-  let* round_trip_delay_ms = float_field "round_trip_delay_ms" j in
-  let* updates_per_s = float_field "updates_per_s" j in
-  let* update_period_per_node_s = float_field "update_period_per_node_s" j in
-  let* actual_path_hops = float_field "actual_path_hops" j in
-  let* minimum_path_hops = float_field "minimum_path_hops" j in
-  let* path_ratio = float_field "path_ratio" j in
-  let* dropped_per_s = float_field "dropped_per_s" j in
-  let* overhead_bps = float_field "overhead_bps" j in
-  let* delay_p50_ms = float_field "delay_p50_ms" j in
-  let* delay_p95_ms = float_field "delay_p95_ms" j in
-  let* delay_p99_ms = float_field "delay_p99_ms" j in
-  let* route_changes_per_period = float_field "route_changes_per_period" j in
-  let* next_hop_flips_per_period = float_field "next_hop_flips_per_period" j in
-  let* link_flips_per_period = float_field "link_flips_per_period" j in
-  Ok
-    { Measure.elapsed_s;
-      internode_traffic_bps;
-      round_trip_delay_ms;
-      updates_per_s;
-      update_period_per_node_s;
-      actual_path_hops;
-      minimum_path_hops;
-      path_ratio;
-      dropped_per_s;
-      overhead_bps;
-      delay_p50_ms;
-      delay_p95_ms;
-      delay_p99_ms;
-      route_changes_per_period;
-      next_hop_flips_per_period;
-      link_flips_per_period }
-
 let stored_points json =
   let* pts =
     match Obs_json.member "points" json with
@@ -569,7 +502,7 @@ let stored_points json =
       in
       let* indicators =
         match Obs_json.member "indicators" item with
-        | Ok ind -> Result.map_error ctx (indicators_of_json ind)
+        | Ok ind -> Result.map_error ctx (Measure.of_json ind)
         | Error _ -> Result.Error (ctx "missing \"indicators\"")
       in
       decode (k + 1) ((hash, indicators) :: acc) rest
@@ -609,8 +542,8 @@ let merge ?(allow_partial = false) prep shards =
                    shards must agree; disagreement means the shards came
                    from different builds or scenarios. *)
                 if
-                  Obs_json.to_string (indicators_json prev)
-                  = Obs_json.to_string (indicators_json indicators)
+                  Obs_json.to_string (Measure.to_json prev)
+                  = Obs_json.to_string (Measure.to_json indicators)
                 then Ok ()
                 else
                   Result.Error
@@ -639,32 +572,20 @@ let merge ?(allow_partial = false) prep shards =
 
 (* ---------------------------------------------------------------- *)
 
-let csv_columns =
-  [ "index"; "scenario"; "metric"; "scale"; "seed"; "elapsed_s";
-    "internode_traffic_bps"; "round_trip_delay_ms"; "updates_per_s";
-    "update_period_per_node_s"; "actual_path_hops"; "minimum_path_hops";
-    "path_ratio"; "dropped_per_s"; "overhead_bps"; "delay_p50_ms";
-    "delay_p95_ms"; "delay_p99_ms"; "route_changes_per_period";
-    "next_hop_flips_per_period"; "link_flips_per_period" ]
-
 let csv report =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," csv_columns);
+  Buffer.add_string buf
+    (String.concat ","
+       ([ "index"; "scenario"; "metric"; "scale"; "seed" ]
+        @ List.map fst Measure.fields));
   Buffer.add_char buf '\n';
   let num x = Obs_json.to_string (Obs_json.Float x) in
   Array.iter
     (fun o ->
-      let i = o.indicators in
       [ string_of_int o.point.index; o.point.scenario;
         Metric.kind_name o.point.metric; num o.point.scale;
-        string_of_int o.point.seed; num i.elapsed_s;
-        num i.internode_traffic_bps; num i.round_trip_delay_ms;
-        num i.updates_per_s; num i.update_period_per_node_s;
-        num i.actual_path_hops; num i.minimum_path_hops; num i.path_ratio;
-        num i.dropped_per_s; num i.overhead_bps; num i.delay_p50_ms;
-        num i.delay_p95_ms; num i.delay_p99_ms;
-        num i.route_changes_per_period; num i.next_hop_flips_per_period;
-        num i.link_flips_per_period ]
+        string_of_int o.point.seed ]
+      @ List.map (fun (_, get) -> num (get o.indicators)) Measure.fields
       |> String.concat "," |> Buffer.add_string buf;
       Buffer.add_char buf '\n')
     report.outcomes;

@@ -166,10 +166,13 @@ val merge :
     false) — grid points covered by no shard. *)
 
 val csv : report -> string
-(** One header line plus one row per point: grid coordinates, the ten
-    Table-1 indicator columns, the streamed one-way delay percentiles
+(** One header line plus one row per point: grid coordinates (index,
+    scenario, metric, scale, seed), then one column per
+    {!Measure.fields} entry, named as there and in record order — the
+    ten Table-1 indicators, the streamed one-way delay percentiles
     (p50/p95/p99, ms) and the per-period route-change counters (routes
-    changed, A→B→A next-hop flips, per-link cost direction flips). *)
+    changed, A→B→A next-hop flips, per-link cost direction flips).
+    Numbers print as in the JSON report. *)
 
 val summary_csv : report -> string
 (** The summary views as one CSV: a ["ranking"] row per

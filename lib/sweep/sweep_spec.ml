@@ -27,10 +27,8 @@ let errors issues = List.filter (fun i -> i.severity = Error) issues
 
 let scenario_name = function Builtin n -> n | File p -> p
 
-let builtins = [ "arpanet"; "milnet" ]
-
 let scenario_of_string s =
-  if List.mem s builtins then Builtin s else File s
+  if List.mem s Script.builtins then Builtin s else File s
 
 (* ---------------------------------------------------------------- *)
 (* Parsing.  The spec is a small JSON object; every shape problem is one

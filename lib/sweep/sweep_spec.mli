@@ -17,19 +17,20 @@ open! Import
     }
     v}
 
-    Scenario strings are either a builtin topology name ([arpanet],
-    [milnet] — a synthesized peak-hour matrix derived from the point's
-    seed) or a path to a {!Routing_sim.Script} scenario file (demands
-    jittered per seed).  [metrics] defaults to [\["hnspf"\]], [scales]
-    to [\[1.0\]], [seeds] to [\[0\]], [periods] to [60], [warmup]
-    to [0].
+    Scenario strings are either a builtin scenario name from
+    {!Routing_sim.Script.builtins} ([arpanet] and [milnet] draw their
+    peak-hour matrix from the point's seed; [two-region] runs Fig 1's
+    demand whatever the seed) or a path to a {!Routing_sim.Script}
+    scenario file (demands jittered per seed).  [metrics] defaults to
+    [\["hnspf"\]], [scales] to [\[1.0\]], [seeds] to [\[0\]],
+    [periods] to [60], [warmup] to [0].
 
     {!lint} reports every problem with a stable [S1xx] diagnostic code
     (catalogued in DESIGN.md §8) so [arpanet_sweep] and [routing_check]
     agree on what a broken spec looks like. *)
 
 type scenario =
-  | Builtin of string  (** ["arpanet"] or ["milnet"] *)
+  | Builtin of string  (** a name in {!Routing_sim.Script.builtins} *)
   | File of string  (** a scenario-script path *)
 
 (** A [critical_load] demand ramp: instead of listing [scales]

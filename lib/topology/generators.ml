@@ -23,6 +23,15 @@ let two_region ?(region_size = 8) ?(bridge_type = Line_type.T56) () =
   let bridge_b, _ = Builder.trunk b bridge_type "L1" "R1" in
   (Builder.build b, (bridge_a, bridge_b))
 
+let two_region_traffic g =
+  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
+  Graph.iter_nodes g (fun src ->
+      Graph.iter_nodes g (fun dst ->
+          let sn = Graph.node_name g src and dn = Graph.node_name g dst in
+          if sn.[0] = 'L' && dn.[0] = 'R' then
+            Traffic_matrix.set tm ~src ~dst 1300.));
+  tm
+
 let ring ?(line_type = Line_type.T56) n =
   if n < 3 then invalid_arg "Generators.ring: n < 3";
   let b = Builder.create () in

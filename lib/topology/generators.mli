@@ -15,6 +15,12 @@ val two_region :
     [bridge_type] (default 56 kb/s terrestrial).  Returns the graph and the
     forward link ids of the two bridges (left-to-right direction). *)
 
+val two_region_traffic : Graph.t -> Traffic_matrix.t
+(** Fig 1's demand on a {!two_region} graph: 1,300 b/s from every
+    ["L*"] node to every ["R*"] node.  At the default region size that
+    is 64 flows and 83.2 kb/s, about 74 % of the two bridges' combined
+    112 kb/s — heavy enough that D-SPF oscillates between them. *)
+
 val ring : ?line_type:Line_type.t -> int -> Graph.t
 (** A simple cycle of [n] nodes.  @raise Invalid_argument if [n < 3]. *)
 

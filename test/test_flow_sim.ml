@@ -16,13 +16,7 @@ module Spf_engine = Routing_spf.Spf_engine
    load (~74% of combined bridge capacity). *)
 let two_region_setup () =
   let g, (a, b) = Generators.two_region () in
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-  Graph.iter_nodes g (fun src ->
-      Graph.iter_nodes g (fun dst ->
-          let sn = Graph.node_name g src and dn = Graph.node_name g dst in
-          if sn.[0] = 'L' && dn.[0] = 'R' then
-            Traffic_matrix.set tm ~src ~dst 1300.));
-  (g, tm, a, b)
+  (g, Generators.two_region_traffic g, a, b)
 
 let bridge_utils sim a b periods =
   List.init periods (fun _ ->

@@ -135,11 +135,7 @@ let test_des_no_forwarding_pathologies () =
 
 let test_des_vs_flow_after_install () =
   let g, (a, b) = Generators.two_region () in
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-  Graph.iter_nodes g (fun src ->
-      Graph.iter_nodes g (fun dst ->
-          let sn = Graph.node_name g src and dn = Graph.node_name g dst in
-          if sn.[0] = 'L' && dn.[0] = 'R' then Traffic_matrix.set tm ~src ~dst 1300.));
+  let tm = Generators.two_region_traffic g in
   (* DES under D-SPF: the bridges should visibly oscillate. *)
   let config = { (Network.default_config Metric.D_spf) with Network.seed = 2 } in
   let net = Network.create ~config g tm in

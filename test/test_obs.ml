@@ -547,12 +547,7 @@ let telemetry_digests tele =
    flagging above 3 flips the stream also carries oscillation events. *)
 let two_region_des_telemetry () =
   let g, (bridge, _) = Routing_topology.Generators.two_region () in
-  let tm = Traffic_matrix.create ~nodes:(Graph.node_count g) in
-  Graph.iter_nodes g (fun src ->
-      Graph.iter_nodes g (fun dst ->
-          let sn = Graph.node_name g src and dn = Graph.node_name g dst in
-          if sn.[0] = 'L' && dn.[0] = 'R' then
-            Traffic_matrix.set tm ~src ~dst 1300.));
+  let tm = Routing_topology.Generators.two_region_traffic g in
   let tele = Telemetry.create ~sink:(Sink.buffer ()) ~osc_max_flips:3 () in
   let config =
     { (Network.default_config Metric.D_spf) with

@@ -32,6 +32,11 @@ module Sweep_check = Routing_check.Sweep_check
 module Diagnostic = Routing_check.Diagnostic
 module Obs_json = Routing_obs.Json
 module Obs_metrics = Routing_obs.Metrics
+module Serial = Routing_topology.Serial
+module Traffic_matrix = Routing_topology.Traffic_matrix
+module Script = Routing_sim.Script
+module Flow_sim = Routing_sim.Flow_sim
+module Measure = Routing_sim.Measure
 
 let scenario name = Filename.concat ".." (Filename.concat "scenarios" name)
 
@@ -269,16 +274,34 @@ let test_store_matrix_round_trip () =
     (Flow_store.total_demand_bps dup)
     (Flow_store.total_demand_bps agg)
 
+(* Every column up to the store's length, and its version: what a
+   simulator reads of a store. *)
+let store_digest s =
+  let n = Flow_store.length s in
+  let buf = Buffer.create (n * 40) in
+  Printf.bprintf buf "%d %d\n" n (Flow_store.version s);
+  let src = Flow_store.src_col s and dst = Flow_store.dst_col s in
+  let demand = Flow_store.demand_col s
+  and throttle = Flow_store.throttle_col s in
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "%d %d %h %h\n" src.(i) dst.(i) demand.(i)
+      throttle.(i)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let test_heavy_tailed_determinism () =
   let draw seed size =
     Flow_store.heavy_tailed (Rng.create seed) ~nodes:50 ~flows:10_000
       ~total_bps:1e9 ~size
   in
   List.iter
-    (fun size ->
+    (fun (size, digest) ->
       let a = draw 42 size and b = draw 42 size in
       let n = Flow_store.length a in
       Alcotest.(check int) "requested flow count" 10_000 n;
+      (* Pinned from the store the generator built when it still
+         appended flow by flow into doubling columns. *)
+      Alcotest.(check string) "seed 42's store" digest (store_digest a);
       let col f = Array.sub (f a) 0 n and col' f = Array.sub (f b) 0 n in
       Alcotest.(check (array int)) "same seed, same sources"
         (col Flow_store.src_col) (col' Flow_store.src_col);
@@ -306,7 +329,9 @@ let test_heavy_tailed_determinism () =
         = Array.sub (Flow_store.demand_col c) 0 (Flow_store.length c)
         && col Flow_store.src_col
            = Array.sub (Flow_store.src_col c) 0 (Flow_store.length c)))
-    [ Flow_store.Pareto { alpha = 1.3 }; Flow_store.Lognormal { sigma = 2. } ]
+    [ (Flow_store.Pareto { alpha = 1.3 }, "a078d16db25d0e51814e28c7942e7b20");
+      ( Flow_store.Lognormal { sigma = 2. },
+        "f3b6b51f0d1b11f7859ff36d58dd6ee4" ) ]
 
 (* Repeated [assign] calls over the same scratch must not leak state
    between rounds (the buckets/acc arrays are reused, never reallocated). *)
@@ -665,6 +690,182 @@ let test_point_hashes () =
   Alcotest.(check bool) "periods change the hash" false
     (String.equal hashes.(0) longer.(0))
 
+(* --- the builtin catalogue ------------------------------------------ *)
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+(* [scenarios/] ships each builtin at seed 7 as [arpanet_sim --dump]
+   prints it. *)
+let test_builtin_snapshots () =
+  let shipped =
+    [ ("arpanet", "arpanet_peak.scn");
+      ("milnet", "milnet_peak.scn");
+      ("two-region", "two_region.scn") ]
+  in
+  Alcotest.(check (list string)) "catalogue names" (List.map fst shipped)
+    Script.builtins;
+  List.iter
+    (fun (name, file) ->
+      match Script.builtin name with
+      | None -> Alcotest.failf "%s is not in the catalogue" name
+      | Some (g, demand) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s at seed 7 = %s" name file)
+          (read_file (scenario file))
+          (Serial.to_string g (Some (demand 7))))
+    shipped;
+  Alcotest.(check bool) "unknown name" true (Script.builtin "atlantis" = None)
+
+(* A builtin's hash covers its name, not its content: shards and resume
+   files written before the catalogue existed keep merging. *)
+let test_builtin_point_hashes () =
+  let spec =
+    { Sweep_spec.scenarios =
+        [ Sweep_spec.Builtin "arpanet"; Sweep_spec.Builtin "milnet" ];
+      metrics = [ Metric.D_spf; Metric.Hn_spf ];
+      scales = [ 1.0 ];
+      seeds = [ 7 ];
+      periods = 12;
+      warmup = 2;
+      critical_load = None }
+  in
+  Alcotest.(check (array string)) "arpanet and milnet, D-SPF and HN-SPF"
+    [| "ee0f1674d1b5895f5784a2890d4edaa4";
+       "1785fe4992a7ae836c0c4bedfd6c8fd9";
+       "16d86f1f206f5f8d99bfe9485c09e395";
+       "2558c05649f9edd4a40f6dcb55943294" |]
+    (Sweep_engine.point_hashes (Sweep_engine.prepare spec))
+
+(* Fig 1 as sweep points: each is [Script.run] on the catalogue's
+   scenario at the point's scale, and D-SPF's round trip is the longer. *)
+let test_two_region_sweep () =
+  let spec =
+    match
+      Sweep_spec.parse
+        {|{"scenarios": ["two-region"], "metrics": ["dspf", "hnspf"],
+           "scales": [1.0, 1.3], "seeds": [7], "periods": 12, "warmup": 2}|}
+    with
+    | Ok spec -> spec
+    | Error issue -> Alcotest.failf "spec rejected: %s" issue.message
+  in
+  Alcotest.(check bool) "a builtin" true
+    (spec.Sweep_spec.scenarios = [ Sweep_spec.Builtin "two-region" ]);
+  Alcotest.(check int) "lints clean" 0 (List.length (Sweep_spec.lint spec));
+  let report = Sweep_engine.run ~domains:1 spec in
+  let g, demand = Option.get (Script.builtin "two-region") in
+  Array.iter
+    (fun (o : Sweep_engine.outcome) ->
+      let p = o.point in
+      let sim =
+        Script.run ~domains:1 ~metric:p.metric
+          { Script.graph = g;
+            traffic = Traffic_matrix.scale (demand p.seed) p.scale;
+            events = [] }
+          ~periods:12
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "point %d = Script.run" p.index)
+        (Obs_json.to_string (Measure.to_json (Flow_sim.indicators sim ~skip:2 ())))
+        (Obs_json.to_string (Measure.to_json o.indicators)))
+    report.Sweep_engine.outcomes;
+  let rtt k = report.outcomes.(k).indicators.Measure.round_trip_delay_ms in
+  Alcotest.(check bool) "D-SPF round trip exceeds HN-SPF's at x1.0" true
+    (rtt 0 > rtt 2)
+
+(* --- the indicator record ------------------------------------------ *)
+
+let indicator_names =
+  [ "elapsed_s"; "internode_traffic_bps"; "round_trip_delay_ms";
+    "updates_per_s"; "update_period_per_node_s"; "actual_path_hops";
+    "minimum_path_hops"; "path_ratio"; "dropped_per_s"; "overhead_bps";
+    "delay_p50_ms"; "delay_p95_ms"; "delay_p99_ms";
+    "route_changes_per_period"; "next_hop_flips_per_period";
+    "link_flips_per_period" ]
+
+(* The report's point objects and CSV columns are the record's fields,
+   named and ordered as [Measure.fields] has them. *)
+let test_record_format () =
+  let r =
+    { Measure.elapsed_s = 0.; internode_traffic_bps = 1.;
+      round_trip_delay_ms = 2.; updates_per_s = 3.;
+      update_period_per_node_s = 4.; actual_path_hops = 5.;
+      minimum_path_hops = 6.; path_ratio = 7.; dropped_per_s = 8.;
+      overhead_bps = 9.; delay_p50_ms = 10.; delay_p95_ms = 11.;
+      delay_p99_ms = 12.; route_changes_per_period = 13.;
+      next_hop_flips_per_period = 14.; link_flips_per_period = 15. }
+  in
+  Alcotest.(check (list string)) "names" indicator_names
+    (List.map fst Measure.fields);
+  Alcotest.(check (list (float 0.))) "record order"
+    (List.init 16 float_of_int)
+    (List.map (fun (_, get) -> get r) Measure.fields);
+  let report =
+    Sweep_engine.run ~domains:1
+      { Sweep_spec.scenarios = [ Sweep_spec.Builtin "two-region" ];
+        metrics = [ Metric.Hn_spf ];
+        scales = [ 1.0 ];
+        seeds = [ 1 ];
+        periods = 3;
+        warmup = 1;
+        critical_load = None }
+  in
+  (match Obs_json.member "points" report.Sweep_engine.json with
+   | Ok (Obs_json.List [ point ]) -> (
+     match Obs_json.member "indicators" point with
+     | Ok (Obs_json.Obj fields) ->
+       Alcotest.(check (list string)) "point indicator keys" indicator_names
+         (List.map fst fields)
+     | _ -> Alcotest.fail "point has no indicator object")
+   | _ -> Alcotest.fail "report has no one-point list");
+  match String.split_on_char '\n' (Sweep_engine.csv report) with
+  | header :: _ ->
+    Alcotest.(check string) "CSV header"
+      (String.concat ","
+         ([ "index"; "scenario"; "metric"; "scale"; "seed" ] @ indicator_names))
+      header
+  | [] -> Alcotest.fail "empty CSV"
+
+(* Any record, NaN, infinities and -0 included: decoding its JSON and
+   encoding the result again gives the same bytes, each value back in
+   its own field. *)
+let prop_record_round_trip =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (3, float);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0. ])
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"indicator JSON round-trips"
+    (QCheck.make
+       ~print:(fun vs -> String.concat " " (List.map (Printf.sprintf "%h") vs))
+       (QCheck.Gen.list_repeat (List.length Measure.fields) value))
+    (fun values ->
+      let text =
+        Obs_json.to_string
+          (Obs_json.Obj
+             (List.map2
+                (fun (name, _) v -> (name, Obs_json.Float v))
+                Measure.fields values))
+      in
+      match Result.bind (Obs_json.of_string text) Measure.of_json with
+      | Error e -> QCheck.Test.fail_reportf "%s does not decode: %s" text e
+      | Ok r ->
+        let again = Obs_json.to_string (Measure.to_json r) in
+        if again <> text then
+          QCheck.Test.fail_reportf "%s re-encodes as %s" text again;
+        List.iter2
+          (fun (name, get) v ->
+            let got = get r in
+            if
+              not
+                (Int64.equal (bits got) (bits v)
+                || (Float.is_nan got && Float.is_nan v))
+            then
+              QCheck.Test.fail_reportf "%s: %h decodes as %h" name v got)
+          Measure.fields values;
+        true)
+
 let test_shard_of_string () =
   let ok s = match Sweep_spec.shard_of_string s with
     | Ok v -> v
@@ -825,6 +1026,16 @@ let () =
             test_shard_of_string ] );
       ( "merge",
         [ Alcotest.test_case "registry merge" `Quick test_registry_merge ] );
+      ( "catalogue",
+        [ Alcotest.test_case "builtins = shipped snapshots" `Quick
+            test_builtin_snapshots;
+          Alcotest.test_case "builtin point hashes" `Quick
+            test_builtin_point_hashes;
+          Alcotest.test_case "two-region sweep points" `Quick
+            test_two_region_sweep ] );
+      ( "record",
+        [ Alcotest.test_case "names and order" `Quick test_record_format;
+          QCheck_alcotest.to_alcotest prop_record_round_trip ] );
       ( "spec",
         List.map
           (fun ((name, code, _) as case) ->
