@@ -1162,78 +1162,58 @@ let perf () =
 (* smoke mode — tiny quota, and the record built and checked but not   *)
 (* written.                                                            *)
 
+module Dijkstra = Routing_spf.Dijkstra
 module Spf_engine = Routing_spf.Spf_engine
+module Spf_repair = Routing_spf.Spf_repair
 module Spf_tree = Routing_spf.Spf_tree
 module Domain_pool = Routing_metric.Domain_pool
 
-(* Each topology is (name, graph, wanted sources): [None] benches the
-   all-pairs baselines too (feasible only when every tree fits in memory
-   and a full sweep fits the quota); [Some k] restricts the engine to [k]
-   evenly spread sources — how a large-network experiment would actually
-   use it.  The 10^5-node tier is opt-in ([BENCH_SPF_100K=1]): its
-   recompute rows cost seconds per iteration. *)
+(* Each topology is (name, graph).  The engine keeps every source's
+   tree, so the tiers stop near 10^3 nodes: 10^4 nodes would keep 10^4
+   trees of 2 x 10^4 words each, about 1.6 GB. *)
 let spf_bench_topologies ~quick () =
+  let mesh200 () =
+    Generators.ring_chord (Rng.create 99) ~nodes:200 ~chords:120
+  in
   if quick then
-    [ ("arpanet", Lazy.force arpanet, None);
-      ( "mesh200",
-        Generators.ring_chord (Rng.create 99) ~nodes:200 ~chords:120,
-        None );
+    [ ("arpanet", Lazy.force arpanet);
+      ("mesh200", mesh200 ());
       ( "hier184",
         Generators.hierarchical ~cores:4 ~pops_per_core:5 ~access_per_pop:8
-          (),
-        None ) ]
+          () ) ]
   else
-    [ ("arpanet", Lazy.force arpanet, None);
-      ( "mesh200",
-        Generators.ring_chord (Rng.create 99) ~nodes:200 ~chords:120,
-        None );
+    [ ("arpanet", Lazy.force arpanet);
+      ("mesh200", mesh200 ());
       ( "hier1k",
         Generators.hierarchical ~cores:8 ~pops_per_core:11 ~access_per_pop:10
-          (),
-        None );
+          () );
       ( "wax1k",
-        Generators.waxman (Rng.create 42) ~nodes:1000 ~alpha:0.9 ~beta:0.05,
-        None );
-      ( "hier10k",
-        Generators.hierarchical ~cores:16 ~pops_per_core:25
-          ~access_per_pop:24 (),
-        Some 128 ) ]
-    @
-    if Sys.getenv_opt "BENCH_SPF_100K" <> None then
-      [ ( "hier100k",
-          Generators.hierarchical ~cores:25 ~pops_per_core:40
-            ~access_per_pop:99 (),
-          Some 8 ) ]
-    else []
+        Generators.waxman (Rng.create 42) ~nodes:1000 ~alpha:0.9 ~beta:0.05 )
+    ]
 
 (* One benchmark group per topology.  The baseline reproduces the
    pre-engine behavior: an independent full Dijkstra per source, costs
-   re-evaluated per edge.  The engine rows measure a refresh after one or
-   eight links' flooded costs changed — against both the dynamic-repair
-   path and the per-source recompute fallback, so BENCH_spf.json carries
-   the repair speedup directly — and after none did. *)
-let spf_bench_tests ~pool (name, g, wanted_count) =
+   re-evaluated per edge.  The two other all-pairs rows time a live
+   engine's full sweep, sequential and pooled: every link cost moves on
+   each call, so each refresh recomputes every tree in place — the path
+   every D-SPF period takes.  The engine rows measure a refresh after one
+   or eight links' flooded costs changed, and after none did.  Each
+   "(…, recompute)" row rewrites, with [Dijkstra.compute_into], exactly
+   the trees its change affects (found once, with [Spf_repair.affects]),
+   so BENCH_spf.json carries the repair speedup directly. *)
+let spf_bench_tests ~pool (name, g) =
   let open Bechamel in
   let nl = Graph.link_count g in
+  let n = Graph.node_count g in
   let costs = Array.init nl (fun i -> 1 + ((i * 37) mod 60)) in
   let cost lid = costs.(Link.id_to_int lid) in
-  let n = Graph.node_count g in
-  let wanted =
-    match wanted_count with
-    | None -> fun _ -> true
-    | Some k ->
-      let stride = max 1 (n / k) in
-      fun node -> Node.to_int node mod stride = 0
-  in
-  let make_engine ?repair () =
-    let e = Spf_engine.create ?repair g in
-    Spf_engine.refresh ~wanted e ~cost;
+  let make_engine ?pool () =
+    let e = Spf_engine.create ?pool g in
+    Spf_engine.refresh e ~cost;
     e
   in
   let engine_one = make_engine () in
-  let engine_one_rc = make_engine ~repair:false () in
   let engine_multi = make_engine () in
-  let engine_multi_rc = make_engine ~repair:false () in
   let engine_none = make_engine () in
   let probe = Link.id_of_int 0 in
   (* Each test owns its flip state: the first measured call must be a
@@ -1248,7 +1228,7 @@ let spf_bench_tests ~pool (name, g, wanted_count) =
         flip := not !flip;
         let base = costs.(Link.id_to_int probe) in
         let c = if !flip then base + 10 else base in
-        Spf_engine.refresh ~wanted engine ~cost:(fun lid ->
+        Spf_engine.refresh engine ~cost:(fun lid ->
             if Link.id_equal lid probe then c else cost lid))
   in
   let probes = Array.init 8 (fun k -> k * nl / 8) in
@@ -1257,44 +1237,80 @@ let spf_bench_tests ~pool (name, g, wanted_count) =
     Staged.stage (fun () ->
         flip := not !flip;
         let delta = if !flip then 10 else 0 in
-        Spf_engine.refresh ~wanted engine ~cost:(fun lid ->
+        Spf_engine.refresh engine ~cost:(fun lid ->
             let i = Link.id_to_int lid in
             if Array.exists (fun p -> p = i) probes then costs.(i) + delta
             else costs.(i)))
   in
-  let seed_all_pairs () =
-    Array.init n (fun i -> Routing_spf.Dijkstra.compute g ~cost (Node.of_int i))
+  let every_change engine =
+    let flip = ref false in
+    Staged.stage (fun () ->
+        flip := not !flip;
+        let delta = if !flip then 1 else 0 in
+        Spf_engine.refresh engine ~cost:(fun lid -> cost lid + delta))
   in
-  let all_pairs_rows =
+  (* The same flips as [one_change]/[multi_change] on a private set of
+     trees, rewriting only the affected ones: [todo.(0)] holds the
+     sources whose base tree the +10 change touches, [todo.(1)] those
+     whose moved tree the way back touches. *)
+  let recompute_affected moved =
+    let weights delta =
+      Dijkstra.compute_weights g ~cost:(fun lid ->
+          let i = Link.id_to_int lid in
+          if Array.mem i moved then costs.(i) + delta else costs.(i))
+    in
+    let w = [| weights 0; weights 10 |] in
+    let trees_at k =
+      Array.init n (fun i ->
+          Dijkstra.compute_flat g ~weights:w.(k) (Node.of_int i))
+    in
+    let affected k =
+      let changes = Spf_repair.changes () in
+      Array.iter
+        (fun i ->
+          Spf_repair.add_change changes (Link.id_of_int i) ~old_w:w.(k).(i)
+            ~new_w:w.(1 - k).(i))
+        moved;
+      let from = trees_at k in
+      Array.of_list
+        (List.filter
+           (fun i -> Spf_repair.affects g from.(i) changes)
+           (List.init n Fun.id))
+    in
+    let todo = [| affected 0; affected 1 |] in
+    let trees = trees_at 0 in
+    let s = Dijkstra.scratch () in
+    let at = ref 0 in
+    Staged.stage (fun () ->
+        let next = 1 - !at in
+        Array.iter
+          (fun i -> Dijkstra.compute_into s g ~weights:w.(next) trees.(i))
+          todo.(!at);
+        at := next)
+  in
+  let per_source_trees () =
+    Array.init n (fun i -> Dijkstra.compute g ~cost (Node.of_int i))
+  in
+  Test.make_grouped ~name ~fmt:"%s %s"
     [ Test.make ~name:"all-pairs full (per-source baseline)"
-        (Staged.stage (fun () -> ignore (seed_all_pairs ())));
+        (Staged.stage (fun () -> ignore (per_source_trees ())));
       Test.make ~name:"all-pairs shared weights"
-        (Staged.stage (fun () ->
-             ignore (Routing_spf.Dijkstra.all_pairs g ~cost)));
+        (every_change (make_engine ()));
       Test.make
         ~name:
           (Printf.sprintf "all-pairs parallel (%d domains)"
              (Domain_pool.size pool))
-        (Staged.stage (fun () ->
-             ignore (Routing_spf.Dijkstra.all_pairs ~pool g ~cost))) ]
-  in
-  let engine_rows =
-    [ Test.make ~name:"engine refresh (one link change)"
+        (every_change (make_engine ~pool ()));
+      Test.make ~name:"engine refresh (one link change)"
         (one_change engine_one);
       Test.make ~name:"engine refresh (one link change, recompute)"
-        (one_change engine_one_rc);
+        (recompute_affected [| Link.id_to_int probe |]);
       Test.make ~name:"engine refresh (8 link changes)"
         (multi_change engine_multi);
       Test.make ~name:"engine refresh (8 link changes, recompute)"
-        (multi_change engine_multi_rc);
+        (recompute_affected probes);
       Test.make ~name:"engine refresh (no change)"
-        (Staged.stage (fun () -> Spf_engine.refresh ~wanted engine_none ~cost))
-    ]
-  in
-  Test.make_grouped ~name ~fmt:"%s %s"
-    (match wanted_count with
-    | None -> all_pairs_rows @ engine_rows
-    | Some _ -> engine_rows)
+        (Staged.stage (fun () -> Spf_engine.refresh engine_none ~cost)) ]
 
 module Obs_metrics = Routing_obs.Metrics
 module Obs_json = Routing_obs.Json
@@ -1399,30 +1415,42 @@ let spf_bench_record ~domains ~topologies rows =
       [ ( "speedups_vs_full_recompute",
           Obs_json.List (List.map speedup_of topologies) ) ]
 
-(* Every speedup of a topology benched in full (all-pairs rows
-   included) must be a finite, positive ratio: a renamed row would leave
-   its speedup null. *)
-let check_spf_record json ~full =
+(* A BENCH_spf.json record must survive its codec, list exactly the
+   benched topologies, and give each a finite, positive ratio for every
+   speedup: a renamed row would leave its speedup null. *)
+let check_spf_record json ~topologies =
   check_codec "BENCH_spf.json" json;
   match Obs_json.member "speedups_vs_full_recompute" json with
   | Ok (Obs_json.List entries) ->
-    List.iter
-      (function
-        | Obs_json.Obj (("topology", Obs_json.String topology) :: speedups)
-          when List.mem topology full ->
-          List.iter
-            (fun (name, v) ->
-              match v with
-              | Obs_json.Float r when Float.is_finite r && r > 0. -> ()
-              | _ ->
-                failwith
-                  (Printf.sprintf
-                     "BENCH_spf.json: %s %s is %s, not a finite positive \
-                      speedup"
-                     topology name (Obs_json.to_string v)))
-            speedups
-        | _ -> ())
-      entries
+    let listed =
+      List.map
+        (function
+          | Obs_json.Obj (("topology", Obs_json.String topology) :: speedups)
+            ->
+            List.iter
+              (fun (name, v) ->
+                match v with
+                | Obs_json.Float r when Float.is_finite r && r > 0. -> ()
+                | _ ->
+                  failwith
+                    (Printf.sprintf
+                       "BENCH_spf.json: %s %s is %s, not a finite positive \
+                        speedup"
+                       topology name (Obs_json.to_string v)))
+              speedups;
+            topology
+          | e ->
+            failwith
+              ("BENCH_spf.json: speedup entry without a topology: "
+              ^ Obs_json.to_string e))
+        entries
+    in
+    if listed <> topologies then
+      failwith
+        (Printf.sprintf
+           "BENCH_spf.json lists topologies [%s], perf-spf benches [%s]"
+           (String.concat "; " listed)
+           (String.concat "; " topologies))
   | _ -> failwith "BENCH_spf.json has no speedups_vs_full_recompute list"
 
 (* Crash-and-identity gate, run before any timing: drive the repair
@@ -1446,7 +1474,7 @@ let spf_identity_gate () =
     Spf_engine.refresh ~enabled engine ~cost;
     for i = 0 to n - 1 do
       let src = Node.of_int i in
-      let fresh = Routing_spf.Dijkstra.compute ~enabled g ~cost src in
+      let fresh = Dijkstra.compute ~enabled g ~cost src in
       if not (Spf_tree.equal (Spf_engine.tree engine src) fresh) then
         failwith
           (Printf.sprintf
@@ -1470,6 +1498,8 @@ let spf_identity_gate () =
   check "link enable";
   note "identity gate: repaired trees match from-scratch Dijkstra@."
 
+let topology_names = List.map fst
+
 let perf_spf ~quick () =
   section
     (if quick then
@@ -1488,15 +1518,25 @@ let perf_spf ~quick () =
   print_rows rows;
   let json =
     spf_bench_record ~domains:(Domain_pool.size pool)
-      ~topologies:(List.map (fun (t, _, _) -> t) topologies)
+      ~topologies:(topology_names topologies)
       rows
   in
-  check_spf_record json
-    ~full:
-      (List.filter_map
-         (fun (t, _, wanted) -> if wanted = None then Some t else None)
-         topologies);
-  if quick then note "BENCH_spf.json record checked (not written)@."
+  check_spf_record json ~topologies:(topology_names topologies);
+  if quick then begin
+    note "BENCH_spf.json record checked (not written)@.";
+    (* The committed record must match what `perf-spf` benches. *)
+    let committed =
+      match
+        Obs_json.of_string
+          (In_channel.with_open_bin "BENCH_spf.json" In_channel.input_all)
+      with
+      | Ok json -> json
+      | Error e -> failwith ("committed BENCH_spf.json does not parse: " ^ e)
+    in
+    check_spf_record committed
+      ~topologies:(topology_names (spf_bench_topologies ~quick:false ()));
+    note "committed BENCH_spf.json checked@."
+  end
   else begin
     write_record "BENCH_spf.json" json;
     note "wrote BENCH_spf.json@."

@@ -273,6 +273,24 @@ let metric_arg =
   let print ppf k = Format.pp_print_string ppf (Metric.kind_name k) in
   Arg.conv (parse, print)
 
+(* Numbers the simulators cannot run on are refused here, naming the
+   option, with cmdliner's usage exit (124). *)
+let int_at_least lo ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s >= %d, got %S" what lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let scale_arg =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Traffic_matrix.valid_scale x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite scale > 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let cmd =
   let topology =
     Arg.(value & opt topology_arg "arpanet"
@@ -292,15 +310,15 @@ let cmd =
              ~doc:"Run all three metrics on the same traffic side by side.")
   in
   let scale =
-    Arg.(value & opt float 1.0
+    Arg.(value & opt scale_arg 1.0
          & info [ "s"; "scale" ] ~docv:"X" ~doc:"Traffic matrix scale factor.")
   in
   let minutes =
-    Arg.(value & opt int 20
+    Arg.(value & opt (int_at_least 1 ~what:"minutes") 20
          & info [ "minutes" ] ~docv:"MIN" ~doc:"Measured simulation minutes.")
   in
   let warmup =
-    Arg.(value & opt int 5
+    Arg.(value & opt (int_at_least 0 ~what:"warm-up minutes") 5
          & info [ "warmup" ] ~docv:"MIN" ~doc:"Warm-up minutes excluded from stats.")
   in
   let packet_level =
@@ -351,17 +369,9 @@ let cmd =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
   in
   let domains =
-    let nonneg_int =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok n
-        | _ ->
-          Error (`Msg (Printf.sprintf "expected a domain count >= 0, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
+    let count = int_at_least 0 ~what:"a domain count" in
     let resolve n = Routing_metric.Domain_pool.resolve ?requested:n () in
-    Term.(const resolve $ Arg.(value & opt (some nonneg_int) None
+    Term.(const resolve $ Arg.(value & opt (some count) None
          & info [ "domains" ] ~docv:"N"
              ~doc:"Domains used for parallel all-pairs SPF (1 = sequential; \
                    results are identical either way).  $(b,0) sizes to \

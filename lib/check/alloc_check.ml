@@ -169,8 +169,8 @@ let parse_dump text =
   flush ();
   List.rev !funs
 
-(* "camlRouting_spf__Dijkstra.compute_flat_s_538" ->
-   ("Routing_spf__Dijkstra", "compute_flat_s").  The numeric stamp the
+(* "camlRouting_spf__Dijkstra.compute_into_538" ->
+   ("Routing_spf__Dijkstra", "compute_into").  The numeric stamp the
    compiler appends is stripped; nested named bindings keep their source
    name the same way. *)
 let demangle sym =

@@ -24,10 +24,6 @@ let scenario_passes ?(options = default_options) ?file diags (t : Script.t) =
   in
   diags @ topology @ stability
 
-let check_scenario_text ?options ?file text =
-  let diags, t = Scenario_check.check_text ?file text in
-  scenario_passes ?options ?file diags t
-
 let check_scenario_file ?options path =
   match Scenario_check.check_file path with
   | diags, None -> diags

@@ -19,10 +19,6 @@ type options = {
 val default_options : options
 (** Stability on, built-in parameter table. *)
 
-val check_scenario_text :
-  ?options:options -> ?file:string -> string -> Diagnostic.t list
-(** All passes over one scenario's text. *)
-
 val check_scenario_file : ?options:options -> string -> Diagnostic.t list
 
 val check_params_file : string -> Diagnostic.t list * Params_check.file option

@@ -4,9 +4,6 @@ type policy = Decaying of { initial : float; step : float } | Fixed of int
 
 let dspf_policy = Decaying { initial = 6.4; step = 1.28 }
 
-let hnm_policy lt =
-  Fixed (Hnm_params.for_line_type lt).Hnm_params.min_change
-
 (* The threshold is held in centi-units (hundredths of a cost unit) so the
    per-period decay on the quiet path is a plain int store — a float field
    in this mixed record would box on every write.  Cost deltas are ints, so
@@ -36,8 +33,6 @@ let create policy ~initial_cost =
     threshold_c = initial_c }
 
 let last_flooded t = t.last_flooded
-
-let periods_since_flood t = t.periods
 
 let max_quiet_periods =
   int_of_float (Units.max_update_interval_s /. Units.routing_period_s)

@@ -22,9 +22,6 @@ val dspf_policy : policy
 (** The historical decaying criterion: 6.4 units (64 ms) decaying in five
     10-second steps to zero, matching the 50-second bound. *)
 
-val hnm_policy : Line_type.t -> policy
-(** [Fixed min_change] from the line type's {!Hnm_params.t}. *)
-
 type t
 
 val create : policy -> initial_cost:int -> t
@@ -32,8 +29,6 @@ val create : policy -> initial_cost:int -> t
     for this link before any update. *)
 
 val last_flooded : t -> int
-
-val periods_since_flood : t -> int
 
 val consider : t -> cost:int -> bool
 (** Call exactly once per routing period with the newly computed cost.

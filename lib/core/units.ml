@@ -18,8 +18,6 @@ let of_delay_into ~up ~delay_s ~units =
   done
 [@@hot_path]
 
-let[@inline] to_delay cost = float_of_int cost *. unit_ms /. 1000.
-
 let hops_of_cost c = float_of_int c /. float_of_int hop
 
 let cost_of_hops h =

@@ -30,9 +30,6 @@ val of_delay_into :
     untouched) — keeps D-SPF's per-link conversion inside this module so
     the flow simulator's period update stays allocation-free. *)
 
-val to_delay : int -> float
-(** Inverse of {!of_delay} (seconds at bucket center). *)
-
 val hops_of_cost : int -> float
 (** Express a cost in hops: [cost / 30.]. *)
 

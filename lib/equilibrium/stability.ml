@@ -93,6 +93,3 @@ let analyze kind link response ~offered_load =
 let analyze_hnm ?(averaging = true) params link response ~offered_load =
   let effective = if averaging then filtered_eigenvalue else Float.abs in
   analyze_fn ~effective (hnm_cost_hops params link) response ~offered_load
-
-let gain_curve kind link response ~loads =
-  List.map (fun load -> analyze kind link response ~offered_load:load) loads

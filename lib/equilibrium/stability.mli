@@ -51,12 +51,3 @@ val analyze_hnm :
     true) models the 0.5/0.5 recursive filter; with it off the
     effective gain is the raw |g|, which is how a parameter set that
     disables the filter reintroduces §3.3's oscillation. *)
-
-val gain_curve :
-  Metric.kind ->
-  Link.t ->
-  Response_map.t ->
-  loads:float list ->
-  report list
-(** One report per offered load — where each metric crosses into
-    instability. *)

@@ -14,8 +14,6 @@ let buffer () = make (Buffer (Buffer.create 4096))
 
 let file path = make (File (open_out path))
 
-let active t = match t.writer with Null -> false | _ -> true
-
 let emit t make_event =
   match t.writer with
   | Null -> ()

@@ -25,8 +25,6 @@ val file : string -> t
 (** Opens (truncating) [path] and writes one line per event.  {!close}
     flushes and closes the channel. *)
 
-val active : t -> bool
-
 val emit : t -> (unit -> Json.t) -> unit
 (** Serialize one event.  The thunk is not called when the sink is
     inactive. *)

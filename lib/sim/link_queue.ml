@@ -35,7 +35,6 @@ type t = {
   mutable transmitted : int;
   totals : totals;
   mutable dropped : int;
-  mutable corrupted : int;
 }
 
 let default_buffer_packets = Queueing.buffer_capacity
@@ -67,8 +66,7 @@ let create ?(buffer_packets = default_buffer_packets) ?(error_rate = 0.) ?rng
     on_drop;
     transmitted = 0;
     totals = { bits = 0. };
-    dropped = 0;
-    corrupted = 0 }
+    dropped = 0 }
 
 let link t = t.link
 
@@ -149,7 +147,6 @@ let complete t epoch =
       | _ -> false
     in
     if corrupted then begin
-      t.corrupted <- t.corrupted + 1;
       t.on_drop Corrupted p;
       Packet.free t.pool p
     end
@@ -208,12 +205,8 @@ let set_up t up =
   end;
   t.up <- up
 
-let is_up t = t.up
-
 let transmitted_packets t = t.transmitted
 
 let transmitted_bits t = t.totals.bits
 
 let dropped_packets t = t.dropped
-
-let corrupted_packets t = t.corrupted

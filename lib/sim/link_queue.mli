@@ -73,8 +73,6 @@ val queue_length : t -> int
 val set_up : t -> bool -> unit
 (** A downed link drops everything it holds and everything enqueued. *)
 
-val is_up : t -> bool
-
 val transmitted_packets : t -> int
 
 val transmitted_bits : t -> float
@@ -82,8 +80,3 @@ val transmitted_bits : t -> float
 val dropped_packets : t -> int
 (** Cumulative counters; window-based statistics are derived by snapshotting
     them at window boundaries (see {!Measure}). *)
-
-val corrupted_packets : t -> int
-(** Transmissions lost to line errors (a subset of neither {!dropped_packets}
-    nor {!transmitted_packets} — they occupied the line but never arrived;
-    [on_drop] is invoked for them). *)

@@ -183,13 +183,9 @@ let delivered_packets t = t.delivered
 
 let dropped_packets t = t.dropped
 
-let delay_stats t = t.delay
-
 let median_delay_ms t = 1000. *. Quantile.value t.delay_p50
 
 let p95_delay_ms t = 1000. *. Quantile.value t.delay_p95
-
-let p99_delay_ms t = 1000. *. Quantile.value t.delay_p99
 
 (* The P² estimators report [nan] before their first observation; the
    indicator record carries 0 instead so exports stay valid JSON. *)

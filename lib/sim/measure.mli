@@ -75,8 +75,6 @@ val delivered_packets : t -> int
 
 val dropped_packets : t -> int
 
-val delay_stats : t -> Welford.t
-
 val median_delay_ms : t -> float
 (** Streaming (P²) estimate of the one-way delay median; [nan] when
     empty. *)
@@ -84,9 +82,6 @@ val median_delay_ms : t -> float
 val p95_delay_ms : t -> float
 (** Streaming (P²) estimate of the 95th-percentile one-way delay — the
     congested tail Table 1's mean hides. *)
-
-val p99_delay_ms : t -> float
-(** Streaming (P²) estimate of the 99th-percentile one-way delay. *)
 
 val quantile_ms : Routing_stats.Quantile.t -> float
 (** A P² estimate of a delay in seconds, in ms, read as [0.] before the

@@ -189,23 +189,32 @@ let run ?domains ?telemetry ?tracer ?(metric = Metric.Hn_spf) ?on_period t
   done;
   sim
 
-(* The builtin scenarios: each entry builds its topology afresh and
-   returns its seeded demand on that topology. *)
+(* The builtin scenarios: each entry says whether its demand reads the
+   seed, and builds its topology afresh with its demand on that
+   topology. *)
 let catalogue =
   [ ( "arpanet",
-      fun () ->
-        let g = Arpanet.topology () in
-        (g, fun seed -> Arpanet.peak_traffic (Rng.create seed) g) );
+      ( true,
+        fun () ->
+          let g = Arpanet.topology () in
+          (g, fun seed -> Arpanet.peak_traffic (Rng.create seed) g) ) );
     ( "milnet",
-      fun () ->
-        let g = Milnet.topology () in
-        (g, fun seed -> Milnet.peak_traffic (Rng.create seed) g) );
+      ( true,
+        fun () ->
+          let g = Milnet.topology () in
+          (g, fun seed -> Milnet.peak_traffic (Rng.create seed) g) ) );
     ( "two-region",
-      fun () ->
-        let g, _ = Generators.two_region () in
-        (g, fun _ -> Generators.two_region_traffic g) ) ]
+      ( false,
+        fun () ->
+          let g, _ = Generators.two_region () in
+          (g, fun _ -> Generators.two_region_traffic g) ) ) ]
 
 let builtins = List.map fst catalogue
 
 let builtin name =
-  Option.map (fun build -> build ()) (List.assoc_opt name catalogue)
+  Option.map (fun (_, build) -> build ()) (List.assoc_opt name catalogue)
+
+let seeded name =
+  match List.assoc_opt name catalogue with
+  | Some (seeded, _) -> seeded
+  | None -> false

@@ -106,3 +106,8 @@ val builtin : string -> (Graph.t * (int -> Traffic_matrix.t)) option
       seed.
 
     [None] for a name not in {!builtins}. *)
+
+val seeded : string -> bool
+(** Whether builtin [name]'s demand reads the seed: [false] for
+    ["two-region"], whose every seed gives the same matrix, and for a
+    name not in {!builtins}. *)

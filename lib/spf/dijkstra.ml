@@ -1,25 +1,15 @@
 open! Import
 
-type tie_break = [ `Neutral | `Favor of Link.id | `Avoid of Link.id ]
-
 let max_link_cost = 254
 
-(* One link's range-checked cost and probe adjustment, encoded by the
-   trees' own {!Spf_tree.edge_weight}. *)
-let edge_weight ~tie_break ~cost lid =
+(* One link's range-checked cost, encoded by the trees' own
+   {!Spf_tree.edge_weight}. *)
+let link_weight ~cost lid =
   let c = cost lid in
   if c < 1 || c > max_link_cost then
     invalid_arg
       (Printf.sprintf "Dijkstra: link cost %d outside [1, %d]" c max_link_cost);
-  let adjust =
-    match tie_break with
-    | `Neutral -> 0
-    | `Favor probe -> if Link.id_equal probe lid then -1 else 0
-    | `Avoid probe -> if Link.id_equal probe lid then 1 else 0
-  in
-  Spf_tree.edge_weight ~cost:c ~adjust
-
-let link_weight ~cost lid = edge_weight ~tie_break:`Neutral ~cost lid
+  Spf_tree.edge_weight ~cost:c
 
 (* Memoized per-link composite weights: one cost_fn call + range check per
    link per refresh, instead of per edge per source.  Disabled links carry
@@ -27,17 +17,15 @@ let link_weight ~cost lid = edge_weight ~tie_break:`Neutral ~cost lid
 (* Fill a caller-owned table in place.  A plain for-loop rather than
    [Graph.iter_links]: this runs every routing period on the simulator's
    steady path, which must not allocate (an [iter_links] closure would). *)
-let compute_weights_into ?(tie_break = `Neutral) ?(enabled = fun _ -> true) g
-    ~cost weights =
+let compute_weights_into ?(enabled = fun _ -> true) g ~cost weights =
   for i = 0 to Graph.link_count g - 1 do
     let lid = Link.id_of_int i in
-    weights.(i) <-
-      (if enabled lid then edge_weight ~tie_break ~cost lid else -1)
+    weights.(i) <- (if enabled lid then link_weight ~cost lid else -1)
   done
 
-let compute_weights ?tie_break ?enabled g ~cost =
+let compute_weights ?enabled g ~cost =
   let weights = Array.make (Graph.link_count g) (-1) in
-  compute_weights_into ?tie_break ?enabled g ~cost weights;
+  compute_weights_into ?enabled g ~cost weights;
   weights
 
 (* Reusable work arrays for the inner loop.  The settled flags and the
@@ -118,36 +106,12 @@ let compute_into s g ~weights tree =
   done
 [@@hot_path]
 
-let compute_flat_s s g ~weights root =
+let compute_flat g ~weights root =
   let tree = Spf_tree.unreached g root in
-  compute_into s g ~weights tree;
+  compute_into (scratch ()) g ~weights tree;
   tree
 
-let compute_flat g ~weights root = compute_flat_s (scratch ()) g ~weights root
-
-let compute ?tie_break ?enabled g ~cost root =
-  compute_flat g ~weights:(compute_weights ?tie_break ?enabled g ~cost) root
-
-(* Block per-source fan-outs so a domain claims several sources per
-   handout claim: one claim per source made small graphs spend comparable
-   time on handout as on Dijkstra itself (the mesh200 regression in
-   BENCH_spf.json). *)
-let source_chunk ~sources ~domains = max 1 (sources / (domains * 8))
-
-let all_pairs ?tie_break ?enabled ?pool g ~cost =
-  let weights = compute_weights ?tie_break ?enabled g ~cost in
-  let n = Graph.node_count g in
-  let trees = Array.make n None in
-  let one s i = trees.(i) <- Some (compute_flat_s s g ~weights (Node.of_int i)) in
-  (match pool with
-  | None ->
-    let s = scratch () in
-    for i = 0 to n - 1 do
-      one s i
-    done
-  | Some pool ->
-    let grain = source_chunk ~sources:n ~domains:(Domain_pool.size pool) in
-    Domain_pool.parallel_for ~grain pool ~init:(fun _ -> scratch ()) n one);
-  Array.map Option.get trees
+let compute ?enabled g ~cost root =
+  compute_flat g ~weights:(compute_weights ?enabled g ~cost) root
 
 let min_hop_tree ?enabled g root = compute ?enabled g ~cost:(fun _ -> 1) root

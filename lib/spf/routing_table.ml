@@ -39,19 +39,3 @@ let trace_route tables ~src ~dst =
     end
   in
   step src []
-
-let pp_trace g ppf = function
-  | Arrived links ->
-    let names =
-      match links with
-      | [] -> []
-      | first :: _ ->
-        Graph.node_name g first.Link.src
-        :: List.map (fun (l : Link.t) -> Graph.node_name g l.Link.dst) links
-    in
-    Format.fprintf ppf "arrived via %s" (String.concat " -> " names)
-  | Loop nodes ->
-    Format.fprintf ppf "LOOP through %s"
-      (String.concat " -> " (List.map (Graph.node_name g) nodes))
-  | Black_hole node ->
-    Format.fprintf ppf "BLACK HOLE at %s" (Graph.node_name g node)

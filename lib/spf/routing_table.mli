@@ -31,5 +31,3 @@ val trace_route : t array -> src:Node.t -> dst:Node.t -> trace
 (** Follow next hops through the per-node tables (indexed by node id) from
     [src] to [dst], detecting forwarding loops and black holes.  With
     consistent SPF tables the result is always [Arrived]. *)
-
-val pp_trace : Graph.t -> Format.formatter -> trace -> unit

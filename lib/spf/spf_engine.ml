@@ -11,10 +11,10 @@ open! Import
    untouched ({!Spf_repair.affects} holds the per-link tests and why they
    compose), keeping them as they are.  Trees that fail the proof are
    brought up to date by {!Spf_repair} — in-place dynamic repair that
-   re-settles only the disturbed region and restores the same bit-identity
-   — or, when repair is off or the tree is missing, recomputed in full.
-   Only full recomputes fan over the domain pool (when the batch is big
-   enough); a repair touches a handful of nodes and stays on the caller. *)
+   re-settles only the disturbed region and restores the same
+   bit-identity.  Only full sweeps fan over the domain pool (when the
+   sweep is big enough); a repair touches a handful of nodes and stays on
+   the caller. *)
 
 type stats = {
   mutable refreshes : int;
@@ -29,29 +29,28 @@ type stats = {
 type t = {
   graph : Graph.t;
   pool : Domain_pool.t option;
-  repair : bool;
   tracer : Tracer.t;
   tr_recompute : int; (* interned "spf_recompute" *)
   tr_repair : int; (* interned "spf_repair" *)
-  mutable weights : int array; (* [||] before the first refresh *)
+  mutable weights : int array;
   mutable weights_scratch : int array;
       (* the previous table, recycled: each refresh fills it in place,
          diffs, and swaps — steady periods never allocate a table *)
-  trees : Spf_tree.t option array;
+  mutable trees : Spf_tree.t array;
+      (* one per source, indexed by node id; [||] before the first
+         refresh, which allocates them all *)
   scratches : Dijkstra.scratch array;
       (* per pool slot, cached across fan-outs; slot 0 is the calling
-         domain's, also used for sequential recomputes *)
+         domain's, also used for sequential sweeps *)
   repair_scratch : Spf_repair.scratch;
   changes : Spf_repair.changes; (* the refresh's weight diff, reused *)
-  todo : int array; (* sources to recompute, first [ntodo] live *)
-  mutable ntodo : int;
   to_repair : int array; (* sources to repair, first [nrepair] live *)
   mutable nrepair : int;
   stats : stats;
 }
 
 (* Changed-links fraction above which a refresh abandons per-source
-   analysis and recomputes everything. *)
+   analysis and sweeps every tree. *)
 let threshold = 0.25
 
 (* The repair scratch is first used by the first repair, which can come
@@ -61,29 +60,24 @@ let threshold = 0.25
    at its next major slice, so scratch first allocated in a later period
    would make the allocation counts of the periods after it depend on
    scheduling.  Without a pool the first repair sizes it. *)
-let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
+let create ?pool ?(tracer = Tracer.null) graph =
   let n = Graph.node_count graph in
   let slots = match pool with Some p -> Domain_pool.size p | None -> 1 in
   { graph;
     pool;
-    repair;
     tracer;
     tr_recompute = Tracer.intern tracer "spf_recompute";
     tr_repair = Tracer.intern tracer "spf_repair";
     weights = [||];
     weights_scratch = [||];
-    trees = Array.make n None;
+    trees = [||];
     scratches = Array.init slots (fun _ -> Dijkstra.scratch ());
     repair_scratch =
-      Spf_repair.scratch
-        ?graph:(if repair && slots > 1 then Some graph else None)
-        ();
+      Spf_repair.scratch ?graph:(if slots > 1 then Some graph else None) ();
     changes =
       (let c = Spf_repair.changes () in
        Spf_repair.reserve_changes c (Graph.link_count graph);
        c);
-    todo = Array.make n 0;
-    ntodo = 0;
     to_repair = Array.make n 0;
     nrepair = 0;
     stats =
@@ -99,56 +93,45 @@ let graph t = t.graph
 
 let stats t = t.stats
 
-(* Below this much total work, run the recompute inline even when a pool
-   is attached.  The unit is one node-or-edge visit; a visit costs about
+(* Below this much total work, run the sweep inline even when a pool is
+   attached.  The unit is one node-or-edge visit; a visit costs about
    50 ns (bench perf-spf, 2-vCPU box: mesh200's ~840 visits per source
    take ~41 µs), while waking the pool and draining a job costs tens of
-   µs — so a fan-out only pays for itself once the batch holds several
-   hundred µs of work, and this threshold is about 0.8 ms of it.
-   Incremental refreshes that touch a handful of sources (the common
-   per-period case) stay sequential. *)
+   µs — so a fan-out only pays for itself once the sweep holds several
+   hundred µs of work, and this threshold is about 0.8 ms of it.  The
+   57-node ARPANET's 11,457 visits stay below it. *)
 let parallel_grain = 16_384
 
-let[@inline] push_todo t i =
-  t.todo.(t.ntodo) <- i;
-  t.ntodo <- t.ntodo + 1
+(* Block the fan-out so a domain claims several sources per handout
+   claim: one claim per source made small graphs spend comparable time
+   on handout as on Dijkstra itself (the mesh200 regression in
+   BENCH_spf.json). *)
+let source_chunk ~sources ~domains = max 1 (sources / (domains * 8))
 
-(* Recompute the [ntodo] queued sources, each writing only its own slot:
-   an existing tree is recomputed in place, only an empty slot
-   allocates. *)
-let recompute t =
-  let nt = t.ntodo in
-  t.ntodo <- 0;
-  if nt > 0 then begin
-    Tracer.span_begin_range t.tracer t.tr_recompute ~lo:0 ~hi:nt;
-    t.stats.sources_recomputed <- t.stats.sources_recomputed + nt;
+(* Recompute every tree in place, each source writing only its own
+   tree.  The sequential sweep is a plain loop: a D-SPF period takes
+   this path, and must not allocate. *)
+let sweep t =
+  t.stats.full_sweeps <- t.stats.full_sweeps + 1;
+  let trees = t.trees in
+  let n = Array.length trees in
+  if n > 0 then begin
+    Tracer.span_begin_range t.tracer t.tr_recompute ~lo:0 ~hi:n;
+    t.stats.sources_recomputed <- t.stats.sources_recomputed + n;
     let weights = t.weights in
     let g = t.graph in
-    let work = nt * (Graph.node_count g + Graph.link_count g) in
+    let work = n * (Graph.node_count g + Graph.link_count g) in
     (match t.pool with
     | Some pool when Domain_pool.size pool > 1 && work >= parallel_grain ->
-      let grain =
-        Dijkstra.source_chunk ~sources:nt ~domains:(Domain_pool.size pool)
-      in
+      let grain = source_chunk ~sources:n ~domains:(Domain_pool.size pool) in
       Domain_pool.parallel_for ~grain ~label:t.tr_recompute pool
         ~init:(fun slot -> t.scratches.(slot))
-        nt
-        (fun s k ->
-          let i = t.todo.(k) in
-          match t.trees.(i) with
-          | Some tree -> Dijkstra.compute_into s g ~weights tree
-          | None ->
-            t.trees.(i) <-
-              Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i)))
+        n
+        (fun s i -> Dijkstra.compute_into s g ~weights trees.(i))
     | Some _ | None ->
       let s = t.scratches.(0) in
-      for k = 0 to nt - 1 do
-        let i = t.todo.(k) in
-        match t.trees.(i) with
-        | Some tree -> Dijkstra.compute_into s g ~weights tree
-        | None ->
-          t.trees.(i) <-
-            Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i))
+      for i = 0 to n - 1 do
+        Dijkstra.compute_into s g ~weights trees.(i)
       done);
     Tracer.span_end t.tracer t.tr_recompute
   end
@@ -163,32 +146,26 @@ let repair_trees t =
     Tracer.span_begin_range t.tracer t.tr_repair ~lo:0 ~hi:nt;
     t.stats.sources_repaired <- t.stats.sources_repaired + nt;
     for k = 0 to nt - 1 do
-      let tree = Option.get t.trees.(t.to_repair.(k)) in
       t.stats.nodes_resettled <-
         t.stats.nodes_resettled
-        + Spf_repair.repair t.repair_scratch t.graph ~tree ~weights:t.weights
+        + Spf_repair.repair t.repair_scratch t.graph
+            ~tree:t.trees.(t.to_repair.(k)) ~weights:t.weights
             ~changes:t.changes
     done;
     Tracer.span_end t.tracer t.tr_repair
   end
 
-(* [?wanted] stays an option internally so the steady path never builds
-   the [Node.of_int] wrapper closure the old code allocated per refresh. *)
-let[@inline] wanted_at wanted i =
-  match wanted with None -> true | Some f -> f (Node.of_int i)
-
-let refresh ?wanted ?enabled t ~cost =
+let refresh ?enabled t ~cost =
   t.stats.refreshes <- t.stats.refreshes + 1;
   let n = Graph.node_count t.graph in
-  if Array.length t.weights = 0 then begin
-    (* First refresh: allocate both tables once; they live forever. *)
+  if Array.length t.trees = 0 then begin
+    (* First refresh: allocate both tables and every tree once; they live
+       forever. *)
     t.weights <- Dijkstra.compute_weights ?enabled t.graph ~cost;
     t.weights_scratch <- Array.make (Array.length t.weights) (-1);
-    t.stats.full_sweeps <- t.stats.full_sweeps + 1;
-    for i = 0 to n - 1 do
-      if wanted_at wanted i then push_todo t i else t.trees.(i) <- None
-    done;
-    recompute t
+    t.trees <-
+      Array.init n (fun i -> Spf_tree.unreached t.graph (Node.of_int i));
+    sweep t
   end
   else begin
     let w = t.weights_scratch in
@@ -200,21 +177,16 @@ let refresh ?wanted ?enabled t ~cost =
       if w.(i) <> old.(i) then incr nchanged
     done;
     if !nchanged = 0 then begin
-      (* Nothing flooded a significant update: every existing tree is
-         still exact; only sources newly wanted need work. *)
-      for i = 0 to n - 1 do
-        match t.trees.(i) with
-        | Some _ -> t.stats.sources_reused <- t.stats.sources_reused + 1
-        | None -> if wanted_at wanted i then push_todo t i
-      done;
-      if t.ntodo = 0 then t.stats.skipped <- t.stats.skipped + 1
-      else recompute t
+      (* Nothing flooded a significant update: every tree is still
+         exact. *)
+      t.stats.sources_reused <- t.stats.sources_reused + n;
+      t.stats.skipped <- t.stats.skipped + 1
     end
     else begin
       (* Change path (floods happened): swap the tables, diff them into
-         the reusable change set, and fall back to the proof-driven
-         repair/recompute split.  Every tree is refreshed in place, so
-         this path allocates nothing either once its arrays are sized. *)
+         the reusable change set, and either sweep or repair what the
+         proof cannot keep.  Every tree is refreshed in place, so this
+         path allocates nothing either once its arrays are sized. *)
       t.weights <- w;
       t.weights_scratch <- old;
       let changes = t.changes in
@@ -227,45 +199,23 @@ let refresh ?wanted ?enabled t ~cost =
       if
         float_of_int !nchanged
         > threshold *. float_of_int (Graph.link_count t.graph)
-      then begin
-        (* Nothing proves an unwanted tree unaffected here: drop it. *)
-        t.stats.full_sweeps <- t.stats.full_sweeps + 1;
-        for i = 0 to n - 1 do
-          if wanted_at wanted i then push_todo t i else t.trees.(i) <- None
-        done;
-        recompute t
-      end
+      then sweep t
       else begin
         for i = 0 to n - 1 do
-          match t.trees.(i) with
-          | Some tree when not (Spf_repair.affects t.graph tree changes) ->
-            (* Provably identical to a recompute — keep it, wanted or not. *)
+          if Spf_repair.affects t.graph t.trees.(i) changes then begin
+            t.to_repair.(t.nrepair) <- i;
+            t.nrepair <- t.nrepair + 1
+          end
+          else
+            (* Provably identical to a recompute: keep it. *)
             t.stats.sources_reused <- t.stats.sources_reused + 1
-          | Some _ ->
-            if not (wanted_at wanted i) then t.trees.(i) <- None
-            else if t.repair then begin
-              t.to_repair.(t.nrepair) <- i;
-              t.nrepair <- t.nrepair + 1
-            end
-            else push_todo t i
-          | None -> if wanted_at wanted i then push_todo t i
         done;
-        repair_trees t;
-        recompute t
+        repair_trees t
       end
     end
   end
 
 let tree t node =
-  if Array.length t.weights = 0 then
+  if Array.length t.trees = 0 then
     invalid_arg "Spf_engine.tree: refresh the engine first";
-  let i = Node.to_int node in
-  match t.trees.(i) with
-  | Some tree -> tree
-  | None ->
-    let tree =
-      Dijkstra.compute_flat_s t.scratches.(0) t.graph ~weights:t.weights node
-    in
-    t.trees.(i) <- Some tree;
-    t.stats.sources_recomputed <- t.stats.sources_recomputed + 1;
-    tree
+  t.trees.(Node.to_int node)

@@ -19,84 +19,64 @@ open! Import
       ({!Spf_repair}), re-settling only the disturbed region of each
       tree;
     - if a large fraction changed (more than a quarter of the links),
-      recomputes every wanted source outright.
+      sweeps: recomputes every source's tree in place
+      ({!Dijkstra.compute_into}).
 
-    Every refresh updates the trees {e in place}: a repair patches the
-    disturbed region of a tree ({!Spf_repair.repair}) and a recompute
-    rewrites a source's existing tree ({!Dijkstra.compute_into}).  A new
-    tree is allocated only for an empty slot — the first refresh, or a
-    source that was not wanted before.  The weight diff lives in one
-    reusable {!Spf_repair.changes} set and the worklists in int arrays.
+    The first refresh allocates every tree and sweeps; every later refresh
+    updates the trees {e in place}.  The weight diff lives in one reusable
+    {!Spf_repair.changes} set and the repair worklist in an int array.
     Once those are sized, a refresh on the calling domain allocates
     nothing, quiet or not; a pool fan-out allocates only its own
     bookkeeping (worker scratch is cached per pool slot).
 
-    Full recomputes of big batches fan out over an optional
-    {!Domain_pool.t}; repairs, each re-settling a handful of nodes, always
-    run on the calling domain.  In every configuration — sequential or
-    parallel, repaired, swept or reused — the served trees are
-    {b bit-identical} to [Dijkstra.compute]
-    from scratch on the current costs: reuse happens only when a tree
-    provably equals its recomputation (same distances, hops and parent
-    links), repair restores exactly the from-scratch fixpoint, and
-    parallel sources each write only their own slot.  Trees use [`Neutral]
-    tie-breaking.
+    Big sweeps fan out over an optional {!Domain_pool.t}; repairs, each
+    re-settling a handful of nodes, always run on the calling domain.  In
+    every configuration — sequential or parallel, repaired, swept or
+    reused — the trees are {b bit-identical} to [Dijkstra.compute] from
+    scratch on the current costs: reuse happens only when a tree provably
+    equals its recomputation (same distances, hops and parent links),
+    repair restores exactly the from-scratch fixpoint, and parallel
+    sources each write only their own tree.
 
     {b Aliasing.}  Because refreshes work in place, a [Spf_tree.t]
     obtained from the engine reflects the {e latest} refresh, not the one
-    it was fetched under.  Callers needing a frozen snapshot must copy
-    before the next refresh. *)
+    it was fetched under, and {!tree} returns the same physical tree for
+    a source after every refresh.  Callers needing a frozen snapshot must
+    copy before the next refresh. *)
 
 type t
 
-val create :
-  ?pool:Domain_pool.t ->
-  ?tracer:Tracer.t ->
-  ?repair:bool ->
-  Graph.t ->
-  t
-(** [repair] (default [true]) selects in-place dynamic repair for affected
-    sources; [false] falls back to per-source full recomputation (useful
-    for differential testing and benchmarking).
+val create : ?pool:Domain_pool.t -> ?tracer:Tracer.t -> Graph.t -> t
+(** An engine with no trees yet: the first {!refresh} allocates them.
 
-    [pool] runs a recompute batch through {!Domain_pool.parallel_for}
-    once the batch holds enough work to pay for waking the pool (at
-    least 16,384 node-or-edge visits); smaller batches and every repair
-    stay on the calling domain.
+    [pool] runs a sweep through {!Domain_pool.parallel_for} once the
+    sweep holds enough work to pay for waking the pool (at least 16,384
+    node-or-edge visits); smaller sweeps and every repair stay on the
+    calling domain.
 
-    [tracer] (default {!Tracer.null}) flight-records the engine:
-    recompute and repair batches become [spf_recompute] / [spf_repair]
-    spans on the calling domain's track, and — when the same tracer's
+    [tracer] (default {!Tracer.null}) flight-records the engine: sweeps
+    and repair batches become [spf_recompute] / [spf_repair] spans on the
+    calling domain's track, and — when the same tracer's
     {!Tracer.pool_probe} is installed on [pool] — each worker domain
     records the blocks of sources it actually ran. *)
 
 val graph : t -> Graph.t
 
 val refresh :
-  ?wanted:(Node.t -> bool) ->
-  ?enabled:(Link.id -> bool) ->
-  t ->
-  cost:(Link.id -> int) ->
-  unit
-(** Bring the engine up to date with [cost] / [enabled].  Only sources for
-    which [wanted] holds (default: all) are guaranteed to have trees
-    afterwards; unwanted sources keep their trees when provably unaffected
-    and drop them otherwise (they can still be served on demand by
-    {!tree}).
+  ?enabled:(Link.id -> bool) -> t -> cost:(Link.id -> int) -> unit
+(** Bring every source's tree up to date with [cost] / [enabled].
     @raise Invalid_argument if any enabled link's cost is outside
     [Dijkstra]'s admissible range. *)
 
 val tree : t -> Node.t -> Spf_tree.t
-(** The current tree rooted at the node, computing it on demand if the
-    last refresh didn't want it.
+(** The current tree rooted at the node.
     @raise Invalid_argument before the first {!refresh}. *)
 
 type stats = {
   mutable refreshes : int;  (** {!refresh} calls *)
-  mutable skipped : int;
-      (** refreshes where no weight changed and no tree was missing *)
+  mutable skipped : int;  (** refreshes where no weight changed *)
   mutable full_sweeps : int;
-      (** refreshes that recomputed every wanted source (first refresh, or
+      (** refreshes that recomputed every source (the first refresh, or
           more than a quarter of the links changed) *)
   mutable sources_recomputed : int;  (** single-source Dijkstra runs *)
   mutable sources_repaired : int;
@@ -111,6 +91,5 @@ type stats = {
 
 val stats : t -> stats
 (** Live counters (the record is the engine's own — read, don't write).
-    The satellite "skip refresh when a period floods zero significant
-    updates" is visible here as [skipped] climbing while [refreshes]
-    climbs. *)
+    Periods that flood no significant update show here as [skipped]
+    climbing with [refreshes]. *)

@@ -9,12 +9,12 @@ open! Import
     under the new table — in time proportional to the part of the tree
     that actually changes, not the graph.
 
-    The repair leans on the same fact as the reuse proof {!affects}:
-    under [`Neutral] tie-breaking the from-scratch tree is a pure function
-    of the weight table — every node's distance is the true shortest
-    composite distance, and its parent is the lowest-id enabled in-link
-    achieving it.  The repair re-establishes exactly that local
-    characterization on the region it disturbs:
+    The repair leans on the same fact as the reuse proof {!affects}: the
+    from-scratch tree is a pure function of the weight table — every
+    node's distance is the true shortest composite distance, and its
+    parent is the lowest-id enabled in-link achieving it.  The repair
+    re-establishes exactly that local characterization on the region it
+    disturbs:
 
     + {b Invalidate}: a weight increase (or disable) can only lengthen
       routes through the link, so only the subtree hanging below it is
@@ -87,10 +87,9 @@ val repair :
 (** [repair s g ~tree ~weights ~changes] patches [tree] in place and
     returns the number of nodes re-settled (0 when the changes turn out
     not to touch this tree).  [weights] is the {e new} composite table
-    from [Dijkstra.compute_weights] (under [`Neutral] tie-breaking);
-    [changes] holds [(link, old_weight, new_weight)] for every table
-    entry that differs, each link at most once.  [tree] must have been
-    exact under the old table. *)
+    from [Dijkstra.compute_weights]; [changes] holds [(link, old_weight,
+    new_weight)] for every table entry that differs, each link at most
+    once.  [tree] must have been exact under the old table. *)
 
 val wrote_tree : scratch -> bool
 (** Whether the last {!repair} through this scratch wrote any entry of

@@ -13,21 +13,15 @@ let unreached graph root =
 
 let hop_scale = 1 lsl 20
 
-let cost_scale = 1024
+let edge_weight ~cost = (cost * hop_scale) + 1
 
-let edge_weight ~cost ~adjust = (((cost * cost_scale) + adjust) * hop_scale) + 1
-
-(* The decode: unit cost above both scales, rounded half up so that a
-   favored (-1) or avoided (+1) probe adjustment in the middle bits does
-   not shift it, and the hop count in the low 20 bits.  Inlined: load
-   assignment decodes hops once per reached node per source and once per
-   flow.  Composites are never negative, so the hop field is a mask,
-   which spares that loop [mod]'s sign fix-up. *)
+(* The decode: unit cost above the hop field, and the hop count in the
+   low 20 bits.  Inlined: load assignment decodes hops once per reached
+   node per source and once per flow.  Composites are never negative, so
+   the hop field is a mask, which spares that loop [mod]'s sign
+   fix-up. *)
 let[@inline] units_of comp =
-  if comp = max_int then max_int
-  else
-    (comp / hop_scale / cost_scale)
-    + (if (comp / hop_scale) mod cost_scale > cost_scale / 2 then 1 else 0)
+  if comp = max_int then max_int else comp / hop_scale
 
 let[@inline] hops_of comp =
   if comp = max_int then max_int else comp land (hop_scale - 1)

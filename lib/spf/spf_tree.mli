@@ -13,7 +13,7 @@ open! Import
     ([max_int] when unreached).  {!Dijkstra} writes these arrays,
     {!Spf_repair} patches them in place, and the readers below decode
     routing units and hop counts when asked.  This module owns the
-    encoding: the scales, {!edge_weight} and the decode. *)
+    encoding: the hop scale, {!edge_weight} and the decode. *)
 
 type t
 
@@ -24,23 +24,20 @@ val unreached : Graph.t -> Node.t -> t
 (** {2 Composite distances}
 
     One positive integer encodes the lexicographic order of (path cost,
-    probe-link preference, hop count), which keeps plain Dijkstra
-    applicable.  A link contributes
+    hop count), which keeps plain Dijkstra applicable.  A link
+    contributes
 
-    {[ w(l) = (cost(l) * 1024 + adjust(l)) * 2^20 + 1 ]}
+    {[ w(l) = cost(l) * 2^20 + 1 ]}
 
-    where [adjust] is [-1] on a favored probe link, [+1] on an avoided one
-    and [0] otherwise: an infinitesimal discount or surcharge among
-    equal-cost paths, with the [+1] per link making hop count the final
-    tie-break.  A path's composite is the sum over its links, so the hop
-    count sits in the low 20 bits and the unit cost above both scales;
-    the decode rounds half up to absorb the probe adjustment.  A path of
-    a million 254-unit links still fits in 62 bits. *)
+    so a path's composite, the sum over its links, holds the hop count in
+    the low 20 bits and the unit cost above them, and among equal-cost
+    paths the one with fewer hops is shorter.  A path of a million
+    254-unit links fits in 49 bits. *)
 
-val edge_weight : cost:int -> adjust:int -> int
-(** [edge_weight ~cost ~adjust] is [w(l)] above for a link of [cost]
-    routing units.  Callers bound [cost] (Dijkstra admits at most 254) so
-    that sums over paths of fewer than 2^20 hops stay exact. *)
+val edge_weight : cost:int -> int
+(** [edge_weight ~cost] is [w(l)] above for a link of [cost] routing
+    units.  Callers bound [cost] (Dijkstra admits at most 254) so that
+    sums over paths of fewer than 2^20 hops stay exact. *)
 
 val graph : t -> Graph.t
 
@@ -101,9 +98,6 @@ val uses_link : t -> Node.t -> Link.id -> bool
 
 val destinations_via : t -> Link.id -> Node.t list
 (** All destinations whose tree path traverses the link. *)
-
-val fold_reached : t -> init:'a -> f:('a -> Node.t -> 'a) -> 'a
-(** Fold over every reached node except the root. *)
 
 val equal : t -> t -> bool
 (** Structural equality: same root, same composite distances and parent

@@ -292,9 +292,8 @@ let lint t =
     axis_issues "scale" ~to_string:(Printf.sprintf "%g") t.scales
     @ List.concat_map
         (fun s ->
-          if not (Float.is_finite s) then
-            [ error "S105" "scale %g is not a finite number" s ]
-          else if s <= 0. then [ error "S105" "scale %g is not positive" s ]
+          if not (Traffic_matrix.valid_scale s) then
+            [ error "S105" "scale %g is not a finite positive number" s ]
           else if s > 10. then
             [ warning "S105" "scale %g is outside the modelled range (0, 10]" s ]
           else [])
@@ -305,6 +304,19 @@ let lint t =
     @ List.concat_map
         (fun s -> if s < 0 then [ error "S104" "negative seed %d" s ] else [])
         t.seeds
+  in
+  let seedless =
+    let nseeds = List.length (List.sort_uniq Int.compare t.seeds) in
+    List.filter_map
+      (function
+        | Builtin name when nseeds > 1 && not (Script.seeded name) ->
+          Some
+            (warning "S103"
+               "scenario %s ignores the seed: its %d seeds repeat identical \
+                points"
+               name nseeds)
+        | Builtin _ | File _ -> None)
+      t.scenarios
   in
   let ramp_axis =
     match t.critical_load with
@@ -350,8 +362,8 @@ let lint t =
           points max_points ]
     else []
   in
-  scenario_axis @ metric_axis @ scale_axis @ ramp_axis @ seed_axis @ budget
-  @ grid
+  scenario_axis @ metric_axis @ scale_axis @ ramp_axis @ seed_axis
+  @ seedless @ budget @ grid
 
 (* [--shard I/N]: this process runs grid points whose index ≡ I (mod N).
    Parsed here so the CLI and routing_check agree on the S107 shape. *)

@@ -72,8 +72,10 @@ val parse : string -> (t, issue) result
 val lint : t -> issue list
 (** Every grid problem, in axis order: [S101] unknown scenario (no such
     builtin, missing or unparseable file), [S102] empty axis, [S103]
-    duplicate axis value (warning), [S104] bad seed, [S105] scale out of
-    range (an error when not finite or not positive), [S106] bad
+    duplicate axis value, or several seeds for a builtin whose demand
+    ignores the seed ({!Script.seeded}) (warnings), [S104] bad seed,
+    [S105] scale out of range (an error when not finite or not positive,
+    {!Traffic_matrix.valid_scale}), [S106] bad
     period/warmup budget or a grid of more than 100,000 points, [S109]
     degenerate [critical_load] ramp (fewer than 3 steps, a non-finite
     end, or a non-increasing interval).  The 100,000-point limit is the

@@ -28,6 +28,8 @@ let scale t factor =
   done;
   { t with demand }
 
+let valid_scale s = Float.is_finite s && s > 0.
+
 let total_bps t =
   let sum = ref 0. in
   for i = 0 to Array.length t.demand - 1 do

@@ -22,6 +22,11 @@ val add : t -> src:Node.t -> dst:Node.t -> float -> unit
 val scale : t -> float -> t
 (** Fresh matrix with every demand multiplied by the factor. *)
 
+val valid_scale : float -> bool
+(** Whether a factor is a load scale the simulators model: finite and
+    positive.  [arpanet_sim --scale] refuses any other, and so does a
+    sweep spec (S105). *)
+
 val copy : t -> t
 
 val total_bps : t -> float

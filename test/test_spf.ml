@@ -148,7 +148,7 @@ let test_dijkstra_reroutes_around_expensive_link () =
   Alcotest.(check bool) "avoids direct link" false
     (Spf_tree.uses_link tree d direct.Link.id)
 
-let test_dijkstra_tie_break_neutral_deterministic () =
+let test_dijkstra_ties_deterministic () =
   let g = diamond () in
   let a = node g "A" in
   let t1 = Dijkstra.compute g ~cost:(constant_cost 7) a in
@@ -159,27 +159,6 @@ let test_dijkstra_tie_break_neutral_deterministic () =
         | None, None -> true
         | Some l1, Some l2 -> Link.id_equal l1.Link.id l2.Link.id
         | _ -> false))
-
-let test_dijkstra_favor_avoid () =
-  (* A-B-D vs A-C-D: equal cost; favoring/avoiding a link must decide. *)
-  let b = Builder.create () in
-  let _ = Builder.trunk b Line_type.T56 "A" "B" in
-  let _ = Builder.trunk b Line_type.T56 "B" "D" in
-  let _ = Builder.trunk b Line_type.T56 "A" "C" in
-  let _ = Builder.trunk b Line_type.T56 "C" "D" in
-  let g = Builder.build b in
-  let a = node g "A" and d = node g "D" in
-  let bd = Option.get (Graph.find_link g ~src:(node g "B") ~dst:d) in
-  let favor = Dijkstra.compute ~tie_break:(`Favor bd.Link.id) g
-      ~cost:(constant_cost 30) a in
-  Alcotest.(check bool) "favored link used" true
-    (Spf_tree.uses_link favor d bd.Link.id);
-  let avoid = Dijkstra.compute ~tie_break:(`Avoid bd.Link.id) g
-      ~cost:(constant_cost 30) a in
-  Alcotest.(check bool) "avoided link not used" false
-    (Spf_tree.uses_link avoid d bd.Link.id);
-  (* Tie-breaking must not change distances. *)
-  Alcotest.(check int) "same distance" (Spf_tree.dist favor d) (Spf_tree.dist avoid d)
 
 let test_dijkstra_enabled () =
   let g = diamond () in
@@ -219,27 +198,15 @@ let test_dijkstra_rejects_bad_cost () =
 
 (* Shortest-path distances must satisfy the Bellman optimality condition:
    for every link (u,v), dist(v) <= dist(u) + cost(u,v), with equality for
-   tree links, and every reached node's hop count is its path's length.
-   Both hold under every tie-break, since a probe adjustment only decides
-   among equal-cost paths.  [`Favor]/[`Avoid] trees are where the decode
-   from composite distances is lossy, and the response map reads exactly
-   these values from them: the half-up rounding must land every distance
-   back on whole units. *)
+   tree links, and every reached node's hop count is its path's length:
+   the decode from composite distances must give back both. *)
 let prop_dijkstra_optimality =
   QCheck2.Test.make ~name:"dijkstra satisfies Bellman conditions" ~count:60
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let g = random_graph seed in
       let cost = random_costs seed g in
-      let rng = Rng.create (seed + 104_729) in
-      let probe = Link.id_of_int (Rng.int rng (Graph.link_count g)) in
-      let tie_break =
-        match Rng.int rng 3 with
-        | 0 -> `Neutral
-        | 1 -> `Favor probe
-        | _ -> `Avoid probe
-      in
-      let tree = Dijkstra.compute ~tie_break g ~cost (Node.of_int 0) in
+      let tree = Dijkstra.compute g ~cost (Node.of_int 0) in
       let ok = ref true in
       Graph.iter_links g (fun l ->
           let du = Spf_tree.dist tree l.Link.src in
@@ -633,8 +600,7 @@ let () =
           Alcotest.test_case "reroutes" `Quick
             test_dijkstra_reroutes_around_expensive_link;
           Alcotest.test_case "deterministic ties" `Quick
-            test_dijkstra_tie_break_neutral_deterministic;
-          Alcotest.test_case "favor/avoid" `Quick test_dijkstra_favor_avoid;
+            test_dijkstra_ties_deterministic;
           Alcotest.test_case "enabled" `Quick test_dijkstra_enabled;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "bad cost" `Quick test_dijkstra_rejects_bad_cost ]

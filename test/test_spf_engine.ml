@@ -168,8 +168,8 @@ let prop_engine_incremental_matches_full =
 (* Multi-link batch deltas: several links move in one refresh — mixed
    increases, decreases, outages and recoveries — which is exactly the
    shape the dynamic-repair path has to get right in one pass.  Also
-   pins the repair path on (`~repair:false` never repairs), so a
-   regression cannot hide behind the recompute fallback. *)
+   checks that the repair path actually ran, so a regression cannot hide
+   behind full sweeps. *)
 let prop_engine_batch_deltas_match_full =
   QCheck2.Test.make ~name:"engine batch deltas = full recompute" ~count:30
     QCheck2.Gen.(int_range 0 10_000)
@@ -238,28 +238,6 @@ let prop_engine_batch_deltas_match_full =
           "re-costing every link must take the full-sweep path";
       true)
 
-(* A full sweep proves nothing about the sources it was not asked for:
-   their trees must be dropped, not kept stale, so that a later refresh
-   wanting them again serves fresh trees. *)
-let test_full_sweep_drops_unwanted () =
-  let g = random_graph 7 in
-  let nl = Graph.link_count g in
-  let costs = Array.make nl 10 in
-  let engine = Spf_engine.create g in
-  check_engine_matches_full g engine ~enabled:(fun _ -> true)
-    ~cost:(fun i -> costs.(i));
-  for i = 0 to nl - 1 do
-    costs.(i) <- 1 + (i * 7 mod 60)
-  done;
-  let sweeps = (Spf_engine.stats engine).Spf_engine.full_sweeps in
-  Spf_engine.refresh engine
-    ~wanted:(fun n -> Node.to_int n mod 2 = 0)
-    ~cost:(fun l -> costs.(Link.id_to_int l));
-  Alcotest.(check int) "the re-costing took a full sweep" (sweeps + 1)
-    (Spf_engine.stats engine).Spf_engine.full_sweeps;
-  check_engine_matches_full g engine ~enabled:(fun _ -> true)
-    ~cost:(fun i -> costs.(i))
-
 (* --- Determinism: parallel = sequential, bit for bit --- *)
 
 (* The generated 200-node mesh of the benchmarks: one full sweep is
@@ -279,18 +257,46 @@ let test_parallel_engine_matches_sequential () =
          chunk_end = (fun ~label:_ ~lo:_ ~hi:_ -> ()) });
   let par = Spf_engine.create ~pool g in
   let seq = Spf_engine.create g in
+  Alcotest.check_raises "no tree before the first refresh"
+    (Invalid_argument "Spf_engine.tree: refresh the engine first") (fun () ->
+      ignore (Spf_engine.tree par (Node.of_int 0)));
   let rng = Rng.create 11 in
-  let nl = Graph.link_count g in
+  let nl = Graph.link_count g and n = Graph.node_count g in
   let costs = Array.init nl (fun _ -> 1 + Rng.int rng 40) in
-  for round = 0 to 8 do
-    let cost l = costs.(Link.id_to_int l) in
+  let cost l = costs.(Link.id_to_int l) in
+  let refresh_both () =
     Spf_engine.refresh par ~cost;
-    Spf_engine.refresh seq ~cost;
+    Spf_engine.refresh seq ~cost
+  in
+  (* Every refresh works in place: each source keeps the tree the first
+     refresh allocated, whichever path a later refresh takes. *)
+  let firsts = ref [||] in
+  let check_trees what =
     Graph.iter_nodes g (fun node ->
         Alcotest.(check bool)
           (Printf.sprintf "trees agree at node %d" (Node.to_int node))
           true
           (Spf_tree.equal (Spf_engine.tree seq node) (Spf_engine.tree par node)));
+    Array.iteri
+      (fun i (p, s) ->
+        let node = Node.of_int i in
+        if not (Spf_engine.tree par node == p && Spf_engine.tree seq node == s)
+        then Alcotest.failf "source %d got a new tree at %s" i what)
+      !firsts
+  in
+  for round = 0 to 8 do
+    refresh_both ();
+    if round = 0 then
+      firsts :=
+        Array.init n (fun i ->
+            let node = Node.of_int i in
+            (Spf_engine.tree par node, Spf_engine.tree seq node));
+    check_trees
+      (if round = 0 then "the first refresh"
+       else if round mod 3 = 0 then "a full sweep"
+       else "a repair");
+    refresh_both ();
+    check_trees "a quiet refresh";
     if round mod 3 = 2 then
       (* Re-cost half the links: more than a quarter changed forces the
          next refresh into a full (parallel) sweep. *)
@@ -299,6 +305,10 @@ let test_parallel_engine_matches_sequential () =
       done
     else costs.(Rng.int rng nl) <- 1 + Rng.int rng 40
   done;
+  let stats = Spf_engine.stats par in
+  Alcotest.(check int) "every quiet refresh skipped" 9 stats.Spf_engine.skipped;
+  Alcotest.(check bool) "single-link changes repaired trees" true
+    (stats.Spf_engine.sources_repaired > 0);
   Alcotest.(check int) "full sweeps: the first refresh and two re-costs" 3
     (Spf_engine.stats par).Spf_engine.full_sweeps;
   Alcotest.(check bool) "same work as the sequential engine" true
@@ -404,9 +414,7 @@ let () =
       ("csr", qsuite [ prop_csr_matches_lists ]);
       ( "engine",
         [ Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_engine_matches_sequential;
-          Alcotest.test_case "full sweep drops unwanted trees" `Quick
-            test_full_sweep_drops_unwanted ]
+            test_parallel_engine_matches_sequential ]
         @ qsuite
             [ prop_engine_incremental_matches_full;
               prop_engine_batch_deltas_match_full ] );

@@ -930,6 +930,7 @@ let sweep_fixtures =
       ("sweep_unknown_scenario.json", "S101", Error);
       ("sweep_empty_axis.json", "S102", Error);
       ("sweep_duplicates.json", "S103", Warning);
+      ("sweep_seedless_seeds.json", "S103", Warning);
       ("sweep_bad_seed.json", "S104", Error);
       ("sweep_bad_scale.json", "S105", Error);
       ("sweep_inf_scale.json", "S105", Error);
